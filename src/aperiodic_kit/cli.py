@@ -1,7 +1,8 @@
 """Command-line surface: search, induction, coding, rendering, verification.
 
 All structured output is JSON on stdout; SVG goes to --out files.  Exit
-codes: 0 success, 1 usage or input error, 2 legitimate empty result.
+codes: 0 success, 1 usage or input error, 2 legitimate empty result, 3 a
+verification that ran to the end and failed (verify-all).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .phifield import PhiNumber, parse_phi
 from .pipeline import build_reference_partition, run_all
 from .wang import TilingInstance, WangTileSet, patterns_with_surrounding, solve
 
-OK, USAGE_ERROR, EMPTY = 0, 1, 2
+OK, USAGE_ERROR, EMPTY, VERIFY_FAILED = 0, 1, 2, 3
 
 
 def _parse_shape(text: str) -> tuple[int, int]:
@@ -241,7 +242,7 @@ def cmd_verify_all(args) -> int:
             json.dump(report.to_json(), handle, indent=2)
             handle.write("\n")
     print(report.to_text())
-    return OK if report.ok() else 1
+    return OK if report.ok() else VERIFY_FAILED
 
 
 def build_parser() -> argparse.ArgumentParser:

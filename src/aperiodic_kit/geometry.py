@@ -9,9 +9,10 @@ glued along edges that no cutting segment covers.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Iterable, Optional, Sequence
 
-from .phifield import PhiNumber
+from .phifield import ONE, ZERO, PhiNumber
 
 Point = tuple[PhiNumber, PhiNumber]
 Segment = tuple[Point, Point]
@@ -218,6 +219,62 @@ def convex_difference(a: Polygon, b: Polygon) -> list[Polygon]:
     return pieces
 
 
+def split_cells(cells, pieces):
+    """Yield (cell & piece, data, tag) for every (cell, data) and (piece, tag)
+    whose interiors meet; bounding boxes reject most pairs before clipping."""
+    for cell, data in cells:
+        for piece, tag in pieces:
+            if bbox_overlap(cell, piece):
+                part = convex_intersection(cell, piece)
+                if part is not None:
+                    yield part, data, tag
+
+
+def tiling_defect(cells: Sequence[Polygon], lattice) -> Optional[str]:
+    """Why the cells fail to tile the rectangle [0, l1] x [0, l2] with
+    disjoint interiors, or None when they tile it."""
+    l1, l2 = lattice
+    for cell in cells:
+        x0, y0, x1, y1 = cell.bbox()
+        if x0 < 0 or y0 < 0 or x1 > l1 or y1 > l2:
+            return f"cell {cell} leaves the fundamental rectangle"
+    area = sum((cell.area() for cell in cells), ZERO)
+    if area != l1 * l2:
+        return f"cells cover area {area}, not the covolume {l1 * l2}"
+    for i, a in enumerate(cells):
+        for b in cells[i + 1:]:
+            if bbox_overlap(a, b) and convex_intersection(a, b) is not None:
+                return f"cells {a} and {b} overlap"
+    return None
+
+
+def lattice_pieces(poly: Polygon, lattice, box: Polygon, offset: Point = (ZERO, ZERO)):
+    """Pieces of poly + offset + k*lattice inside box, over all k in Z^2.
+
+    Lattice shifts are pruned on bounding boxes before any translate is
+    built, so only shifts whose open boxes meet the box are clipped.
+    """
+    x0, y0, x1, y1 = poly.bbox()
+    bx0, by0, bx1, by1 = box.bbox()
+    pieces = []
+    for dx in _axis_shifts(x0 + offset[0], x1 + offset[0], lattice[0], bx0, bx1):
+        for dy in _axis_shifts(y0 + offset[1], y1 + offset[1], lattice[1], by0, by1):
+            piece = convex_intersection(poly.translate((offset[0] + dx, offset[1] + dy)), box)
+            if piece is not None:
+                pieces.append(piece)
+    return pieces
+
+
+def _axis_shifts(lo, hi, period, box_lo, box_hi) -> list[PhiNumber]:
+    """Multiples k*period moving the open interval (lo, hi) to meet (box_lo, box_hi)."""
+    shift = PhiNumber(((box_lo - hi) / period).floor() + 1) * period
+    shifts = []
+    while lo + shift < box_hi:
+        shifts.append(shift)
+        shift = shift + period
+    return shifts
+
+
 class Region:
     """Union of convex cells with pairwise disjoint interiors."""
 
@@ -249,11 +306,9 @@ class Region:
 
     def intersection_area(self, other: "Region") -> PhiNumber:
         total = PhiNumber(0)
-        for a in self.cells:
-            for b in other.cells:
-                piece = convex_intersection(a, b)
-                if piece is not None:
-                    total = total + piece.area()
+        mine = [(a, None) for a in self.cells]
+        for piece, _, _ in split_cells(mine, [(b, None) for b in other.cells]):
+            total = total + piece.area()
         return total
 
     def equals_up_to_null(self, other: "Region") -> bool:
@@ -281,9 +336,39 @@ def _canonical_line(p: Point, q: Point):
 
 
 def _line_param(line, x: Point) -> PhiNumber:
-    _, b, _ = line
-    d = (-b, PhiNumber(1)) if line[0] == PhiNumber(1) else (PhiNumber(1), PhiNumber(0))
-    return _dot(d, x)
+    a, b, _ = line
+    return _dot((-b, ONE) if a else (ONE, ZERO), x)
+
+
+def _edge_key(p: Point, q: Point, lattice):
+    """(line, lo, hi) of the segment pq on the torus of the lattice.
+
+    A line on the far side of the fundamental rectangle (x = l1 or y = l2)
+    is keyed as its seam twin through the origin; the parameter along an
+    axis-parallel line does not change under that translation.
+    """
+    line = _canonical_line(p, q)
+    a, b, c = line
+    if (not b and c == lattice[0]) or (not a and c == lattice[1]):
+        line = (a, b, ZERO)
+    lo, hi = sorted((_line_param(line, p), _line_param(line, q)))
+    return line, lo, hi
+
+
+def _edge_sweep(cells: Sequence[Polygon], lattice):
+    """Yield (line, lo, hi, cell indices) for every elementary interval of
+    the cells' edges on the torus, with the indices of the edges over it."""
+    by_line: dict = {}
+    for idx, cell in enumerate(cells):
+        for p, q in cell.edges():
+            line, lo, hi = _edge_key(p, q, lattice)
+            by_line.setdefault(line, []).append((lo, hi, idx))
+    for line, entries in by_line.items():
+        points = sorted({e[0] for e in entries} | {e[1] for e in entries})
+        for lo, hi in zip(points, points[1:]):
+            covering = [e[2] for e in entries if e[0] <= lo and hi <= e[1]]
+            if covering:
+                yield line, lo, hi, covering
 
 
 def _merge_intervals(intervals):
@@ -323,7 +408,7 @@ class TorusPartition:
     def __init__(self, lattice, atoms: dict[int, Region]):
         self.lattice = (_num(lattice[0]), _num(lattice[1]))
         self.atoms = dict(atoms)
-        self._cuts: Optional[list[Segment]] = None
+        self._cuts: Optional[dict] = None
 
     def labels(self) -> list[int]:
         return sorted(self.atoms)
@@ -355,81 +440,42 @@ class TorusPartition:
 
     # -- boundary ------------------------------------------------------
 
-    def cuts(self) -> list[Segment]:
-        """Maximal boundary pieces: edge parts whose two sides differ.
+    def _cut_lines(self) -> dict:
+        """Cuts as merged parameter intervals per seam-canonical line.
 
-        Edges of cells are grouped by supporting line (lines on the far
-        fundamental-domain boundary are translated onto their seam twin),
-        then swept; a piece separating two cells of one atom is interior
-        glue, everything else is a genuine cut of the torus.
+        An elementary edge interval is interior glue when two or more cells
+        of one atom meet over it (across the seam too), and a cut otherwise.
         """
         if self._cuts is None:
-            self._cuts = self._compute_cuts()
+            labeled = list(self.cells())
+            by_line: dict = {}
+            for line, lo, hi, covering in _edge_sweep([c for _, c in labeled], self.lattice):
+                if len(covering) < 2 or len({labeled[i][0] for i in covering}) > 1:
+                    by_line.setdefault(line, []).append((lo, hi))
+            self._cuts = {line: _merge_intervals(iv) for line, iv in by_line.items()}
         return self._cuts
 
-    def _seam_canonical(self, line, edge_points):
-        l1, l2 = self.lattice
-        zero = PhiNumber(0)
-        a, b, c = line
-        shift = (zero, zero)
-        if a == PhiNumber(1) and b == zero and c == l1:  # x = l1 -> x = 0
-            shift = (-l1, zero)
-            line = (a, b, zero)
-        elif a == zero and b == PhiNumber(1) and c == l2:  # y = l2 -> y = 0
-            shift = (zero, -l2)
-            line = (a, b, zero)
-        pts = [(p[0] + shift[0], p[1] + shift[1]) for p in edge_points]
-        return line, pts
-
-    def _compute_cuts(self) -> list[Segment]:
-        by_line: dict = {}
-        for label, cell in self.cells():
-            for p, q in cell.edges():
-                line = _canonical_line(p, q)
-                line, (tp, tq) = self._seam_canonical(line, (p, q))
-                # which side of the line does the cell interior lie on
-                a, b, _ = line
-                normal = (a, b)
-                inner = _dot(normal, _inner_point(cell)) - _dot(normal, tp)
-                side = inner.sign()
-                lo, hi = sorted((_line_param(line, tp), _line_param(line, tq)))
-                by_line.setdefault(line, []).append((lo, hi, side, label, tp, tq))
-        cuts: list[Segment] = []
-        for line, entries in by_line.items():
-            points = sorted({e[0] for e in entries} | {e[1] for e in entries})
-            for lo, hi in zip(points, points[1:]):
-                covering = [e for e in entries if e[0] <= lo and hi <= e[1]]
-                sides = {e[2] for e in covering}
-                labels = {e[3] for e in covering}
-                if len(sides) == 2 and len(labels) == 1:
-                    continue  # interior glue within one atom
-                if not covering:
-                    continue
-                cuts.append(_segment_on_line(line, lo, hi))
-        return _merge_cut_segments(cuts)
+    def cuts(self) -> list[Segment]:
+        """Maximal boundary pieces: edge parts whose two sides differ."""
+        return [
+            _segment_on_line(line, lo, hi)
+            for line, intervals in self._cut_lines().items()
+            for lo, hi in intervals
+        ]
 
     def on_boundary(self, x: Point) -> bool:
         """True iff the (reduced) point lies on a cut of the partition."""
         x = self.reduce_point(x)
-        l1, l2 = self.lattice
-        zero = PhiNumber(0)
-        candidates = [x]
-        if x[0] == zero:
-            candidates.append((x[0] + l1, x[1]))
-        if x[1] == zero:
-            candidates.append((x[0], x[1] + l2))
-        if x[0] == zero and x[1] == zero:
-            candidates.append((x[0] + l1, x[1] + l2))
-        for p, q in self.cuts():
-            line = _canonical_line(p, q)
-            for cand in candidates:
-                a, b, c = line
-                if (a * cand[0] + b * cand[1] - c).sign() != 0:
-                    continue
-                t = _line_param(line, cand)
-                lo, hi = sorted((_line_param(line, p), _line_param(line, q)))
-                if lo <= t <= hi:
-                    return True
+        # a point on the seam is also tested as its twin on the far side
+        xs = (x[0],) if x[0] else (x[0], self.lattice[0])
+        ys = (x[1],) if x[1] else (x[1], self.lattice[1])
+        for line, intervals in self._cut_lines().items():
+            a, b, c = line
+            for cand in product(xs, ys):
+                if a * cand[0] + b * cand[1] == c:
+                    t = _line_param(line, cand)
+                    if any(lo <= t <= hi for lo, hi in intervals):
+                        return True
         return False
 
     def locate(self, x: Point) -> int:
@@ -458,6 +504,7 @@ class TorusPartition:
 
     @classmethod
     def from_json(cls, data: dict) -> "TorusPartition":
+        """Load a partition, checking that its atoms tile the torus."""
         from .phifield import parse_phi
 
         lattice = tuple(parse_phi(s) for s in data["lattice"])
@@ -468,22 +515,16 @@ class TorusPartition:
             )
             for label, cells in data["atoms"].items()
         }
-        return cls(lattice, atoms)
-
-
-def _inner_point(cell: Polygon) -> Point:
-    n = PhiNumber(len(cell.vertices))
-    sx = PhiNumber(0)
-    sy = PhiNumber(0)
-    for v in cell.vertices:
-        sx = sx + v[0]
-        sy = sy + v[1]
-    return (sx / n, sy / n)
+        partition = cls(lattice, atoms)
+        defect = tiling_defect([cell for _, cell in partition.cells()], partition.lattice)
+        if defect:
+            raise ValueError(f"partition does not tile the torus: {defect}")
+        return partition
 
 
 def _segment_on_line(line, lo, hi) -> Segment:
     a, b, c = line
-    if a == PhiNumber(1):
+    if a:
         # param t = -b*x + y on x + b*y = c  =>  y = (t + b*c) / (1 + b*b)
         def at(t):
             y = (t + b * c) / (PhiNumber(1) + b * b)
@@ -494,19 +535,6 @@ def _segment_on_line(line, lo, hi) -> Segment:
             return (t, c)
 
     return (at(lo), at(hi))
-
-
-def _merge_cut_segments(cuts: list[Segment]) -> list[Segment]:
-    by_line: dict = {}
-    for p, q in cuts:
-        line = _canonical_line(p, q)
-        lo, hi = sorted((_line_param(line, p), _line_param(line, q)))
-        by_line.setdefault(line, []).append((lo, hi))
-    merged = []
-    for line, intervals in by_line.items():
-        for lo, hi in _merge_intervals(intervals):
-            merged.append(_segment_on_line(line, lo, hi))
-    return merged
 
 
 # ---------------------------------------------------------------------------
@@ -608,12 +636,9 @@ def partition_from_segments(segments, lattice) -> TorusPartition:
         cells = nxt
 
     # covered intervals per line (seam-canonicalized), from the cut segments
-    helper = TorusPartition((l1, l2), {})
     covered: dict = {}
     for p, q in pieces:
-        line = _canonical_line(p, q)
-        line, (tp, tq) = helper._seam_canonical(line, (p, q))
-        lo, hi = sorted((_line_param(line, tp), _line_param(line, tq)))
+        line, lo, hi = _edge_key(p, q, (l1, l2))
         covered.setdefault(line, []).append((lo, hi))
     covered = {line: _merge_intervals(iv) for line, iv in covered.items()}
 
@@ -626,27 +651,12 @@ def partition_from_segments(segments, lattice) -> TorusPartition:
             i = parent[i]
         return i
 
-    edge_table: dict = {}
-    for idx, cell in enumerate(cells):
-        for p, q in cell.edges():
-            line = _canonical_line(p, q)
-            line, (tp, tq) = helper._seam_canonical(line, (p, q))
-            lo, hi = sorted((_line_param(line, tp), _line_param(line, tq)))
-            edge_table.setdefault(line, []).append((lo, hi, idx))
-    for line, entries in edge_table.items():
-        cov = covered.get(line, [])
-        for i in range(len(entries)):
-            for j in range(i + 1, len(entries)):
-                lo = max(entries[i][0], entries[j][0])
-                hi = min(entries[i][1], entries[j][1])
-                if not lo < hi:
-                    continue
-                if entries[i][2] == entries[j][2]:
-                    continue
-                if _interval_minus(lo, hi, cov):
-                    ri, rj = find(entries[i][2]), find(entries[j][2])
-                    if ri != rj:
-                        parent[max(ri, rj)] = min(ri, rj)
+    for line, lo, hi, covering in _edge_sweep(cells, (l1, l2)):
+        if len(covering) > 1 and _interval_minus(lo, hi, covered.get(line, [])):
+            for idx in covering[1:]:
+                ri, rj = find(covering[0]), find(idx)
+                if ri != rj:
+                    parent[max(ri, rj)] = min(ri, rj)
 
     groups: dict[int, list[Polygon]] = {}
     for idx, cell in enumerate(cells):
@@ -764,16 +774,6 @@ def rescale(partition: TorusPartition, factor, translation=(0, 0)) -> TorusParti
             mapped = Polygon(
                 [(v[0] * factor + t[0], v[1] * factor + t[1]) for v in cell.vertices]
             )
-            min_x, min_y, max_x, max_y = mapped.bbox()
-            k1_lo = (min_x / new_lattice[0]).floor()
-            k1_hi = (max_x / new_lattice[0]).floor() + 1
-            k2_lo = (min_y / new_lattice[1]).floor()
-            k2_hi = (max_y / new_lattice[1]).floor() + 1
-            for k1 in range(k1_lo, k1_hi + 1):
-                for k2 in range(k2_lo, k2_hi + 1):
-                    shift = (PhiNumber(k1) * new_lattice[0], PhiNumber(k2) * new_lattice[1])
-                    piece = convex_intersection(mapped, box.translate(shift))
-                    if piece is not None:
-                        cells.append(piece.translate((-shift[0], -shift[1])))
+            cells.extend(lattice_pieces(mapped, new_lattice, box))
         atoms[label] = Region(sorted(cells, key=lambda c: c.vertices))
     return TorusPartition(new_lattice, atoms)

@@ -18,8 +18,13 @@ from .geometry import (
     Polygon,
     Region,
     TorusPartition,
+    _num,
+    convex_difference,
     convex_intersection,
+    lattice_pieces,
     rectangle,
+    split_cells,
+    tiling_defect,
 )
 from .morphisms import Morphism2d
 from .phifield import PhiNumber
@@ -28,10 +33,6 @@ from .words import Word2d
 
 class NonReturningPiece(RuntimeError):
     """A window piece failed to return within the iteration bound."""
-
-
-def _num(x) -> PhiNumber:
-    return x if isinstance(x, PhiNumber) else PhiNumber(x)
 
 
 def _vadd(a: Point, b: Point) -> Point:
@@ -70,12 +71,6 @@ class PolygonExchange:
             (poly, (_num(v[0]), _num(v[1]))) for poly, v in pieces
         ]
 
-    def domain(self) -> Polygon:
-        return rectangle(0, 0, self.lattice[0], self.lattice[1])
-
-    def domain_area(self) -> PhiNumber:
-        return self.lattice[0] * self.lattice[1]
-
     def apply(self, x: Point) -> Point:
         """Translate x by its piece's vector; boundary points are undefined."""
         hits = [
@@ -98,28 +93,13 @@ class PolygonExchange:
 
     def is_bijective(self) -> bool:
         """Pieces partition the domain and so do their images (exact areas)."""
-        for family in (
-            [poly for poly, _ in self.pieces],
-            [poly.translate(v) for poly, v in self.pieces],
-        ):
-            total = PhiNumber(0)
-            for p in family:
-                total = total + p.area()
-            if total != self.domain_area():
-                return False
-            for i in range(len(family)):
-                for j in range(i + 1, len(family)):
-                    overlap = convex_intersection(family[i], family[j])
-                    if overlap is not None and overlap.area().sign() != 0:
-                        return False
-            box = self.domain()
-            for p in family:
-                if convex_intersection(p, box) is None:
-                    return False
-                inter = convex_intersection(p, box)
-                if inter.area() != p.area():
-                    return False
-        return True
+        return not any(
+            tiling_defect(family, self.lattice)
+            for family in (
+                [poly for poly, _ in self.pieces],
+                [poly.translate(v) for poly, v in self.pieces],
+            )
+        )
 
     def as_translation(self) -> Optional[Point]:
         """The single vector this PET rotates by, if all pieces agree mod lattice."""
@@ -162,8 +142,6 @@ def induced_transformation(
     (domain normalized to the strip's rectangle for axis windows) and a
     list of (piece, return time).
     """
-    from .geometry import convex_difference
-
     if isinstance(window, Window):
         new_lattice = window.sub_lattice(transform.lattice)
         window_poly = rectangle(0, 0, new_lattice[0], new_lattice[1])
@@ -175,13 +153,10 @@ def induced_transformation(
     active = [(window_poly, (PhiNumber(0), PhiNumber(0)))]
     returned: list[tuple[Polygon, Point, int]] = []
     for step in range(1, bound + 1):
-        moved = []
-        for current, tau in active:
-            for piece, v in transform.pieces:
-                part = convex_intersection(current, piece)
-                if part is None:
-                    continue
-                moved.append((part.translate(v), _vadd(tau, v)))
+        moved = [
+            (part.translate(v), _vadd(tau, v))
+            for part, tau, v in split_cells(active, transform.pieces)
+        ]
         active = []
         for current, tau in moved:
             inside = convex_intersection(current, window_poly)
@@ -312,55 +287,30 @@ def return_word(
 # refinement machinery
 
 
-def _shifted_atom_pieces(partition: TorusPartition, shift: Point, box: Polygon):
-    """Pairs (label, cell') with cell' = (atom cell + k*lattice - shift) cut to the box.
-
-    x lies in cell' exactly when x + shift reduces into that atom cell, so
-    refining against these pieces encodes the coding of a shifted point.
-    """
-    from .geometry import bbox_overlap
-
-    l1, l2 = partition.lattice
-    out = []
-    for label, cell in partition.cells():
-        for k1 in (-1, 0, 1):
-            for k2 in (-1, 0, 1):
-                moved = cell.translate(
-                    (PhiNumber(k1) * l1 - shift[0], PhiNumber(k2) * l2 - shift[1])
-                )
-                if not bbox_overlap(moved, box):
-                    continue
-                piece = convex_intersection(moved, box)
-                if piece is not None:
-                    out.append((label, piece))
-    return out
-
-
 def _refine_by_codes(partition, action, support, base_cells):
     """Split base cells so the codes of all shifted copies are constant.
 
     ``support`` lists lattice steps n; each output entry is a convex cell
-    together with the map n -> label along it.
+    together with the map n -> label along it.  A point x lies in a piece of
+    (atom cell - shift) reduced mod the lattice exactly when x + shift
+    reduces into that atom cell, so splitting against those pieces reads
+    off the n-th code.
     """
-    from .geometry import bbox_overlap
-
     domain = rectangle(0, 0, *_cover_bbox(base_cells))
     current = [(cell, {}) for cell in base_cells]
     for n in support:
         shift = action.step_vector(n)
-        overlay = _shifted_atom_pieces(partition, shift, domain)
-        refined = []
-        for cell, codes in current:
-            for label, piece in overlay:
-                if not bbox_overlap(cell, piece):
-                    continue
-                part = convex_intersection(cell, piece)
-                if part is None:
-                    continue
-                new_codes = dict(codes)
-                new_codes[n] = label
-                refined.append((part, new_codes))
-        current = refined
+        overlay = [
+            (piece, label)
+            for label, cell in partition.cells()
+            for piece in lattice_pieces(
+                cell, partition.lattice, domain, (-shift[0], -shift[1])
+            )
+        ]
+        current = [
+            (part, {**codes, n: label})
+            for part, codes, label in split_cells(current, overlay)
+        ]
     return current
 
 

@@ -33,9 +33,14 @@ class WangTileSet:
     """Indexed list of Wang tiles with color bookkeeping."""
 
     def __init__(self, tiles: Iterable[Sequence[str]]):
-        self.tiles: tuple[Tile, ...] = tuple(
-            (str(t[0]), str(t[1]), str(t[2]), str(t[3])) for t in tiles
-        )
+        checked = []
+        for index, tile in enumerate(tiles):
+            if not isinstance(tile, (list, tuple)) or len(tile) != 4:
+                raise ValueError(
+                    f"tile {index} {tile!r} is not 4 colors (right, top, left, bottom)"
+                )
+            checked.append(tuple(str(color) for color in tile))
+        self.tiles: tuple[Tile, ...] = tuple(checked)
 
     def __len__(self):
         return len(self.tiles)
@@ -66,7 +71,7 @@ class WangTileSet:
 
     @classmethod
     def from_json(cls, data: dict) -> "WangTileSet":
-        return cls([tuple(t) for t in data["tiles"]])
+        return cls(data["tiles"])
 
 
 @dataclass

@@ -253,3 +253,41 @@ def periodic_admissible_extension(
         return False
 
     return backtrack(0)
+
+
+def _seam_twins(partition, x):
+    """The reduced point together with its translates onto the far sides
+    of the fundamental rectangle when it lies on the seam."""
+    x = partition.reduce_point(x)
+    l1, l2 = partition.lattice
+    xs = [x[0], x[0] + l1] if x[0] == 0 else [x[0]]
+    ys = [x[1], x[1] + l2] if x[1] == 0 else [x[1]]
+    return [(u, v) for u in xs for v in ys]
+
+
+def _turn(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def brute_force_on_boundary(partition, x) -> bool:
+    """x lies on some cuts() segment: exact cross product and box test."""
+    for u in _seam_twins(partition, x):
+        for p, q in partition.cuts():
+            if (
+                _turn(p, q, u) == 0
+                and min(p[0], q[0]) <= u[0] <= max(p[0], q[0])
+                and min(p[1], q[1]) <= u[1] <= max(p[1], q[1])
+            ):
+                return True
+    return False
+
+
+def brute_force_labels(partition, x) -> set:
+    """Labels of every cell whose closure holds x or one of its seam twins."""
+    labels = set()
+    for u in _seam_twins(partition, x):
+        for label, cell in partition.cells():
+            vs = cell.vertices
+            if all(_turn(vs[i - 1], vs[i], u).sign() >= 0 for i in range(len(vs))):
+                labels.add(label)
+    return labels

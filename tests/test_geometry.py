@@ -1,13 +1,17 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from _oracles import brute_force_labels, brute_force_on_boundary
 from aperiodic_kit.catalog import partition_segments, rotation_action
 from aperiodic_kit.geometry import (
     AmbiguousLabeling,
+    BoundaryHit,
     DegenerateArrangement,
     NoConsistentLabeling,
     Polygon,
+    TorusPartition,
     ZeroFactor,
     clip,
     convex_difference,
@@ -20,6 +24,9 @@ from aperiodic_kit.geometry import (
     rescale,
 )
 from aperiodic_kit.phifield import PHI, PhiNumber
+
+# two diagonals on the unit torus: two atoms, each glued across a seam
+DIAGONALS = [(pt(0, 0), pt(1, 1)), (pt(0, 1), pt(1, 0))]
 
 
 class TestPolygon:
@@ -194,10 +201,77 @@ class TestRescaleAndEquality:
 
 
 def test_json_roundtrip(partition_u):
-    from aperiodic_kit.geometry import TorusPartition
-
     data = partition_u.to_json()
     back = TorusPartition.from_json(data)
     assert back.lattice == partition_u.lattice
     for a in range(19):
         assert back.atoms[a].equals_up_to_null(partition_u.atoms[a])
+
+
+def _probe_points(partition, seed):
+    """Seeded rational points, points on every cut, seam points, the corner."""
+    l1, l2 = partition.lattice
+    rng = random.Random(seed)
+
+    def frac():
+        return PhiNumber(Fraction(rng.randrange(1, 997), 997))
+
+    points = [(frac() * l1, frac() * l2) for _ in range(30)]
+    for p, q in partition.cuts():
+        for t in (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)):
+            points.append((p[0] + (q[0] - p[0]) * t, p[1] + (q[1] - p[1]) * t))
+    for _ in range(8):
+        points.append((PhiNumber(0), frac() * l2))
+        points.append((frac() * l1, PhiNumber(0)))
+    points += [pt(0, 0), (l1, l2)]
+    return points
+
+
+@pytest.mark.parametrize("which", ["PU", "P1", "diagonals"])
+def test_locate_agrees_with_brute_force(which, partition_u, induction_tower):
+    partition = {
+        "PU": partition_u,
+        "P1": induction_tower[0],
+        "diagonals": partition_from_segments(DIAGONALS, (1, 1)),
+    }[which]
+    for x in _probe_points(partition, seed=len(which)):
+        labels = brute_force_labels(partition, x)
+        on_cut = brute_force_on_boundary(partition, x)
+        assert partition.on_boundary(x) == on_cut, x
+        assert len(labels) == 1 or on_cut, x  # two atoms meet only on a cut
+        if on_cut:
+            with pytest.raises(BoundaryHit):
+                partition.locate(x)
+        else:
+            assert partition.locate(x) in labels, x
+
+
+def test_seam_glue_is_not_a_cut():
+    # each atom of the diagonals partition crosses a seam; the seam pieces
+    # inside an atom are glue, so only the two diagonals are cuts
+    partition = partition_from_segments(DIAGONALS, (1, 1))
+    assert len(partition.cuts()) == 2
+    half = Fraction(1, 2)
+    assert not partition.on_boundary(pt(0, half))
+    assert partition.locate(pt(0, half)) == partition.locate(pt(Fraction(1, 10), half))
+    assert partition.locate(pt(half, 0)) == partition.locate(pt(half, Fraction(1, 10)))
+
+
+def _rect_json(x0, y0, x1, y1):
+    return [[x0, y0], [x1, y0], [x1, y1], [x0, y1]]
+
+
+@pytest.mark.parametrize(
+    "atoms, defect",
+    [
+        # the area adds up to the covolume but two atoms overlap
+        ({"0": [_rect_json("0", "0", "1", "3/4")], "1": [_rect_json("0", "1/4", "1", "1/2")]},
+         "overlap"),
+        # one cell sticks out of the fundamental rectangle
+        ({"0": [_rect_json("0", "0", "1", "1/2")], "1": [_rect_json("0", "1", "1", "3/2")]},
+         "fundamental rectangle"),
+    ],
+)
+def test_from_json_rejects_non_tiling(atoms, defect):
+    with pytest.raises(ValueError, match=defect):
+        TorusPartition.from_json({"lattice": ["1", "1"], "atoms": atoms})

@@ -1,5 +1,9 @@
+import hashlib
 import json
 
+import pytest
+
+from aperiodic_kit import cli
 from aperiodic_kit.cli import main
 from aperiodic_kit.render import render_partition, render_tileset, render_tiling
 from aperiodic_kit.wang import TilingInstance, solve
@@ -147,3 +151,50 @@ class TestCli:
             ["config", "--partition", str(bare),
              "--seed-point", "1/3,1/5", "--shape", "2x2"]
         ) == 1
+
+    @pytest.mark.parametrize("colors", [["A", "B", "C"], ["A", "B", "C", "D", "E"]])
+    def test_tile_with_wrong_arity_is_usage_error(self, tmp_path, capsys, colors):
+        path = tmp_path / "tiles.json"
+        path.write_text(json.dumps({"tiles": [["A", "B", "A", "B"], colors]}))
+        assert main(["solve", str(path), "--shape", "2x2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: tile 1 ") and err.count("\n") == 1
+
+    def test_partition_covering_half_the_torus_rejected(self, tmp_path, capsys, partition_u):
+        data = partition_u.to_json()
+        data["atoms"] = {k: v for k, v in data["atoms"].items() if int(k) < 9}
+        path = tmp_path / "half.json"
+        path.write_text(json.dumps(data))
+        assert main(
+            ["config", "--partition", str(path), "--seed-point", "1/3,1/5", "--shape", "2x2"]
+        ) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: partition does not tile the torus") and "covolume" in err
+
+    def test_failed_verification_exit_code(self, tmp_path, monkeypatch, capsys):
+        class FailingReport:
+            def ok(self):
+                return False
+
+            def to_json(self):
+                return {"ok": False}
+
+            def to_text(self):
+                return "composite equals substitution: False"
+
+        monkeypatch.setattr(cli, "run_all", lambda max_shape: FailingReport())
+        out = tmp_path / "report.json"
+        assert main(["verify-all", "--out", str(out)]) == cli.VERIFY_FAILED == 3
+        assert json.loads(out.read_text()) == {"ok": False}
+
+    # the induce JSON of the reference partition is pinned byte for byte
+    @pytest.mark.parametrize(
+        "axis, digest",
+        [
+            (1, "aca4a75c28057e594e4fdd20f68a8a969e83e88e1641ec458b353268db2a4688"),
+            (2, "623242cb52c64ebec3d65f21e080568e5d2ed648c195ac0809af0b91619efb0b"),
+        ],
+    )
+    def test_induce_output_is_pinned(self, capsys, axis, digest):
+        assert main(["induce", "--axis", str(axis)]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
