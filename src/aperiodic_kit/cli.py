@@ -339,7 +339,7 @@ def main(argv=None) -> int:
         os.environ["APERIODIC_KIT_JOBS"] = str(args.jobs)
     try:
         return args.func(args)
-    except (OSError, ValueError, KeyError, RuntimeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RuntimeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

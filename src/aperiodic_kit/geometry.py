@@ -301,9 +301,6 @@ class Region:
             total = total + c.area()
         return total
 
-    def translate(self, v: Point) -> "Region":
-        return Region(c.translate(v) for c in self.cells)
-
     def intersection_area(self, other: "Region") -> PhiNumber:
         total = PhiNumber(0)
         mine = [(a, None) for a in self.cells]
@@ -417,9 +414,6 @@ class TorusPartition:
         for label in sorted(self.atoms):
             for cell in self.atoms[label].cells:
                 yield label, cell
-
-    def domain(self) -> Polygon:
-        return rectangle(0, 0, self.lattice[0], self.lattice[1])
 
     def total_area(self) -> PhiNumber:
         total = PhiNumber(0)

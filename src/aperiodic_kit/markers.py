@@ -121,14 +121,11 @@ def fuse(u: Tile, v: Tile, direction: int) -> Tile:
     raise ValueError("direction must be 1 or 2")
 
 
-def _check_marker_criterion(tileset, members, direction, radius):
-    """Marker criterion against admissible dominoes at the given radius."""
-    m = set(members)
-    d_dir = dominoes_with_surrounding(tileset, direction, radius)
-    d_perp = dominoes_with_surrounding(tileset, 3 - direction, radius)
-    if any(u in m and v in m for u, v in d_dir):
+def _check_marker_criterion(members, d_dir, d_perp):
+    """Marker criterion against the admissible dominoes of both directions."""
+    if any(u in members and v in members for u, v in d_dir):
         raise NotAMarkerSet("marker-marker dominoes along the direction are admissible")
-    if any((u in m) != (v in m) for u, v in d_perp):
+    if any((u in members) != (v in members) for u, v in d_perp):
         raise NotAMarkerSet("a perpendicular domino mixes markers and non-markers")
 
 
@@ -153,8 +150,10 @@ def find_substitution(
     m = set(markers)
     if not m or not m < set(range(len(tileset))):
         raise NotAMarkerSet("markers must be a nonempty proper subset of tile indices")
-    _check_marker_criterion(tileset, m, direction, radius)
     dominoes = dominoes_with_surrounding(tileset, direction, radius)
+    _check_marker_criterion(
+        m, dominoes, dominoes_with_surrounding(tileset, 3 - direction, radius)
+    )
     if side == "right":
         pairs = sorted((u, v) for u, v in dominoes if u not in m and v in m)
         kept = sorted({u for u, v in dominoes if u not in m and v not in m})

@@ -8,7 +8,6 @@ seeds are all computed by iterating a rule table on letters.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import product
 from typing import Iterable, Mapping
 
@@ -47,14 +46,17 @@ class Morphism2d:
         self.domain_size = domain_size if domain_size is not None else (
             max(table) + 1 if table else 0
         )
+        used = set().union(*(image.letters() for image in table.values()))
         if codomain_size is None:
-            used = set()
-            for image in table.values():
-                used |= image.letters()
             codomain_size = max(used) + 1 if used else 0
         self.codomain_size = codomain_size
         if set(table) != set(range(self.domain_size)):
             raise ValueError("rule must cover exactly the letters 0..domain_size-1")
+        outside = sorted(b for b in used if not 0 <= b < codomain_size)
+        if outside:
+            raise ValueError(
+                f"image letter {outside[0]} is outside the codomain of size {codomain_size}"
+            )
 
     @classmethod
     def identity(cls, size: int) -> "Morphism2d":
@@ -191,13 +193,7 @@ def language(m: Morphism2d, shape: tuple[int, int], bound: int = 40) -> Language
     collected set is unchanged by a further iteration.  For a primitive
     rule the sequence of sets is eventually constant, so the first repeat
     is the full factor set; a still-growing set at ``bound`` raises.
-    Results are cached per (rule, shape); rule tables are never mutated.
     """
-    return set(_language_cached(m, shape, bound))
-
-
-@lru_cache(maxsize=None)
-def _language_cached(m: Morphism2d, shape: tuple[int, int], bound: int) -> frozenset:
     s1, s2 = shape
     words = {a: Word2d.single(a) for a in range(m.domain_size)}
     seen: Language2d = set()
@@ -208,7 +204,7 @@ def _language_cached(m: Morphism2d, shape: tuple[int, int], bound: int) -> froze
             if w.shape[0] >= s1 and w.shape[1] >= s2:
                 current |= subwords(w, shape)
         if current == seen and seen:
-            return frozenset(seen)
+            return seen
         seen = current
     raise NotStabilized(f"language at shape {shape} still growing after {bound} iterations")
 

@@ -276,10 +276,14 @@ def _fmt_vec(v) -> dict[str, str]:
     return {"x": str(v[0]), "y": str(v[1])}
 
 
-def run_pet_pipeline(axis_first: int = 2) -> InductionLoopReport:
-    """Induce the coded rotation twice, rescale, and close by relabeling."""
+def run_pet_pipeline(reference, axis_first: int = 2) -> InductionLoopReport:
+    """Induce the coded rotation twice, rescale, and close by relabeling.
+
+    ``reference`` is the (partition, action) pair of
+    ``build_reference_partition``.
+    """
     started = time.perf_counter()
-    partition, action = build_reference_partition()
+    partition, action = reference
     if len(partition.atoms) != 19:
         raise StageFailure("partition_from_segments", f"{len(partition.atoms)} atoms")
 
@@ -346,9 +350,11 @@ def check_uniqueness_hypotheses() -> UniquenessReport:
 
 
 def cross_check_languages(
-    max_shape: tuple[int, int] = (2, 2), radius: int = 2, max_radius: int = 4
+    reference, max_shape: tuple[int, int] = (2, 2), radius: int = 2, max_radius: int = 4
 ) -> list[LanguageRow]:
     """Compare the three pattern languages at every shape up to max_shape.
+
+    ``reference`` is the (partition, action) pair that codes the rotation.
 
     The tile-set language may strictly contain the true language at a low
     surrounding radius, so on mismatch the radius is raised up to
@@ -357,7 +363,7 @@ def cross_check_languages(
     """
     phi = catalog.square_substitution()
     tiles = catalog.wang_tiles()
-    partition, action = build_reference_partition()
+    partition, action = reference
     rows = []
     for s1 in range(1, max_shape[0] + 1):
         for s2 in range(1, max_shape[1] + 1):
@@ -386,9 +392,10 @@ def cross_check_languages(
 def run_all(max_shape: tuple[int, int] = (2, 2)) -> VerificationReport:
     started = time.perf_counter()
     wang = run_wang_pipeline()
-    induction = run_pet_pipeline()
+    reference = build_reference_partition()
+    induction = run_pet_pipeline(reference)
     uniqueness = check_uniqueness_hypotheses()
-    rows = cross_check_languages(max_shape)
+    rows = cross_check_languages(reference, max_shape)
     loops_agree = all(
         a == b for a, b in zip(wang.morphisms, induction.morphisms)
     )

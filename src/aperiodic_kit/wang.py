@@ -5,8 +5,11 @@ tokens are opaque strings so that fused tiles can carry concatenated
 colors.  Two complete search backends are provided: a backtracking solver
 scanning cells bottom-up row-major (the default; it returns the
 lexicographically least solution in tile-index order along that scan), and
-an exact-cover reduction solved by Algorithm X.  Tests hold the two
-backends to identical satisfiability verdicts.
+an exact-cover reduction solved by Algorithm X.  Both read one
+normalization of the instance (cells, reduced fixed tiles and a neighbor
+table), and tests hold them to identical satisfiability verdicts.  Domino
+sets are the 2-cell case of the surrounding search; nothing is cached
+between calls.
 """
 
 from __future__ import annotations
@@ -122,74 +125,57 @@ def _hnf(basis) -> tuple[int, int, int]:
     return m00, m10 % m11, m11
 
 
-def _torus_cells(basis):
-    """Representatives and reduction map for Z^2 modulo the lattice."""
-    a, c, d = _hnf(basis)
+def _normalize(instance: TilingInstance):
+    """Shape, cells in scan order, fixed tiles and neighbor table of an instance.
 
-    def reduce(pos):
-        x, y = pos
-        k = x // a
-        x -= k * a
-        y -= k * c
-        return x, y % d
+    The table maps a cell to its (right, top, left, bottom) neighbors: None
+    off a rectangle, reduced modulo the lattice on a quotient torus (where
+    the shape is derived from the lattice and fixed cells are reduced onto
+    the representatives).  None when two fixed tiles land on one torus cell
+    and disagree.
+    """
+    if instance.wrap is None:
+        shape = n1, n2 = instance.shape
+        fixed = dict(instance.fixed)
 
-    return (a, d), reduce
+        def reduce(x, y):
+            return (x, y) if 0 <= x < n1 and 0 <= y < n2 else None
+
+    else:
+        a, c, d = _hnf(instance.wrap)
+        shape = (a, d)
+        fixed = {}
+
+        def reduce(x, y):
+            k = x // a
+            return x - k * a, (y - k * c) % d
+
+        for (x, y), t in instance.fixed.items():
+            if fixed.setdefault(reduce(x, y), t) != t:
+                return None
+    cells = [(x, y) for y in range(shape[1]) for x in range(shape[0])]
+    neighbors = {
+        (x, y): (reduce(x + 1, y), reduce(x, y + 1), reduce(x - 1, y), reduce(x, y - 1))
+        for x, y in cells
+    }
+    return shape, cells, fixed, neighbors
 
 
-def _neighbor(shape, wrap_reduce, pos, dx, dy):
-    x, y = pos[0] + dx, pos[1] + dy
-    if wrap_reduce is not None:
-        return wrap_reduce((x, y))
-    if 0 <= x < shape[0] and 0 <= y < shape[1]:
-        return (x, y)
-    return None
+def _word(shape, grid) -> Word2d:
+    return Word2d([[grid[(x, y)] for y in range(shape[1])] for x in range(shape[0])])
 
 
-def _scan_order(shape):
-    return [(x, y) for y in range(shape[1]) for x in range(shape[0])]
-
-
-def _near_fixed_order(shape, fixed):
+def _near_fixed_order(cells, fixed):
     """Cells sorted by distance from the fixed block, for fast refutations."""
     def distance(cell):
         x, y = cell
         return min(max(abs(x - fx), abs(y - fy)) for fx, fy in fixed)
 
-    return sorted(_scan_order(shape), key=lambda c: (distance(c), c[1], c[0]))
+    return sorted(cells, key=lambda c: (distance(c), c[1], c[0]))
 
 
-def _solve_backtracking(
-    instance: TilingInstance, collect_all=False, limit=None, near_fixed=False
-):
-    """Complete DFS over cells bottom-up row-major, tile indices ascending.
-
-    ``near_fixed`` reorders the scan outward from the fixed cells; the
-    search stays complete, only existence queries should use it since the
-    first solution found is then least along a different cell order.
-    """
-    tiles = instance.tileset.tiles
-    if instance.wrap is not None:
-        shape, reduce = _torus_cells(instance.wrap)
-    else:
-        shape, reduce = instance.shape, None
-    if shape[0] == 0 or shape[1] == 0:
-        empty = Word2d([])
-        return [empty] if collect_all else empty
-    if not tiles:
-        return [] if collect_all else None
-    if near_fixed and instance.fixed and instance.wrap is None:
-        order = _near_fixed_order(shape, instance.fixed)
-    else:
-        order = _scan_order(shape)
-    fixed = dict(instance.fixed)
-    if instance.wrap is not None:
-        fixed = {}
-        for cell, t in instance.fixed.items():
-            cell = reduce(cell)
-            if cell in fixed and fixed[cell] != t:
-                return [] if collect_all else None
-            fixed[cell] = t
-
+def _backtrack(tiles, order, fixed, neighbors):
+    """Yield every valid assignment (one live dict) along the cell order."""
     # candidate lists indexed by required (left, bottom) colors
     by_lb: dict[tuple[Optional[str], Optional[str]], list[int]] = {}
     for idx, t in enumerate(tiles):
@@ -202,11 +188,9 @@ def _solve_backtracking(
             by_lb.setdefault(key, []).append(idx)
 
     assignment: dict[tuple[int, int], int] = {}
-    solutions: list[Word2d] = []
 
     def candidates(cell):
-        left_nb = _neighbor(shape, reduce, cell, -1, 0)
-        bottom_nb = _neighbor(shape, reduce, cell, 0, -1)
+        right_nb, top_nb, left_nb, bottom_nb = neighbors[cell]
         want_left = tiles[assignment[left_nb]][RIGHT] if left_nb in assignment else None
         want_bottom = tiles[assignment[bottom_nb]][TOP] if bottom_nb in assignment else None
         base = by_lb.get((want_left, want_bottom), [])
@@ -219,8 +203,6 @@ def _solve_backtracking(
             base = [t for t in base if tiles[t][TOP] == tiles[t][BOTTOM]]
         # constraints from already-assigned right/top neighbors (fixed cells
         # ahead of the scan, or wrap-around)
-        right_nb = _neighbor(shape, reduce, cell, 1, 0)
-        top_nb = _neighbor(shape, reduce, cell, 0, 1)
         want_right = None
         want_top = None
         if right_nb is not None:
@@ -239,42 +221,52 @@ def _solve_backtracking(
             base = [t for t in base if tiles[t][TOP] == want_top]
         return base
 
-    n_cells = len(order)
-    stack: list[tuple[tuple[int, int], list[int], int]] = []
-    depth = 0
-    cand = candidates(order[0])
-    ptr = 0
-    while True:
+    if not order:
+        yield assignment
+        return
+    last = len(order) - 1
+    stack = [iter(candidates(order[0]))]
+    while stack:
+        depth = len(stack) - 1
         cell = order[depth]
-        if ptr < len(cand):
-            assignment[cell] = cand[ptr]
-            ptr += 1
-            if depth + 1 == n_cells:
-                word = Word2d(
-                    [[assignment[(x, y)] for y in range(shape[1])] for x in range(shape[0])]
-                )
-                if not collect_all:
-                    return word
-                solutions.append(word)
-                if limit is not None and len(solutions) >= limit:
-                    return solutions
-                del assignment[cell]
-                continue
-            stack.append((cell, cand, ptr))
-            depth += 1
-            cand = candidates(order[depth])
-            ptr = 0
-            continue
-        # exhausted this cell: backtrack
-        assignment.pop(cell, None)
-        if not stack:
-            return solutions if collect_all else None
-        _, cand, ptr = stack.pop()
-        depth -= 1
-        assignment.pop(order[depth], None)
+        t = next(stack[-1], None)
+        if t is None:
+            # exhausted this cell: backtrack
+            stack.pop()
+            assignment.pop(cell, None)
+        elif depth == last:
+            assignment[cell] = t
+            yield assignment
+        else:
+            assignment[cell] = t
+            stack.append(iter(candidates(order[depth + 1])))
 
 
-def _exact_cover_rows(instance: TilingInstance):
+def _solve_backtracking(
+    instance: TilingInstance, collect_all=False, limit=None, near_fixed=False
+):
+    """Complete DFS over cells bottom-up row-major, tile indices ascending.
+
+    ``near_fixed`` reorders the scan outward from the fixed cells; the
+    search stays complete, only existence queries should use it since the
+    first solution found is then least along a different cell order.
+    """
+    solutions: list[Word2d] = []
+    normal = _normalize(instance)
+    if normal is not None:
+        shape, cells, fixed, neighbors = normal
+        if near_fixed and fixed and instance.wrap is None:
+            cells = _near_fixed_order(cells, fixed)
+        for grid in _backtrack(instance.tileset.tiles, cells, fixed, neighbors):
+            solutions.append(_word(shape, grid))
+            if not collect_all or (limit is not None and len(solutions) >= limit):
+                break
+    if collect_all:
+        return solutions
+    return solutions[0] if solutions else None
+
+
+def _exact_cover_rows(tileset: WangTileSet, cells, fixed, neighbors):
     """Option table of the exact-cover reduction.
 
     One primary item per cell.  For every shared edge e and color c there is
@@ -283,27 +275,12 @@ def _exact_cover_rows(instance: TilingInstance):
     items of every OTHER color, so two options collide precisely when their
     colors on e differ.
     """
-    tiles = instance.tileset.tiles
-    if instance.wrap is not None:
-        shape, reduce = _torus_cells(instance.wrap)
-        fixed = {}
-        for cell, t in instance.fixed.items():
-            cell = reduce(cell)
-            if cell in fixed and fixed[cell] != t:
-                return None, None
-            fixed[cell] = t
-    else:
-        shape, reduce = instance.shape, None
-        fixed = dict(instance.fixed)
-    vcolors = sorted({t[RIGHT] for t in tiles} | {t[LEFT] for t in tiles})
-    hcolors = sorted({t[TOP] for t in tiles} | {t[BOTTOM] for t in tiles})
-    cells = _scan_order(shape)
+    tiles = tileset.tiles
+    vcolors = sorted(tileset.vertical_colors())
+    hcolors = sorted(tileset.horizontal_colors())
     options = {}
     for cell in cells:
-        right_nb = _neighbor(shape, reduce, cell, 1, 0)
-        top_nb = _neighbor(shape, reduce, cell, 0, 1)
-        left_nb = _neighbor(shape, reduce, cell, -1, 0)
-        bottom_nb = _neighbor(shape, reduce, cell, 0, -1)
+        right_nb, top_nb, left_nb, bottom_nb = neighbors[cell]
         choices = [fixed[cell]] if cell in fixed else range(len(tiles))
         for t in choices:
             tile = tiles[t]
@@ -380,23 +357,13 @@ def _algorithm_x(options, primary):
 
 
 def _solve_exact_cover(instance: TilingInstance):
-    tiles = instance.tileset.tiles
-    if instance.wrap is not None:
-        shape, _ = _torus_cells(instance.wrap)
-    else:
-        shape = instance.shape
-    if shape[0] == 0 or shape[1] == 0:
-        return Word2d([])
-    if not tiles:
+    normal = _normalize(instance)
+    if normal is None:
         return None
-    options, primary = _exact_cover_rows(instance)
-    if options is None:
-        return None
+    shape, cells, fixed, neighbors = normal
+    options, primary = _exact_cover_rows(instance.tileset, cells, fixed, neighbors)
     for chosen in _algorithm_x(options, primary):
-        grid = {cell: t for cell, t in chosen}
-        return Word2d(
-            [[grid[(x, y)] for y in range(shape[1])] for x in range(shape[0])]
-        )
+        return _word(shape, dict(chosen))
     return None
 
 
@@ -448,54 +415,23 @@ def is_valid_pattern(tileset: WangTileSet, w: Word2d) -> bool:
     return True
 
 
-def admits_surrounding(
-    tileset: WangTileSet, u: Word2d, r: int, backend: str = "backtracking"
-) -> bool:
+def admits_surrounding(tileset: WangTileSet, u: Word2d, r: int) -> bool:
     """True iff u extends to a valid pattern with an r-cell margin."""
-    for _, letter in u:
-        if not (0 <= letter < len(tileset)):
-            raise UnknownTileIndex(letter)
     n1, n2 = u.shape
     fixed = {(x + r, y + r): u[x, y] for x in range(n1) for y in range(n2)}
     instance = TilingInstance(tileset, (n1 + 2 * r, n2 + 2 * r), fixed)
-    if backend == "backtracking":
-        return _solve_backtracking(instance, near_fixed=True) is not None
-    return solve(instance, backend=backend) is not None
-
-
-_DOMINO_CACHE: dict = {}
-
-
-def _domino_check(task) -> tuple[tuple[int, int], bool]:
-    tiles, direction, r, u, v = task
-    tileset = WangTileSet(tiles)
-    word = Word2d([[u], [v]]) if direction == 1 else Word2d([[u, v]])
-    return (u, v), admits_surrounding(tileset, word, r)
+    return _solve_backtracking(instance, near_fixed=True) is not None
 
 
 def dominoes_with_surrounding(
     tileset: WangTileSet, direction: int, r: int, jobs: int | None = None
 ) -> set[tuple[int, int]]:
     """Ordered index pairs whose domino in the direction has an r-surrounding."""
-    from .jobs import parallel_map
-
-    key = (tileset.tiles, direction, r)
-    if key in _DOMINO_CACHE:
-        return set(_DOMINO_CACHE[key])
     if direction not in (1, 2):
         raise ValueError("direction must be 1 or 2")
-    edge = (RIGHT, LEFT) if direction == 1 else (TOP, BOTTOM)
-    tasks = [
-        (tileset.tiles, direction, r, u, v)
-        for u in range(len(tileset))
-        for v in range(len(tileset))
-        if tileset[u][edge[0]] == tileset[v][edge[1]]
-    ]
-    found = {
-        pair for pair, good in parallel_map(_domino_check, tasks, jobs) if good
-    }
-    _DOMINO_CACHE[key] = set(found)
-    return found
+    shape = (2, 1) if direction == 1 else (1, 2)
+    patterns = patterns_with_surrounding(tileset, shape, r, jobs)
+    return {(w[0, 0], w[shape[0] - 1, shape[1] - 1]) for w in patterns}
 
 
 def exists_periodic_tiling(tileset: WangTileSet, basis) -> bool:

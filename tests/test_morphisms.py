@@ -186,3 +186,10 @@ class TestPeriodicSeeds:
             ]
             assert inner, "patch should reoccur strictly inside its double image"
             prev = nxt
+
+
+def test_image_letter_outside_codomain_rejected():
+    with pytest.raises(ValueError, match="5"):
+        Morphism2d.from_json({"domain": 1, "codomain": 2, "rule": {"0": [[5]]}})
+    wider = Morphism2d.from_json({"domain": 1, "codomain": 6, "rule": {"0": [[5]]}})
+    assert wider.codomain_size == 6

@@ -24,8 +24,13 @@ def wang_report():
 
 
 @pytest.fixture(scope="module")
-def induction_report():
-    return run_pet_pipeline()
+def reference():
+    return build_reference_partition()
+
+
+@pytest.fixture(scope="module")
+def induction_report(reference):
+    return run_pet_pipeline(reference)
 
 
 class TestWangLoop:
@@ -96,8 +101,8 @@ class TestInductionLoop:
     def test_composite(self, induction_report):
         assert induction_report.composite_equals_substitution
 
-    def test_alternate_axis_closes(self):
-        report = run_pet_pipeline(axis_first=1)
+    def test_alternate_axis_closes(self, reference):
+        report = run_pet_pipeline(reference, axis_first=1)
         assert report.composite_equals_substitution
 
     def test_loops_agree(self, wang_report, induction_report):
@@ -131,8 +136,8 @@ class TestLanguages:
         lang4 = language(phi, (4, 4))
         assert lang4 <= patterns_with_surrounding(tiles_u, (4, 4), 2)
 
-    def test_counts_and_equality(self):
-        rows = {tuple(r.shape): r for r in cross_check_languages((2, 2))}
+    def test_counts_and_equality(self, reference):
+        rows = {tuple(r.shape): r for r in cross_check_languages(reference, (2, 2))}
         expect = {(1, 1): 19, (2, 1): 31, (1, 2): 35, (2, 2): 50}
         for shape, count in expect.items():
             row = rows[shape]
@@ -142,8 +147,8 @@ class TestLanguages:
             assert row.all_equal
             assert row.radius_used == 2
 
-    def test_extended_table_needs_escalation(self):
-        rows = {tuple(r.shape): r for r in cross_check_languages((3, 3))}
+    def test_extended_table_needs_escalation(self, reference):
+        rows = {tuple(r.shape): r for r in cross_check_languages(reference, (3, 3))}
         assert all(r.all_equal for r in rows.values())
         assert rows[(3, 3)].substitution_count == 94
         assert rows[(3, 3)].radius_used == 3

@@ -171,6 +171,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: partition does not tile the torus") and "covolume" in err
 
+    @pytest.mark.parametrize(
+        "command, data",
+        [
+            (["config", "--seed-point", "1/3,1/5", "--shape", "1x1", "--partition"],
+             {"lattice": 1, "atoms": {}}),
+            (["solve", "--shape", "2x2"], {"tiles": 5}),
+        ],
+    )
+    def test_json_of_wrong_shape_is_usage_error(self, tmp_path, capsys, command, data):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        assert main([*command, str(path)]) == cli.USAGE_ERROR == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_failed_verification_exit_code(self, tmp_path, monkeypatch, capsys):
         class FailingReport:
             def ok(self):

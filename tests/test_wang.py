@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+import _oracles
 from aperiodic_kit.wang import (
     SingularLattice,
     TilingInstance,
@@ -152,6 +153,37 @@ class TestPeriodicity:
         single = WangTileSet([("A", "B", "A", "B")])
         assert exists_periodic_tiling(single, ((3, 0), (1, 2)))
 
+    def test_torus_instances_agree_with_brute_force(self):
+        # every lattice of index <= 4 (1-wide and 1-high tori included), in
+        # Hermite form and in a second basis, with fixed cells that reduce
+        # onto one torus cell and agree or disagree
+        rng = random.Random(31)
+        outcomes = set()
+        for _ in range(8):
+            ts = random_tileset(rng, tiles=rng.randint(3, 5), colors=2)
+            for basis in sublattice_bases(4):
+                (m00, m01), (m10, m11) = basis
+                index = m00 * m11
+                other = ((m00 + m01, m00 + 2 * m01), (m10 + m11, m10 + 2 * m11))
+                q = (rng.randrange(4), rng.randrange(4))
+                twin = (q[0] + index, q[1] + index)
+                t = rng.randrange(len(ts))
+                for wrap in (basis, other):
+                    for fixed in ({}, {q: t, twin: t}, {q: t, twin: (t + 1) % len(ts)}):
+                        reps, tilings = _oracles.brute_force_torus_tilings(ts, wrap, fixed)
+                        instance = TilingInstance(ts, (8, 8), fixed, wrap=wrap)
+                        for backend in ("backtracking", "exact_cover"):
+                            w = solve(instance, backend=backend)
+                            if tilings:
+                                assert _oracles.torus_word_as_tiling(wrap, reps, w) in tilings
+                            else:
+                                assert w is None
+                        every = solve_all(instance)
+                        found = [_oracles.torus_word_as_tiling(wrap, reps, w) for w in every]
+                        assert sorted(found) == sorted(tilings)
+                        outcomes.add(bool(tilings))
+        assert outcomes == {True, False}
+
 
 def test_json_roundtrip(tiles_u):
     data = tiles_u.to_json()
@@ -167,8 +199,5 @@ def test_instance_validation(tiles_u):
 
 
 def test_parallel_jobs_same_answer(tiles_u, h_dominoes):
-    from aperiodic_kit import wang as wang_module
-
-    wang_module._DOMINO_CACHE.clear()
     parallel = dominoes_with_surrounding(tiles_u, 1, 2, jobs=2)
     assert parallel == h_dominoes
