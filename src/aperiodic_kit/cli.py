@@ -141,7 +141,7 @@ def cmd_solve(args) -> int:
     wrap = None
     if args.wrap:
         a, b, c, d = [int(x) for x in args.wrap.split(",")]
-        wrap = ((a, b), (c, d))
+        wrap = ((a, c), (b, d))  # basis columns (a, b) and (c, d)
     word = solve(TilingInstance(tileset, shape, fixed, wrap), backend=args.backend)
     if word is None:
         print("no valid tiling", file=sys.stderr)

@@ -4,7 +4,9 @@ Everything here is exact: vertices are pairs of PhiNumber, areas come from
 the shoelace formula, and predicates never see a float.  A torus partition
 keeps its atoms as unions of convex cells inside the fundamental rectangle
 of a diagonal lattice; non-convex atoms are represented by several cells
-glued along edges that no cutting segment covers.
+glued along edges that no cutting segment covers.  Points are located by
+the closed cells alone: a point is on the partition boundary exactly when
+cells of two atoms hold it or one of its seam twins.
 """
 
 from __future__ import annotations
@@ -93,9 +95,6 @@ class Polygon:
 
     def translate(self, v: Point) -> "Polygon":
         return Polygon([(p[0] + v[0], p[1] + v[1]) for p in self.vertices])
-
-    def scale(self, factor: PhiNumber) -> "Polygon":
-        return Polygon([(p[0] * factor, p[1] * factor) for p in self.vertices])
 
     def locate(self, x: Point) -> str:
         """'interior', 'boundary' or 'outside' for this convex polygon."""
@@ -230,6 +229,28 @@ def split_cells(cells, pieces):
                     yield part, data, tag
 
 
+def closure_hits(cells, points: Sequence[Point]) -> tuple[list, bool]:
+    """The data of the (cell, data) pairs whose closed cells hold one of the
+    points, and whether a cell holds one in its interior.
+
+    Bounding boxes reject most cells before the exact test.  A point inside
+    a cell lies in no other cell of a partition, so such a cell is returned
+    alone at once.
+    """
+    hits = []
+    for cell, data in cells:
+        x0, y0, x1, y1 = cell.bbox()
+        for x in points:
+            if x0 <= x[0] <= x1 and y0 <= x[1] <= y1:
+                where = cell.locate(x)
+                if where == "interior":
+                    return [data], True
+                if where == "boundary":
+                    hits.append(data)
+                    break
+    return hits, False
+
+
 def tiling_defect(cells: Sequence[Polygon], lattice) -> Optional[str]:
     """Why the cells fail to tile the rectangle [0, l1] x [0, l2] with
     disjoint interiors, or None when they tile it."""
@@ -296,17 +317,11 @@ class Region:
         return f"Region({len(self.cells)} cells, area {self.area()})"
 
     def area(self) -> PhiNumber:
-        total = PhiNumber(0)
-        for c in self.cells:
-            total = total + c.area()
-        return total
+        return sum((c.area() for c in self.cells), ZERO)
 
     def intersection_area(self, other: "Region") -> PhiNumber:
-        total = PhiNumber(0)
-        mine = [(a, None) for a in self.cells]
-        for piece, _, _ in split_cells(mine, [(b, None) for b in other.cells]):
-            total = total + piece.area()
-        return total
+        pairs = split_cells([(a, None) for a in self.cells], [(b, None) for b in other.cells])
+        return sum((piece.area() for piece, _, _ in pairs), ZERO)
 
     def equals_up_to_null(self, other: "Region") -> bool:
         """Zero-area symmetric difference."""
@@ -405,7 +420,6 @@ class TorusPartition:
     def __init__(self, lattice, atoms: dict[int, Region]):
         self.lattice = (_num(lattice[0]), _num(lattice[1]))
         self.atoms = dict(atoms)
-        self._cuts: Optional[dict] = None
 
     def labels(self) -> list[int]:
         return sorted(self.atoms)
@@ -416,10 +430,7 @@ class TorusPartition:
                 yield label, cell
 
     def total_area(self) -> PhiNumber:
-        total = PhiNumber(0)
-        for _, cell in self.cells():
-            total = total + cell.area()
-        return total
+        return sum((cell.area() for _, cell in self.cells()), ZERO)
 
     def covolume(self) -> PhiNumber:
         return self.lattice[0] * self.lattice[1]
@@ -432,55 +443,24 @@ class TorusPartition:
     def reduce_point(self, x: Point) -> Point:
         return (x[0] % self.lattice[0], x[1] % self.lattice[1])
 
-    # -- boundary ------------------------------------------------------
-
-    def _cut_lines(self) -> dict:
-        """Cuts as merged parameter intervals per seam-canonical line.
-
-        An elementary edge interval is interior glue when two or more cells
-        of one atom meet over it (across the seam too), and a cut otherwise.
-        """
-        if self._cuts is None:
-            labeled = list(self.cells())
-            by_line: dict = {}
-            for line, lo, hi, covering in _edge_sweep([c for _, c in labeled], self.lattice):
-                if len(covering) < 2 or len({labeled[i][0] for i in covering}) > 1:
-                    by_line.setdefault(line, []).append((lo, hi))
-            self._cuts = {line: _merge_intervals(iv) for line, iv in by_line.items()}
-        return self._cuts
-
-    def cuts(self) -> list[Segment]:
-        """Maximal boundary pieces: edge parts whose two sides differ."""
-        return [
-            _segment_on_line(line, lo, hi)
-            for line, intervals in self._cut_lines().items()
-            for lo, hi in intervals
-        ]
-
-    def on_boundary(self, x: Point) -> bool:
-        """True iff the (reduced) point lies on a cut of the partition."""
-        x = self.reduce_point(x)
-        # a point on the seam is also tested as its twin on the far side
-        xs = (x[0],) if x[0] else (x[0], self.lattice[0])
-        ys = (x[1],) if x[1] else (x[1], self.lattice[1])
-        for line, intervals in self._cut_lines().items():
-            a, b, c = line
-            for cand in product(xs, ys):
-                if a * cand[0] + b * cand[1] == c:
-                    t = _line_param(line, cand)
-                    if any(lo <= t <= hi for lo, hi in intervals):
-                        return True
-        return False
-
     def locate(self, x: Point) -> int:
-        """Label of the atom whose interior contains the reduced point."""
-        if self.on_boundary(x):
-            raise BoundaryHit(f"point {x} lies on the partition boundary")
-        x = self.reduce_point(x)
-        for label, cell in self.cells():
-            if cell.locate(x) != "outside":
-                return label
-        raise ValueError(f"point {x} not located in any atom")
+        """Label of the atom whose interior contains the reduced point.
+
+        The point lies on the partition boundary exactly when closed cells
+        of two atoms hold it or one of its seam twins on the far sides of
+        the fundamental rectangle.
+        """
+        u = self.reduce_point(x)
+        xs = (u[0],) if u[0] else (u[0], self.lattice[0])
+        ys = (u[1],) if u[1] else (u[1], self.lattice[1])
+        hits, _ = closure_hits(
+            ((cell, label) for label, cell in self.cells()), list(product(xs, ys))
+        )
+        if not hits:
+            raise ValueError(f"point ({x[0]}, {x[1]}) not located in any atom")
+        if len(set(hits)) > 1:
+            raise BoundaryHit(f"point ({x[0]}, {x[1]}) lies on the partition boundary")
+        return hits[0]
 
     # -- serialization ---------------------------------------------------
 
@@ -514,21 +494,6 @@ class TorusPartition:
         if defect:
             raise ValueError(f"partition does not tile the torus: {defect}")
         return partition
-
-
-def _segment_on_line(line, lo, hi) -> Segment:
-    a, b, c = line
-    if a:
-        # param t = -b*x + y on x + b*y = c  =>  y = (t + b*c) / (1 + b*b)
-        def at(t):
-            y = (t + b * c) / (PhiNumber(1) + b * b)
-            return (c - b * y, y)
-
-    else:
-        def at(t):
-            return (t, c)
-
-    return (at(lo), at(hi))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ dominoes, which is the recognizability used by the self-similarity proof.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Optional
 
 from .morphisms import Morphism2d
 from .wang import (
@@ -36,9 +37,13 @@ class NotAMarkerSet(ValueError):
 
 @dataclass
 class MarkerReport:
+    """Marker subsets, and the admissible dominoes along the direction and
+    along the perpendicular axis that the search read them from."""
+
     direction: int
     radius: int
     marker_subsets: list[list[int]]
+    dominoes: tuple[set, set] = field(repr=False, compare=False)
 
     def __bool__(self):
         return bool(self.marker_subsets)
@@ -101,7 +106,7 @@ def find_markers(tileset: WangTileSet, direction: int, radius: int) -> MarkerRep
         if not any((u, v) in d_dir for u in members for v in members)
     ]
     subsets.sort(key=lambda s: s[0])
-    return MarkerReport(direction, radius, subsets)
+    return MarkerReport(direction, radius, subsets, (d_dir, d_perp))
 
 
 def fuse(u: Tile, v: Tile, direction: int) -> Tile:
@@ -135,6 +140,7 @@ def find_substitution(
     direction: int,
     radius: int,
     side: str = "right",
+    report: Optional[MarkerReport] = None,
 ) -> DesubstitutionResult:
     """Desubstitute a Wang shift using a marker subset.
 
@@ -143,17 +149,21 @@ def find_substitution(
     admissible (non-marker, marker) dominoes on the chosen side (sorted by
     index pairs).  The returned morphism sends each new letter to the tile
     or domino it stands for; images are single letters or dominoes in the
-    direction, with the marker on the requested side.
+    direction, with the marker on the requested side.  A ``report`` of
+    find_markers for the same tile set, direction and radius supplies the
+    domino sets it already holds.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     m = set(markers)
     if not m or not m < set(range(len(tileset))):
         raise NotAMarkerSet("markers must be a nonempty proper subset of tile indices")
-    dominoes = dominoes_with_surrounding(tileset, direction, radius)
-    _check_marker_criterion(
-        m, dominoes, dominoes_with_surrounding(tileset, 3 - direction, radius)
-    )
+    if report is None:
+        report = find_markers(tileset, direction, radius)
+    elif (report.direction, report.radius) != (direction, radius):
+        raise ValueError("marker report is for another direction or radius")
+    dominoes, perpendicular = report.dominoes
+    _check_marker_criterion(m, dominoes, perpendicular)
     if side == "right":
         pairs = sorted((u, v) for u, v in dominoes if u not in m and v in m)
         kept = sorted({u for u, v in dominoes if u not in m and v not in m})

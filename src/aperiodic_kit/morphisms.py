@@ -111,12 +111,6 @@ class Morphism2d:
                 columns.append(tuple(col))
         return Word2d(columns)
 
-    def iterate(self, letter: int, n: int) -> Word2d:
-        w = Word2d.single(letter)
-        for _ in range(n):
-            w = self.apply(w)
-        return w
-
     def to_json(self) -> dict:
         return {
             "domain": self.domain_size,

@@ -19,6 +19,7 @@ from .geometry import (
     Region,
     TorusPartition,
     _num,
+    closure_hits,
     convex_difference,
     convex_intersection,
     lattice_pieces,
@@ -73,14 +74,12 @@ class PolygonExchange:
 
     def apply(self, x: Point) -> Point:
         """Translate x by its piece's vector; boundary points are undefined."""
-        hits = [
-            (poly, v) for poly, v in self.pieces if poly.locate(x) != "outside"
-        ]
+        hits, interior = closure_hits(self.pieces, [x])
         if not hits:
-            raise ValueError(f"{x} outside the domain")
-        if len(hits) > 1 or hits[0][0].locate(x) == "boundary":
-            raise BoundaryHit(f"{x} lies on a piece boundary")
-        return _vadd(x, hits[0][1])
+            raise ValueError(f"({x[0]}, {x[1]}) outside the domain")
+        if not interior:
+            raise BoundaryHit(f"({x[0]}, {x[1]}) lies on a piece boundary")
+        return _vadd(x, hits[0])
 
     def __call__(self, x: Point) -> Point:
         return self.apply(x)
@@ -236,11 +235,6 @@ def induce_action(action: TorusAction, window: Window) -> TorusAction:
 # coding
 
 
-def code(partition: TorusPartition, x: Point) -> int:
-    """Label of the atom containing x; boundary points are undefined."""
-    return partition.locate(x)
-
-
 def config_patch(
     partition: TorusPartition,
     action: TorusAction,
@@ -255,7 +249,7 @@ def config_patch(
         for j in range(shape[1]):
             n = (offset[0] + i, offset[1] + j)
             try:
-                column.append(code(partition, action.translate(x, n)))
+                column.append(partition.locate(action.translate(x, n)))
             except BoundaryHit as exc:
                 raise BoundaryHit(f"orbit point at step {n}: {exc}") from None
         columns.append(column)
@@ -296,7 +290,9 @@ def _refine_by_codes(partition, action, support, base_cells):
     reduces into that atom cell, so splitting against those pieces reads
     off the n-th code.
     """
-    domain = rectangle(0, 0, *_cover_bbox(base_cells))
+    domain = rectangle(
+        0, 0, max(c.bbox()[2] for c in base_cells), max(c.bbox()[3] for c in base_cells)
+    )
     current = [(cell, {}) for cell in base_cells]
     for n in support:
         shift = action.step_vector(n)
@@ -312,16 +308,6 @@ def _refine_by_codes(partition, action, support, base_cells):
             for part, codes, label in split_cells(current, overlay)
         ]
     return current
-
-
-def _cover_bbox(cells):
-    xs = []
-    ys = []
-    for c in cells:
-        _, _, x1, y1 = c.bbox()
-        xs.append(x1)
-        ys.append(y1)
-    return max(xs), max(ys)
 
 
 def enumerate_language(

@@ -231,12 +231,13 @@ def run_wang_pipeline(direction_first: int = 2, radius: int = 2) -> WangLoopRepo
     tiles = catalog.wang_tiles()
     first_report, r1 = _markers_with_escalation(tiles, direction_first, radius if direction_first == 2 else 1)
     first = find_substitution(
-        tiles, first_report.marker_subsets[0], direction_first, r1, "right"
+        tiles, first_report.marker_subsets[0], direction_first, r1, "right", first_report
     )
     second_direction = 3 - direction_first
     second_report, r2 = _markers_with_escalation(first.tileset, second_direction, 1)
     second = find_substitution(
-        first.tileset, second_report.marker_subsets[0], second_direction, r2, "right"
+        first.tileset, second_report.marker_subsets[0], second_direction, r2, "right",
+        second_report,
     )
     certificate = is_equivalent(tiles, second.tileset)
     if certificate is None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from itertools import product
 
 from aperiodic_kit.morphisms import Morphism2d
+from aperiodic_kit.phifield import ZERO
 from aperiodic_kit.words import Word2d
 
 
@@ -255,11 +256,11 @@ def periodic_admissible_extension(
     return backtrack(0)
 
 
-def _seam_twins(partition, x):
+def _seam_twins(lattice, x):
     """The reduced point together with its translates onto the far sides
     of the fundamental rectangle when it lies on the seam."""
-    x = partition.reduce_point(x)
-    l1, l2 = partition.lattice
+    l1, l2 = lattice
+    x = (x[0] % l1, x[1] % l2)
     xs = [x[0], x[0] + l1] if x[0] == 0 else [x[0]]
     ys = [x[1], x[1] + l2] if x[1] == 0 else [x[1]]
     return [(u, v) for u in xs for v in ys]
@@ -269,10 +270,55 @@ def _turn(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def brute_force_on_boundary(partition, x) -> bool:
-    """x lies on some cuts() segment: exact cross product and box test."""
-    for u in _seam_twins(partition, x):
-        for p, q in partition.cuts():
+def _labeled_cells(partition):
+    return [(label, cell) for label, region in partition.atoms.items() for cell in region.cells]
+
+
+def _float_box(segment):
+    xs = [float(v[0]) for v in segment]
+    ys = [float(v[1]) for v in segment]
+    return min(xs), min(ys), max(xs), max(ys)
+
+
+def brute_force_cuts(partition) -> list:
+    """Boundary pieces of the partition, from its cells' edges alone.
+
+    Every pair of cell edges with different labels, one of them moved by a
+    seam translate (k1*l1, k2*l2) with k1, k2 in {-1, 0, 1}, is tested for
+    a collinear overlap of positive length; each such overlap is a cut.
+    """
+    l1, l2 = partition.lattice
+    edges = [(label, e) for label, cell in _labeled_cells(partition) for e in cell.edges()]
+    moved = [
+        (label, ((p[0] + dx, p[1] + dy), (q[0] + dx, q[1] + dy)))
+        for label, (p, q) in edges
+        for dx in (-l1, ZERO, l1)
+        for dy in (-l2, ZERO, l2)
+    ]
+    boxes = [_float_box(e) for _, e in moved]
+    cuts = []
+    for label, (p, q) in edges:
+        d = (q[0] - p[0], q[1] - p[1])
+        dd = d[0] * d[0] + d[1] * d[1]
+        x0, y0, x1, y1 = _float_box((p, q))
+        for (other, (r, s)), (u0, v0, u1, v1) in zip(moved, boxes):
+            # a float prefilter with a generous margin; the test itself is exact
+            if other == label or u0 > x1 + 1e-9 or x0 > u1 + 1e-9 or v0 > y1 + 1e-9 or y0 > v1 + 1e-9:
+                continue
+            if _turn(p, q, r) != 0 or _turn(p, q, s) != 0:
+                continue
+            tr = (r[0] - p[0]) * d[0] + (r[1] - p[1]) * d[1]
+            ts = (s[0] - p[0]) * d[0] + (s[1] - p[1]) * d[1]
+            lo, hi = max(ZERO, min(tr, ts)), min(dd, max(tr, ts))
+            if lo < hi:
+                cuts.append(tuple((p[0] + d[0] * t / dd, p[1] + d[1] * t / dd) for t in (lo, hi)))
+    return cuts
+
+
+def brute_force_on_boundary(lattice, cuts, x) -> bool:
+    """x or a seam twin lies on one of the cuts: exact cross product and box test."""
+    for u in _seam_twins(lattice, x):
+        for p, q in cuts:
             if (
                 _turn(p, q, u) == 0
                 and min(p[0], q[0]) <= u[0] <= max(p[0], q[0])
@@ -285,8 +331,8 @@ def brute_force_on_boundary(partition, x) -> bool:
 def brute_force_labels(partition, x) -> set:
     """Labels of every cell whose closure holds x or one of its seam twins."""
     labels = set()
-    for u in _seam_twins(partition, x):
-        for label, cell in partition.cells():
+    for u in _seam_twins(partition.lattice, x):
+        for label, cell in _labeled_cells(partition):
             vs = cell.vertices
             if all(_turn(vs[i - 1], vs[i], u).sign() >= 0 for i in range(len(vs))):
                 labels.add(label)

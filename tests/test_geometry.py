@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from _oracles import brute_force_labels, brute_force_on_boundary
+from _oracles import brute_force_cuts, brute_force_labels, brute_force_on_boundary
 from aperiodic_kit.catalog import partition_segments, rotation_action
 from aperiodic_kit.geometry import (
     AmbiguousLabeling,
@@ -133,8 +133,8 @@ class TestArrangement:
             partition_from_segments([(pt(0, 0), pt(0, 0))], (1, 1))
 
     def test_cuts_cover_inputs(self, partition_u):
-        # every cut of the built partition lies on a supporting line of
-        # some input segment translate
+        # every cell edge whose midpoint is a boundary point lies on a
+        # supporting line of some input segment translate
         from aperiodic_kit.geometry import _canonical_line
 
         input_lines = set()
@@ -148,8 +148,15 @@ class TestArrangement:
                             (q[0] + shift[0], q[1] + shift[1]),
                         )
                     )
-        for p, q in partition_u.cuts():
-            assert _canonical_line(p, q) in input_lines
+        on_boundary = 0
+        for _, cell in partition_u.cells():
+            for p, q in cell.edges():
+                try:
+                    partition_u.locate(((p[0] + q[0]) / 2, (p[1] + q[1]) / 2))
+                except BoundaryHit:
+                    on_boundary += 1
+                    assert _canonical_line(p, q) in input_lines
+        assert on_boundary > 0
 
 
 class TestRelabel:
@@ -209,7 +216,8 @@ def test_json_roundtrip(partition_u):
 
 
 def _probe_points(partition, seed):
-    """Seeded rational points, points on every cut, seam points, the corner."""
+    """Seeded rational points, points on every cell edge (vertices
+    included), seam points, the corner."""
     l1, l2 = partition.lattice
     rng = random.Random(seed)
 
@@ -217,9 +225,10 @@ def _probe_points(partition, seed):
         return PhiNumber(Fraction(rng.randrange(1, 997), 997))
 
     points = [(frac() * l1, frac() * l2) for _ in range(30)]
-    for p, q in partition.cuts():
-        for t in (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)):
-            points.append((p[0] + (q[0] - p[0]) * t, p[1] + (q[1] - p[1]) * t))
+    for _, cell in partition.cells():
+        for p, q in cell.edges():
+            for t in (Fraction(0), Fraction(1, 3), Fraction(1, 2)):
+                points.append((p[0] + (q[0] - p[0]) * t, p[1] + (q[1] - p[1]) * t))
     for _ in range(8):
         points.append((PhiNumber(0), frac() * l2))
         points.append((frac() * l1, PhiNumber(0)))
@@ -234,10 +243,10 @@ def test_locate_agrees_with_brute_force(which, partition_u, induction_tower):
         "P1": induction_tower[0],
         "diagonals": partition_from_segments(DIAGONALS, (1, 1)),
     }[which]
+    cuts = brute_force_cuts(partition)
     for x in _probe_points(partition, seed=len(which)):
         labels = brute_force_labels(partition, x)
-        on_cut = brute_force_on_boundary(partition, x)
-        assert partition.on_boundary(x) == on_cut, x
+        on_cut = brute_force_on_boundary(partition.lattice, cuts, x)
         assert len(labels) == 1 or on_cut, x  # two atoms meet only on a cut
         if on_cut:
             with pytest.raises(BoundaryHit):
@@ -250,11 +259,16 @@ def test_seam_glue_is_not_a_cut():
     # each atom of the diagonals partition crosses a seam; the seam pieces
     # inside an atom are glue, so only the two diagonals are cuts
     partition = partition_from_segments(DIAGONALS, (1, 1))
-    assert len(partition.cuts()) == 2
-    half = Fraction(1, 2)
-    assert not partition.on_boundary(pt(0, half))
-    assert partition.locate(pt(0, half)) == partition.locate(pt(Fraction(1, 10), half))
-    assert partition.locate(pt(half, 0)) == partition.locate(pt(half, Fraction(1, 10)))
+    cuts = brute_force_cuts(partition)
+    assert cuts and all(p[0] != q[0] and p[1] != q[1] for p, q in cuts)
+    half, tenth = Fraction(1, 2), Fraction(1, 10)
+    for seam, inside in [(pt(0, half), pt(tenth, half)), (pt(half, 0), pt(half, tenth))]:
+        assert not brute_force_on_boundary(partition.lattice, cuts, seam)
+        assert partition.locate(seam) == partition.locate(inside)
+    for diagonal in (pt(tenth, tenth), pt(tenth, 1 - tenth), pt(0, 0)):
+        assert brute_force_on_boundary(partition.lattice, cuts, diagonal)
+        with pytest.raises(BoundaryHit):
+            partition.locate(diagonal)
 
 
 def _rect_json(x0, y0, x1, y1):

@@ -127,6 +127,14 @@ class TestFindSubstitution:
             else:
                 assert img.shape == (1, 1) and img[0, 0] not in markers
 
+    def test_marker_report_supplies_the_dominoes(self, tiles_u):
+        report = find_markers(tiles_u, 2, 2)
+        with_report = find_substitution(tiles_u, U_MARKERS, 2, 2, "right", report)
+        without = find_substitution(tiles_u, U_MARKERS, 2, 2, "right")
+        assert with_report.to_json() == without.to_json()
+        with pytest.raises(ValueError, match="another direction or radius"):
+            find_substitution(tiles_u, U_MARKERS, 2, 3, "right", report)
+
     def test_not_a_marker_set(self, tiles_u):
         with pytest.raises(NotAMarkerSet):
             find_substitution(tiles_u, [8, 9], 2, 2, "right")

@@ -8,7 +8,6 @@ from aperiodic_kit.morphisms import language
 from aperiodic_kit.pet import (
     PolygonExchange,
     Window,
-    code,
     config_patch,
     enumerate_language,
     induce_action,
@@ -146,13 +145,13 @@ class TestInduceAction:
 
 class TestCoding:
     def test_single_cell_patch_is_code(self, partition_u, action_u):
-        label = code(partition_u, SAMPLE)
+        label = partition_u.locate(SAMPLE)
         patch = config_patch(partition_u, action_u, SAMPLE, (1, 1))
         assert patch == Word2d.single(label)
 
     def test_boundary_point_raises(self, partition_u):
         with pytest.raises(BoundaryHit):
-            code(partition_u, (PhiNumber(Fraction(1, 2)), INV))
+            partition_u.locate((PhiNumber(Fraction(1, 2)), INV))
 
     def test_sample_patch_dominoes_allowed(
         self, partition_u, action_u, h_dominoes, v_dominoes

@@ -87,6 +87,14 @@ class TestCli:
     def test_solve_wrap_unsat(self):
         assert main(["solve", "U", "--shape", "1x1", "--wrap", "2,0,0,2"]) == 2
 
+    def test_solve_wrap_reads_basis_columns(self, tmp_path, capsys):
+        # horizontal stripes repeat along (1, 0) and (1, 2): a 1x2 torus
+        path = tmp_path / "stripes.json"
+        path.write_text(json.dumps({"tiles": [["a", "p", "a", "q"], ["b", "q", "b", "p"]]}))
+        assert main(["solve", str(path), "--shape", "1x1", "--wrap", "1,0,1,2"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["shape"] == [1, 2]
+
     def test_lang_substitution(self, capsys):
         assert main(["lang", "--method", "substitution", "--shape", "2x2"]) == 0
         data = json.loads(capsys.readouterr().out)
@@ -121,6 +129,12 @@ class TestCli:
         )
         assert code == 0
         assert out.read_text().count("<circle") == 9
+
+    def test_config_on_boundary_is_one_line_error(self, capsys):
+        assert main(["config", "--seed-point", "1/2,0", "--shape", "1x1"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:")
+        assert "point (1/2, 0) lies on the partition boundary" in err
 
     def test_bad_shape_is_usage_error(self):
         assert main(["lang", "--method", "substitution", "--shape", "banana"]) == 1
