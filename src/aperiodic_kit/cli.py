@@ -1,15 +1,14 @@
 """Command-line surface: search, induction, coding, rendering, verification.
 
 All structured output is JSON on stdout; SVG goes to --out files.  Exit
-codes: 0 success, 1 usage or input error, 2 legitimate empty result, 3 a
-verification that ran to the end and failed (verify-all).
+codes: 0 success, 1 usage or input error (one ``error:`` line), 2 empty
+result, 3 a verification that ran to the end and failed (verify-all).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -25,11 +24,20 @@ from .wang import TilingInstance, WangTileSet, patterns_with_surrounding, solve
 OK, USAGE_ERROR, EMPTY, VERIFY_FAILED = 0, 1, 2, 3
 
 
+class _Parser(argparse.ArgumentParser):
+    # a bad command line is a usage error like bad input: one line, exit 1
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _parse_shape(text: str) -> tuple[int, int]:
     for sep in ("x", ","):
         if sep in text:
             a, b = text.split(sep, 1)
-            return int(a), int(b)
+            shape = int(a), int(b)
+            if min(shape) < 1:
+                raise ValueError(f"shape {text!r} needs both sides at least 1")
+            return shape
     raise ValueError(f"cannot parse shape {text!r}; expected WxH")
 
 
@@ -142,7 +150,7 @@ def cmd_solve(args) -> int:
     if args.wrap:
         a, b, c, d = [int(x) for x in args.wrap.split(",")]
         wrap = ((a, c), (b, d))  # basis columns (a, b) and (c, d)
-    word = solve(TilingInstance(tileset, shape, fixed, wrap), backend=args.backend)
+    word = solve(TilingInstance(tileset, shape, fixed, wrap))
     if word is None:
         print("no valid tiling", file=sys.stderr)
         return EMPTY
@@ -155,7 +163,7 @@ def cmd_lang(args) -> int:
     if args.method == "substitution":
         words = language(catalog.square_substitution(), shape)
     elif args.method == "tiles":
-        words = patterns_with_surrounding(catalog.wang_tiles(), shape, args.radius)
+        words = patterns_with_surrounding(catalog.wang_tiles(), shape, args.radius, args.jobs)
     else:
         partition, action = build_reference_partition()
         words = enumerate_language(partition, action, shape)
@@ -236,7 +244,7 @@ def cmd_render(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
-    report = run_all(max_shape=_parse_shape(args.max_shape))
+    report = run_all(_parse_shape(args.max_shape), jobs=args.jobs)
     if args.out:
         with open(args.out, "w") as handle:
             json.dump(report.to_json(), handle, indent=2)
@@ -246,7 +254,7 @@ def cmd_verify_all(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="aperiodic-kit",
         description=(
             "Cross-verified computations for a self-similar aperiodic plane "
@@ -256,8 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--jobs",
         type=int,
-        default=None,
-        help="process count for independent searches (default: APERIODIC_KIT_JOBS or 1)",
+        default=1,
+        help="processes for the surrounding searches of lang --method tiles "
+        "and the verify-all language rows (default 1)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -288,9 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shape", required=True, help="WxH")
     p.add_argument("--fixed", action="append", help="x,y:tile (repeatable)")
     p.add_argument("--wrap", help="a,b,c,d: torus lattice basis columns (a,b),(c,d)")
-    p.add_argument(
-        "--backend", choices=("backtracking", "exact_cover", "both"), default="backtracking"
-    )
     p.add_argument("--out")
     p.set_defaults(func=cmd_solve)
 
@@ -334,10 +340,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.jobs is not None:
-        os.environ["APERIODIC_KIT_JOBS"] = str(args.jobs)
     try:
+        args = build_parser().parse_args(argv)
+        if args.jobs < 1:
+            raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
         return args.func(args)
     except (OSError, ValueError, KeyError, TypeError, RuntimeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,8 +1,9 @@
 """Optional process pool for independent searches.
 
-Parallelism defaults to the APERIODIC_KIT_JOBS environment variable; every
-use site is a map over independent instances whose results are merged into
-order-independent sets, so the answer never depends on the job count.
+The job count is an argument, 1 (no pool) unless a caller passes more.
+Every use site is a map over independent instances whose results are
+merged into order-independent sets, so the answer never depends on the
+job count.
 """
 
 from __future__ import annotations
@@ -12,18 +13,16 @@ from multiprocessing import Pool
 from typing import Callable, Iterable
 
 
-def default_jobs() -> int:
-    raw = os.environ.get("APERIODIC_KIT_JOBS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+def parallel_map(fn: Callable, items: Iterable, jobs: int = 1) -> list:
+    """``[fn(item) for item in items]``, in at most ``jobs`` worker processes.
 
-
-def parallel_map(fn: Callable, items: Iterable, jobs: int | None = None) -> list:
+    No more workers start than there are items or CPUs.
+    """
+    if jobs < 1:
+        raise ValueError(f"job count must be at least 1, got {jobs}")
     items = list(items)
-    jobs = default_jobs() if jobs is None else max(1, jobs)
-    if jobs == 1 or len(items) <= 1:
+    workers = min(jobs, len(items), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(item) for item in items]
-    with Pool(jobs) as pool:
+    with Pool(workers) as pool:
         return pool.map(fn, items)

@@ -351,11 +351,13 @@ def check_uniqueness_hypotheses() -> UniquenessReport:
 
 
 def cross_check_languages(
-    reference, max_shape: tuple[int, int] = (2, 2), radius: int = 2, max_radius: int = 4
+    reference, max_shape: tuple[int, int] = (2, 2), radius: int = 2, max_radius: int = 4,
+    jobs: int = 1,
 ) -> list[LanguageRow]:
     """Compare the three pattern languages at every shape up to max_shape.
 
-    ``reference`` is the (partition, action) pair that codes the rotation.
+    ``reference`` is the (partition, action) pair that codes the rotation;
+    the tile-side surrounding searches run in ``jobs`` processes.
 
     The tile-set language may strictly contain the true language at a low
     surrounding radius, so on mismatch the radius is raised up to
@@ -373,7 +375,7 @@ def cross_check_languages(
             from_coding = enumerate_language(partition, action, shape)
             r = radius
             while True:
-                from_tiles = patterns_with_surrounding(tiles, shape, r)
+                from_tiles = patterns_with_surrounding(tiles, shape, r, jobs)
                 if from_tiles == from_substitution or r >= max_radius:
                     break
                 r += 1
@@ -390,13 +392,13 @@ def cross_check_languages(
     return rows
 
 
-def run_all(max_shape: tuple[int, int] = (2, 2)) -> VerificationReport:
+def run_all(max_shape: tuple[int, int] = (2, 2), jobs: int = 1) -> VerificationReport:
     started = time.perf_counter()
     wang = run_wang_pipeline()
     reference = build_reference_partition()
     induction = run_pet_pipeline(reference)
     uniqueness = check_uniqueness_hypotheses()
-    rows = cross_check_languages(reference, max_shape)
+    rows = cross_check_languages(reference, max_shape, jobs=jobs)
     loops_agree = all(
         a == b for a, b in zip(wang.morphisms, induction.morphisms)
     )

@@ -2,14 +2,12 @@
 
 A tile is a 4-tuple of color tokens in (right, top, left, bottom) order;
 tokens are opaque strings so that fused tiles can carry concatenated
-colors.  Two complete search backends are provided: a backtracking solver
-scanning cells bottom-up row-major (the default; it returns the
-lexicographically least solution in tile-index order along that scan), and
-an exact-cover reduction solved by Algorithm X.  Both read one
+colors.  One complete backtracking search serves every query: it reads a
 normalization of the instance (cells, reduced fixed tiles and a neighbor
-table), and tests hold them to identical satisfiability verdicts.  Domino
-sets are the 2-cell case of the surrounding search; nothing is cached
-between calls.
+table) and scans cells bottom-up row-major, so ``solve`` returns the
+lexicographically least solution in tile-index order along that scan.
+Domino sets are the 2-cell case of the surrounding search; nothing is
+cached between calls.
 """
 
 from __future__ import annotations
@@ -62,12 +60,6 @@ class WangTileSet:
 
     def __repr__(self):
         return f"WangTileSet({len(self.tiles)} tiles)"
-
-    def vertical_colors(self) -> set[str]:
-        return {t[RIGHT] for t in self.tiles} | {t[LEFT] for t in self.tiles}
-
-    def horizontal_colors(self) -> set[str]:
-        return {t[TOP] for t in self.tiles} | {t[BOTTOM] for t in self.tiles}
 
     def to_json(self) -> dict:
         return {"tiles": [list(t) for t in self.tiles]}
@@ -161,10 +153,6 @@ def _normalize(instance: TilingInstance):
     return shape, cells, fixed, neighbors
 
 
-def _word(shape, grid) -> Word2d:
-    return Word2d([[grid[(x, y)] for y in range(shape[1])] for x in range(shape[0])])
-
-
 def _near_fixed_order(cells, fixed):
     """Cells sorted by distance from the fixed block, for fast refutations."""
     def distance(cell):
@@ -242,160 +230,28 @@ def _backtrack(tiles, order, fixed, neighbors):
             stack.append(iter(candidates(order[depth + 1])))
 
 
-def _solve_backtracking(
-    instance: TilingInstance, collect_all=False, limit=None, near_fixed=False
-):
-    """Complete DFS over cells bottom-up row-major, tile indices ascending.
-
-    ``near_fixed`` reorders the scan outward from the fixed cells; the
-    search stays complete, only existence queries should use it since the
-    first solution found is then least along a different cell order.
-    """
-    solutions: list[Word2d] = []
-    normal = _normalize(instance)
-    if normal is not None:
-        shape, cells, fixed, neighbors = normal
-        if near_fixed and fixed and instance.wrap is None:
-            cells = _near_fixed_order(cells, fixed)
-        for grid in _backtrack(instance.tileset.tiles, cells, fixed, neighbors):
-            solutions.append(_word(shape, grid))
-            if not collect_all or (limit is not None and len(solutions) >= limit):
-                break
-    if collect_all:
-        return solutions
-    return solutions[0] if solutions else None
-
-
-def _exact_cover_rows(tileset: WangTileSet, cells, fixed, neighbors):
-    """Option table of the exact-cover reduction.
-
-    One primary item per cell.  For every shared edge e and color c there is
-    a secondary item (e, c): the tile on the lesser side covers exactly the
-    item of its own edge color, the tile on the greater side covers the
-    items of every OTHER color, so two options collide precisely when their
-    colors on e differ.
-    """
-    tiles = tileset.tiles
-    vcolors = sorted(tileset.vertical_colors())
-    hcolors = sorted(tileset.horizontal_colors())
-    options = {}
-    for cell in cells:
-        right_nb, top_nb, left_nb, bottom_nb = neighbors[cell]
-        choices = [fixed[cell]] if cell in fixed else range(len(tiles))
-        for t in choices:
-            tile = tiles[t]
-            if right_nb == cell and tile[RIGHT] != tile[LEFT]:
-                continue
-            if top_nb == cell and tile[TOP] != tile[BOTTOM]:
-                continue
-            items = [("cell", cell)]
-            if right_nb is not None and right_nb != cell:
-                items.append(("h", cell, right_nb, tile[RIGHT]))
-            if left_nb is not None and left_nb != cell:
-                items.extend(
-                    ("h", left_nb, cell, c) for c in vcolors if c != tile[LEFT]
-                )
-            if top_nb is not None and top_nb != cell:
-                items.append(("v", cell, top_nb, tile[TOP]))
-            if bottom_nb is not None and bottom_nb != cell:
-                items.extend(
-                    ("v", bottom_nb, cell, c) for c in hcolors if c != tile[BOTTOM]
-                )
-            options[(cell, t)] = items
-    primary = {("cell", cell) for cell in cells}
-    return options, primary
-
-
-def _algorithm_x(options, primary):
-    """Deterministic Algorithm X over dict-of-sets; yields solutions."""
-    columns: dict = {}
-    for oid, items in options.items():
-        for item in items:
-            columns.setdefault(item, set()).add(oid)
-    for item in primary:
-        columns.setdefault(item, set())
-
-    solution = []
-
-    def select(oid):
-        removed = []
-        for item in options[oid]:
-            if item not in columns:
-                continue
-            col = columns.pop(item)
-            removed.append((item, col))
-            for other in col:
-                if other == oid:
-                    continue
-                for j in options[other]:
-                    if j in columns:
-                        columns[j].discard(other)
-        return removed
-
-    def restore(removed):
-        for item, col in reversed(removed):
-            columns[item] = col
-            for other in col:
-                for j in options[other]:
-                    if j in columns:
-                        columns[j].add(other)
-
-    def search():
-        active = [item for item in columns if item in primary]
-        if not active:
-            yield list(solution)
-            return
-        item = min(active, key=lambda it: (len(columns[it]), it))
-        for oid in sorted(columns[item]):
-            solution.append(oid)
-            removed = select(oid)
-            yield from search()
-            restore(removed)
-            solution.pop()
-
-    return search()
-
-
-def _solve_exact_cover(instance: TilingInstance):
+def _solutions(instance: TilingInstance):
+    """Every valid assignment as a word, least first along the cell scan."""
     normal = _normalize(instance)
     if normal is None:
-        return None
+        return
     shape, cells, fixed, neighbors = normal
-    options, primary = _exact_cover_rows(instance.tileset, cells, fixed, neighbors)
-    for chosen in _algorithm_x(options, primary):
-        return _word(shape, dict(chosen))
-    return None
+    for grid in _backtrack(instance.tileset.tiles, cells, fixed, neighbors):
+        yield Word2d([[grid[(x, y)] for y in range(shape[1])] for x in range(shape[0])])
 
 
-def solve(instance: TilingInstance, backend: str = "backtracking") -> Optional[Word2d]:
+def solve(instance: TilingInstance) -> Optional[Word2d]:
     """A valid assignment extending the instance, or None.
 
-    The backtracking backend returns the lexicographically least solution
-    in tile-index order along the bottom-up row-major cell scan; the
-    exact-cover backend is a complete independent check of satisfiability.
-    ``backend="both"`` runs the two and insists they agree.
+    The solution is the lexicographically least one in tile-index order
+    along the bottom-up row-major cell scan.
     """
-    if backend == "backtracking":
-        return _solve_backtracking(instance)
-    if backend == "exact_cover":
-        return _solve_exact_cover(instance)
-    if backend == "both":
-        first = _solve_backtracking(instance)
-        second = _solve_exact_cover(instance)
-        if (first is None) != (second is None):
-            raise AssertionError(
-                f"solver backends disagree on {instance}: "
-                f"backtracking={first!r} exact_cover={second!r}"
-            )
-        if second is not None and not is_valid_pattern(instance.tileset, second):
-            raise AssertionError("exact-cover backend produced an invalid pattern")
-        return first
-    raise ValueError(f"unknown backend {backend!r}")
+    return next(_solutions(instance), None)
 
 
-def solve_all(instance: TilingInstance, limit: Optional[int] = None) -> list[Word2d]:
+def solve_all(instance: TilingInstance) -> list[Word2d]:
     """Every valid assignment (used for small enumerations only)."""
-    return _solve_backtracking(instance, collect_all=True, limit=limit)
+    return list(_solutions(instance))
 
 
 def is_valid_pattern(tileset: WangTileSet, w: Word2d) -> bool:
@@ -420,17 +276,19 @@ def admits_surrounding(tileset: WangTileSet, u: Word2d, r: int) -> bool:
     n1, n2 = u.shape
     fixed = {(x + r, y + r): u[x, y] for x in range(n1) for y in range(n2)}
     instance = TilingInstance(tileset, (n1 + 2 * r, n2 + 2 * r), fixed)
-    return _solve_backtracking(instance, near_fixed=True) is not None
+    _, cells, fixed, neighbors = _normalize(instance)
+    # an existence query, so any complete cell order will do; scanning
+    # outward from the fixed block refutes bad blocks sooner
+    order = _near_fixed_order(cells, fixed) if fixed else cells
+    return next(_backtrack(tileset.tiles, order, fixed, neighbors), None) is not None
 
 
-def dominoes_with_surrounding(
-    tileset: WangTileSet, direction: int, r: int, jobs: int | None = None
-) -> set[tuple[int, int]]:
+def dominoes_with_surrounding(tileset: WangTileSet, direction: int, r: int) -> set[tuple[int, int]]:
     """Ordered index pairs whose domino in the direction has an r-surrounding."""
     if direction not in (1, 2):
         raise ValueError("direction must be 1 or 2")
     shape = (2, 1) if direction == 1 else (1, 2)
-    patterns = patterns_with_surrounding(tileset, shape, r, jobs)
+    patterns = patterns_with_surrounding(tileset, shape, r)
     return {(w[0, 0], w[shape[0] - 1, shape[1] - 1]) for w in patterns}
 
 
@@ -462,9 +320,15 @@ def _pattern_check(task) -> tuple[tuple, bool]:
 
 
 def patterns_with_surrounding(
-    tileset: WangTileSet, shape: tuple[int, int], r: int, jobs: int | None = None
+    tileset: WangTileSet, shape: tuple[int, int], r: int, jobs: int = 1
 ) -> set[Word2d]:
-    """All shape-patterns admitting a surrounding of radius r."""
+    """All shape-patterns admitting a surrounding of radius r.
+
+    The surrounding searches run in ``jobs`` processes; the set does not
+    depend on the count.
+    """
+    # imported on use: the pool's multiprocessing import adds about 1 MB of
+    # resident memory to every process that loads the package
     from .jobs import parallel_map
 
     candidates = solve_all(TilingInstance(tileset, shape))

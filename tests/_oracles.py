@@ -4,6 +4,10 @@ The preimage parser enumerates every centered block decomposition of a
 finite window under a rule table: all anchors, all block scaffolds
 (column widths and row heights drawn from the rule's image shapes), and
 all letters per block consistent with the window on overlap.
+
+The tiling oracles are an edge-checked enumeration of rectangle tilings,
+an exhaustive enumeration of torus tilings, and a second complete solver:
+the exact-cover reduction solved by Algorithm X (Knuth, "Dancing Links").
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from itertools import product
 
 from aperiodic_kit.morphisms import Morphism2d
 from aperiodic_kit.phifield import ZERO
+from aperiodic_kit.wang import BOTTOM, LEFT, RIGHT, TOP, _normalize
 from aperiodic_kit.words import Word2d
 
 
@@ -396,3 +401,139 @@ def torus_word_as_tiling(basis, reps, w: Word2d):
             return None
         choice[i] = letter
     return None if None in choice else tuple(choice)
+
+
+def brute_force_satisfiable(tileset, shape) -> bool:
+    """Whether some tiling of the rectangle matches every shared edge.
+
+    Plain enumeration of the tiles cell by cell, bottom-up row-major; a
+    partial assignment is dropped once its newest cell disagrees with its
+    left or bottom neighbor, so every full assignment it skips is invalid.
+    """
+    n1, n2 = shape
+    cells = [(x, y) for y in range(n2) for x in range(n1)]
+    grid = {}
+
+    def extend(i):
+        if i == len(cells):
+            return True
+        x, y = cells[i]
+        for tile in tileset.tiles:
+            if x > 0 and grid[x - 1, y][0] != tile[2]:
+                continue
+            if y > 0 and grid[x, y - 1][1] != tile[3]:
+                continue
+            grid[x, y] = tile
+            if extend(i + 1):
+                return True
+        return False
+
+    return extend(0)
+
+
+def _exact_cover_rows(tileset, cells, fixed, neighbors):
+    """Option table of the exact-cover reduction.
+
+    One primary item per cell.  For every shared edge e and color c there is
+    a secondary item (e, c): the tile on the lesser side covers exactly the
+    item of its own edge color, the tile on the greater side covers the
+    items of every OTHER color, so two options collide precisely when their
+    colors on e differ.
+    """
+    tiles = tileset.tiles
+    vcolors = sorted({tile[side] for tile in tiles for side in (RIGHT, LEFT)})
+    hcolors = sorted({tile[side] for tile in tiles for side in (TOP, BOTTOM)})
+    options = {}
+    for cell in cells:
+        right_nb, top_nb, left_nb, bottom_nb = neighbors[cell]
+        choices = [fixed[cell]] if cell in fixed else range(len(tiles))
+        for t in choices:
+            tile = tiles[t]
+            if right_nb == cell and tile[RIGHT] != tile[LEFT]:
+                continue
+            if top_nb == cell and tile[TOP] != tile[BOTTOM]:
+                continue
+            items = [("cell", cell)]
+            if right_nb is not None and right_nb != cell:
+                items.append(("h", cell, right_nb, tile[RIGHT]))
+            if left_nb is not None and left_nb != cell:
+                items.extend(
+                    ("h", left_nb, cell, c) for c in vcolors if c != tile[LEFT]
+                )
+            if top_nb is not None and top_nb != cell:
+                items.append(("v", cell, top_nb, tile[TOP]))
+            if bottom_nb is not None and bottom_nb != cell:
+                items.extend(
+                    ("v", bottom_nb, cell, c) for c in hcolors if c != tile[BOTTOM]
+                )
+            options[(cell, t)] = items
+    primary = {("cell", cell) for cell in cells}
+    return options, primary
+
+
+def _algorithm_x(options, primary):
+    """Deterministic Algorithm X over dict-of-sets; yields solutions."""
+    columns: dict = {}
+    for oid, items in options.items():
+        for item in items:
+            columns.setdefault(item, set()).add(oid)
+    for item in primary:
+        columns.setdefault(item, set())
+
+    solution = []
+
+    def select(oid):
+        removed = []
+        for item in options[oid]:
+            if item not in columns:
+                continue
+            col = columns.pop(item)
+            removed.append((item, col))
+            for other in col:
+                if other == oid:
+                    continue
+                for j in options[other]:
+                    if j in columns:
+                        columns[j].discard(other)
+        return removed
+
+    def restore(removed):
+        for item, col in reversed(removed):
+            columns[item] = col
+            for other in col:
+                for j in options[other]:
+                    if j in columns:
+                        columns[j].add(other)
+
+    def search():
+        active = [item for item in columns if item in primary]
+        if not active:
+            yield list(solution)
+            return
+        item = min(active, key=lambda it: (len(columns[it]), it))
+        for oid in sorted(columns[item]):
+            solution.append(oid)
+            removed = select(oid)
+            yield from search()
+            restore(removed)
+            solution.pop()
+
+    return search()
+
+
+def exact_cover_solve(instance):
+    """A solution of a tiling instance by the exact-cover reduction, or None.
+
+    It shares only the instance normalization with ``wang.solve`` (which
+    ``brute_force_torus_tilings`` checks on its own), so it is a complete
+    second opinion on satisfiability; its solution need not be the least.
+    """
+    normal = _normalize(instance)
+    if normal is None:
+        return None
+    shape, cells, fixed, neighbors = normal
+    options, primary = _exact_cover_rows(instance.tileset, cells, fixed, neighbors)
+    for chosen in _algorithm_x(options, primary):
+        grid = dict(chosen)
+        return Word2d([[grid[(x, y)] for y in range(shape[1])] for x in range(shape[0])])
+    return None

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 
 import pytest
 
@@ -139,6 +140,53 @@ class TestCli:
     def test_bad_shape_is_usage_error(self):
         assert main(["lang", "--method", "substitution", "--shape", "banana"]) == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "U", "--shape", "0x3"],
+            ["lang", "--method", "substitution", "--shape", "2x-1"],
+            ["verify-all", "--max-shape", "0,0"],
+        ],
+    )
+    def test_shape_below_one_is_usage_error(self, capsys, argv):
+        assert main(argv) == cli.USAGE_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: shape ") and err.count("\n") == 1
+
+    # argparse errors are one line and exit 1, not the usage text and 2
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "U"],
+            ["solve", "U", "--shape", "2x2", "--bogus"],
+            ["solve", "U", "--shape", "2x2", "--backend", "exact_cover"],
+            ["--jobs", "x", "lang", "--method", "substitution", "--shape", "1x1"],
+            ["--jobs", "0", "lang", "--method", "substitution", "--shape", "1x1"],
+            ["--jobs", "-2", "lang", "--method", "substitution", "--shape", "1x1"],
+            [],
+        ],
+    )
+    def test_argparse_error_is_one_line(self, capsys, argv):
+        assert main(argv) == cli.USAGE_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["-h"])
+        assert exit_info.value.code == 0
+        assert "--jobs" in capsys.readouterr().out
+
+    def test_jobs_is_an_argument_not_an_environment_variable(self, capsys):
+        environ = dict(os.environ)
+        argv = ["lang", "--method", "tiles", "--shape", "2x1"]
+        assert main(["--jobs", "2", *argv]) == 0
+        assert dict(os.environ) == environ
+        parallel = capsys.readouterr().out
+        assert main(argv) == 0
+        assert capsys.readouterr().out == parallel
+
     def test_induce_then_config_on_saved_system(self, tmp_path, capsys):
         out = tmp_path / "step.json"
         assert main(["induce", "--axis", "2", "--bound=-1+phi", "--out", str(out)]) == 0
@@ -211,7 +259,7 @@ class TestCli:
             def to_text(self):
                 return "composite equals substitution: False"
 
-        monkeypatch.setattr(cli, "run_all", lambda max_shape: FailingReport())
+        monkeypatch.setattr(cli, "run_all", lambda max_shape, jobs: FailingReport())
         out = tmp_path / "report.json"
         assert main(["verify-all", "--out", str(out)]) == cli.VERIFY_FAILED == 3
         assert json.loads(out.read_text()) == {"ok": False}

@@ -1,9 +1,9 @@
 import random
-from itertools import product
 
 import pytest
 
 import _oracles
+from aperiodic_kit import jobs as jobs_module
 from aperiodic_kit.wang import (
     SingularLattice,
     TilingInstance,
@@ -19,18 +19,6 @@ from aperiodic_kit.wang import (
     sublattice_bases,
 )
 from aperiodic_kit.words import Word2d
-
-
-def brute_force_satisfiable(tileset, shape):
-    """Exhaustive reference check used against both solver backends."""
-    n1, n2 = shape
-    cells = [(x, y) for y in range(n2) for x in range(n1)]
-    for assignment in product(range(len(tileset)), repeat=len(cells)):
-        grid = dict(zip(cells, assignment))
-        w = Word2d([[grid[(x, y)] for y in range(n2)] for x in range(n1)])
-        if is_valid_pattern(tileset, w):
-            return True
-    return False
 
 
 def random_tileset(rng, tiles=5, colors=3):
@@ -75,26 +63,28 @@ class TestSolve:
 
     def test_backends_agree_on_u(self, tiles_u):
         for shape in [(2, 2), (3, 2), (1, 4)]:
-            assert solve(TilingInstance(tiles_u, shape), backend="both") is not None
+            instance = TilingInstance(tiles_u, shape)
+            assert solve(instance) is not None
+            second = _oracles.exact_cover_solve(instance)
+            assert second is not None and is_valid_pattern(tiles_u, second)
         # an unsatisfiable instance: two horizontally adjacent copies of tile 0
         bad = TilingInstance(tiles_u, (2, 1), {(0, 0): 0, (1, 0): 0})
-        assert solve(bad, backend="both") is None
+        assert solve(bad) is None
+        assert _oracles.exact_cover_solve(bad) is None
 
     def test_backends_vs_brute_force_random_sets(self):
         rng = random.Random(23)
-        # the naive enumerator is exponential, so (3,3) gets fewer rounds
-        for round_no in range(12):
+        for _ in range(12):
             ts = random_tileset(rng)
-            shapes = [(2, 2), (3, 2)] + ([(3, 3)] if round_no < 3 else [])
-            for shape in shapes:
-                expected = brute_force_satisfiable(ts, shape)
+            for shape in [(2, 2), (3, 2), (3, 3)]:
+                expected = _oracles.brute_force_satisfiable(ts, shape)
                 got_bt = solve(TilingInstance(ts, shape)) is not None
-                got_xc = solve(TilingInstance(ts, shape), backend="exact_cover") is not None
+                got_xc = _oracles.exact_cover_solve(TilingInstance(ts, shape)) is not None
                 assert got_bt == expected
                 assert got_xc == expected
 
     def test_solutions_are_valid(self, tiles_u):
-        for w in solve_all(TilingInstance(tiles_u, (2, 2)), limit=50):
+        for w in solve_all(TilingInstance(tiles_u, (2, 2))):
             assert is_valid_pattern(tiles_u, w)
 
 
@@ -172,8 +162,7 @@ class TestPeriodicity:
                     for fixed in ({}, {q: t, twin: t}, {q: t, twin: (t + 1) % len(ts)}):
                         reps, tilings = _oracles.brute_force_torus_tilings(ts, wrap, fixed)
                         instance = TilingInstance(ts, (8, 8), fixed, wrap=wrap)
-                        for backend in ("backtracking", "exact_cover"):
-                            w = solve(instance, backend=backend)
+                        for w in (solve(instance), _oracles.exact_cover_solve(instance)):
                             if tilings:
                                 assert _oracles.torus_word_as_tiling(wrap, reps, w) in tilings
                             else:
@@ -199,5 +188,35 @@ def test_instance_validation(tiles_u):
 
 
 def test_parallel_jobs_same_answer(tiles_u, h_dominoes):
-    parallel = dominoes_with_surrounding(tiles_u, 1, 2, jobs=2)
-    assert parallel == h_dominoes
+    parallel = patterns_with_surrounding(tiles_u, (2, 1), 2, jobs=2)
+    assert parallel == patterns_with_surrounding(tiles_u, (2, 1), 2, jobs=1)
+    assert {(w[0, 0], w[1, 0]) for w in parallel} == h_dominoes
+
+
+@pytest.mark.parametrize("jobs, cpus, workers", [(64, 8, 3), (64, 2, 2), (2, 8, 2), (1, 8, None)])
+def test_parallel_map_caps_workers(monkeypatch, jobs, cpus, workers):
+    # a fake pool records the worker count; no process starts
+    started = []
+
+    class FakePool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(jobs_module, "Pool", FakePool)
+    monkeypatch.setattr(jobs_module.os, "cpu_count", lambda: cpus)
+    assert jobs_module.parallel_map(abs, [-1, 2, -3], jobs) == [1, 2, 3]
+    assert started == ([] if workers is None else [workers])
+
+
+def test_parallel_map_rejects_job_count_below_one():
+    with pytest.raises(ValueError):
+        jobs_module.parallel_map(abs, [1], 0)
