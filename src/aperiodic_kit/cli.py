@@ -41,9 +41,21 @@ def _parse_shape(text: str) -> tuple[int, int]:
     raise ValueError(f"cannot parse shape {text!r}; expected WxH")
 
 
-def _parse_point(text: str):
-    x, y = text.split(",", 1)
-    return (PhiNumber(Fraction(x.strip())), PhiNumber(Fraction(y.strip())))
+def _parse_point(text: str | None):
+    if text is None:
+        raise ValueError("--seed-point x,y is required")
+    try:
+        x, y = text.split(",")
+        return (PhiNumber(Fraction(x.strip())), PhiNumber(Fraction(y.strip())))
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"cannot parse point {text!r}; expected rational x,y") from None
+
+
+def _radius(text: str) -> int:
+    radius = int(text)
+    if radius < 0:
+        raise argparse.ArgumentTypeError(f"radius must be at least 0, got {radius}")
+    return radius
 
 
 def _load_tileset(path: str) -> WangTileSet:
@@ -70,12 +82,10 @@ def _load_partition(path: str):
 
         partition = TorusPartition.from_json(data["partition"])
         spec = data["action"]
-        action = TorusAction(
-            tuple(parse_phi(s) for s in spec["lattice"]),
-            tuple(parse_phi(s) for s in spec["axis1"]),
-            tuple(parse_phi(s) for s in spec["axis2"]),
-        )
-        return partition, action
+        pairs = [tuple(map(parse_phi, spec[key])) for key in ("lattice", "axis1", "axis2")]
+        if any(len(pair) != 2 for pair in pairs):
+            raise ValueError("action lattice, axis1 and axis2 need two entries each")
+        return partition, TorusAction(*pairs)
     partition = TorusPartition.from_json(data)
     if partition.lattice != (PhiNumber(1), PhiNumber(1)):
         raise ValueError(
@@ -202,9 +212,9 @@ def cmd_induce(args) -> int:
 
 
 def cmd_config(args) -> int:
-    partition, action = _load_partition(args.partition)
     point = _parse_point(args.seed_point)
     shape = _parse_shape(args.shape)
+    partition, action = _load_partition(args.partition)
     offset = (0, 0)
     if args.offset:
         ox, oy = args.offset.split(",", 1)
@@ -231,13 +241,11 @@ def cmd_render(args) -> int:
     elif args.target == "partition":
         partition, _ = _load_partition(args.input)
         svg = render.render_partition(partition, seed=args.seed)
-    elif args.target == "coded-orbit":
-        partition, action = _load_partition(args.input)
+    else:  # coded-orbit
         point = _parse_point(args.seed_point)
         shape = _parse_shape(args.shape or "6x8")
+        partition, action = _load_partition(args.input)
         svg = render.render_coded_orbit(partition, action, point, shape, seed=args.seed)
-    else:
-        raise ValueError(f"unknown render target {args.target!r}")
     with open(args.out, "w") as handle:
         handle.write(svg + "\n")
     return OK
@@ -273,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("markers", help="find marker tile subsets")
     p.add_argument("tileset", help="tile-set JSON path, or U for the built-in 19 tiles")
     p.add_argument("--axis", type=int, choices=(1, 2), default=2)
-    p.add_argument("--radius", type=int, default=2)
+    p.add_argument("--radius", type=_radius, default=2)
     p.add_argument("--out")
     p.set_defaults(func=cmd_markers)
 
@@ -281,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("tileset")
     p.add_argument("markers", help="comma-separated marker tile indices")
     p.add_argument("--axis", type=int, choices=(1, 2), default=2)
-    p.add_argument("--radius", type=int, default=2)
+    p.add_argument("--radius", type=_radius, default=2)
     p.add_argument("--side", choices=("left", "right"), default="right")
     p.add_argument("--out")
     p.set_defaults(func=cmd_desub)
@@ -303,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lang", help="enumerate allowed patterns of a shape")
     p.add_argument("--method", choices=("substitution", "tiles", "coding"), required=True)
     p.add_argument("--shape", required=True, help="WxH")
-    p.add_argument("--radius", type=int, default=2, help="surrounding radius for tiles")
+    p.add_argument("--radius", type=_radius, default=2, help="surrounding radius for tiles")
     p.add_argument("--out")
     p.set_defaults(func=cmd_lang)
 

@@ -82,12 +82,7 @@ class Polygon:
         return f"Polygon[{coords}]"
 
     def area(self) -> PhiNumber:
-        total = PhiNumber(0)
-        vs = self.vertices
-        for i in range(len(vs)):
-            p, q = vs[i], vs[(i + 1) % len(vs)]
-            total = total + (p[0] * q[1] - q[0] * p[1])
-        return total / PhiNumber(2)
+        return _doubled_area(self.vertices) / PhiNumber(2)
 
     def edges(self) -> list[Segment]:
         vs = self.vertices
@@ -122,15 +117,20 @@ def bbox_overlap(a: Polygon, b: Polygon) -> bool:
     return not (ax1 <= bx0 or bx1 <= ax0 or ay1 <= by0 or by1 <= ay0)
 
 
+def _doubled_area(vs) -> PhiNumber:
+    """Twice the signed shoelace area of a vertex ring."""
+    total = PhiNumber(0)
+    for i in range(len(vs)):
+        p, q = vs[i], vs[(i + 1) % len(vs)]
+        total = total + (p[0] * q[1] - q[0] * p[1])
+    return total
+
+
 def _normalize_ring(vs: list[Point]) -> Optional[tuple[Point, ...]]:
     if len(vs) < 3:
         return None
     # orientation via signed area
-    doubled = PhiNumber(0)
-    for i in range(len(vs)):
-        p, q = vs[i], vs[(i + 1) % len(vs)]
-        doubled = doubled + (p[0] * q[1] - q[0] * p[1])
-    s = doubled.sign()
+    s = _doubled_area(vs).sign()
     if s == 0:
         return None
     if s < 0:
@@ -482,6 +482,8 @@ class TorusPartition:
         from .phifield import parse_phi
 
         lattice = tuple(parse_phi(s) for s in data["lattice"])
+        if len(lattice) != 2 or min(lattice).sign() <= 0:
+            raise ValueError(f"lattice needs two positive entries, got {data['lattice']!r}")
         atoms = {
             int(label): Region(
                 Polygon([(parse_phi(x), parse_phi(y)) for x, y in cell])
@@ -551,10 +553,8 @@ def _reduce_segments(segments, l1, l2) -> list[Segment]:
                     l1,
                     l2,
                 )
-                if piece is None:
-                    continue
-                key = tuple(sorted(piece))
-                pieces[key] = piece
+                if piece is not None:
+                    pieces[tuple(sorted(piece))] = piece
     return list(pieces.values())
 
 
@@ -568,14 +568,10 @@ def partition_from_segments(segments, lattice) -> TorusPartition:
     a provisional label.
     """
     l1, l2 = _num(lattice[0]), _num(lattice[1])
-    zero = PhiNumber(0)
-    one = PhiNumber(1)
     pieces = _reduce_segments(segments, l1, l2)
 
     # distinct supporting lines, skipping the box boundary (no area to split)
-    boundary_lines = {
-        (one, zero, zero), (one, zero, l1), (zero, one, zero), (zero, one, l2),
-    }
+    boundary_lines = {(ONE, ZERO, ZERO), (ONE, ZERO, l1), (ZERO, ONE, ZERO), (ZERO, ONE, l2)}
     lines = []
     seen = set()
     for p, q in pieces:
@@ -629,49 +625,33 @@ def partition_from_segments(segments, lattice) -> TorusPartition:
 # relabeling and comparison
 
 
-def relabel_to_match(partition: TorusPartition, horizontal, vertical, action) -> TorusPartition:
+def relabel_to_match(partition: TorusPartition, horizontal, vertical, coded) -> TorusPartition:
     """Unique relabeling making the coded dominoes land in the references.
 
     ``horizontal`` and ``vertical`` are sets of (left, right) and
-    (bottom, top) letter pairs; the partition's own domino languages are
-    computed exactly from the action and a bijective letter map is searched
-    so that every coded domino lies in the references.
+    (bottom, top) letter pairs; ``coded`` is the pair of the same two sets
+    for the partition's own labels (``pet.coded_dominoes``).  A bijective
+    letter map is searched so that every coded domino lies in the
+    references; the search is pure, nothing is computed from the geometry.
     """
-    from .pet import enumerate_language
-
+    h_pairs, v_pairs = coded
     labels = partition.labels()
-    h_pairs = {
-        (w[0, 0], w[1, 0]) for w in enumerate_language(partition, action, (2, 1))
-    }
-    v_pairs = {
-        (w[0, 0], w[0, 1]) for w in enumerate_language(partition, action, (1, 2))
-    }
     targets = sorted({a for pair in horizontal | vertical for a in pair})
     if len(targets) < len(labels):
         raise NoConsistentLabeling("reference alphabet smaller than atom count")
 
-    order = sorted(
-        labels,
-        key=lambda a: -sum(a in p for p in h_pairs | v_pairs),
-    )
+    order = sorted(labels, key=lambda a: -sum(a in p for p in h_pairs | v_pairs))
     solutions = []
     assignment: dict[int, int] = {}
-    used: set[int] = set()
 
     def consistent(a, t):
-        if (a, a) in h_pairs and (t, t) not in horizontal:
-            return False
-        if (a, a) in v_pairs and (t, t) not in vertical:
-            return False
-        for b, tb in assignment.items():
-            if (a, b) in h_pairs and (t, tb) not in horizontal:
-                return False
-            if (b, a) in h_pairs and (tb, t) not in horizontal:
-                return False
-            if (a, b) in v_pairs and (t, tb) not in vertical:
-                return False
-            if (b, a) in v_pairs and (tb, t) not in vertical:
-                return False
+        # (a, a) is checked against (t, t) like any placed pair
+        for b, tb in [(a, t), *assignment.items()]:
+            for pairs, reference in ((h_pairs, horizontal), (v_pairs, vertical)):
+                if (a, b) in pairs and (t, tb) not in reference:
+                    return False
+                if (b, a) in pairs and (tb, t) not in reference:
+                    return False
         return True
 
     def search(i):
@@ -682,15 +662,11 @@ def relabel_to_match(partition: TorusPartition, horizontal, vertical, action) ->
             return
         a = order[i]
         for t in targets:
-            if t in used:
-                continue
-            if not consistent(a, t):
+            if t in assignment.values() or not consistent(a, t):
                 continue
             assignment[a] = t
-            used.add(t)
             search(i + 1)
             del assignment[a]
-            used.discard(t)
 
     search(0)
     if not solutions:

@@ -186,9 +186,12 @@ def language(m: Morphism2d, shape: tuple[int, int], bound: int = 40) -> Language
     Iterates the rule on every letter and extracts subwords until the
     collected set is unchanged by a further iteration.  For a primitive
     rule the sequence of sets is eventually constant, so the first repeat
-    is the full factor set; a still-growing set at ``bound`` raises.
+    is the full factor set; a still-growing set at ``bound`` raises, and so
+    does a shape with a side below 1, which has no factors.
     """
     s1, s2 = shape
+    if s1 < 1 or s2 < 1:
+        raise ValueError(f"shape {shape} needs both sides at least 1")
     words = {a: Word2d.single(a) for a in range(m.domain_size)}
     seen: Language2d = set()
     for _ in range(bound):

@@ -103,9 +103,7 @@ class PolygonExchange:
     def as_translation(self) -> Optional[Point]:
         """The single vector this PET rotates by, if all pieces agree mod lattice."""
         l1, l2 = self.lattice
-        reduced = {
-            ((v[0] % l1), (v[1] % l2)) for _, v in self.pieces
-        }
+        reduced = {(v[0] % l1, v[1] % l2) for _, v in self.pieces}
         if len(reduced) == 1:
             return next(iter(reduced))
         return None
@@ -120,12 +118,9 @@ class PolygonExchange:
         ys = [(zero, l2 - v[1], v[1]), (l2 - v[1], l2, v[1] - l2)]
         pieces = []
         for x_lo, x_hi, dx in xs:
-            if not x_lo < x_hi:
-                continue
             for y_lo, y_hi, dy in ys:
-                if not y_lo < y_hi:
-                    continue
-                pieces.append((rectangle(x_lo, y_lo, x_hi, y_hi), (dx, dy)))
+                if x_lo < x_hi and y_lo < y_hi:
+                    pieces.append((rectangle(x_lo, y_lo, x_hi, y_hi), (dx, dy)))
         return cls((l1, l2), pieces)
 
 
@@ -321,12 +316,24 @@ def enumerate_language(
     """
     support = [(i, j) for i in range(shape[0]) for j in range(shape[1])]
     base = [cell for _, cell in partition.cells()]
-    words = set()
-    for _, codes in _refine_by_codes(partition, action, support, base):
-        words.add(
-            Word2d([[codes[(i, j)] for j in range(shape[1])] for i in range(shape[0])])
-        )
-    return words
+    return {
+        Word2d([[codes[(i, j)] for j in range(shape[1])] for i in range(shape[0])])
+        for _, codes in _refine_by_codes(partition, action, support, base)
+    }
+
+
+def coded_dominoes(partition: TorusPartition, action: TorusAction):
+    """Horizontal (left, right) and vertical (bottom, top) coded letter pairs.
+
+    One refinement over the support {(0,0), (1,0), (0,1)} yields both sets:
+    every cell of the two-domino refinement meets some cell of the third
+    shifted copy, so each domino is read off a surviving cell.
+    """
+    base = [cell for _, cell in partition.cells()]
+    refined = _refine_by_codes(partition, action, [(0, 0), (1, 0), (0, 1)], base)
+    horizontal = {(codes[(0, 0)], codes[(1, 0)]) for _, codes in refined}
+    vertical = {(codes[(0, 0)], codes[(0, 1)]) for _, codes in refined}
+    return horizontal, vertical
 
 
 def induced_partition(
@@ -347,10 +354,7 @@ def induced_partition(
 
     collected: dict[Word2d, list[Polygon]] = {}
     for piece, steps in time_pieces:
-        if window.axis == 2:
-            r, s = 1, steps
-        else:
-            r, s = steps, 1
+        r, s = (1, steps) if window.axis == 2 else (steps, 1)
         support = [(i, j) for i in range(r) for j in range(s)]
         for cell, codes in _refine_by_codes(partition, action, support, [piece]):
             word = Word2d([[codes[(i, j)] for j in range(s)] for i in range(r)])

@@ -195,7 +195,7 @@ class PhiNumber:
 
 
 _TERM = re.compile(
-    r"\s*(?P<sign>[+-]?)\s*(?:(?P<coef>\d+(?:/\d+)?)\s*\*?\s*)?(?P<phi>phi)?\s*"
+    r"\s*(?P<sign>[+-]?)\s*(?:(?P<coef>\d+(?:/0*[1-9]\d*)?)\s*\*?\s*)?(?P<phi>phi)?\s*"
 )
 
 
@@ -204,6 +204,8 @@ def parse_phi(text: str) -> PhiNumber:
 
     Accepts e.g. "3", "-1/2", "phi", "2*phi", "1/2-3/2*phi", "1+phi".
     """
+    if not isinstance(text, str):
+        raise ValueError(f"expected an a+b*phi string, got {text!r}")
     s = text.strip()
     if not s:
         raise ValueError("empty PhiNumber literal")

@@ -22,9 +22,10 @@ from .geometry import (
 )
 from .markers import find_markers, find_substitution, is_equivalent
 from .morphisms import Morphism2d, compose, is_expansive, is_primitive, language, seeds
-from .pet import Window, enumerate_language, induce_action, induced_partition
+from .pet import Window, coded_dominoes, enumerate_language, induce_action, induced_partition
 from .phifield import PHI
 from .wang import patterns_with_surrounding
+from .words import project
 
 
 class StageFailure(RuntimeError):
@@ -108,15 +109,7 @@ class UniquenessReport:
     seconds: float
 
     def to_json(self) -> dict:
-        return {
-            "expansive": self.expansive,
-            "primitive": self.primitive,
-            "seeds_in_language": self.seeds_in_language,
-            "seed_count": self.seed_count,
-            "square_language_count": self.square_language_count,
-            "escaped_seed": self.escaped_seed,
-            "seconds": round(self.seconds, 3),
-        }
+        return {**vars(self), "seconds": round(self.seconds, 3)}
 
 
 @dataclass
@@ -213,12 +206,10 @@ class VerificationReport:
 
 
 def _markers_with_escalation(tileset, direction, radius, max_radius=3):
-    r = radius
-    while r <= max_radius:
+    for r in range(radius, max_radius + 1):
         report = find_markers(tileset, direction, r)
         if report.marker_subsets:
             return report, r
-        r += 1
     raise StageFailure(
         "find_markers",
         f"no markers in direction {direction} up to radius {max_radius}",
@@ -264,13 +255,13 @@ def run_wang_pipeline(direction_first: int = 2, radius: int = 2) -> WangLoopRepo
 
 
 def build_reference_partition():
-    """The 19-atom partition with labels matching the substitution alphabet."""
+    """The 19-atom partition, labeled by one refinement of its dominoes."""
     phi = catalog.square_substitution()
     raw = partition_from_segments(catalog.partition_segments(), (1, 1))
     horizontal = {(w[0, 0], w[1, 0]) for w in language(phi, (2, 1))}
     vertical = {(w[0, 0], w[0, 1]) for w in language(phi, (1, 2))}
     action = catalog.rotation_action()
-    return relabel_to_match(raw, horizontal, vertical, action), action
+    return relabel_to_match(raw, horizontal, vertical, coded_dominoes(raw, action)), action
 
 
 def _fmt_vec(v) -> dict[str, str]:
@@ -359,20 +350,26 @@ def cross_check_languages(
     ``reference`` is the (partition, action) pair that codes the rotation;
     the tile-side surrounding searches run in ``jobs`` processes.
 
-    The tile-set language may strictly contain the true language at a low
-    surrounding radius, so on mismatch the radius is raised up to
-    ``max_radius`` before the row is reported unequal.  Radius 2 settles
-    every shape up to (2,2); the vertical triple column needs radius 4.
+    The substitution and coding languages are computed once at
+    ``max_shape``; every smaller shape is their projection, since each of
+    its factors extends to one of ``max_shape``.  The tile side is searched
+    shape by shape, because each shape settles at its own surrounding
+    radius, which its row reports: the tile-set language may strictly
+    contain the true language at a low radius, so on mismatch the radius is
+    raised up to ``max_radius``.  Radius 2 settles every shape up to (2,2);
+    the vertical triple column needs radius 4.
     """
     phi = catalog.square_substitution()
     tiles = catalog.wang_tiles()
     partition, action = reference
+    substitution_table = language(phi, max_shape)
+    coding_table = enumerate_language(partition, action, max_shape)
     rows = []
     for s1 in range(1, max_shape[0] + 1):
         for s2 in range(1, max_shape[1] + 1):
             shape = (s1, s2)
-            from_substitution = language(phi, shape)
-            from_coding = enumerate_language(partition, action, shape)
+            from_substitution = project(substitution_table, shape)
+            from_coding = project(coding_table, shape)
             r = radius
             while True:
                 from_tiles = patterns_with_surrounding(tiles, shape, r, jobs)
@@ -399,9 +396,7 @@ def run_all(max_shape: tuple[int, int] = (2, 2), jobs: int = 1) -> VerificationR
     induction = run_pet_pipeline(reference)
     uniqueness = check_uniqueness_hypotheses()
     rows = cross_check_languages(reference, max_shape, jobs=jobs)
-    loops_agree = all(
-        a == b for a, b in zip(wang.morphisms, induction.morphisms)
-    )
+    loops_agree = all(a == b for a, b in zip(wang.morphisms, induction.morphisms))
     report = VerificationReport(
         wang=wang,
         induction=induction,

@@ -133,6 +133,8 @@ def subwords(v: Word2d, shape: tuple[int, int]) -> set[Word2d]:
     """All distinct factors of v of the given shape."""
     s1, s2 = shape
     n1, n2 = v.shape
+    if s1 < 1 or s2 < 1:
+        raise ValueError(f"shape {shape} needs both sides at least 1")
     if s1 > n1 or s2 > n2:
         raise ShapeMismatch(f"shape {shape} exceeds word shape {v.shape}")
     found = set()
@@ -144,3 +146,11 @@ def subwords(v: Word2d, shape: tuple[int, int]) -> set[Word2d]:
 
 # A 2-dimensional language is just a set of words of a common shape.
 Language2d = set[Word2d]
+
+
+def project(language: Language2d, shape: tuple[int, int]) -> Language2d:
+    """The shape-factors of a language's words; ShapeMismatch if it is larger."""
+    found: Language2d = set()
+    for w in language:
+        found |= subwords(w, shape)
+    return found

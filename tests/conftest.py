@@ -53,9 +53,11 @@ def action_u():
 @pytest.fixture(scope="session")
 def partition_u(action_u):
     from aperiodic_kit.geometry import partition_from_segments, relabel_to_match
+    from aperiodic_kit.pet import coded_dominoes
 
     raw = partition_from_segments(partition_segments(), (1, 1))
-    return relabel_to_match(raw, set(H_DOMINOES), set(V_DOMINOES), action_u)
+    coded = coded_dominoes(raw, action_u)
+    return relabel_to_match(raw, set(H_DOMINOES), set(V_DOMINOES), coded)
 
 
 @pytest.fixture(scope="session")

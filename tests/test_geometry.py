@@ -23,6 +23,7 @@ from aperiodic_kit.geometry import (
     relabel_to_match,
     rescale,
 )
+from aperiodic_kit.pet import coded_dominoes
 from aperiodic_kit.phifield import PHI, PhiNumber
 
 # two diagonals on the unit torus: two atoms, each glued across a seam
@@ -162,19 +163,34 @@ class TestArrangement:
 class TestRelabel:
     def test_shuffle_invariance(self, partition_u, h_dominoes, v_dominoes):
         shuffled = partition_u.relabel({a: (a * 7 + 3) % 19 for a in range(19)})
-        back = relabel_to_match(shuffled, h_dominoes, v_dominoes, rotation_action())
+        coded = coded_dominoes(shuffled, rotation_action())
+        back = relabel_to_match(shuffled, h_dominoes, v_dominoes, coded)
         for a in range(19):
             assert back.atoms[a].equals_up_to_null(partition_u.atoms[a])
 
+    def test_search_reads_only_the_coded_pairs(self, partition_u, h_dominoes, v_dominoes):
+        # coded pairs given under a known letter map: the search inverts it
+        # without refining anything
+        shuffle = {a: (a * 7 + 3) % 19 for a in range(19)}
+        shuffled = partition_u.relabel(shuffle)
+        coded = (
+            {(shuffle[a], shuffle[b]) for a, b in h_dominoes},
+            {(shuffle[a], shuffle[b]) for a, b in v_dominoes},
+        )
+        back = relabel_to_match(shuffled, h_dominoes, v_dominoes, coded)
+        assert back.atoms == partition_u.atoms
+
     def test_inconsistent_reference(self, partition_u, h_dominoes, v_dominoes):
         broken_h = {(a, b if b != 3 else 2) for a, b in h_dominoes} - {(1, 2)}
+        coded = coded_dominoes(partition_u, rotation_action())
         with pytest.raises(NoConsistentLabeling):
-            relabel_to_match(partition_u, broken_h, v_dominoes, rotation_action())
+            relabel_to_match(partition_u, broken_h, v_dominoes, coded)
 
     def test_unconstrained_reference_ambiguous(self, partition_u):
         everything = {(a, b) for a in range(19) for b in range(19)}
+        coded = coded_dominoes(partition_u, rotation_action())
         with pytest.raises(AmbiguousLabeling):
-            relabel_to_match(partition_u, everything, everything, rotation_action())
+            relabel_to_match(partition_u, everything, everything, coded)
 
 
 class TestRescaleAndEquality:

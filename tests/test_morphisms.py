@@ -14,7 +14,7 @@ from aperiodic_kit.morphisms import (
     periodic_seeds,
     seeds,
 )
-from aperiodic_kit.words import Word2d, concat, occurs_at, subwords
+from aperiodic_kit.words import Word2d, concat, occurs_at, project, subwords
 
 
 class TestApply:
@@ -127,6 +127,18 @@ class TestLanguage:
 
         with pytest.raises(NotStabilized):
             language(phi, (2, 2), bound=2)
+
+    @pytest.mark.parametrize("shape", [(2, -1), (0, 3), (0, 0), (-1, -1)])
+    def test_shape_below_one_raises_at_once(self, phi, shape):
+        # a side below 1 has no factors; it used to apply the rule until the
+        # images outgrew memory
+        with pytest.raises(ValueError, match="at least 1"):
+            language(phi, shape)
+
+    def test_sub_shapes_project_from_the_largest(self, phi):
+        table = language(phi, (3, 3))
+        for shape in [(s1, s2) for s1 in (1, 2, 3) for s2 in (1, 2, 3)]:
+            assert project(table, shape) == language(phi, shape)
 
 
 class TestSeeds:

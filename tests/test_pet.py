@@ -8,6 +8,7 @@ from aperiodic_kit.morphisms import language
 from aperiodic_kit.pet import (
     PolygonExchange,
     Window,
+    coded_dominoes,
     config_patch,
     enumerate_language,
     induce_action,
@@ -16,7 +17,7 @@ from aperiodic_kit.pet import (
     return_word,
 )
 from aperiodic_kit.phifield import PHI, PhiNumber
-from aperiodic_kit.words import Word2d, occurs_at, subwords
+from aperiodic_kit.words import Word2d, occurs_at, project, subwords
 
 INV = PHI**-1
 INV2 = PHI**-2
@@ -259,6 +260,22 @@ class TestEnumerateLanguage:
             assert (w[0, 1], w[1, 1]) in h_dominoes
             assert (w[0, 0], w[0, 1]) in v_dominoes
             assert (w[1, 0], w[1, 1]) in v_dominoes
+
+
+class TestCodedDominoes:
+    @pytest.mark.parametrize("level", ["PU", "P1"])
+    def test_one_refinement_gives_both_domino_sets(
+        self, level, partition_u, action_u, induction_tower
+    ):
+        p1, _, r1, *_ = induction_tower
+        partition, action = (partition_u, action_u) if level == "PU" else (p1, r1)
+        squares = enumerate_language(partition, action, (2, 2))
+        horizontal, vertical = coded_dominoes(partition, action)
+        assert horizontal == {(w[0, 0], w[1, 0]) for w in project(squares, (2, 1))}
+        assert vertical == {(w[0, 0], w[0, 1]) for w in project(squares, (1, 2))}
+
+    def test_reference_dominoes(self, partition_u, action_u, h_dominoes, v_dominoes):
+        assert coded_dominoes(partition_u, action_u) == (h_dominoes, v_dominoes)
 
 
 class TestDesubstitutionIdentity:

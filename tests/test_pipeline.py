@@ -156,6 +156,32 @@ class TestLanguages:
         assert rows[(1, 3)].substitution_count == 55
         assert rows[(1, 3)].radius_used == 4
 
+    @pytest.mark.parametrize("max_shape", [(2, 2), (3, 3)], ids=["2x2", "3x3"])
+    def test_two_coding_refinements_per_run(self, monkeypatch, phi, max_shape):
+        # run_all refines the whole reference partition twice: once for the
+        # atom labels, once for every coding row (the induction loop refines
+        # window pieces, not the partition); the tile searches never refine,
+        # so they are replaced by the substitution language to keep this fast
+        from aperiodic_kit import pet, pipeline
+
+        supports = []
+        refine = pet._refine_by_codes
+
+        def counting(partition, action, support, base_cells):
+            supports.append(list(support))
+            return refine(partition, action, support, base_cells)
+
+        monkeypatch.setattr(pet, "_refine_by_codes", counting)
+        monkeypatch.setattr(
+            pipeline, "patterns_with_surrounding", lambda tiles, shape, r, jobs: language(phi, shape)
+        )
+        reference = build_reference_partition()
+        rows = cross_check_languages(reference, max_shape)
+        assert len(supports) == 2
+        assert supports[0] == [(0, 0), (1, 0), (0, 1)]
+        assert len(supports[1]) == max_shape[0] * max_shape[1]
+        assert all(row.all_equal for row in rows)
+
     def test_language_reference_partition_reusable(self, phi):
         partition, action = build_reference_partition()
         assert len(partition.atoms) == 19

@@ -153,6 +153,33 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: shape ") and err.count("\n") == 1
 
+    def test_coded_orbit_without_seed_point_is_one_line_error(self, tmp_path, capsys):
+        out = tmp_path / "x.svg"
+        argv = ["render", "--target", "coded-orbit", "--input", "PU", "--out", str(out)]
+        assert main(argv) == cli.USAGE_ERROR
+        err = capsys.readouterr().err
+        assert err == "error: --seed-point x,y is required\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("point", ["1/3", "1/0,1/5", "1/3,1/5,1/7", "a,b"])
+    def test_unreadable_seed_point_is_one_line_error(self, capsys, point):
+        assert main(["config", "--seed-point", point, "--shape", "1x1"]) == cli.USAGE_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot parse point ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lang", "--method", "tiles", "--shape", "2x2", "--radius", "-1"],
+            ["markers", "U", "--radius", "-1"],
+            ["desub", "U", "0,1,2,3,4,5,6,7", "--radius", "-1"],
+        ],
+    )
+    def test_negative_radius_is_usage_error(self, capsys, argv):
+        assert main(argv) == cli.USAGE_ERROR
+        err = capsys.readouterr().err
+        assert err == "error: argument --radius: radius must be at least 0, got -1\n"
+
     # argparse errors are one line and exit 1, not the usage text and 2
     @pytest.mark.parametrize(
         "argv",

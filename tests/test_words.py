@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from aperiodic_kit.words import ShapeMismatch, Word2d, concat, occurs_at, subwords
+from aperiodic_kit.words import ShapeMismatch, Word2d, concat, occurs_at, project, subwords
 
 
 def small_words(max_side=4):
@@ -123,6 +123,11 @@ class TestOccursAndSubwords:
         with pytest.raises(ShapeMismatch):
             subwords(Word2d([[1]]), (2, 1))
 
+    @pytest.mark.parametrize("shape", [(0, 1), (1, 0), (2, -1)])
+    def test_subwords_side_below_one(self, shape):
+        with pytest.raises(ValueError, match="at least 1"):
+            subwords(Word2d([[1, 2], [3, 4]]), shape)
+
     @given(small_words(4))
     def test_every_subword_occurs(self, w):
         for piece in subwords(w, (1, min(2, w.shape[1]))):
@@ -131,3 +136,25 @@ class TestOccursAndSubwords:
                 for x in range(w.shape[0])
                 for y in range(w.shape[1])
             )
+
+
+class TestProject:
+    def test_union_of_factors(self):
+        u = Word2d.from_rows([[1, 2], [3, 4]])
+        v = Word2d.from_rows([[4, 5], [6, 7]])
+        assert project({u, v}, (1, 1)) == {Word2d.single(a) for a in range(1, 8)}
+        assert project({u, v}, (2, 2)) == {u, v}
+        assert project(set(), (2, 2)) == set()
+
+    @pytest.mark.parametrize("shape", [(3, 1), (1, 3), (3, 3)])
+    def test_shape_larger_than_the_language(self, shape):
+        with pytest.raises(ValueError, match="exceeds word shape"):
+            project({Word2d.from_rows([[1, 2], [3, 4]])}, shape)
+
+    @given(small_words(4), st.integers(1, 4), st.integers(1, 4))
+    def test_projection_of_projection(self, w, s1, s2):
+        # projecting in two steps equals projecting at once
+        t1, t2 = min(s1, w.shape[0]), min(s2, w.shape[1])
+        middle = project({w}, (t1, t2))
+        assert project(middle, (1, 1)) == project({w}, (1, 1))
+        assert project(middle, (t1, t2)) == middle
