@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -51,6 +52,16 @@ def _parse_point(text: str | None):
         raise ValueError(f"cannot parse point {text!r}; expected rational x,y") from None
 
 
+def _integers(option: str, text: str, form: str) -> list[int]:
+    """The integers of an option value laid out like ``form`` ("x,y:tile")."""
+    try:
+        if re.findall("[,:]", text) != re.findall("[,:]", form):
+            raise ValueError
+        return [int(v) for v in re.split("[,:]", text)]
+    except ValueError:
+        raise ValueError(f"{option} {text!r}: expected integers {form}") from None
+
+
 def _radius(text: str) -> int:
     radius = int(text)
     if radius < 0:
@@ -71,21 +82,34 @@ def _load_partition(path: str):
     ``PU`` names the built-in reference pair.  A file may hold either a
     bare partition JSON (unit lattice, coded by the built-in rotation) or
     the wrapped output of the induce command, which carries its own
-    action.
+    action on the partition's lattice.
     """
     if path == "PU":
         return build_reference_partition()
     with open(path) as handle:
         data = json.load(handle)
-    if "partition" in data:
+    if isinstance(data, dict) and "partition" in data:
         from .pet import TorusAction
 
         partition = TorusPartition.from_json(data["partition"])
-        spec = data["action"]
-        pairs = [tuple(map(parse_phi, spec[key])) for key in ("lattice", "axis1", "axis2")]
+        spec = data.get("action")
+        keys = ("lattice", "axis1", "axis2")
+        if not isinstance(spec, dict) or any(key not in spec for key in keys):
+            raise ValueError(
+                f"{path}: a wrapped partition needs an 'action' object with "
+                "'lattice', 'axis1' and 'axis2'"
+            )
+        pairs = [tuple(map(parse_phi, spec[key])) for key in keys]
         if any(len(pair) != 2 for pair in pairs):
             raise ValueError("action lattice, axis1 and axis2 need two entries each")
-        return partition, TorusAction(*pairs)
+        action = TorusAction(*pairs)
+        if action.lattice != partition.lattice:
+            raise ValueError(
+                f"{path}: action lattice ({action.lattice[0]}, {action.lattice[1]}) "
+                f"differs from the partition lattice "
+                f"({partition.lattice[0]}, {partition.lattice[1]})"
+            )
+        return partition, action
     partition = TorusPartition.from_json(data)
     if partition.lattice != (PhiNumber(1), PhiNumber(1)):
         raise ValueError(
@@ -153,12 +177,13 @@ def cmd_solve(args) -> int:
     shape = _parse_shape(args.shape)
     fixed = {}
     for pin in args.fixed or []:
-        place, tile = pin.split(":", 1)
-        x, y = place.split(",", 1)
-        fixed[(int(x), int(y))] = int(tile)
+        x, y, tile = _integers("--fixed", pin, "x,y:tile")
+        if not 0 <= tile < len(tileset):
+            raise ValueError(f"--fixed {pin!r}: tile {tile} is not in the {len(tileset)}-tile set")
+        fixed[(x, y)] = tile
     wrap = None
     if args.wrap:
-        a, b, c, d = [int(x) for x in args.wrap.split(",")]
+        a, b, c, d = _integers("--wrap", args.wrap, "a,b,c,d")
         wrap = ((a, c), (b, d))  # basis columns (a, b) and (c, d)
     word = solve(TilingInstance(tileset, shape, fixed, wrap))
     if word is None:
@@ -217,8 +242,7 @@ def cmd_config(args) -> int:
     partition, action = _load_partition(args.partition)
     offset = (0, 0)
     if args.offset:
-        ox, oy = args.offset.split(",", 1)
-        offset = (int(ox), int(oy))
+        offset = tuple(_integers("--offset", args.offset, "i,j"))
     patch = config_patch(partition, action, point, shape, offset)
     _emit({"shape": list(patch.shape), "columns": patch.to_json()}, args.out)
     return OK

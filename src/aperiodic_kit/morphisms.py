@@ -2,8 +2,9 @@
 
 Application assembles a block matrix of letter images, which is defined only
 when image widths agree along every column of the argument and image heights
-agree along every row.  Language generation, the seed graph and periodic
-seeds are all computed by iterating a rule table on letters.
+agree along every row.  Languages are closures of factors under the rule,
+the seed graph runs over the 2x2 words with a defined image, and periodic
+seeds are found by iterating the rule on language words.
 """
 
 from __future__ import annotations
@@ -28,6 +29,14 @@ class NotStabilized(RuntimeError):
 
 class NotExpansive(ValueError):
     """Operation requires an expansive morphism."""
+
+
+class NotPrimitive(ValueError):
+    """Operation requires a primitive morphism."""
+
+
+class EmptyImage(ValueError):
+    """Operation requires every letter image to have both sides at least 1."""
 
 
 class Morphism2d:
@@ -181,61 +190,93 @@ def is_primitive(m: Morphism2d) -> bool:
 
 
 def language(m: Morphism2d, shape: tuple[int, int], bound: int = 40) -> Language2d:
-    """All factors of the given shape occurring in iterated letter images.
+    """All factors of the given shape in the words the rule generates.
 
-    Iterates the rule on every letter and extracts subwords until the
-    collected set is unchanged by a further iteration.  For a primitive
-    rule the sequence of sets is eventually constant, so the first repeat
-    is the full factor set; a still-growing set at ``bound`` raises, and so
-    does a shape with a side below 1, which has no factors.
+    The factors are computed as a closure: iterate the rule on letters
+    until some image has a factor of the shape, then repeatedly apply the
+    rule to each new factor and collect the factors of its image.  This is
+    exact under two conditions, which are checked.  Every image side is at
+    least 1, so a window of ``m(x)`` spans at most ``shape`` source cells
+    per axis and lies inside ``m(u)`` for a factor ``u`` of x: the closure
+    holds every factor of every iterate of its first factors.  And the rule
+    is primitive, so those iterates contain every letter's iterates: the
+    closure is the whole language, whichever factors it starts from.
+
+    Round k collects the new factors of the k-th power, and the first
+    round adding none ends the search; a round ``bound`` that still adds
+    factors raises NotStabilized, and so does a rule whose images never
+    grow to the shape.  A shape with a side below 1 has no factors and
+    raises at once.
     """
     s1, s2 = shape
     if s1 < 1 or s2 < 1:
         raise ValueError(f"shape {shape} needs both sides at least 1")
-    words = {a: Word2d.single(a) for a in range(m.domain_size)}
+    shapes = [m.image(a).shape for a in range(m.domain_size)]
+    if any(min(image_shape) < 1 for image_shape in shapes):
+        raise EmptyImage("language by closure needs every image side at least 1")
+    if not is_primitive(m):
+        raise NotPrimitive("language by closure needs a primitive rule")
+    # under primitivity an axis grows without bound once one image is 2 long
+    if (s1 > 1 and max(w for w, _ in shapes) == 1) or (s2 > 1 and max(h for _, h in shapes) == 1):
+        raise NotStabilized(f"images never grow to shape {shape}")
+    images = [Word2d.single(a) for a in range(m.domain_size)]
     seen: Language2d = set()
+    frontier: Language2d = set()
     for _ in range(bound):
-        words = {a: m.apply(w) for a, w in words.items()}
-        current = set(seen)
-        for w in words.values():
+        if seen:
+            grown = [m.apply(u) for u in frontier]
+        else:
+            images = [m.apply(w) for w in images]
+            grown = images
+        frontier = set()
+        for w in grown:
             if w.shape[0] >= s1 and w.shape[1] >= s2:
-                current |= subwords(w, shape)
-        if current == seen and seen:
+                frontier |= subwords(w, shape)
+        frontier -= seen
+        if seen and not frontier:
             return seen
-        seen = current
+        seen |= frontier
     raise NotStabilized(f"language at shape {shape} still growing after {bound} iterations")
 
 
 def seeds(m: Morphism2d) -> Language2d:
     """2x2 words lying on a cycle of the factor graph of the rule.
 
-    The graph has every 2x2 word as a vertex and an edge ``u -> v`` when v
-    is a factor of the image of u (if that image is defined).  Vertices on
-    cycles are those inside a strongly connected component of size > 1 or
-    carrying a self-loop.
+    The graph has an edge ``u -> v`` from a 2x2 word u whose image is
+    defined to every 2x2 factor v of that image.  A word whose image is
+    undefined (its columns' letters differ in image width, or its rows'
+    letters in image height) has no out-edge, so it lies on no cycle: the
+    graph is built over the defined-image words alone, and edges into
+    other words are dropped.  Vertices are keyed by their column tuples
+    and each image's windows are read straight off its columns.  Vertices
+    on cycles are those inside a strongly connected component of size > 1
+    or carrying a self-loop.
     """
     if m.domain_size != m.codomain_size:
         raise ValueError("seed graph needs domain = codomain")
-    alphabet = range(m.domain_size)
-    vertices = [
-        Word2d([[a, b], [c, d]])
-        for a, b, c, d in product(alphabet, repeat=4)
-    ]
-    index = {w: i for i, w in enumerate(vertices)}
-    edges: list[list[int]] = []
-    for u in vertices:
-        try:
-            img = m.apply(u)
-        except UndefinedImage:
-            edges.append([])
-            continue
-        if img.shape[0] < 2 or img.shape[1] < 2:
-            edges.append([])
-            continue
-        edges.append(sorted({index[v] for v in subwords(img, (2, 2))}))
-
+    images = [m.image(a) for a in range(m.domain_size)]
+    # the image of each column (a, b) whose letters' images share a width,
+    # grouped by the heights of its two blocks
+    columns: dict[tuple[int, int], list] = {}
+    for a, b in product(range(m.domain_size), repeat=2):
+        (wa, ha), (wb, hb) = images[a].shape, images[b].shape
+        if wa == wb:
+            block = tuple(ca + cb for ca, cb in zip(images[a].columns, images[b].columns))
+            columns.setdefault((ha, hb), []).append(((a, b), block))
+    graph = {
+        (left, right): left_image + right_image
+        for group in columns.values()
+        for (left, left_image), (right, right_image) in product(group, repeat=2)
+    }
+    vertices = list(graph)
+    index = {v: i for i, v in enumerate(vertices)}
+    edges = []
+    for image in graph.values():
+        found = {((c[y], c[y + 1]), (d[y], d[y + 1]))
+                 for c, d in zip(image, image[1:]) for y in range(len(c) - 1)}
+        edges.append([index[w] for w in found if w in index])
     on_cycle = _cycle_vertices(len(vertices), edges)
-    return {vertices[i] for i in on_cycle}
+    return {Word2d(vertices[i]) for i in on_cycle}
 
 
 def _cycle_vertices(n: int, edges: list[list[int]]) -> set[int]:

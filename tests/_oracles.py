@@ -8,16 +8,19 @@ all letters per block consistent with the window on overlap.
 The tiling oracles are an edge-checked enumeration of rectangle tilings,
 an exhaustive enumeration of torus tilings, and a second complete solver:
 the exact-cover reduction solved by Algorithm X (Knuth, "Dancing Links").
+
+The substitution oracles are the language of factors of iterated letter
+images and the seed graph over all k^4 2x2 words of a k-letter rule.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from aperiodic_kit.morphisms import Morphism2d
+from aperiodic_kit.morphisms import Morphism2d, NotStabilized, UndefinedImage, _cycle_vertices
 from aperiodic_kit.phifield import ZERO
 from aperiodic_kit.wang import BOTTOM, LEFT, RIGHT, TOP, _normalize
-from aperiodic_kit.words import Word2d
+from aperiodic_kit.words import Word2d, subwords
 
 
 def _splittings(total: int, start_offset: int, sizes: list[int]):
@@ -537,3 +540,46 @@ def exact_cover_solve(instance):
         grid = dict(chosen)
         return Word2d([[grid[(x, y)] for y in range(shape[1])] for x in range(shape[0])])
     return None
+
+
+def iterated_language(m: Morphism2d, shape: tuple[int, int], bound: int = 40) -> set:
+    """Factors of the given shape in iterated letter images.
+
+    Applies the rule to every letter's image and collects the factors of
+    every image, until an iteration adds none.
+    """
+    words = {a: Word2d.single(a) for a in range(m.domain_size)}
+    seen: set = set()
+    for _ in range(bound):
+        words = {a: m.apply(w) for a, w in words.items()}
+        current = set(seen)
+        for w in words.values():
+            if w.shape[0] >= shape[0] and w.shape[1] >= shape[1]:
+                current |= subwords(w, shape)
+        if current == seen and seen:
+            return seen
+        seen = current
+    raise NotStabilized(f"language at shape {shape} still growing after {bound} iterations")
+
+
+def full_graph_seeds(m: Morphism2d) -> set:
+    """Cycle vertices of the factor graph over every 2x2 word.
+
+    Every one of the k^4 words is a vertex, and the rule is applied to
+    each; a word whose image is undefined or smaller than 2x2 gets no
+    out-edge.
+    """
+    vertices = [Word2d([[a, b], [c, d]]) for a, b, c, d in product(range(m.domain_size), repeat=4)]
+    index = {w: i for i, w in enumerate(vertices)}
+    edges = []
+    for u in vertices:
+        try:
+            image = m.apply(u)
+        except UndefinedImage:
+            edges.append([])
+            continue
+        if image.shape[0] < 2 or image.shape[1] < 2:
+            edges.append([])
+            continue
+        edges.append(sorted({index[v] for v in subwords(image, (2, 2))}))
+    return {vertices[i] for i in _cycle_vertices(len(vertices), edges)}

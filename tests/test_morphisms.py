@@ -1,10 +1,17 @@
 import random
+from itertools import product
 
 import pytest
+from _oracles import full_graph_seeds, iterated_language
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aperiodic_kit.morphisms import (
+    EmptyImage,
     Morphism2d,
     NotExpansive,
+    NotPrimitive,
+    NotStabilized,
     UndefinedImage,
     UnknownLetter,
     compose,
@@ -141,7 +148,81 @@ class TestLanguage:
             assert project(table, shape) == language(phi, shape)
 
 
+def random_rule(rng: random.Random) -> Morphism2d:
+    """A rule on 2-4 letters with image sides 1 and 2.
+
+    Image widths and heights are drawn from sets W and H holding 2 and, in
+    one of them, also 1, so images grow in both axes and some 2x2 words
+    have an undefined image.  Every letter of image width w fills the
+    columns of its image with letters of the image widths ``columns[w]``,
+    and likewise for rows, so the image of a defined word is defined again
+    and every iterate of a letter is.
+    """
+    widths, heights = rng.choice([((1, 2), (2,)), ((2,), (1, 2)), ((1, 2), (1, 2))])
+    kinds = list(product(widths, heights))
+    size = rng.randint(max(2, len(kinds)), 4)
+    shapes = kinds + [rng.choice(kinds) for _ in range(size - len(kinds))]
+    rng.shuffle(shapes)
+    columns = {w: [rng.choice(widths) for _ in range(w)] for w in widths}
+    rows = {h: [rng.choice(heights) for _ in range(h)] for h in heights}
+    letters = {kind: [a for a, s in enumerate(shapes) if s == kind] for kind in kinds}
+    rule = {
+        a: [[rng.choice(letters[columns[w][x], rows[h][y]]) for y in range(h)] for x in range(w)]
+        for a, (w, h) in enumerate(shapes)
+    }
+    return Morphism2d(rule, size, size)
+
+
+def primitive_rule(seed: int) -> Morphism2d:
+    rng = random.Random(seed)
+    while True:
+        m = random_rule(rng)
+        if is_primitive(m):
+            return m
+
+
+primitive_rules = st.integers(0, 2**32).map(primitive_rule)
+
+
+class TestLanguageByClosure:
+    @pytest.mark.parametrize(
+        "shape", [(s1, s2) for s1 in (1, 2, 3) for s2 in (1, 2, 3)] + [(6, 6)]
+    )
+    def test_equals_iterated_letter_images(self, phi, shape):
+        assert language(phi, shape) == iterated_language(phi, shape)
+
+    @settings(max_examples=60, deadline=None)
+    @given(primitive_rules, st.sampled_from([(1, 1), (2, 1), (1, 2), (2, 2), (3, 2), (2, 3)]))
+    def test_small_primitive_rules(self, m, shape):
+        assert language(m, shape) == iterated_language(m, shape)
+
+    def test_non_primitive_rule_raises(self):
+        with pytest.raises(NotPrimitive):
+            language(Morphism2d.from_permutation({0: 1, 1: 0}), (1, 1))
+
+    def test_empty_image_raises(self):
+        with pytest.raises(EmptyImage):
+            language(Morphism2d({0: [[0, 1], [1, 0]], 1: []}, 2, 2), (1, 1))
+
+    def test_axis_that_never_grows_raises(self):
+        # every image has width 1, so no iterate is ever two letters wide
+        tall = Morphism2d({0: [[0, 1]], 1: [[1, 0]]})
+        with pytest.raises(NotStabilized):
+            language(tall, (2, 1))
+        assert len(language(tall, (1, 2))) == 4
+
+
 class TestSeeds:
+    def test_equal_full_graph_seeds(self, phi):
+        found = seeds(phi)
+        assert len(found) == 360
+        assert found == full_graph_seeds(phi)
+
+    @settings(max_examples=60, deadline=None)
+    @given(primitive_rules)
+    def test_small_primitive_rules_equal_full_graph_seeds(self, m):
+        assert seeds(m) == full_graph_seeds(m)
+
     def test_known_seed_present(self, phi):
         assert Word2d.from_rows([[9, 14], [1, 6]]) in seeds(phi)
 

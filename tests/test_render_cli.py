@@ -9,6 +9,12 @@ from aperiodic_kit.cli import main
 from aperiodic_kit.render import render_partition, render_tileset, render_tiling
 from aperiodic_kit.wang import TilingInstance, solve
 
+# the unit square as a one-atom partition of the unit torus
+UNIT_SQUARE = {
+    "lattice": ["1", "1"],
+    "atoms": {"0": [[["0", "0"], ["1", "0"], ["1", "1"], ["0", "1"]]]},
+}
+
 
 class TestRender:
     def test_tileset_svg(self, tiles_u):
@@ -240,6 +246,50 @@ class TestCli:
             ["config", "--partition", str(bare),
              "--seed-point", "1/3,1/5", "--shape", "2x2"]
         ) == 1
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (["--fixed", "0,0:99"], "error: --fixed '0,0:99': tile 99 is not in the 19-tile set\n"),
+            (["--fixed", "1"], "error: --fixed '1': expected integers x,y:tile\n"),
+            (["--fixed", "0:0,1"], "error: --fixed '0:0,1': expected integers x,y:tile\n"),
+            (["--wrap", "1,2"], "error: --wrap '1,2': expected integers a,b,c,d\n"),
+        ],
+    )
+    def test_bad_solve_values_name_the_option(self, capsys, options, message):
+        assert main(["solve", "U", "--shape", "2x2", *options]) == cli.USAGE_ERROR
+        assert capsys.readouterr().err == message
+
+    def test_bad_offset_names_the_option(self, capsys):
+        argv = ["config", "--seed-point", "1/3,1/5", "--shape", "1x1", "--offset", "3"]
+        assert main(argv) == cli.USAGE_ERROR
+        assert capsys.readouterr().err == "error: --offset '3': expected integers i,j\n"
+
+    def test_wrapped_partition_without_action_names_the_key(self, tmp_path, capsys):
+        path = tmp_path / "wrapped.json"
+        path.write_text(json.dumps({"partition": UNIT_SQUARE}))
+        argv = ["config", "--partition", str(path), "--seed-point", "1/3,1/5", "--shape", "2x1"]
+        assert main(argv) == cli.USAGE_ERROR
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err == (
+            f"error: {path}: a wrapped partition needs an 'action' object with "
+            "'lattice', 'axis1' and 'axis2'\n"
+        )
+
+    def test_wrapped_partition_with_a_foreign_action_lattice_rejected(self, tmp_path, capsys):
+        # the action would step points modulo (2, 3) while the partition
+        # locates them modulo (1, 1): a patch of some other system
+        path = tmp_path / "wrapped.json"
+        action = {"lattice": ["2", "3"], "axis1": ["1/3", "0"], "axis2": ["0", "1/5"]}
+        path.write_text(json.dumps({"partition": UNIT_SQUARE, "action": action}))
+        argv = ["config", "--partition", str(path), "--seed-point", "0,0", "--shape", "2x1"]
+        assert main(argv) == cli.USAGE_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {path}: action lattice (2, 3) differs from the partition lattice (1, 1)\n"
+        )
 
     @pytest.mark.parametrize("colors", [["A", "B", "C"], ["A", "B", "C", "D", "E"]])
     def test_tile_with_wrong_arity_is_usage_error(self, tmp_path, capsys, colors):
