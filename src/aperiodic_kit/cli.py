@@ -69,11 +69,19 @@ def _radius(text: str) -> int:
     return radius
 
 
+def _from_json(path: str, load, data):
+    """load(data), with the file named in what fails to load."""
+    try:
+        return load(data)
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _load_tileset(path: str) -> WangTileSet:
     if path == "U":
         return catalog.wang_tiles()
     with open(path) as handle:
-        return WangTileSet.from_json(json.load(handle))
+        return _from_json(path, WangTileSet.from_json, json.load(handle))
 
 
 def _load_partition(path: str):
@@ -91,7 +99,7 @@ def _load_partition(path: str):
     if isinstance(data, dict) and "partition" in data:
         from .pet import TorusAction
 
-        partition = TorusPartition.from_json(data["partition"])
+        partition = _from_json(path, TorusPartition.from_json, data["partition"])
         spec = data.get("action")
         keys = ("lattice", "axis1", "axis2")
         if not isinstance(spec, dict) or any(key not in spec for key in keys):
@@ -110,7 +118,7 @@ def _load_partition(path: str):
                 f"({partition.lattice[0]}, {partition.lattice[1]})"
             )
         return partition, action
-    partition = TorusPartition.from_json(data)
+    partition = _from_json(path, TorusPartition.from_json, data)
     if partition.lattice != (PhiNumber(1), PhiNumber(1)):
         raise ValueError(
             "bare partition JSON must live on the unit lattice; induced "

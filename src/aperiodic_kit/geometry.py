@@ -7,6 +7,12 @@ of a diagonal lattice; non-convex atoms are represented by several cells
 glued along edges that no cutting segment covers.  Points are located by
 the closed cells alone: a point is on the partition boundary exactly when
 cells of two atoms hold it or one of its seam twins.
+
+Clipping cuts plain vertex rings: every halfplane of a clip, an
+intersection or a difference is applied to the unnormalized ring of the
+previous cut, and each returned piece is normalized once.  The arithmetic
+is exact, so a cut point is the same whichever ring produced it, and the
+one normalization yields the canonical vertex tuple of the result.
 """
 
 from __future__ import annotations
@@ -49,6 +55,11 @@ def pt(x, y) -> Point:
 
 
 def _dot(n: Point, p: Point) -> PhiNumber:
+    # box, window and rotation-piece edges have axis-parallel normals
+    if not n[0]:
+        return n[1] * p[1]
+    if not n[1]:
+        return n[0] * p[0]
     return n[0] * p[0] + n[1] * p[1]
 
 
@@ -89,7 +100,13 @@ class Polygon:
         return [(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs))]
 
     def translate(self, v: Point) -> "Polygon":
-        return Polygon([(p[0] + v[0], p[1] + v[1]) for p in self.vertices])
+        # a translation keeps the orientation, the collinearity and the
+        # lexicographically least vertex: the moved tuple is canonical
+        moved = object.__new__(Polygon)
+        vertices = tuple((p[0] + v[0], p[1] + v[1]) for p in self.vertices)
+        object.__setattr__(moved, "vertices", vertices)
+        object.__setattr__(moved, "_bbox", None)
+        return moved
 
     def locate(self, x: Point) -> str:
         """'interior', 'boundary' or 'outside' for this convex polygon."""
@@ -171,50 +188,80 @@ def rectangle(x0, y0, x1, y1) -> Polygon:
     return Polygon([pt(x0, y0), pt(x1, y0), pt(x1, y1), pt(x0, y1)])
 
 
-def clip(poly: Polygon, normal: Point, offset: PhiNumber) -> Optional[Polygon]:
-    """poly intersected with the halfplane <normal, x> <= offset; None if flat."""
-    offset = _num(offset)
-    out: list[Point] = []
-    vs = poly.vertices
-    values = [_dot(normal, v) - offset for v in vs]
-    for i in range(len(vs)):
-        cur, nxt = vs[i], vs[(i + 1) % len(vs)]
-        vc, vn = values[i], values[(i + 1) % len(vs)]
-        if vc.sign() <= 0:
-            out.append(cur)
-        if (vc.sign() < 0 < vn.sign()) or (vn.sign() < 0 < vc.sign()):
-            t = vc / (vc - vn)
-            out.append(
-                (cur[0] + t * (nxt[0] - cur[0]), cur[1] + t * (nxt[1] - cur[1]))
-            )
-    return polygon_or_none(out) if out else None
+def _split(ring: Sequence[Point], normal: Point, offset: PhiNumber):
+    """The parts of a convex vertex ring with <normal, x> <= offset and with
+    <normal, x> >= offset, as unnormalized rings.
+
+    The value and sign of each vertex are computed once, and both parts
+    share the cut points.  A part holding every vertex is the ring itself.
+    A convex ring without collinear vertices cuts into rings of the same
+    kind, and a flat part has fewer than three vertices (it may be empty).
+    """
+    values = [_dot(normal, v) - offset for v in ring]
+    signs = [value.sign() for value in values]
+    if max(signs) <= 0:
+        return ring, ()
+    if min(signs) >= 0:
+        return (), ring
+    inside: list[Point] = []
+    outside: list[Point] = []
+    last = len(ring) - 1
+    for i, cur in enumerate(ring):
+        j = i + 1 if i < last else 0
+        sc = signs[i]
+        if sc <= 0:
+            inside.append(cur)
+        if sc >= 0:
+            outside.append(cur)
+        if sc * signs[j] < 0:
+            vc, nxt = values[i], ring[j]
+            t = vc / (vc - values[j])
+            cut = (cur[0] + t * (nxt[0] - cur[0]), cur[1] + t * (nxt[1] - cur[1]))
+            inside.append(cut)
+            outside.append(cut)
+    return inside, outside
 
 
-def convex_intersection(a: Polygon, b: Polygon) -> Optional[Polygon]:
-    result: Optional[Polygon] = a
-    for p, q in b.edges():
+def _halfplanes(poly: Polygon):
+    """(normal, offset) of the halfplanes <normal, x> <= offset whose
+    intersection is the polygon, one per edge."""
+    for p, q in poly.edges():
         # inward side of edge (p, q) of a CCW polygon: cross(q-p, x-p) >= 0,
         # i.e. <n, x> <= <n, p> for n = (qy - py, px - qx)
         normal = (q[1] - p[1], p[0] - q[0])
-        result = clip(result, normal, _dot(normal, p))
-        if result is None:
+        yield normal, _dot(normal, p)
+
+
+def _piece(poly: Polygon, ring: Sequence[Point]) -> Optional[Polygon]:
+    """The polygon of a ring cut from poly: poly itself when nothing was cut."""
+    return poly if ring is poly.vertices else polygon_or_none(ring)
+
+
+def clip(poly: Polygon, normal: Point, offset: PhiNumber) -> Optional[Polygon]:
+    """poly intersected with the halfplane <normal, x> <= offset; None if flat."""
+    return _piece(poly, _split(poly.vertices, normal, _num(offset))[0])
+
+
+def convex_intersection(a: Polygon, b: Polygon) -> Optional[Polygon]:
+    ring = a.vertices
+    for normal, offset in _halfplanes(b):
+        ring = _split(ring, normal, offset)[0]
+        if len(ring) < 3:
             return None
-    return result
+    return _piece(a, ring)
 
 
 def convex_difference(a: Polygon, b: Polygon) -> list[Polygon]:
     """a minus b as convex pieces with disjoint interiors."""
     pieces = []
-    rest: Optional[Polygon] = a
-    for p, q in b.edges():
-        if rest is None:
+    rest = a.vertices
+    for normal, offset in _halfplanes(b):
+        rest, outside = _split(rest, normal, offset)
+        piece = _piece(a, outside)
+        if piece is not None:
+            pieces.append(piece)
+        if len(rest) < 3:
             break
-        normal = (q[1] - p[1], p[0] - q[0])
-        offset = _dot(normal, p)
-        outside = clip(rest, (-normal[0], -normal[1]), -offset)
-        if outside is not None:
-            pieces.append(outside)
-        rest = clip(rest, normal, offset)
     return pieces
 
 
@@ -481,6 +528,9 @@ class TorusPartition:
         """Load a partition, checking that its atoms tile the torus."""
         from .phifield import parse_phi
 
+        for key in ("lattice", "atoms"):
+            if not isinstance(data, dict) or key not in data:
+                raise ValueError(f"partition JSON has no {key!r} key")
         lattice = tuple(parse_phi(s) for s in data["lattice"])
         if len(lattice) != 2 or min(lattice).sign() <= 0:
             raise ValueError(f"lattice needs two positive entries, got {data['lattice']!r}")
@@ -680,10 +730,15 @@ def is_equal_up_to_relabeling(p: TorusPartition, q: TorusPartition):
     """Label map a -> b with atom_p(a) = atom_q(b) up to null sets, or None."""
     if p.lattice != q.lattice or len(p.atoms) != len(q.atoms):
         return None
+    # Region.equals_up_to_null, with every area computed once
+    areas = {b: other.area() for b, other in q.atoms.items()}
     mapping = {}
     for a, region in p.atoms.items():
+        area = region.area()
         matches = [
-            b for b, other in q.atoms.items() if region.equals_up_to_null(other)
+            b
+            for b, other in q.atoms.items()
+            if areas[b] == area and region.intersection_area(other) == area
         ]
         if len(matches) != 1:
             return None

@@ -66,6 +66,8 @@ class WangTileSet:
 
     @classmethod
     def from_json(cls, data: dict) -> "WangTileSet":
+        if not isinstance(data, dict) or "tiles" not in data:
+            raise ValueError("tile set JSON has no 'tiles' key")
         return cls(data["tiles"])
 
 

@@ -11,12 +11,15 @@ the exact-cover reduction solved by Algorithm X (Knuth, "Dancing Links").
 
 The substitution oracles are the language of factors of iterated letter
 images and the seed graph over all k^4 2x2 words of a k-letter rule.
+
+The clipping oracles build a normalized Polygon after every halfplane cut.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
+from aperiodic_kit.geometry import polygon_or_none
 from aperiodic_kit.morphisms import Morphism2d, NotStabilized, UndefinedImage, _cycle_vertices
 from aperiodic_kit.phifield import ZERO
 from aperiodic_kit.wang import BOTTOM, LEFT, RIGHT, TOP, _normalize
@@ -583,3 +586,49 @@ def full_graph_seeds(m: Morphism2d) -> set:
             continue
         edges.append(sorted({index[v] for v in subwords(image, (2, 2))}))
     return {vertices[i] for i in _cycle_vertices(len(vertices), edges)}
+
+
+def clip_each_cut(poly, normal, offset):
+    """poly intersected with <normal, x> <= offset, normalized; None if flat."""
+    out = []
+    vs = poly.vertices
+    values = [normal[0] * v[0] + normal[1] * v[1] - offset for v in vs]
+    for i in range(len(vs)):
+        cur, nxt = vs[i], vs[(i + 1) % len(vs)]
+        vc, vn = values[i], values[(i + 1) % len(vs)]
+        if vc.sign() <= 0:
+            out.append(cur)
+        if (vc.sign() < 0 < vn.sign()) or (vn.sign() < 0 < vc.sign()):
+            t = vc / (vc - vn)
+            out.append((cur[0] + t * (nxt[0] - cur[0]), cur[1] + t * (nxt[1] - cur[1])))
+    return polygon_or_none(out) if out else None
+
+
+def _edge_halfplanes(poly):
+    for p, q in poly.edges():
+        normal = (q[1] - p[1], p[0] - q[0])
+        yield normal, normal[0] * p[0] + normal[1] * p[1]
+
+
+def intersection_each_cut(a, b):
+    """a clipped by every edge halfplane of b, normalized after each cut."""
+    result = a
+    for normal, offset in _edge_halfplanes(b):
+        result = clip_each_cut(result, normal, offset)
+        if result is None:
+            return None
+    return result
+
+
+def difference_each_cut(a, b):
+    """a minus b as convex pieces, each cut normalized."""
+    pieces = []
+    rest = a
+    for normal, offset in _edge_halfplanes(b):
+        if rest is None:
+            break
+        outside = clip_each_cut(rest, (-normal[0], -normal[1]), -offset)
+        if outside is not None:
+            pieces.append(outside)
+        rest = clip_each_cut(rest, normal, offset)
+    return pieces

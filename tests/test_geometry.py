@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +27,7 @@ from aperiodic_kit.geometry import (
 )
 from aperiodic_kit.pet import coded_dominoes
 from aperiodic_kit.phifield import PHI, PhiNumber
+from aperiodic_kit.pipeline import build_reference_partition
 
 # two diagonals on the unit torus: two atoms, each glued across a seam
 DIAGONALS = [(pt(0, 0), pt(1, 1)), (pt(0, 1), pt(1, 0))]
@@ -305,3 +308,11 @@ def _rect_json(x0, y0, x1, y1):
 def test_from_json_rejects_non_tiling(atoms, defect):
     with pytest.raises(ValueError, match=defect):
         TorusPartition.from_json({"lattice": ["1", "1"], "atoms": atoms})
+
+
+def test_reference_partition_is_pinned():
+    # the labeled 19 atoms, cell by cell and vertex by vertex, as built by
+    # partition_from_segments (which cuts with clip) and relabel_to_match
+    pinned = Path(__file__).parent / "expected" / "reference_partition.json"
+    expected = json.loads(pinned.read_text())
+    assert build_reference_partition()[0].to_json() == expected

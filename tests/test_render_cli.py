@@ -297,7 +297,7 @@ class TestCli:
         path.write_text(json.dumps({"tiles": [["A", "B", "A", "B"], colors]}))
         assert main(["solve", str(path), "--shape", "2x2"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: tile 1 ") and err.count("\n") == 1
+        assert err.startswith(f"error: {path}: tile 1 ") and err.count("\n") == 1
 
     def test_partition_covering_half_the_torus_rejected(self, tmp_path, capsys, partition_u):
         data = partition_u.to_json()
@@ -308,7 +308,8 @@ class TestCli:
             ["config", "--partition", str(path), "--seed-point", "1/3,1/5", "--shape", "2x2"]
         ) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: partition does not tile the torus") and "covolume" in err
+        assert err.startswith(f"error: {path}: partition does not tile the torus")
+        assert "covolume" in err
 
     @pytest.mark.parametrize(
         "command, data",
@@ -324,6 +325,27 @@ class TestCli:
         assert main([*command, str(path)]) == cli.USAGE_ERROR == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command, data, key",
+        [
+            (["solve", "--shape", "2x2"], {}, "tiles"),
+            (["solve", "--shape", "2x2"], [], "tiles"),
+            (["config", "--seed-point", "1/3,1/5", "--shape", "1x1", "--partition"],
+             {"lattice": ["1", "1"]}, "atoms"),
+            (["config", "--seed-point", "1/3,1/5", "--shape", "1x1", "--partition"],
+             {"atoms": {}}, "lattice"),
+            (["config", "--seed-point", "1/3,1/5", "--shape", "1x1", "--partition"],
+             {"partition": {"lattice": ["1", "1"]}, "action": {}}, "atoms"),
+        ],
+    )
+    def test_missing_key_names_the_key_and_the_file(self, tmp_path, capsys, command, data, key):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        assert main([*command, str(path)]) == cli.USAGE_ERROR
+        err = capsys.readouterr().err
+        what = "tile set" if key == "tiles" else "partition"
+        assert err == f"error: {path}: {what} JSON has no '{key}' key\n"
 
     def test_failed_verification_exit_code(self, tmp_path, monkeypatch, capsys):
         class FailingReport:
