@@ -17,7 +17,14 @@ from . import catalog
 from .geometry import TorusPartition
 from .markers import find_markers, find_substitution, is_equivalent
 from .morphisms import language
-from .pet import Window, config_patch, enumerate_language, induce_action, induced_partition
+from .pet import (
+    TorusAction,
+    Window,
+    config_patch,
+    enumerate_language,
+    induce_action,
+    induced_partition,
+)
 from .phifield import PhiNumber, parse_phi
 from .pipeline import build_reference_partition, run_all
 from .wang import TilingInstance, WangTileSet, patterns_with_surrounding, solve
@@ -69,62 +76,56 @@ def _radius(text: str) -> int:
     return radius
 
 
-def _from_json(path: str, load, data):
-    """load(data), with the file named in what fails to load."""
-    try:
-        return load(data)
-    except (ValueError, TypeError) as exc:
-        raise ValueError(f"{path}: {exc}") from None
+def _from_json(path: str, load):
+    """load() of the JSON file at path; what fails to parse or load names it."""
+    with open(path) as handle:
+        try:
+            return load(json.load(handle))
+        except (ValueError, TypeError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def _load_tileset(path: str) -> WangTileSet:
     if path == "U":
         return catalog.wang_tiles()
-    with open(path) as handle:
-        return _from_json(path, WangTileSet.from_json, json.load(handle))
+    return _from_json(path, WangTileSet.from_json)
 
 
 def _load_partition(path: str):
-    """Partition plus the action that codes it.
-
-    ``PU`` names the built-in reference pair.  A file may hold either a
-    bare partition JSON (unit lattice, coded by the built-in rotation) or
-    the wrapped output of the induce command, which carries its own
-    action on the partition's lattice.
-    """
+    """Partition plus the action that codes it; ``PU`` names the built-in pair."""
     if path == "PU":
         return build_reference_partition()
-    with open(path) as handle:
-        data = json.load(handle)
-    if isinstance(data, dict) and "partition" in data:
-        from .pet import TorusAction
+    return _from_json(path, _partition_and_action)
 
-        partition = _from_json(path, TorusPartition.from_json, data["partition"])
-        spec = data.get("action")
-        keys = ("lattice", "axis1", "axis2")
-        if not isinstance(spec, dict) or any(key not in spec for key in keys):
+
+def _partition_and_action(data):
+    """A bare partition JSON (unit lattice, coded by the built-in rotation) or
+    the wrapped induce output, which carries its action on the same lattice."""
+    if not (isinstance(data, dict) and "partition" in data):
+        partition = TorusPartition.from_json(data)
+        if partition.lattice != (PhiNumber(1), PhiNumber(1)):
             raise ValueError(
-                f"{path}: a wrapped partition needs an 'action' object with "
-                "'lattice', 'axis1' and 'axis2'"
+                "bare partition JSON must live on the unit lattice; induced "
+                "partitions are loaded from the wrapped induce output"
             )
-        pairs = [tuple(map(parse_phi, spec[key])) for key in keys]
-        if any(len(pair) != 2 for pair in pairs):
-            raise ValueError("action lattice, axis1 and axis2 need two entries each")
-        action = TorusAction(*pairs)
-        if action.lattice != partition.lattice:
-            raise ValueError(
-                f"{path}: action lattice ({action.lattice[0]}, {action.lattice[1]}) "
-                f"differs from the partition lattice "
-                f"({partition.lattice[0]}, {partition.lattice[1]})"
-            )
-        return partition, action
-    partition = _from_json(path, TorusPartition.from_json, data)
-    if partition.lattice != (PhiNumber(1), PhiNumber(1)):
+        return partition, catalog.rotation_action()
+    partition = TorusPartition.from_json(data["partition"])
+    spec = data.get("action")
+    keys = ("lattice", "axis1", "axis2")
+    if not isinstance(spec, dict) or any(key not in spec for key in keys):
         raise ValueError(
-            "bare partition JSON must live on the unit lattice; induced "
-            "partitions are loaded from the wrapped induce output"
+            "a wrapped partition needs an 'action' object with "
+            "'lattice', 'axis1' and 'axis2'"
         )
-    return partition, catalog.rotation_action()
+    lattice, axis1, axis2 = (tuple(map(parse_phi, spec[key])) for key in keys)
+    if any(len(pair) != 2 for pair in (lattice, axis1, axis2)):
+        raise ValueError("action lattice, axis1 and axis2 need two entries each")
+    if lattice != partition.lattice:
+        raise ValueError(
+            f"action lattice ({lattice[0]}, {lattice[1]}) differs from the "
+            f"partition lattice ({partition.lattice[0]}, {partition.lattice[1]})"
+        )
+    return partition, TorusAction(lattice, axis1, axis2)
 
 
 def _emit(data, out: str | None):

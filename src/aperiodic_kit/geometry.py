@@ -8,11 +8,14 @@ glued along edges that no cutting segment covers.  Points are located by
 the closed cells alone: a point is on the partition boundary exactly when
 cells of two atoms hold it or one of its seam twins.
 
-Clipping cuts plain vertex rings: every halfplane of a clip, an
-intersection or a difference is applied to the unnormalized ring of the
-previous cut, and each returned piece is normalized once.  The arithmetic
-is exact, so a cut point is the same whichever ring produced it, and the
-one normalization yields the canonical vertex tuple of the result.
+Every cut is one _split pass over a plain vertex ring that returns both
+sides: a clip, an intersection with its difference, or a cell split by a
+line of the arrangement.  Each halfplane is applied to the unnormalized
+ring of the previous cut, and each returned piece is normalized once.  The
+arithmetic is exact, so a cut point is the same whichever ring produced
+it, and the one normalization yields the canonical vertex tuple.  Segments
+and polygons share one rule for their lattice translates, _axis_shifts:
+only translates whose projections meet the box on both axes are clipped.
 """
 
 from __future__ import annotations
@@ -251,8 +254,9 @@ def convex_intersection(a: Polygon, b: Polygon) -> Optional[Polygon]:
     return _piece(a, ring)
 
 
-def convex_difference(a: Polygon, b: Polygon) -> list[Polygon]:
-    """a minus b as convex pieces with disjoint interiors."""
+def convex_split(a: Polygon, b: Polygon) -> tuple[Optional[Polygon], list[Polygon]]:
+    """a & b (None if flat) and a minus b as convex pieces with disjoint
+    interiors, from one cut of a by each edge halfplane of b."""
     pieces = []
     rest = a.vertices
     for normal, offset in _halfplanes(b):
@@ -261,8 +265,8 @@ def convex_difference(a: Polygon, b: Polygon) -> list[Polygon]:
         if piece is not None:
             pieces.append(piece)
         if len(rest) < 3:
-            break
-    return pieces
+            return None, pieces
+    return _piece(a, rest), pieces
 
 
 def split_cells(cells, pieces):
@@ -334,10 +338,14 @@ def lattice_pieces(poly: Polygon, lattice, box: Polygon, offset: Point = (ZERO, 
 
 
 def _axis_shifts(lo, hi, period, box_lo, box_hi) -> list[PhiNumber]:
-    """Multiples k*period moving the open interval (lo, hi) to meet (box_lo, box_hi)."""
-    shift = PhiNumber(((box_lo - hi) / period).floor() + 1) * period
+    """Multiples k*period moving the interval [lo, hi] to meet [box_lo, box_hi]
+    in an open interval, or anywhere in the closed box when lo == hi, so that
+    a segment on a seam keeps its translates on both sides of the rectangle."""
+    point = lo == hi
+    k = -((hi - box_lo) / period).floor() if point else ((box_lo - hi) / period).floor() + 1
+    shift = PhiNumber(k) * period
     shifts = []
-    while lo + shift < box_hi:
+    while lo + shift < box_hi or (point and lo + shift == box_hi):
         shifts.append(shift)
         shift = shift + period
     return shifts
@@ -430,19 +438,9 @@ def _edge_sweep(cells: Sequence[Polygon], lattice):
                 yield line, lo, hi, covering
 
 
-def _merge_intervals(intervals):
-    merged = []
-    for lo, hi in sorted(intervals):
-        if merged and lo <= merged[-1][1]:
-            if hi > merged[-1][1]:
-                merged[-1] = (merged[-1][0], hi)
-        else:
-            merged.append((lo, hi))
-    return merged
-
-
 def _interval_minus(lo, hi, covered) -> bool:
-    """True iff (lo, hi) has an uncovered open sub-interval."""
+    """True iff (lo, hi) has an open sub-interval that none of the covered
+    intervals, sorted by their lower ends, covers."""
     cursor = lo
     for clo, chi in covered:
         if chi <= cursor:
@@ -552,26 +550,20 @@ class TorusPartition:
 # arrangement of segments on the torus
 
 
-def _clip_segment_to_box(p: Point, q: Point, l1, l2) -> Optional[Segment]:
+def _clip_segment_to_box(p: Point, q: Point, box: Polygon) -> Optional[Segment]:
+    """The part of pq in the closed convex box; None when it is a point or empty."""
     d = (q[0] - p[0], q[1] - p[1])
-    t_lo, t_hi = PhiNumber(0), PhiNumber(1)
-    for normal, bound in (
-        ((PhiNumber(-1), PhiNumber(0)), PhiNumber(0)),
-        ((PhiNumber(1), PhiNumber(0)), l1),
-        ((PhiNumber(0), PhiNumber(-1)), PhiNumber(0)),
-        ((PhiNumber(0), PhiNumber(1)), l2),
-    ):
-        nd = _dot(normal, d)
-        np_ = _dot(normal, p) - bound
-        if nd.sign() == 0:
-            if np_.sign() > 0:
-                return None
-            continue
-        t_star = -np_ / nd
-        if nd.sign() > 0:
-            t_hi = min(t_hi, t_star)
-        else:
-            t_lo = max(t_lo, t_star)
+    t_lo, t_hi = ZERO, ONE
+    for normal, offset in _halfplanes(box):
+        # p + t d lies in the halfplane when t <normal, d> <= room
+        nd, room = _dot(normal, d), offset - _dot(normal, p)
+        side = nd.sign()
+        if side > 0:
+            t_hi = min(t_hi, room / nd)
+        elif side < 0:
+            t_lo = max(t_lo, room / nd)
+        elif room.sign() < 0:
+            return None
     if not t_lo < t_hi:
         return None
     return (
@@ -581,30 +573,19 @@ def _clip_segment_to_box(p: Point, q: Point, l1, l2) -> Optional[Segment]:
 
 
 def _reduce_segments(segments, l1, l2) -> list[Segment]:
-    """All lattice translates of the segments clipped to the closed box."""
+    """The lattice translates of the segments that meet the box, clipped to it."""
+    box = rectangle(0, 0, l1, l2)
     pieces = {}
     for p, q in segments:
-        p = (_num(p[0]), _num(p[1]))
-        q = (_num(q[0]), _num(q[1]))
+        p, q = pt(*p), pt(*q)
         if p == q:
             raise DegenerateArrangement(f"zero-length segment at {p}")
-        min_x, max_x = min(p[0], q[0]), max(p[0], q[0])
-        min_y, max_y = min(p[1], q[1]), max(p[1], q[1])
-        k1_lo = ((-max_x) / l1).floor()
-        k1_hi = ((l1 - min_x) / l1).floor() + 1
-        k2_lo = ((-max_y) / l2).floor()
-        k2_hi = ((l2 - min_y) / l2).floor() + 1
-        for k1 in range(k1_lo, k1_hi + 1):
-            for k2 in range(k2_lo, k2_hi + 1):
-                shift = (PhiNumber(k1) * l1, PhiNumber(k2) * l2)
-                piece = _clip_segment_to_box(
-                    (p[0] + shift[0], p[1] + shift[1]),
-                    (q[0] + shift[0], q[1] + shift[1]),
-                    l1,
-                    l2,
-                )
-                if piece is not None:
-                    pieces[tuple(sorted(piece))] = piece
+        xs = _axis_shifts(min(p[0], q[0]), max(p[0], q[0]), l1, ZERO, l1)
+        ys = _axis_shifts(min(p[1], q[1]), max(p[1], q[1]), l2, ZERO, l2)
+        for dx, dy in product(xs, ys):
+            piece = _clip_segment_to_box((p[0] + dx, p[1] + dy), (q[0] + dx, q[1] + dy), box)
+            if piece is not None:
+                pieces[tuple(sorted(piece))] = piece
     return list(pieces.values())
 
 
@@ -618,34 +599,27 @@ def partition_from_segments(segments, lattice) -> TorusPartition:
     a provisional label.
     """
     l1, l2 = _num(lattice[0]), _num(lattice[1])
-    pieces = _reduce_segments(segments, l1, l2)
+    keys = [_edge_key(p, q, (l1, l2)) for p, q in _reduce_segments(segments, l1, l2)]
 
-    # distinct supporting lines, skipping the box boundary (no area to split)
-    boundary_lines = {(ONE, ZERO, ZERO), (ONE, ZERO, l1), (ZERO, ONE, ZERO), (ZERO, ONE, l2)}
-    lines = []
-    seen = set()
-    for p, q in pieces:
-        line = _canonical_line(p, q)
-        if line in boundary_lines or line in seen:
-            continue
-        seen.add(line)
-        lines.append(line)
+    # distinct supporting lines; the box boundary is keyed as the two seam
+    # lines and has no area to split
+    seams = {(ONE, ZERO, ZERO), (ZERO, ONE, ZERO)}
+    lines = dict.fromkeys(line for line, _, _ in keys if line not in seams)
 
     cells = [rectangle(0, 0, l1, l2)]
     for a, b, c in lines:
-        nxt = []
-        for cell in cells:
-            lower = clip(cell, (a, b), c)
-            upper = clip(cell, (-a, -b), -c)
-            nxt.extend(x for x in (lower, upper) if x is not None)
-        cells = nxt
+        cells = [
+            piece
+            for cell in cells
+            for ring in _split(cell.vertices, (a, b), c)
+            if (piece := _piece(cell, ring)) is not None
+        ]
 
-    # covered intervals per line (seam-canonicalized), from the cut segments
+    # covered intervals per line (seam-canonicalized) from the cut segments,
+    # sorted by their lower ends
     covered: dict = {}
-    for p, q in pieces:
-        line, lo, hi = _edge_key(p, q, (l1, l2))
+    for line, lo, hi in sorted(keys, key=lambda key: key[1:]):
         covered.setdefault(line, []).append((lo, hi))
-    covered = {line: _merge_intervals(iv) for line, iv in covered.items()}
 
     # glue cells along shared edge pieces not covered by segments
     parent = list(range(len(cells)))

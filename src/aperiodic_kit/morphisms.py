@@ -155,17 +155,22 @@ def compose(m1: Morphism2d, m2: Morphism2d) -> Morphism2d:
     )
 
 
-def is_expansive(m: Morphism2d, bound: int = 12) -> bool:
+# Powers of the rule checked for growth: the square substitution grows in
+# both directions from its second power on.
+EXPANSIVE_POWERS = 12
+
+
+def is_expansive(m: Morphism2d) -> bool:
     """True iff iterated images of every letter grow in both directions.
 
     Once some power sends every letter to an image of width and height at
-    least 2, shapes at least double every further power, so checking powers
-    up to ``bound`` decides expansiveness for any reasonable rule table.
+    least 2, shapes at least double every further power, so checking
+    EXPANSIVE_POWERS powers decides expansiveness for any reasonable rule.
     """
     if m.domain_size != m.codomain_size:
         raise ValueError("expansiveness needs domain = codomain")
     words = {a: Word2d.single(a) for a in range(m.domain_size)}
-    for _ in range(bound):
+    for _ in range(EXPANSIVE_POWERS):
         words = {a: m.apply(w) for a, w in words.items()}
         if all(min(w.shape) >= 2 for w in words.values()):
             return True

@@ -20,8 +20,7 @@ from .geometry import (
     TorusPartition,
     _num,
     closure_hits,
-    convex_difference,
-    convex_intersection,
+    convex_split,
     lattice_pieces,
     rectangle,
     split_cells,
@@ -32,8 +31,12 @@ from .phifield import PhiNumber
 from .words import Word2d
 
 
+# a guard on first returns: the reference windows return within two steps
+MAX_RETURN_STEPS = 64
+
+
 class NonReturningPiece(RuntimeError):
-    """A window piece failed to return within the iteration bound."""
+    """A window piece failed to return within MAX_RETURN_STEPS steps."""
 
 
 def _vadd(a: Point, b: Point) -> Point:
@@ -58,6 +61,12 @@ class Window:
         return x[self.axis - 1] < self.bound
 
     def sub_lattice(self, lattice) -> tuple[PhiNumber, PhiNumber]:
+        """The lattice of the strip's rectangle inside that of ``lattice``."""
+        side = lattice[self.axis - 1]
+        if self.bound > side:
+            raise ValueError(
+                f"window bound {self.bound} exceeds the lattice side {side} on axis {self.axis}"
+            )
         if self.axis == 1:
             return (self.bound, lattice[1])
         return (lattice[0], self.bound)
@@ -124,9 +133,7 @@ class PolygonExchange:
         return cls((l1, l2), pieces)
 
 
-def induced_transformation(
-    transform: PolygonExchange, window, bound: int = 64
-):
+def induced_transformation(transform: PolygonExchange, window):
     """First-return map of a PET on a window, with return times.
 
     The window is an axis strip (a Window) or any convex Polygon inside
@@ -146,25 +153,23 @@ def induced_transformation(
 
     active = [(window_poly, (PhiNumber(0), PhiNumber(0)))]
     returned: list[tuple[Polygon, Point, int]] = []
-    for step in range(1, bound + 1):
+    for step in range(1, MAX_RETURN_STEPS + 1):
         moved = [
             (part.translate(v), _vadd(tau, v))
             for part, tau, v in split_cells(active, transform.pieces)
         ]
         active = []
         for current, tau in moved:
-            inside = convex_intersection(current, window_poly)
+            inside, outside = convex_split(current, window_poly)
             if inside is not None:
                 returned.append(
                     (inside.translate((-tau[0], -tau[1])), tau, step)
                 )
-            active.extend(
-                (outside, tau) for outside in convex_difference(current, window_poly)
-            )
+            active.extend((piece, tau) for piece in outside)
         if not active:
             break
     else:
-        raise NonReturningPiece(f"no return within {bound} steps")
+        raise NonReturningPiece(f"no return within {MAX_RETURN_STEPS} steps")
 
     pieces = [(poly, tau) for poly, tau, _ in returned]
     times = [(poly, step) for poly, _, step in returned]

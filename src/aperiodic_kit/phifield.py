@@ -170,14 +170,11 @@ class PhiNumber:
 
     # -- approximation (display / rendering only) ----------------------
 
-    def approx(self, digits: int = 30) -> Fraction:
-        """Rational approximation correct to the requested decimal digits."""
-        scale = 10 ** (digits + 2)
-        sqrt5 = Fraction(math.isqrt(5 * scale * scale), scale)
-        return self.a + self.b * (1 + sqrt5) / 2
-
     def __float__(self):
-        return float(self.approx(24))
+        # sqrt(5) to 26 decimals: 24 correct digits, more than a float holds
+        scale = 10**26
+        sqrt5 = Fraction(math.isqrt(5 * scale * scale), scale)
+        return float(self.a + self.b * (1 + sqrt5) / 2)
 
     # -- text form ------------------------------------------------------
 

@@ -28,6 +28,14 @@ from .wang import patterns_with_surrounding
 from .words import project
 
 
+# Marker searches escalate from radius 1 (the 19 tiles show markers in
+# direction 2 only from radius 2).  Tile-side language rows escalate from
+# radius 2, which settles every shape up to (2,2), to the radius 4 that the
+# vertical triple column needs.
+MAX_MARKER_RADIUS = 3
+TILE_RADIUS, MAX_TILE_RADIUS = 2, 4
+
+
 class StageFailure(RuntimeError):
     """A pipeline stage did not produce the expected kind of result."""
 
@@ -205,27 +213,27 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _markers_with_escalation(tileset, direction, radius, max_radius=3):
-    for r in range(radius, max_radius + 1):
+def _markers_with_escalation(tileset, direction):
+    for r in range(1, MAX_MARKER_RADIUS + 1):
         report = find_markers(tileset, direction, r)
         if report.marker_subsets:
             return report, r
     raise StageFailure(
         "find_markers",
-        f"no markers in direction {direction} up to radius {max_radius}",
+        f"no markers in direction {direction} up to radius {MAX_MARKER_RADIUS}",
     )
 
 
-def run_wang_pipeline(direction_first: int = 2, radius: int = 2) -> WangLoopReport:
+def run_wang_pipeline(direction_first: int = 2) -> WangLoopReport:
     """Desubstitute the tile set twice and close the loop by equivalence."""
     started = time.perf_counter()
     tiles = catalog.wang_tiles()
-    first_report, r1 = _markers_with_escalation(tiles, direction_first, radius if direction_first == 2 else 1)
+    first_report, r1 = _markers_with_escalation(tiles, direction_first)
     first = find_substitution(
         tiles, first_report.marker_subsets[0], direction_first, r1, "right", first_report
     )
     second_direction = 3 - direction_first
-    second_report, r2 = _markers_with_escalation(first.tileset, second_direction, 1)
+    second_report, r2 = _markers_with_escalation(first.tileset, second_direction)
     second = find_substitution(
         first.tileset, second_report.marker_subsets[0], second_direction, r2, "right",
         second_report,
@@ -344,8 +352,7 @@ def check_uniqueness_hypotheses() -> UniquenessReport:
 
 
 def cross_check_languages(
-    reference, max_shape: tuple[int, int] = (2, 2), radius: int = 2, max_radius: int = 4,
-    jobs: int = 1,
+    reference, max_shape: tuple[int, int] = (2, 2), jobs: int = 1
 ) -> list[LanguageRow]:
     """Compare the three pattern languages at every shape up to max_shape.
 
@@ -359,8 +366,7 @@ def cross_check_languages(
     shape by shape, because each shape settles at its own surrounding
     radius, which its row reports: the tile-set language may strictly
     contain the true language at a low radius, so on mismatch the radius is
-    raised up to ``max_radius``.  Radius 2 settles every shape up to (2,2);
-    the vertical triple column needs radius 4.
+    raised from TILE_RADIUS up to MAX_TILE_RADIUS.
     """
     phi = catalog.square_substitution()
     tiles = catalog.wang_tiles()
@@ -373,10 +379,10 @@ def cross_check_languages(
             shape = (s1, s2)
             from_substitution = project(substitution_table, shape)
             from_coding = project(coding_table, shape)
-            r = radius
+            r = TILE_RADIUS
             while True:
                 from_tiles = patterns_with_surrounding(tiles, shape, r, jobs)
-                if from_tiles == from_substitution or r >= max_radius:
+                if from_tiles == from_substitution or r >= MAX_TILE_RADIUS:
                     break
                 r += 1
             rows.append(

@@ -19,6 +19,9 @@ PALETTE = [
     "#9edae5",
 ]
 
+# pixels per torus unit, shared by a partition and the orbit drawn on it
+TORUS_UNIT = 420
+
 
 def _palette(seed: int) -> list[str]:
     shift = seed % len(PALETTE)
@@ -84,9 +87,10 @@ def _tile_svg(tile, x, y, size, palette, label=None) -> list[str]:
     return body
 
 
-def render_tileset(tileset: WangTileSet, seed: int = 0, size: float = 60) -> str:
+def render_tileset(tileset: WangTileSet, seed: int = 0) -> str:
     """One labeled square per tile, colored by edge tokens."""
     palette = _palette(seed)
+    size = 60
     per_row = 7
     pad = 10
     body = []
@@ -100,9 +104,10 @@ def render_tileset(tileset: WangTileSet, seed: int = 0, size: float = 60) -> str
     return _svg(width, height, body)
 
 
-def render_tiling(tileset: WangTileSet, word: Word2d, seed: int = 0, size: float = 40) -> str:
+def render_tiling(tileset: WangTileSet, word: Word2d, seed: int = 0) -> str:
     """A rectangular pattern of tiles; cell (x, y) of the word at (x, y)."""
     palette = _palette(seed)
+    size = 40
     n1, n2 = word.shape
     pad = 5
     body = []
@@ -121,11 +126,10 @@ def _polygon_path(cell, scale, pad, height) -> str:
     return points
 
 
-def render_partition(
-    partition: TorusPartition, seed: int = 0, scale: float = 420
-) -> str:
+def render_partition(partition: TorusPartition, seed: int = 0) -> str:
     """Filled atoms with labels at cell midpoints."""
     palette = _palette(seed)
+    scale = TORUS_UNIT
     pad = 10
     height = float(partition.lattice[1]) * scale
     width = float(partition.lattice[0]) * scale
@@ -153,11 +157,11 @@ def render_coded_orbit(
     point,
     shape: tuple[int, int],
     seed: int = 0,
-    scale: float = 420,
 ) -> str:
     """Partition with the coded orbit points of a starting point drawn on top."""
     patch = config_patch(partition, action, point, shape)
-    base = render_partition(partition, seed=seed, scale=scale).splitlines()
+    base = render_partition(partition, seed=seed).splitlines()
+    scale = TORUS_UNIT
     body = base[2:-1]
     pad = 10
     height = float(partition.lattice[1]) * scale

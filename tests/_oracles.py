@@ -13,15 +13,30 @@ The substitution oracles are the language of factors of iterated letter
 images and the seed graph over all k^4 2x2 words of a k-letter rule.
 
 The clipping oracles build a normalized Polygon after every halfplane cut.
+The arrangement oracle clips every lattice translate of a segment in a
+range of shifts bounded by floors of its own, and splits each cell by each
+line with two such clips, one per side.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from aperiodic_kit.geometry import polygon_or_none
+from aperiodic_kit.geometry import (
+    DegenerateArrangement,
+    Region,
+    TorusPartition,
+    _canonical_line,
+    _clip_segment_to_box,
+    _edge_key,
+    _edge_sweep,
+    _interval_minus,
+    polygon_or_none,
+    pt,
+    rectangle,
+)
 from aperiodic_kit.morphisms import Morphism2d, NotStabilized, UndefinedImage, _cycle_vertices
-from aperiodic_kit.phifield import ZERO
+from aperiodic_kit.phifield import ONE, ZERO, PhiNumber
 from aperiodic_kit.wang import BOTTOM, LEFT, RIGHT, TOP, _normalize
 from aperiodic_kit.words import Word2d, subwords
 
@@ -632,3 +647,83 @@ def difference_each_cut(a, b):
             pieces.append(outside)
         rest = clip_each_cut(rest, normal, offset)
     return pieces
+
+
+def reduce_segments_each_shift(segments, l1, l2):
+    """Every lattice translate of the segments in a box of shifts around
+    the fundamental rectangle, clipped to the closed rectangle."""
+    box = rectangle(0, 0, l1, l2)
+    pieces = {}
+    for p, q in segments:
+        p, q = pt(*p), pt(*q)
+        if p == q:
+            raise DegenerateArrangement(f"zero-length segment at {p}")
+        k1_lo = (-max(p[0], q[0]) / l1).floor()
+        k1_hi = ((l1 - min(p[0], q[0])) / l1).floor() + 1
+        k2_lo = (-max(p[1], q[1]) / l2).floor()
+        k2_hi = ((l2 - min(p[1], q[1])) / l2).floor() + 1
+        for k1, k2 in product(range(k1_lo, k1_hi + 1), range(k2_lo, k2_hi + 1)):
+            shift = (PhiNumber(k1) * l1, PhiNumber(k2) * l2)
+            piece = _clip_segment_to_box(
+                (p[0] + shift[0], p[1] + shift[1]), (q[0] + shift[0], q[1] + shift[1]), box
+            )
+            if piece is not None:
+                pieces[tuple(sorted(piece))] = piece
+    return list(pieces.values())
+
+
+def _merged(intervals):
+    merged = []
+    for lo, hi in sorted(intervals):
+        if merged and lo <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(hi, merged[-1][1]))
+        else:
+            merged.append((lo, hi))
+    return merged
+
+
+def partition_from_segments_each_cut(segments, lattice):
+    """The arrangement partition, each cell split by each line with one
+    normalized clip per side."""
+    l1, l2 = pt(*lattice)
+    pieces = reduce_segments_each_shift(segments, l1, l2)
+    boundary_lines = {(ONE, ZERO, ZERO), (ONE, ZERO, l1), (ZERO, ONE, ZERO), (ZERO, ONE, l2)}
+    lines = []
+    for p, q in pieces:
+        line = _canonical_line(p, q)
+        if line not in boundary_lines and line not in lines:
+            lines.append(line)
+
+    cells = [rectangle(0, 0, l1, l2)]
+    for a, b, c in lines:
+        sides = (((a, b), c), ((-a, -b), -c))
+        split = [clip_each_cut(cell, normal, offset) for cell in cells for normal, offset in sides]
+        cells = [cell for cell in split if cell is not None]
+
+    covered = {}
+    for p, q in pieces:
+        line, lo, hi = _edge_key(p, q, (l1, l2))
+        covered.setdefault(line, []).append((lo, hi))
+    covered = {line: _merged(intervals) for line, intervals in covered.items()}
+
+    parent = list(range(len(cells)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for line, lo, hi, covering in _edge_sweep(cells, (l1, l2)):
+        if len(covering) > 1 and _interval_minus(lo, hi, covered.get(line, [])):
+            for idx in covering[1:]:
+                ri, rj = find(covering[0]), find(idx)
+                parent[max(ri, rj)] = min(ri, rj)
+
+    groups = {}
+    for idx, cell in enumerate(cells):
+        groups.setdefault(find(idx), []).append(cell)
+    regions = sorted(
+        (Region(sorted(group, key=lambda c: c.vertices)) for group in groups.values()),
+        key=lambda r: r.cells[0].vertices,
+    )
+    return TorusPartition((l1, l2), dict(enumerate(regions)))

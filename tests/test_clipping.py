@@ -16,8 +16,8 @@ from aperiodic_kit.geometry import (
     Polygon,
     _cross,
     clip,
-    convex_difference,
     convex_intersection,
+    convex_split,
     rectangle,
 )
 from aperiodic_kit.phifield import ONE, PHI, ZERO, PhiNumber
@@ -106,8 +106,9 @@ def test_clip_matches_each_cut_oracle(data):
 @given(polygon_pairs())
 def test_intersection_and_difference_match_each_cut_oracles(pair):
     a, b = pair
-    assert convex_intersection(a, b) == intersection_each_cut(a, b)
-    assert convex_difference(a, b) == difference_each_cut(a, b)
+    inside = intersection_each_cut(a, b)
+    assert convex_intersection(a, b) == inside
+    assert convex_split(a, b) == (inside, difference_each_cut(a, b))
 
 
 def test_flat_and_empty_results():
@@ -118,14 +119,15 @@ def test_flat_and_empty_results():
     # boxes touching along an edge or at a corner
     assert convex_intersection(sq, rectangle(1, 0, 2, 1)) is None
     assert convex_intersection(sq, rectangle(1, 1, 2, 2)) is None
-    assert convex_difference(sq, rectangle(-1, -1, 2, 2)) == []
-    assert convex_difference(sq, rectangle(1, 0, 2, 1)) == [sq]
+    assert convex_split(sq, rectangle(-1, -1, 2, 2)) == (sq, [])
+    assert convex_split(sq, rectangle(1, 0, 2, 1)) == (None, [sq])
 
 
 def test_uncut_polygon_is_returned_itself():
     sq = rectangle(0, 0, 1, 1)
     assert clip(sq, (ONE, ZERO), PhiNumber(2)) is sq
     assert convex_intersection(sq, rectangle(-1, -1, 2, 2)) is sq
+    assert convex_split(sq, rectangle(-1, -1, 2, 2))[0] is sq
 
 
 @KERNEL

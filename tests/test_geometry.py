@@ -16,8 +16,8 @@ from aperiodic_kit.geometry import (
     TorusPartition,
     ZeroFactor,
     clip,
-    convex_difference,
     convex_intersection,
+    convex_split,
     is_equal_up_to_relabeling,
     partition_from_segments,
     pt,
@@ -81,8 +81,7 @@ class TestClip:
     def test_intersection_and_difference_partition(self):
         a = rectangle(0, 0, 2, 2)
         b = Polygon([pt(1, 0), pt(3, 0), pt(3, 3), pt(1, 3)])
-        inter = convex_intersection(a, b)
-        outs = convex_difference(a, b)
+        inter, outs = convex_split(a, b)
         total = inter.area()
         for p in outs:
             total = total + p.area()
@@ -312,7 +311,7 @@ def test_from_json_rejects_non_tiling(atoms, defect):
 
 def test_reference_partition_is_pinned():
     # the labeled 19 atoms, cell by cell and vertex by vertex, as built by
-    # partition_from_segments (which cuts with clip) and relabel_to_match
+    # partition_from_segments and relabel_to_match
     pinned = Path(__file__).parent / "expected" / "reference_partition.json"
     expected = json.loads(pinned.read_text())
     assert build_reference_partition()[0].to_json() == expected

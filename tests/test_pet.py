@@ -136,6 +136,15 @@ class TestInduceAction:
         assert same.alpha1 == action_u.alpha1
         assert same.alpha2 == action_u.alpha2
 
+    @pytest.mark.parametrize(
+        "axis, bound", [(2, PhiNumber(2)), (2, PhiNumber(Fraction(3, 2))), (1, PHI)]
+    )
+    def test_window_beyond_the_lattice_side_rejected(self, action_u, axis, bound):
+        with pytest.raises(ValueError, match=f"window bound {bound} exceeds the lattice side 1"):
+            Window(axis, bound).sub_lattice(action_u.lattice)
+        with pytest.raises(ValueError, match="exceeds the lattice side"):
+            induce_action(action_u, Window(axis, bound))
+
     def test_commutation_sampled(self, action_u):
         g1, g2 = action_u.generator(1), action_u.generator(2)
         rng = random.Random(7)

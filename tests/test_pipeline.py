@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from aperiodic_kit.catalog import square_substitution
@@ -190,6 +193,14 @@ class TestLanguages:
         assert enumerate_language(partition, action, (1, 1)) == language(phi, (1, 1))
 
 
+def _without_seconds(obj):
+    if isinstance(obj, dict):
+        return {k: _without_seconds(v) for k, v in obj.items() if k != "seconds"}
+    if isinstance(obj, list):
+        return [_without_seconds(v) for v in obj]
+    return obj
+
+
 class TestFullReport:
     def test_run_all(self):
         report = run_all()
@@ -203,3 +214,6 @@ class TestFullReport:
         assert "composite equals substitution: True" in text
         assert text.count("composite equals substitution: True") == 2
         assert "PASS" in text
+        # the report the benchmark checks its verify rounds against
+        pinned = Path(__file__).parent.parent / "perfbench" / "expected" / "verify_2x2.json"
+        assert _without_seconds(data) == json.loads(pinned.read_text())

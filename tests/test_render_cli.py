@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,8 @@ UNIT_SQUARE = {
     "lattice": ["1", "1"],
     "atoms": {"0": [[["0", "0"], ["1", "0"], ["1", "1"], ["0", "1"]]]},
 }
+# a config command line that reads its partition from the path appended to it
+CONFIG = ["config", "--seed-point", "1/3,1/5", "--shape", "1x1", "--partition"]
 
 
 class TestRender:
@@ -347,6 +350,35 @@ class TestCli:
         what = "tile set" if key == "tiles" else "partition"
         assert err == f"error: {path}: {what} JSON has no '{key}' key\n"
 
+    @pytest.mark.parametrize(
+        "command, action, message",
+        [
+            (["solve", "--shape", "2x2"], None,
+             "Expecting property name enclosed in double quotes"),
+            (CONFIG, None, "Expecting property name enclosed in double quotes"),
+            (CONFIG, {"lattice": ["1"], "axis1": ["1/3", "0"], "axis2": ["0", "1/5"]},
+             "action lattice, axis1 and axis2 need two entries each"),
+            (CONFIG, {"lattice": ["1", "1"], "axis1": ["x", "0"], "axis2": ["0", "1/5"]},
+             "cannot parse 'x' as a PhiNumber"),
+            (CONFIG, {"lattice": ["1", "1"], "axis1": ["1/3", "1/5"], "axis2": ["0", "1/5"]},
+             "generators must be axis-aligned"),
+        ],
+    )
+    def test_loader_errors_name_the_file(self, tmp_path, capsys, command, action, message):
+        # None writes a file that is not JSON, an action a wrapped partition
+        path = tmp_path / "input.json"
+        wrapped = {"partition": UNIT_SQUARE, "action": action}
+        path.write_text("{" if action is None else json.dumps(wrapped))
+        assert main([*command, str(path)]) == cli.USAGE_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {message}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("axis, bound", [("2", "2"), ("2", "3/2"), ("1", "phi")])
+    def test_window_beyond_the_lattice_is_one_line_error(self, capsys, axis, bound):
+        assert main(["induce", "--axis", axis, "--bound", bound]) == cli.USAGE_ERROR
+        err = capsys.readouterr().err
+        assert err == f"error: window bound {bound} exceeds the lattice side 1 on axis {axis}\n"
+
     def test_failed_verification_exit_code(self, tmp_path, monkeypatch, capsys):
         class FailingReport:
             def ok(self):
@@ -374,3 +406,10 @@ class TestCli:
     def test_induce_output_is_pinned(self, capsys, axis, digest):
         assert main(["induce", "--axis", str(axis)]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("axis", [1, 2])
+    def test_induce_out_file_equals_the_expected_file(self, tmp_path, axis):
+        out = tmp_path / f"induce_axis{axis}.json"
+        assert main(["induce", "--partition", "PU", "--axis", str(axis), "--out", str(out)]) == 0
+        expected = Path(__file__).parent / "expected" / f"induce_axis{axis}.json"
+        assert out.read_bytes() == expected.read_bytes()
