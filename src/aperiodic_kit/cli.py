@@ -21,12 +21,11 @@ from .pet import (
     TorusAction,
     Window,
     config_patch,
-    enumerate_language,
     induce_action,
     induced_partition,
 )
 from .phifield import PhiNumber, parse_phi
-from .pipeline import build_reference_partition, run_all
+from .pipeline import build_reference_partition, reference_coding, run_all
 from .wang import TilingInstance, WangTileSet, patterns_with_surrounding, solve
 
 OK, USAGE_ERROR, EMPTY, VERIFY_FAILED = 0, 1, 2, 3
@@ -38,11 +37,14 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _parse_shape(text: str) -> tuple[int, int]:
+def _parse_shape(text: str, option: str = "--shape") -> tuple[int, int]:
     for sep in ("x", ","):
         if sep in text:
             a, b = text.split(sep, 1)
-            shape = int(a), int(b)
+            try:
+                shape = int(a), int(b)
+            except ValueError:
+                raise ValueError(f"{option} {text!r}: expected integers WxH") from None
             if min(shape) < 1:
                 raise ValueError(f"shape {text!r} needs both sides at least 1")
             return shape
@@ -156,7 +158,10 @@ def cmd_markers(args) -> int:
 
 def cmd_desub(args) -> int:
     tileset = _load_tileset(args.tileset)
-    markers = [int(x) for x in args.markers.split(",")]
+    try:
+        markers = [int(x) for x in args.markers.split(",")]
+    except ValueError:
+        raise ValueError(f"markers {args.markers!r}: expected comma-separated tile indices") from None
     result = find_substitution(tileset, markers, args.axis, args.radius, args.side)
     _emit(result.to_json(), args.out)
     return OK
@@ -209,8 +214,7 @@ def cmd_lang(args) -> int:
     elif args.method == "tiles":
         words = patterns_with_surrounding(catalog.wang_tiles(), shape, args.radius, args.jobs)
     else:
-        partition, action = build_reference_partition()
-        words = enumerate_language(partition, action, shape)
+        _, _, words = reference_coding(shape)
     ordered = sorted(words, key=lambda w: w.columns)
     _emit(
         {
@@ -285,7 +289,7 @@ def cmd_render(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
-    report = run_all(_parse_shape(args.max_shape), jobs=args.jobs)
+    report = run_all(_parse_shape(args.max_shape, "--max-shape"), jobs=args.jobs)
     if args.out:
         with open(args.out, "w") as handle:
             json.dump(report.to_json(), handle, indent=2)

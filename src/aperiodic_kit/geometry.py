@@ -9,13 +9,16 @@ the closed cells alone: a point is on the partition boundary exactly when
 cells of two atoms hold it or one of its seam twins.
 
 Every cut is one _split pass over a plain vertex ring that returns both
-sides: a clip, an intersection with its difference, or a cell split by a
-line of the arrangement.  Each halfplane is applied to the unnormalized
-ring of the previous cut, and each returned piece is normalized once.  The
-arithmetic is exact, so a cut point is the same whichever ring produced
-it, and the one normalization yields the canonical vertex tuple.  Segments
-and polygons share one rule for their lattice translates, _axis_shifts:
-only translates whose projections meet the box on both axes are clipped.
+sides: an intersection with its difference, or a cell split by a line of
+the arrangement.  Each halfplane is applied to the ring of the previous
+cut.  Cut pieces are canonical by construction: a line meets a strictly
+convex counterclockwise ring in at most two boundary points, so each side
+is again counterclockwise, without repeated or collinear vertices, and
+either empty or of positive area.  A piece is therefore only rotated to
+start at its least vertex; Polygon(...) keeps the full normalization for
+outside input.  Segments and polygons share one rule for their lattice
+translates, _axis_shifts: only translates whose projections meet the box
+on both axes are clipped.
 """
 
 from __future__ import annotations
@@ -102,14 +105,18 @@ class Polygon:
         vs = self.vertices
         return [(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs))]
 
+    @classmethod
+    def _canonical(cls, vertices: tuple[Point, ...]) -> "Polygon":
+        """The polygon of a vertex tuple that is already canonical."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "vertices", vertices)
+        object.__setattr__(poly, "_bbox", None)
+        return poly
+
     def translate(self, v: Point) -> "Polygon":
         # a translation keeps the orientation, the collinearity and the
         # lexicographically least vertex: the moved tuple is canonical
-        moved = object.__new__(Polygon)
-        vertices = tuple((p[0] + v[0], p[1] + v[1]) for p in self.vertices)
-        object.__setattr__(moved, "vertices", vertices)
-        object.__setattr__(moved, "_bbox", None)
-        return moved
+        return Polygon._canonical(tuple((p[0] + v[0], p[1] + v[1]) for p in self.vertices))
 
     def locate(self, x: Point) -> str:
         """'interior', 'boundary' or 'outside' for this convex polygon."""
@@ -180,25 +187,19 @@ def _normalize_ring(vs: list[Point]) -> Optional[tuple[Point, ...]]:
     return tuple(out[start:] + out[:start])
 
 
-def polygon_or_none(vertices: Sequence[Point]) -> Optional[Polygon]:
-    try:
-        return Polygon(vertices)
-    except ValueError:
-        return None
-
-
 def rectangle(x0, y0, x1, y1) -> Polygon:
     return Polygon([pt(x0, y0), pt(x1, y0), pt(x1, y1), pt(x0, y1)])
 
 
 def _split(ring: Sequence[Point], normal: Point, offset: PhiNumber):
     """The parts of a convex vertex ring with <normal, x> <= offset and with
-    <normal, x> >= offset, as unnormalized rings.
+    <normal, x> >= offset, as rings that keep the input's vertex order.
 
     The value and sign of each vertex are computed once, and both parts
-    share the cut points.  A part holding every vertex is the ring itself.
-    A convex ring without collinear vertices cuts into rings of the same
-    kind, and a flat part has fewer than three vertices (it may be empty).
+    share the cut points.  A part holding every vertex is the ring itself,
+    and a part without interior is empty.  A counterclockwise ring without
+    repeated or collinear vertices cuts into rings of the same kind: the
+    line holds at most two of a part's points, both on its cut side.
     """
     values = [_dot(normal, v) - offset for v in ring]
     signs = [value.sign() for value in values]
@@ -236,13 +237,14 @@ def _halfplanes(poly: Polygon):
 
 
 def _piece(poly: Polygon, ring: Sequence[Point]) -> Optional[Polygon]:
-    """The polygon of a ring cut from poly: poly itself when nothing was cut."""
-    return poly if ring is poly.vertices else polygon_or_none(ring)
-
-
-def clip(poly: Polygon, normal: Point, offset: PhiNumber) -> Optional[Polygon]:
-    """poly intersected with the halfplane <normal, x> <= offset; None if flat."""
-    return _piece(poly, _split(poly.vertices, normal, _num(offset))[0])
+    """The polygon of a ring that _split cut from poly, None when it is empty:
+    poly itself when nothing was cut, else the ring from its least vertex."""
+    if ring is poly.vertices:
+        return poly
+    if len(ring) < 3:
+        return None
+    start = min(range(len(ring)), key=ring.__getitem__)
+    return Polygon._canonical(tuple(ring[start:]) + tuple(ring[:start]))
 
 
 def convex_intersection(a: Polygon, b: Polygon) -> Optional[Polygon]:
@@ -649,14 +651,15 @@ def partition_from_segments(segments, lattice) -> TorusPartition:
 # relabeling and comparison
 
 
-def relabel_to_match(partition: TorusPartition, horizontal, vertical, coded) -> TorusPartition:
-    """Unique relabeling making the coded dominoes land in the references.
+def relabel_to_match(partition: TorusPartition, horizontal, vertical, coded) -> dict[int, int]:
+    """The unique letter map making the coded dominoes land in the references.
 
     ``horizontal`` and ``vertical`` are sets of (left, right) and
     (bottom, top) letter pairs; ``coded`` is the pair of the same two sets
     for the partition's own labels (``pet.coded_dominoes``).  A bijective
-    letter map is searched so that every coded domino lies in the
-    references; the search is pure, nothing is computed from the geometry.
+    map from those labels is searched so that every coded domino lies in
+    the references; the search is pure, nothing is computed from the
+    geometry.
     """
     h_pairs, v_pairs = coded
     labels = partition.labels()
@@ -697,7 +700,7 @@ def relabel_to_match(partition: TorusPartition, horizontal, vertical, coded) -> 
         raise NoConsistentLabeling("no labeling matches the reference dominoes")
     if len(solutions) > 1:
         raise AmbiguousLabeling("several labelings match the reference dominoes")
-    return partition.relabel(solutions[0])
+    return solutions[0]
 
 
 def is_equal_up_to_relabeling(p: TorusPartition, q: TorusPartition):

@@ -281,19 +281,21 @@ def return_word(
 # refinement machinery
 
 
-def _refine_by_codes(partition, action, support, base_cells):
+def _refine_by_codes(partition, action, support, base):
     """Split base cells so the codes of all shifted copies are constant.
 
-    ``support`` lists lattice steps n; each output entry is a convex cell
-    together with the map n -> label along it.  A point x lies in a piece of
-    (atom cell - shift) reduced mod the lattice exactly when x + shift
-    reduces into that atom cell, so splitting against those pieces reads
-    off the n-th code.
+    ``base`` lists (cell, codes) entries whose codes map lattice steps to
+    the labels already known along the cell; ``support`` lists the further
+    steps n.  Each output entry is a convex cell together with its codes,
+    extended by n -> label for every n in support.  A point x lies in a
+    piece of (atom cell - shift) reduced mod the lattice exactly when
+    x + shift reduces into that atom cell, so splitting against those
+    pieces reads off the n-th code.
     """
     domain = rectangle(
-        0, 0, max(c.bbox()[2] for c in base_cells), max(c.bbox()[3] for c in base_cells)
+        0, 0, max(c.bbox()[2] for c, _ in base), max(c.bbox()[3] for c, _ in base)
     )
-    current = [(cell, {}) for cell in base_cells]
+    current = base
     for n in support:
         shift = action.step_vector(n)
         overlay = [
@@ -310,6 +312,39 @@ def _refine_by_codes(partition, action, support, base_cells):
     return current
 
 
+def coded_word(codes, shape: tuple[int, int]) -> Word2d:
+    """The shape-pattern of a code map n -> label that covers the shape."""
+    return Word2d([[codes[(i, j)] for j in range(shape[1])] for i in range(shape[0])])
+
+
+def shape_steps(shape: tuple[int, int]) -> list[tuple[int, int]]:
+    """The lattice steps of a shape-pattern's cells, column by column."""
+    return [(i, j) for i in range(shape[0]) for j in range(shape[1])]
+
+
+def coded_cells(partition: TorusPartition, action: TorusAction, support) -> list[dict]:
+    """The codes n -> label, for n in support and (0, 0), of the cells of
+    the whole partition refined by its action-shifted copies over support.
+
+    Each cell starts with its own label as its (0, 0) code: the cells have
+    disjoint interiors, so the copy at step (0, 0) would split nothing.  Up
+    to boundaries, each cell of a refinement over fewer steps is a union of
+    cells of one over more steps, so the patterns and dominoes read off the
+    codes do not depend on further steps in the support.
+    """
+    base = [(cell, {(0, 0): label}) for label, cell in partition.cells()]
+    steps = [n for n in support if n != (0, 0)]
+    return [codes for _, codes in _refine_by_codes(partition, action, steps, base)]
+
+
+def coded_dominoes(cells: list[dict]):
+    """Horizontal (left, right) and vertical (bottom, top) coded letter pairs
+    of coded cells whose codes cover (0, 0), (1, 0) and (0, 1)."""
+    horizontal = {(codes[(0, 0)], codes[(1, 0)]) for codes in cells}
+    vertical = {(codes[(0, 0)], codes[(0, 1)]) for codes in cells}
+    return horizontal, vertical
+
+
 def enumerate_language(
     partition: TorusPartition, action: TorusAction, shape: tuple[int, int]
 ) -> set[Word2d]:
@@ -319,26 +354,10 @@ def enumerate_language(
     the partition is refined by action-shifted copies of itself over the
     pattern support and the labels of surviving cells are read off.
     """
-    support = [(i, j) for i in range(shape[0]) for j in range(shape[1])]
-    base = [cell for _, cell in partition.cells()]
     return {
-        Word2d([[codes[(i, j)] for j in range(shape[1])] for i in range(shape[0])])
-        for _, codes in _refine_by_codes(partition, action, support, base)
+        coded_word(codes, shape)
+        for codes in coded_cells(partition, action, shape_steps(shape))
     }
-
-
-def coded_dominoes(partition: TorusPartition, action: TorusAction):
-    """Horizontal (left, right) and vertical (bottom, top) coded letter pairs.
-
-    One refinement over the support {(0,0), (1,0), (0,1)} yields both sets:
-    every cell of the two-domino refinement meets some cell of the third
-    shifted copy, so each domino is read off a surviving cell.
-    """
-    base = [cell for _, cell in partition.cells()]
-    refined = _refine_by_codes(partition, action, [(0, 0), (1, 0), (0, 1)], base)
-    horizontal = {(codes[(0, 0)], codes[(1, 0)]) for _, codes in refined}
-    vertical = {(codes[(0, 0)], codes[(0, 1)]) for _, codes in refined}
-    return horizontal, vertical
 
 
 def induced_partition(
@@ -359,11 +378,10 @@ def induced_partition(
 
     collected: dict[Word2d, list[Polygon]] = {}
     for piece, steps in time_pieces:
-        r, s = (1, steps) if window.axis == 2 else (steps, 1)
-        support = [(i, j) for i in range(r) for j in range(s)]
-        for cell, codes in _refine_by_codes(partition, action, support, [piece]):
-            word = Word2d([[codes[(i, j)] for j in range(s)] for i in range(r)])
-            collected.setdefault(word, []).append(cell)
+        shape = (1, steps) if window.axis == 2 else (steps, 1)
+        support = shape_steps(shape)
+        for cell, codes in _refine_by_codes(partition, action, support, [(piece, {})]):
+            collected.setdefault(coded_word(codes, shape), []).append(cell)
 
     def word_key(w: Word2d):
         flat = tuple(letter for col in w.columns for letter in col)

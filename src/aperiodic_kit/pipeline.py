@@ -22,7 +22,15 @@ from .geometry import (
 )
 from .markers import find_markers, find_substitution, is_equivalent
 from .morphisms import Morphism2d, compose, is_expansive, is_primitive, language, seeds
-from .pet import Window, coded_dominoes, enumerate_language, induce_action, induced_partition
+from .pet import (
+    Window,
+    coded_cells,
+    coded_dominoes,
+    coded_word,
+    induce_action,
+    induced_partition,
+    shape_steps,
+)
 from .phifield import PHI
 from .wang import patterns_with_surrounding
 from .words import project
@@ -262,14 +270,31 @@ def run_wang_pipeline(direction_first: int = 2) -> WangLoopReport:
     )
 
 
-def build_reference_partition():
-    """The 19-atom partition, labeled by one refinement of its dominoes."""
+def reference_coding(max_shape: tuple[int, int]):
+    """The labeled 19-atom partition, its action and its coding language of
+    max_shape-patterns, from one refinement of the unlabeled arrangement.
+
+    The refinement runs over the steps of max_shape joined with the domino
+    steps (1,0) and (0,1): the labeling reads both coded domino sets off
+    it, and the language is its codes through the letter map found,
+    restricted to max_shape.
+    """
     phi = catalog.square_substitution()
     raw = partition_from_segments(catalog.partition_segments(), (1, 1))
+    action = catalog.rotation_action()
+    cells = coded_cells(raw, action, dict.fromkeys([*shape_steps(max_shape), (1, 0), (0, 1)]))
     horizontal = {(w[0, 0], w[1, 0]) for w in language(phi, (2, 1))}
     vertical = {(w[0, 0], w[0, 1]) for w in language(phi, (1, 2))}
-    action = catalog.rotation_action()
-    return relabel_to_match(raw, horizontal, vertical, coded_dominoes(raw, action)), action
+    letters = relabel_to_match(raw, horizontal, vertical, coded_dominoes(cells))
+    table = {coded_word({n: letters[a] for n, a in c.items()}, max_shape) for c in cells}
+    return raw.relabel(letters), action, table
+
+
+def build_reference_partition():
+    """The 19-atom partition and its action, labeled by one refinement over
+    the domino steps."""
+    partition, action, _ = reference_coding((1, 1))
+    return partition, action
 
 
 def _fmt_vec(v) -> dict[str, str]:
@@ -352,17 +377,18 @@ def check_uniqueness_hypotheses() -> UniquenessReport:
 
 
 def cross_check_languages(
-    reference, max_shape: tuple[int, int] = (2, 2), jobs: int = 1
+    coding_table, max_shape: tuple[int, int] = (2, 2), jobs: int = 1
 ) -> list[LanguageRow]:
     """Compare the three pattern languages at every shape up to max_shape.
 
-    ``reference`` is the (partition, action) pair that codes the rotation;
-    the tile-side surrounding searches run in ``jobs`` processes.
+    ``coding_table`` is the coding language of ``max_shape``-patterns (the
+    third value of ``reference_coding``); the tile-side surrounding
+    searches run in ``jobs`` processes.
 
-    The substitution and coding languages are computed once at
-    ``max_shape`` (the substitution one as a closure of factors under the
-    rule); every smaller shape is their projection, since each of its
-    factors extends to one of ``max_shape``.  The tile side is searched
+    The substitution language is computed once at ``max_shape``, as a
+    closure of factors under the rule; every smaller shape of it and of the
+    coding table is their projection, since each of its factors extends
+    to one of ``max_shape``.  The tile side is searched
     shape by shape, because each shape settles at its own surrounding
     radius, which its row reports: the tile-set language may strictly
     contain the true language at a low radius, so on mismatch the radius is
@@ -370,9 +396,7 @@ def cross_check_languages(
     """
     phi = catalog.square_substitution()
     tiles = catalog.wang_tiles()
-    partition, action = reference
     substitution_table = language(phi, max_shape)
-    coding_table = enumerate_language(partition, action, max_shape)
     rows = []
     for s1 in range(1, max_shape[0] + 1):
         for s2 in range(1, max_shape[1] + 1):
@@ -401,10 +425,10 @@ def cross_check_languages(
 def run_all(max_shape: tuple[int, int] = (2, 2), jobs: int = 1) -> VerificationReport:
     started = time.perf_counter()
     wang = run_wang_pipeline()
-    reference = build_reference_partition()
-    induction = run_pet_pipeline(reference)
+    partition, action, coding_table = reference_coding(max_shape)
+    induction = run_pet_pipeline((partition, action))
     uniqueness = check_uniqueness_hypotheses()
-    rows = cross_check_languages(reference, max_shape, jobs=jobs)
+    rows = cross_check_languages(coding_table, max_shape, jobs=jobs)
     loops_agree = all(a == b for a, b in zip(wang.morphisms, induction.morphisms))
     report = VerificationReport(
         wang=wang,

@@ -12,7 +12,8 @@ the exact-cover reduction solved by Algorithm X (Knuth, "Dancing Links").
 The substitution oracles are the language of factors of iterated letter
 images and the seed graph over all k^4 2x2 words of a k-letter rule.
 
-The clipping oracles build a normalized Polygon after every halfplane cut.
+The clipping oracles build a normalized Polygon after every halfplane cut;
+clip is the library's one-halfplane cut, kept here for the tests.
 The arrangement oracle clips every lattice translate of a segment in a
 range of shifts bounded by floors of its own, and splits each cell by each
 line with two such clips, one per side.
@@ -24,6 +25,7 @@ from itertools import product
 
 from aperiodic_kit.geometry import (
     DegenerateArrangement,
+    Polygon,
     Region,
     TorusPartition,
     _canonical_line,
@@ -31,7 +33,9 @@ from aperiodic_kit.geometry import (
     _edge_key,
     _edge_sweep,
     _interval_minus,
-    polygon_or_none,
+    _num,
+    _piece,
+    _split,
     pt,
     rectangle,
 )
@@ -601,6 +605,18 @@ def full_graph_seeds(m: Morphism2d) -> set:
             continue
         edges.append(sorted({index[v] for v in subwords(image, (2, 2))}))
     return {vertices[i] for i in _cycle_vertices(len(vertices), edges)}
+
+
+def clip(poly, normal, offset):
+    """poly intersected with the halfplane <normal, x> <= offset; None if flat."""
+    return _piece(poly, _split(poly.vertices, normal, _num(offset))[0])
+
+
+def polygon_or_none(vertices):
+    try:
+        return Polygon(vertices)
+    except ValueError:
+        return None
 
 
 def clip_each_cut(poly, normal, offset):

@@ -53,11 +53,11 @@ def action_u():
 @pytest.fixture(scope="session")
 def partition_u(action_u):
     from aperiodic_kit.geometry import partition_from_segments, relabel_to_match
-    from aperiodic_kit.pet import coded_dominoes
+    from aperiodic_kit.pet import coded_cells, coded_dominoes
 
     raw = partition_from_segments(partition_segments(), (1, 1))
-    coded = coded_dominoes(raw, action_u)
-    return relabel_to_match(raw, set(H_DOMINOES), set(V_DOMINOES), coded)
+    coded = coded_dominoes(coded_cells(raw, action_u, [(1, 0), (0, 1)]))
+    return raw.relabel(relabel_to_match(raw, set(H_DOMINOES), set(V_DOMINOES), coded))
 
 
 @pytest.fixture(scope="session")

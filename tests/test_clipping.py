@@ -11,11 +11,12 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import clip_each_cut, difference_each_cut, intersection_each_cut
+from _oracles import clip, clip_each_cut, difference_each_cut, intersection_each_cut
 from aperiodic_kit.geometry import (
     Polygon,
     _cross,
-    clip,
+    _piece,
+    _split,
     convex_intersection,
     convex_split,
     rectangle,
@@ -109,6 +110,33 @@ def test_intersection_and_difference_match_each_cut_oracles(pair):
     inside = intersection_each_cut(a, b)
     assert convex_intersection(a, b) == inside
     assert convex_split(a, b) == (inside, difference_each_cut(a, b))
+
+
+def _check_cut_ring(poly, ring):
+    """A ring _split cut from poly is empty or canonical up to its start."""
+    if len(ring) < 3:
+        assert not ring  # a part without interior comes back empty
+        return
+    n = len(ring)
+    assert len(set(ring)) == n
+    # a strict left turn at every vertex: counterclockwise, no collinear
+    # vertex, positive area
+    assert all(_cross(ring[i - 1], ring[i], ring[(i + 1) % n]).sign() > 0 for i in range(n))
+    assert _piece(poly, ring) == Polygon(ring)
+
+
+@KERNEL
+@given(st.data())
+def test_cut_rings_are_canonical_by_construction(data):
+    # a canonical ring cut once, then each of its sides cut again as a ring
+    poly = data.draw(polygons())
+    normal, offset = data.draw(halfplanes(poly))
+    for ring in _split(poly.vertices, normal, offset):
+        _check_cut_ring(poly, ring)
+        if len(ring) >= 3:
+            normal2, offset2 = data.draw(halfplanes(Polygon(ring)))
+            for part in _split(ring, normal2, offset2):
+                _check_cut_ring(poly, part)
 
 
 def test_flat_and_empty_results():

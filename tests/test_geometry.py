@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from _oracles import brute_force_cuts, brute_force_labels, brute_force_on_boundary
+from _oracles import brute_force_cuts, brute_force_labels, brute_force_on_boundary, clip
 from aperiodic_kit.catalog import partition_segments, rotation_action
 from aperiodic_kit.geometry import (
     AmbiguousLabeling,
@@ -15,7 +15,6 @@ from aperiodic_kit.geometry import (
     Polygon,
     TorusPartition,
     ZeroFactor,
-    clip,
     convex_intersection,
     convex_split,
     is_equal_up_to_relabeling,
@@ -25,7 +24,7 @@ from aperiodic_kit.geometry import (
     relabel_to_match,
     rescale,
 )
-from aperiodic_kit.pet import coded_dominoes
+from aperiodic_kit.pet import coded_cells, coded_dominoes
 from aperiodic_kit.phifield import PHI, PhiNumber
 from aperiodic_kit.pipeline import build_reference_partition
 
@@ -162,11 +161,17 @@ class TestArrangement:
         assert on_boundary > 0
 
 
+def _coded(partition):
+    return coded_dominoes(coded_cells(partition, rotation_action(), [(1, 0), (0, 1)]))
+
+
 class TestRelabel:
     def test_shuffle_invariance(self, partition_u, h_dominoes, v_dominoes):
-        shuffled = partition_u.relabel({a: (a * 7 + 3) % 19 for a in range(19)})
-        coded = coded_dominoes(shuffled, rotation_action())
-        back = relabel_to_match(shuffled, h_dominoes, v_dominoes, coded)
+        shuffle = {a: (a * 7 + 3) % 19 for a in range(19)}
+        shuffled = partition_u.relabel(shuffle)
+        letters = relabel_to_match(shuffled, h_dominoes, v_dominoes, _coded(shuffled))
+        assert letters == {b: a for a, b in shuffle.items()}
+        back = shuffled.relabel(letters)
         for a in range(19):
             assert back.atoms[a].equals_up_to_null(partition_u.atoms[a])
 
@@ -179,18 +184,19 @@ class TestRelabel:
             {(shuffle[a], shuffle[b]) for a, b in h_dominoes},
             {(shuffle[a], shuffle[b]) for a, b in v_dominoes},
         )
-        back = relabel_to_match(shuffled, h_dominoes, v_dominoes, coded)
-        assert back.atoms == partition_u.atoms
+        letters = relabel_to_match(shuffled, h_dominoes, v_dominoes, coded)
+        assert letters == {b: a for a, b in shuffle.items()}
+        assert shuffled.relabel(letters).atoms == partition_u.atoms
 
     def test_inconsistent_reference(self, partition_u, h_dominoes, v_dominoes):
         broken_h = {(a, b if b != 3 else 2) for a, b in h_dominoes} - {(1, 2)}
-        coded = coded_dominoes(partition_u, rotation_action())
+        coded = _coded(partition_u)
         with pytest.raises(NoConsistentLabeling):
             relabel_to_match(partition_u, broken_h, v_dominoes, coded)
 
     def test_unconstrained_reference_ambiguous(self, partition_u):
         everything = {(a, b) for a in range(19) for b in range(19)}
-        coded = coded_dominoes(partition_u, rotation_action())
+        coded = _coded(partition_u)
         with pytest.raises(AmbiguousLabeling):
             relabel_to_match(partition_u, everything, everything, coded)
 

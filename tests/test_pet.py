@@ -8,6 +8,7 @@ from aperiodic_kit.morphisms import language
 from aperiodic_kit.pet import (
     PolygonExchange,
     Window,
+    coded_cells,
     coded_dominoes,
     config_patch,
     enumerate_language,
@@ -22,6 +23,7 @@ from aperiodic_kit.words import Word2d, occurs_at, project, subwords
 INV = PHI**-1
 INV2 = PHI**-2
 INV3 = PHI**-3
+DOMINO_STEPS = [(1, 0), (0, 1)]
 
 SAMPLE = (PhiNumber(Fraction(1357, 10000)), PhiNumber(Fraction(2938, 10000)))
 
@@ -279,12 +281,24 @@ class TestCodedDominoes:
         p1, _, r1, *_ = induction_tower
         partition, action = (partition_u, action_u) if level == "PU" else (p1, r1)
         squares = enumerate_language(partition, action, (2, 2))
-        horizontal, vertical = coded_dominoes(partition, action)
+        horizontal, vertical = coded_dominoes(coded_cells(partition, action, DOMINO_STEPS))
         assert horizontal == {(w[0, 0], w[1, 0]) for w in project(squares, (2, 1))}
         assert vertical == {(w[0, 0], w[0, 1]) for w in project(squares, (1, 2))}
 
+    def test_cells_seeded_with_their_labels_as_overlay_at_origin(self, partition_u, action_u):
+        # the partition overlaid on itself at step (0, 0) splits no cell: its
+        # cells have disjoint interiors, so each keeps its own label
+        from aperiodic_kit.pet import _refine_by_codes
+
+        base = [(cell, {}) for _, cell in partition_u.cells()]
+        overlaid = _refine_by_codes(partition_u, action_u, [(0, 0), *DOMINO_STEPS], base)
+        assert coded_cells(partition_u, action_u, DOMINO_STEPS) == [
+            codes for _, codes in overlaid
+        ]
+
     def test_reference_dominoes(self, partition_u, action_u, h_dominoes, v_dominoes):
-        assert coded_dominoes(partition_u, action_u) == (h_dominoes, v_dominoes)
+        cells = coded_cells(partition_u, action_u, DOMINO_STEPS)
+        assert coded_dominoes(cells) == (h_dominoes, v_dominoes)
 
 
 class TestDesubstitutionIdentity:

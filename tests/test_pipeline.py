@@ -9,10 +9,13 @@ from aperiodic_kit.pipeline import (
     build_reference_partition,
     check_uniqueness_hypotheses,
     cross_check_languages,
+    reference_coding,
     run_all,
     run_pet_pipeline,
     run_wang_pipeline,
 )
+
+EXPECTED = Path(__file__).parent / "expected"
 
 V_MARKER_SETS = [
     [0, 1, 2, 8, 9, 10, 11],
@@ -139,8 +142,9 @@ class TestLanguages:
         lang4 = language(phi, (4, 4))
         assert lang4 <= patterns_with_surrounding(tiles_u, (4, 4), 2)
 
-    def test_counts_and_equality(self, reference):
-        rows = {tuple(r.shape): r for r in cross_check_languages(reference, (2, 2))}
+    def test_counts_and_equality(self):
+        table = reference_coding((2, 2))[2]
+        rows = {tuple(r.shape): r for r in cross_check_languages(table, (2, 2))}
         expect = {(1, 1): 19, (2, 1): 31, (1, 2): 35, (2, 2): 50}
         for shape, count in expect.items():
             row = rows[shape]
@@ -150,8 +154,9 @@ class TestLanguages:
             assert row.all_equal
             assert row.radius_used == 2
 
-    def test_extended_table_needs_escalation(self, reference):
-        rows = {tuple(r.shape): r for r in cross_check_languages(reference, (3, 3))}
+    def test_extended_table_needs_escalation(self):
+        table = reference_coding((3, 3))[2]
+        rows = {tuple(r.shape): r for r in cross_check_languages(table, (3, 3))}
         assert all(r.all_equal for r in rows.values())
         assert rows[(3, 3)].substitution_count == 94
         assert rows[(3, 3)].radius_used == 3
@@ -160,30 +165,69 @@ class TestLanguages:
         assert rows[(1, 3)].radius_used == 4
 
     @pytest.mark.parametrize("max_shape", [(2, 2), (3, 3)], ids=["2x2", "3x3"])
-    def test_two_coding_refinements_per_run(self, monkeypatch, phi, max_shape):
-        # run_all refines the whole reference partition twice: once for the
-        # atom labels, once for every coding row (the induction loop refines
-        # window pieces, not the partition); the tile searches never refine,
-        # so they are replaced by the substitution language to keep this fast
+    def test_one_whole_partition_refinement_per_run(self, monkeypatch, phi, max_shape):
+        # run_all refines the whole reference partition once, for the atom
+        # labels and every coding row together; the induction loop refines
+        # window pieces, whose entries start without codes.  The tile
+        # searches never refine, so they are replaced by the substitution
+        # language to keep this fast
         from aperiodic_kit import pet, pipeline
 
-        supports = []
+        whole = []
         refine = pet._refine_by_codes
 
-        def counting(partition, action, support, base_cells):
-            supports.append(list(support))
-            return refine(partition, action, support, base_cells)
+        def counting(partition, action, support, base):
+            if all(codes for _, codes in base):
+                whole.append(list(support))
+            return refine(partition, action, support, base)
 
         monkeypatch.setattr(pet, "_refine_by_codes", counting)
         monkeypatch.setattr(
             pipeline, "patterns_with_surrounding", lambda tiles, shape, r, jobs: language(phi, shape)
         )
-        reference = build_reference_partition()
-        rows = cross_check_languages(reference, max_shape)
-        assert len(supports) == 2
-        assert supports[0] == [(0, 0), (1, 0), (0, 1)]
-        assert len(supports[1]) == max_shape[0] * max_shape[1]
-        assert all(row.all_equal for row in rows)
+        report = run_all(max_shape)
+        steps = [(i, j) for i in range(max_shape[0]) for j in range(max_shape[1])]
+        assert whole == [steps[1:]]
+        assert report.ok()
+
+    def test_reference_build_refines_over_the_domino_steps(self, monkeypatch):
+        from aperiodic_kit import pet
+
+        supports = []
+        refine = pet._refine_by_codes
+
+        def counting(partition, action, support, base):
+            supports.append(list(support))
+            return refine(partition, action, support, base)
+
+        monkeypatch.setattr(pet, "_refine_by_codes", counting)
+        build_reference_partition()
+        assert supports == [[(1, 0), (0, 1)]]
+
+    @pytest.mark.parametrize("max_shape", [(1, 1), (2, 1), (1, 2)], ids=["1x1", "2x1", "1x2"])
+    def test_small_max_shapes_join_the_domino_steps(self, monkeypatch, max_shape):
+        # below 2x2 the refinement support is the max shape's steps joined
+        # with (1, 0) and (0, 1); the rows and the labeled atoms are those
+        # of the pinned 3x3 report and reference partition
+        from aperiodic_kit import pipeline
+
+        references = []
+        induce = pipeline.run_pet_pipeline
+
+        def recording(reference, *args):
+            references.append(reference[0])
+            return induce(reference, *args)
+
+        monkeypatch.setattr(pipeline, "run_pet_pipeline", recording)
+        report = run_all(max_shape)
+        pinned_rows = json.loads((EXPECTED / "verify_3x3.json").read_text())["languages"]
+        shapes = [(i, j) for i in range(1, max_shape[0] + 1) for j in range(1, max_shape[1] + 1)]
+        assert [row.to_json() for row in report.languages] == [
+            row for row in pinned_rows if tuple(row["shape"]) in shapes
+        ]
+        pinned_atoms = json.loads((EXPECTED / "reference_partition.json").read_text())
+        assert [partition.to_json() for partition in references] == [pinned_atoms]
+        assert report.ok()
 
     def test_language_reference_partition_reusable(self, phi):
         partition, action = build_reference_partition()

@@ -177,6 +177,26 @@ class TestCli:
         assert err.startswith("error: cannot parse point ") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["lang", "--method", "tiles", "--shape", "2x"], "--shape '2x': expected integers WxH"),
+            (["solve", "U", "--shape", "ax3"], "--shape 'ax3': expected integers WxH"),
+            (["verify-all", "--max-shape", "2,b"], "--max-shape '2,b': expected integers WxH"),
+            (
+                ["desub", "U", "a,b"],
+                "markers 'a,b': expected comma-separated tile indices",
+            ),
+            (
+                ["desub", "U", "0,1,"],
+                "markers '0,1,': expected comma-separated tile indices",
+            ),
+        ],
+    )
+    def test_non_integer_value_is_named(self, capsys, argv, message):
+        assert main(argv) == cli.USAGE_ERROR
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["lang", "--method", "tiles", "--shape", "2x2", "--radius", "-1"],
