@@ -36,6 +36,29 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ValueError(message)
 
+    # argparse reads a word such as "-1/2,1/3" or "-phi" that follows an
+    # option as another option, and only "--opt=-1/2,1/3" parses; joining
+    # such a word to the option that takes it makes both spellings alike
+    def parse_known_args(self, args=None, namespace=None):
+        words = sys.argv[1:] if args is None else list(args)
+        takes_value = {
+            name: action.nargs is None
+            for action in self._actions for name in action.option_strings
+        }
+        for i in range(len(words) - 1, 0, -1):
+            option, word = words[i - 1], words[i]
+            if option not in takes_value and option.startswith("--"):
+                # an abbreviation stands for the one option it begins
+                names = [name for name in takes_value if name.startswith(option)]
+                option = names[0] if len(names) == 1 else option
+            if (
+                takes_value.get(option)
+                and word[:1] == "-" and word[:2] != "--"
+                and word not in takes_value
+            ):
+                words[i - 1 : i + 1] = [f"{words[i - 1]}={word}"]
+        return super().parse_known_args(words, namespace)
+
 
 def _parse_shape(text: str, option: str = "--shape") -> tuple[int, int]:
     for sep in ("x", ","):

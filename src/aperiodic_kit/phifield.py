@@ -5,6 +5,16 @@ Every scalar used by the geometric half of this package is an element
 minimal polynomial ``phi**2 = phi + 1`` and comparisons agree with the real
 embedding ``phi ~ 1.618``, decided without any floating point: the whole
 point of this class is that the geometric predicates downstream are exact.
+
+Every comparison ends in ``sign``, which works on integers only.  With
+``a = p1/q1`` and ``b = p2/q2`` in lowest terms (``q1, q2 > 0``),
+
+    2*q1*q2 * (a + b*phi) = S + p2*q1*sqrt(5),   S = 2*p1*q2 + p2*q1,
+
+so the sign is that of ``S`` or of ``p2`` when the two agree (or one is
+zero), and otherwise that of the side whose square is larger: ``S**2``
+against ``5 * p2**2 * q1**2``.  The two squares are never equal for
+``p2 != 0`` because sqrt(5) is irrational.
 """
 
 from __future__ import annotations
@@ -23,8 +33,10 @@ class PhiNumber:
     __slots__ = ("a", "b")
 
     def __init__(self, a: Rational = 0, b: Rational = 0):
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
+        # results of Fraction arithmetic are stored as they are; anything
+        # else, a Fraction subclass included, becomes an exact Fraction
+        object.__setattr__(self, "a", a if type(a) is Fraction else Fraction(a))
+        object.__setattr__(self, "b", b if type(b) is Fraction else Fraction(b))
 
     def __setattr__(self, name, value):
         raise AttributeError("PhiNumber is immutable")
@@ -91,24 +103,25 @@ class PhiNumber:
     # -- order --------------------------------------------------------
 
     def sign(self) -> int:
-        """Exact sign of a + b*(1+sqrt(5))/2: -1, 0, or 1."""
-        # a + b phi = (s + t sqrt(5)) / 2 with s = 2a + b, t = b
-        s = 2 * self.a + self.b
-        t = self.b
-        if t == 0:
-            return 0 if s == 0 else (1 if s > 0 else -1)
-        if s == 0:
-            return 1 if t > 0 else -1
-        if s > 0 and t > 0:
-            return 1
-        if s < 0 and t < 0:
-            return -1
-        # opposite signs: compare s^2 with 5 t^2 (squaring is safe since the
-        # larger magnitude side decides)
-        d = s * s - 5 * t * t
-        if s > 0:
-            return 1 if d > 0 else (-1 if d < 0 else 0)
-        return -1 if d > 0 else (1 if d < 0 else 0)
+        """Exact sign of a + b*(1+sqrt(5))/2: -1, 0, or 1.
+
+        Decided on integers: with a = p1/q1 and b = p2/q2, the number has
+        the sign of S + p2*q1*sqrt(5), where S = 2*p1*q2 + p2*q1.  When S
+        and p2 have opposite signs, S**2 against 5*p2**2*q1**2 tells which
+        side is larger.
+        """
+        p1, q1 = self.a.as_integer_ratio()
+        p2, q2 = self.b.as_integer_ratio()
+        s = 2 * p1 * q2 + p2 * q1
+        sign_s = (s > 0) - (s < 0)
+        sign_t = (p2 > 0) - (p2 < 0)
+        if sign_s == sign_t or not sign_t:
+            return sign_s
+        if not sign_s:
+            return sign_t
+        # opposite signs; s^2 == 5 (p2 q1)^2 cannot hold for p2 != 0
+        t = p2 * q1
+        return sign_s if s * s > 5 * t * t else sign_t
 
     def __eq__(self, other):
         try:

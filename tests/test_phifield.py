@@ -16,6 +16,35 @@ rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=40
 )
 elements = st.builds(PhiNumber, rationals, rationals)
+# large and unequal denominators, like the orbit points a/1000003
+wide_rationals = st.builds(
+    Fraction,
+    st.integers(min_value=-10**8, max_value=10**8),
+    st.integers(min_value=1, max_value=10**7),
+)
+wide_elements = st.builds(PhiNumber, wide_rationals, wide_rationals)
+
+
+def _fibonacci(n):
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+# -F(n+1)/F(n) + phi is about (-1)^(n+1) / (sqrt(5) F(n)^2): a
+# near-cancelling pair of opposite signs, shifted by +-1/10^9 and scaled to
+# a large denominator of its own
+def _near_cancelling(n, shift, scale):
+    return PhiNumber(Fraction(-_fibonacci(n + 1), _fibonacci(n)) + shift, 1) * scale
+
+
+near_cancelling = st.builds(
+    _near_cancelling,
+    st.integers(min_value=1, max_value=60),
+    st.sampled_from([Fraction(0), Fraction(1, 10**9), Fraction(-1, 10**9)]),
+    st.sampled_from([Fraction(1), Fraction(-1), Fraction(7, 1000003), Fraction(-1000003, 9999991)]),
+)
 
 
 # 120-digit rational approximation of the golden ratio, used as an
@@ -96,6 +125,17 @@ class TestOrder:
             v = oracle_value(x)
             assert x.sign() == (0 if v == 0 else (1 if v > 0 else -1))
 
+    @settings(max_examples=300)
+    @given(wide_elements | near_cancelling, wide_elements | near_cancelling)
+    def test_wide_denominators_match_oracle(self, x, y):
+        for value in (x, y, x - y):
+            v = oracle_value(value)
+            assert value.sign() == (0 if v == 0 else (1 if v > 0 else -1))
+            assert value.floor() == math.floor(v)
+        assert (x < y) == (oracle_value(x) < oracle_value(y))
+        assert (x <= y) == (oracle_value(x) <= oracle_value(y))
+        assert x <= x and not x < x
+
     def test_total_order_transitivity(self):
         a, b, c = num(0, 1), num(1, 0), num(2, -1)
         assert c < a and a > b > c
@@ -148,6 +188,32 @@ class TestText:
         for bad in ["", "one", "1+*phi", "phi phi phi+", "++1"]:
             with pytest.raises(ValueError):
                 parse_phi(bad)
+
+
+class _FractionSubclass(Fraction):
+    pass
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (3, -2),
+        (0, 5),
+        (Fraction(1, 3), Fraction(-7, 2)),
+        (Fraction(4, 6), 0),
+        (_FractionSubclass(1, 3), _FractionSubclass(5)),
+        ("1/3", "-7/2"),
+        ("2", "0.5"),
+        (_FractionSubclass(-2, 9), "3/4"),
+    ],
+)
+def test_constructor_stores_exact_fractions(a, b):
+    x = PhiNumber(a, b)
+    assert type(x.a) is Fraction and type(x.b) is Fraction
+    assert (x.a, x.b) == (Fraction(a), Fraction(b))
+    assert x == PhiNumber(Fraction(a), Fraction(b))
+    assert hash(x) == (hash(Fraction(a)) if b == 0 else hash((Fraction(a), Fraction(b))))
+    assert PhiNumber(a) == Fraction(a) and hash(PhiNumber(a)) == hash(Fraction(a))
 
 
 def test_immutability_and_hash():

@@ -288,6 +288,23 @@ class TestCli:
         assert main(argv) == cli.USAGE_ERROR
         assert capsys.readouterr().err == "error: --offset '3': expected integers i,j\n"
 
+    @pytest.mark.parametrize(
+        "head, option, value",
+        [
+            (["config", "--shape", "2x2"], "--seed-point", "-1/2,1/3"),
+            (["config", "--shape", "2x2"], "--seed-p", "-1/2,1/3"),
+            (["config", "--seed-point", "1/2,1/3", "--shape", "1x1"], "--offset", "-1,0"),
+            (["induce", "--partition", "PU", "--axis", "2"], "--bound", "-1/2"),
+            (["induce", "--partition", "PU", "--axis", "2"], "--bound", "-1+phi"),
+        ],
+    )
+    def test_negative_value_as_its_own_word(self, capsys, head, option, value):
+        code = main([*head, f"{option}={value}"])
+        joined = capsys.readouterr()
+        assert main([*head, option, value]) == code
+        assert capsys.readouterr() == joined
+        assert "expected one argument" not in joined.err
+
     def test_wrapped_partition_without_action_names_the_key(self, tmp_path, capsys):
         path = tmp_path / "wrapped.json"
         path.write_text(json.dumps({"partition": UNIT_SQUARE}))
