@@ -334,7 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="processes for the surrounding searches of lang --method tiles "
-        "and the verify-all language rows (default 1)",
+        "and the verify-all language rows (default 1); goes before the "
+        "subcommand: aperiodic-kit --jobs 2 verify-all ...",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

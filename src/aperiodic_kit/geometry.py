@@ -19,6 +19,17 @@ start at its least vertex; Polygon(...) keeps the full normalization for
 outside input.  Segments and polygons share one rule for their lattice
 translates, _axis_shifts: only translates whose projections meet the box
 on both axes are clipped.
+
+A halfplane <n, x> <= c comes from _halfplane, with its normal scaled by a
+positive factor so that the first nonzero coordinate is +-1; that keeps
+the side of every point and every cut point.  It records its form: an
+axis halfplane bounds one coordinate and evaluates a vertex as
++-(v[k] - bound) with no multiplication, a slanted one costs one
+multiplication.  A polygon builds the halfplanes of its edges once and
+caches them next to its bounding box.  An axis halfplane that holds on the
+whole bounding box of the polygon being cut is skipped without touching
+its ring: the ring only shrinks from that polygon, so the box test stays
+valid after earlier cuts.
 """
 
 from __future__ import annotations
@@ -76,7 +87,7 @@ def _cross(o: Point, a: Point, b: Point) -> PhiNumber:
 class Polygon:
     """Convex polygon; vertices counterclockwise, canonical start, positive area."""
 
-    __slots__ = ("vertices", "_bbox")
+    __slots__ = ("vertices", "_bbox", "_planes")
 
     def __init__(self, vertices: Sequence[Point]):
         vs = _normalize_ring(list(vertices))
@@ -84,6 +95,7 @@ class Polygon:
             raise ValueError("degenerate polygon")
         object.__setattr__(self, "vertices", vs)
         object.__setattr__(self, "_bbox", None)
+        object.__setattr__(self, "_planes", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polygon is immutable")
@@ -111,6 +123,7 @@ class Polygon:
         poly = object.__new__(cls)
         object.__setattr__(poly, "vertices", vertices)
         object.__setattr__(poly, "_bbox", None)
+        object.__setattr__(poly, "_planes", None)
         return poly
 
     def translate(self, v: Point) -> "Polygon":
@@ -191,17 +204,65 @@ def rectangle(x0, y0, x1, y1) -> Polygon:
     return Polygon([pt(x0, y0), pt(x1, y0), pt(x1, y1), pt(x0, y1)])
 
 
-def _split(ring: Sequence[Point], normal: Point, offset: PhiNumber):
-    """The parts of a convex vertex ring with <normal, x> <= offset and with
-    <normal, x> >= offset, as rings that keep the input's vertex order.
+def _halfplane(normal: Point, point: Point) -> tuple:
+    """The halfplane <normal, x> <= <normal, point>, with the normal scaled
+    by a positive factor so that its first nonzero coordinate is +-1; the
+    side of every point and the cut points of every segment stay the same.
 
-    The value and sign of each vertex are computed once, and both parts
-    share the cut points.  A part holding every vertex is the ring itself,
-    and a part without interior is empty.  A counterclockwise ring without
-    repeated or collinear vertices cuts into rings of the same kind: the
-    line holds at most two of a part's points, both on its cut side.
+    The result is the tuple (normal, offset, axis, lower, bound) of the
+    halfplane <normal, x> <= offset.  An axis halfplane has axis 0 or 1 and
+    normal +-e_axis: it reads x[axis] <= bound, or x[axis] >= bound when
+    lower is set, where bound is +-offset.  A slanted halfplane has axis
+    None, lower set when its normal starts with -1, and bound None.
     """
-    values = [_dot(normal, v) - offset for v in ring]
+    nx, ny = normal
+    if not nx or not ny:
+        axis = 1 if ny else 0
+        lower = normal[axis].sign() < 0
+        unit = -ONE if lower else ONE
+        bound = point[axis]
+        normal = (unit, ZERO) if axis == 0 else (ZERO, unit)
+        return normal, -bound if lower else bound, axis, lower, bound
+    lower = nx.sign() < 0
+    m = (-ny if lower else ny) / nx
+    offset = m * point[1] + (-point[0] if lower else point[0])
+    return (-ONE if lower else ONE, m), offset, None, lower, None
+
+
+def _values(ring: Sequence[Point], plane) -> list[PhiNumber]:
+    """<normal, v> - offset for every vertex v of the ring: +-(v[k] - bound)
+    on an axis halfplane, one multiplication on a slanted one."""
+    (_, m), offset, axis, lower, bound = plane
+    if axis is not None:
+        if lower:
+            return [bound - v[axis] for v in ring]
+        return [v[axis] - bound for v in ring]
+    if lower:
+        return [m * v[1] - (v[0] + offset) for v in ring]
+    return [m * v[1] + (v[0] - offset) for v in ring]
+
+
+def _holds_on_box(plane, box) -> bool:
+    """True when an axis halfplane holds on the whole box (x0, y0, x1, y1)."""
+    _, _, axis, lower, bound = plane
+    if axis is None:
+        return False
+    return bound <= box[axis] if lower else box[axis + 2] <= bound
+
+
+def _split(ring: Sequence[Point], plane):
+    """The parts of a convex vertex ring with <normal, x> <= offset and with
+    <normal, x> >= offset for the halfplane's normal and offset, as rings
+    that keep the input's vertex order.
+
+    The value and sign of each vertex are computed once, in the form the
+    halfplane records, and both parts share the cut points.  A part
+    holding every vertex is the ring itself, and a part without interior
+    is empty.  A counterclockwise ring without repeated or collinear
+    vertices cuts into rings of the same kind: the line holds at most two
+    of a part's points, both on its cut side.
+    """
+    values = _values(ring, plane)
     signs = [value.sign() for value in values]
     if max(signs) <= 0:
         return ring, ()
@@ -226,14 +287,18 @@ def _split(ring: Sequence[Point], normal: Point, offset: PhiNumber):
     return inside, outside
 
 
-def _halfplanes(poly: Polygon):
-    """(normal, offset) of the halfplanes <normal, x> <= offset whose
-    intersection is the polygon, one per edge."""
-    for p, q in poly.edges():
-        # inward side of edge (p, q) of a CCW polygon: cross(q-p, x-p) >= 0,
-        # i.e. <n, x> <= <n, p> for n = (qy - py, px - qx)
-        normal = (q[1] - p[1], p[0] - q[0])
-        yield normal, _dot(normal, p)
+def _halfplanes(poly: Polygon) -> tuple:
+    """The halfplanes of the polygon's edges, one per edge in vertex order,
+    whose intersection is the polygon; built once and cached on it."""
+    if poly._planes is None:
+        planes = []
+        for p, q in poly.edges():
+            # inward side of edge (p, q) of a CCW polygon: cross(q-p, x-p) >= 0,
+            # i.e. <n, x> <= <n, p> for n = (qy - py, px - qx)
+            normal = (q[1] - p[1], p[0] - q[0])
+            planes.append(_halfplane(normal, p))
+        object.__setattr__(poly, "_planes", tuple(planes))
+    return poly._planes
 
 
 def _piece(poly: Polygon, ring: Sequence[Point]) -> Optional[Polygon]:
@@ -248,9 +313,14 @@ def _piece(poly: Polygon, ring: Sequence[Point]) -> Optional[Polygon]:
 
 
 def convex_intersection(a: Polygon, b: Polygon) -> Optional[Polygon]:
+    """a & b, None when it has no interior: a's ring cut by each edge
+    halfplane of b, skipping the axis halfplanes that hold on a's box."""
+    box = a.bbox()
     ring = a.vertices
-    for normal, offset in _halfplanes(b):
-        ring = _split(ring, normal, offset)[0]
+    for plane in _halfplanes(b):
+        if _holds_on_box(plane, box):
+            continue
+        ring = _split(ring, plane)[0]
         if len(ring) < 3:
             return None
     return _piece(a, ring)
@@ -259,10 +329,13 @@ def convex_intersection(a: Polygon, b: Polygon) -> Optional[Polygon]:
 def convex_split(a: Polygon, b: Polygon) -> tuple[Optional[Polygon], list[Polygon]]:
     """a & b (None if flat) and a minus b as convex pieces with disjoint
     interiors, from one cut of a by each edge halfplane of b."""
+    box = a.bbox()
     pieces = []
     rest = a.vertices
-    for normal, offset in _halfplanes(b):
-        rest, outside = _split(rest, normal, offset)
+    for plane in _halfplanes(b):
+        if _holds_on_box(plane, box):
+            continue
+        rest, outside = _split(rest, plane)
         piece = _piece(a, outside)
         if piece is not None:
             pieces.append(piece)
@@ -556,7 +629,7 @@ def _clip_segment_to_box(p: Point, q: Point, box: Polygon) -> Optional[Segment]:
     """The part of pq in the closed convex box; None when it is a point or empty."""
     d = (q[0] - p[0], q[1] - p[1])
     t_lo, t_hi = ZERO, ONE
-    for normal, offset in _halfplanes(box):
+    for normal, offset, *_ in _halfplanes(box):
         # p + t d lies in the halfplane when t <normal, d> <= room
         nd, room = _dot(normal, d), offset - _dot(normal, p)
         side = nd.sign()
@@ -610,10 +683,11 @@ def partition_from_segments(segments, lattice) -> TorusPartition:
 
     cells = [rectangle(0, 0, l1, l2)]
     for a, b, c in lines:
+        plane = _halfplane((a, b), (c, ZERO) if a else (ZERO, c))
         cells = [
             piece
             for cell in cells
-            for ring in _split(cell.vertices, (a, b), c)
+            for ring in _split(cell.vertices, plane)
             if (piece := _piece(cell, ring)) is not None
         ]
 

@@ -6,15 +6,18 @@ minimal polynomial ``phi**2 = phi + 1`` and comparisons agree with the real
 embedding ``phi ~ 1.618``, decided without any floating point: the whole
 point of this class is that the geometric predicates downstream are exact.
 
-Every comparison ends in ``sign``, which works on integers only.  With
-``a = p1/q1`` and ``b = p2/q2`` in lowest terms (``q1, q2 > 0``),
+Every order decision is one integer rule, ``_sign``.  With ``a = p1/q1``
+and ``b = p2/q2`` (``q1, q2 > 0``, not necessarily in lowest terms),
 
     2*q1*q2 * (a + b*phi) = S + p2*q1*sqrt(5),   S = 2*p1*q2 + p2*q1,
 
 so the sign is that of ``S`` or of ``p2`` when the two agree (or one is
 zero), and otherwise that of the side whose square is larger: ``S**2``
 against ``5 * p2**2 * q1**2``.  The two squares are never equal for
-``p2 != 0`` because sqrt(5) is irrational.
+``p2 != 0`` because sqrt(5) is irrational.  ``sign`` feeds it the ratios of
+the coefficients; ``<``, ``<=``, ``>`` and ``>=`` feed it the unreduced
+ratios ``(n1*d2 - n2*d1, d1*d2)`` of the coefficients of ``self - other``,
+so a comparison builds no difference and no Fraction.
 """
 
 from __future__ import annotations
@@ -25,6 +28,20 @@ from fractions import Fraction
 from typing import Union
 
 Rational = Union[int, Fraction]
+
+
+def _sign(p1: int, q1: int, p2: int, q2: int) -> int:
+    """Sign of p1/q1 + p2/q2 * phi for positive q1, q2: -1, 0 or 1."""
+    s = 2 * p1 * q2 + p2 * q1
+    sign_s = (s > 0) - (s < 0)
+    sign_t = (p2 > 0) - (p2 < 0)
+    if sign_s == sign_t or not sign_t:
+        return sign_s
+    if not sign_s:
+        return sign_t
+    # opposite signs; s^2 == 5 (p2 q1)^2 cannot hold for p2 != 0
+    t = p2 * q1
+    return sign_s if s * s > 5 * t * t else sign_t
 
 
 class PhiNumber:
@@ -103,25 +120,22 @@ class PhiNumber:
     # -- order --------------------------------------------------------
 
     def sign(self) -> int:
-        """Exact sign of a + b*(1+sqrt(5))/2: -1, 0, or 1.
-
-        Decided on integers: with a = p1/q1 and b = p2/q2, the number has
-        the sign of S + p2*q1*sqrt(5), where S = 2*p1*q2 + p2*q1.  When S
-        and p2 have opposite signs, S**2 against 5*p2**2*q1**2 tells which
-        side is larger.
-        """
+        """Exact sign of a + b*(1+sqrt(5))/2: -1, 0, or 1, decided on the
+        integer ratios of a and b by _sign."""
         p1, q1 = self.a.as_integer_ratio()
         p2, q2 = self.b.as_integer_ratio()
-        s = 2 * p1 * q2 + p2 * q1
-        sign_s = (s > 0) - (s < 0)
-        sign_t = (p2 > 0) - (p2 < 0)
-        if sign_s == sign_t or not sign_t:
-            return sign_s
-        if not sign_s:
-            return sign_t
-        # opposite signs; s^2 == 5 (p2 q1)^2 cannot hold for p2 != 0
-        t = p2 * q1
-        return sign_s if s * s > 5 * t * t else sign_t
+        return _sign(p1, q1, p2, q2)
+
+    def _compare(self, other) -> int:
+        """Sign of self - other, decided by _sign on the unreduced ratios
+        (n1*d2 - n2*d1, d1*d2) of its coefficients."""
+        if not isinstance(other, PhiNumber):
+            other = self._coerce(other)
+        p1, q1 = self.a.as_integer_ratio()
+        p2, q2 = self.b.as_integer_ratio()
+        r1, s1 = other.a.as_integer_ratio()
+        r2, s2 = other.b.as_integer_ratio()
+        return _sign(p1 * s1 - r1 * q1, q1 * s1, p2 * s2 - r2 * q2, q2 * s2)
 
     def __eq__(self, other):
         try:
@@ -131,16 +145,16 @@ class PhiNumber:
         return self.a == other.a and self.b == other.b
 
     def __lt__(self, other):
-        return (self - self._coerce(other)).sign() < 0
+        return self._compare(other) < 0
 
     def __le__(self, other):
-        return (self - self._coerce(other)).sign() <= 0
+        return self._compare(other) <= 0
 
     def __gt__(self, other):
-        return (self - self._coerce(other)).sign() > 0
+        return self._compare(other) > 0
 
     def __ge__(self, other):
-        return (self - self._coerce(other)).sign() >= 0
+        return self._compare(other) >= 0
 
     def __hash__(self):
         if self.b == 0:

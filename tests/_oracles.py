@@ -32,6 +32,7 @@ from aperiodic_kit.geometry import (
     _clip_segment_to_box,
     _edge_key,
     _edge_sweep,
+    _halfplane,
     _interval_minus,
     _num,
     _piece,
@@ -607,9 +608,16 @@ def full_graph_seeds(m: Morphism2d) -> set:
     return {vertices[i] for i in _cycle_vertices(len(vertices), edges)}
 
 
+def halfplane(normal, offset):
+    """The library's halfplane <normal, x> <= offset, for a nonzero normal."""
+    offset = _num(offset)
+    point = (offset / normal[0], ZERO) if normal[0] else (ZERO, offset / normal[1])
+    return _halfplane(normal, point)
+
+
 def clip(poly, normal, offset):
     """poly intersected with the halfplane <normal, x> <= offset; None if flat."""
-    return _piece(poly, _split(poly.vertices, normal, _num(offset))[0])
+    return _piece(poly, _split(poly.vertices, halfplane(normal, offset))[0])
 
 
 def polygon_or_none(vertices):

@@ -3,7 +3,10 @@
 Convex polygons have vertices a + b*phi with small rational a, b; cuts
 are random halfplanes, axis-parallel halfplanes, halfplanes through a
 vertex or along an edge (flat and empty results included), and second
-polygons drawn the same way or derived from the first.
+polygons drawn the same way or derived from the first, including ones
+whose axis-parallel edges touch or lie on the first one's bounding box.
+The cached, normalized edge halfplanes of a polygon are checked against
+its edges.
 """
 
 from fractions import Fraction
@@ -11,12 +14,20 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import clip, clip_each_cut, difference_each_cut, intersection_each_cut
+from _oracles import (
+    clip,
+    clip_each_cut,
+    difference_each_cut,
+    halfplane,
+    intersection_each_cut,
+)
 from aperiodic_kit.geometry import (
     Polygon,
     _cross,
+    _halfplanes,
     _piece,
     _split,
+    _values,
     convex_intersection,
     convex_split,
     rectangle,
@@ -95,6 +106,25 @@ def polygon_pairs(draw):
     return a, draw(polygons())
 
 
+@st.composite
+def box_pairs(draw):
+    """A polygon and a rectangle or corner triangle whose axis-parallel
+    edges lie on, touch, cross or clear the polygon's bounding box."""
+    a = draw(polygons())
+    x0, y0, x1, y1 = a.bbox()
+
+    def bounds(lo, hi):
+        step = (hi - lo) / 8
+        picks = [lo - ONE, lo, lo + step, (lo + hi) / 2, hi - step, hi, hi + ONE]
+        i = draw(st.integers(0, len(picks) - 2))
+        return picks[i], picks[draw(st.integers(i + 1, len(picks) - 1))]
+
+    (bx0, bx1), (by0, by1) = bounds(x0, x1), bounds(y0, y1)
+    if draw(st.booleans()):
+        return a, rectangle(bx0, by0, bx1, by1)
+    return a, Polygon([(bx0, by0), (bx1, by0), (bx0, by1)])
+
+
 @KERNEL
 @given(st.data())
 def test_clip_matches_each_cut_oracle(data):
@@ -110,6 +140,76 @@ def test_intersection_and_difference_match_each_cut_oracles(pair):
     inside = intersection_each_cut(a, b)
     assert convex_intersection(a, b) == inside
     assert convex_split(a, b) == (inside, difference_each_cut(a, b))
+
+
+@KERNEL
+@given(box_pairs())
+def test_axis_edges_on_the_bounding_box_match_each_cut_oracles(pair):
+    # an edge on the box boundary holds on the whole box: the skipped cut
+    # must give what the cut would have given, in both directions
+    a, b = pair
+    for p, q in ((a, b), (b, a)):
+        inside = intersection_each_cut(p, q)
+        assert convex_intersection(p, q) == inside
+        assert convex_split(p, q) == (inside, difference_each_cut(p, q))
+
+
+@KERNEL
+@given(polygons(), st.lists(polygons(), min_size=2, max_size=4), points)
+def test_clipping_in_a_row_reuses_cached_halfplanes(a, others, v):
+    # each other polygon moved so that its least vertex is a's least
+    # vertex shifted by v/4: most of the pairs overlap
+    (ax, ay), shift = a.vertices[0], (v[0] / 4, v[1] / 4)
+    others = [
+        b.translate((ax - b.vertices[0][0] + shift[0], ay - b.vertices[0][1] + shift[1]))
+        for b in others
+    ]
+    planes = _halfplanes(a)
+    for b in others:
+        inside = intersection_each_cut(b, a)
+        assert convex_intersection(b, a) == inside
+        assert convex_split(b, a) == (inside, difference_each_cut(b, a))
+    assert _halfplanes(a) is planes
+    result, expected = a, a
+    for b in others:
+        result = convex_intersection(result, b)
+        expected = intersection_each_cut(expected, b)
+        assert result == expected
+        if result is None:
+            break
+
+
+def _check_halfplanes(poly):
+    """The cached halfplanes are the normalized edge halfplanes of poly."""
+    planes = _halfplanes(poly)
+    vs = poly.vertices
+    assert type(planes) is tuple and len(planes) == len(vs)
+    for i, plane in enumerate(planes):
+        (nx, ny), offset, axis, lower, bound = plane
+        p, q = vs[i], vs[(i + 1) % len(vs)]
+        # a positive multiple of the inward normal of edge (p, q) whose
+        # first nonzero coordinate is +-1
+        raw = (q[1] - p[1], p[0] - q[0])
+        assert (nx if nx else ny) in (ONE, -ONE)
+        assert nx * raw[1] == ny * raw[0] and (nx * raw[0] + ny * raw[1]).sign() > 0
+        assert offset == nx * p[0] + ny * p[1] == nx * q[0] + ny * q[1]
+        assert all(nx * v[0] + ny * v[1] <= offset for v in vs)
+        assert _values(vs, plane) == [nx * v[0] + ny * v[1] - offset for v in vs]
+        assert lower == ((nx if nx else ny) < 0)
+        if axis is None:
+            assert nx and ny and bound is None
+        else:
+            assert not (ny if axis == 0 else nx)
+            assert bound == p[axis] == q[axis]
+
+
+@KERNEL
+@given(polygons(), points)
+def test_cached_halfplanes_are_normalized_edge_halfplanes(poly, v):
+    _check_halfplanes(poly)
+    assert _halfplanes(poly) is _halfplanes(poly)
+    # a translate built after the cache was filled gets halfplanes of its own
+    _check_halfplanes(poly.translate(v))
 
 
 def _check_cut_ring(poly, ring):
@@ -131,11 +231,11 @@ def test_cut_rings_are_canonical_by_construction(data):
     # a canonical ring cut once, then each of its sides cut again as a ring
     poly = data.draw(polygons())
     normal, offset = data.draw(halfplanes(poly))
-    for ring in _split(poly.vertices, normal, offset):
+    for ring in _split(poly.vertices, halfplane(normal, offset)):
         _check_cut_ring(poly, ring)
         if len(ring) >= 3:
             normal2, offset2 = data.draw(halfplanes(Polygon(ring)))
-            for part in _split(ring, normal2, offset2):
+            for part in _split(ring, halfplane(normal2, offset2)):
                 _check_cut_ring(poly, part)
 
 

@@ -57,6 +57,29 @@ def oracle_value(x: PhiNumber) -> Fraction:
     return x.a + x.b * _PHI_APPROX
 
 
+rational_operands = st.integers(min_value=-10**8, max_value=10**8) | wide_rationals
+near_phi = st.builds(
+    lambda n, shift: Fraction(_fibonacci(n + 1), _fibonacci(n)) + shift,
+    st.integers(min_value=1, max_value=60),
+    st.sampled_from([Fraction(0), Fraction(1, 10**9), Fraction(-1, 10**9)]),
+)
+
+
+def _check_order(x, y):
+    """<, <=, >, >= and == of x and y (either may be an int or a Fraction)
+    agree with the sign of x - y and with the 120-digit oracle."""
+    exact = (x - y).sign()
+    approx = (oracle_value(x) if isinstance(x, PhiNumber) else x) - (
+        oracle_value(y) if isinstance(y, PhiNumber) else y
+    )
+    assert exact == (approx > 0) - (approx < 0)
+    assert (x < y) == (exact < 0)
+    assert (x <= y) == (exact <= 0)
+    assert (x > y) == (exact > 0)
+    assert (x >= y) == (exact >= 0)
+    assert (x == y) == (exact == 0)
+
+
 class TestArithmetic:
     def test_add_examples(self):
         assert PHI + num(-1, 1) == num(-1, 2)
@@ -132,9 +155,31 @@ class TestOrder:
             v = oracle_value(value)
             assert value.sign() == (0 if v == 0 else (1 if v > 0 else -1))
             assert value.floor() == math.floor(v)
-        assert (x < y) == (oracle_value(x) < oracle_value(y))
-        assert (x <= y) == (oracle_value(x) <= oracle_value(y))
-        assert x <= x and not x < x
+        # equal values: x itself and a copy built from its coefficients
+        for left, right in ((x, y), (y, x), (x, x), (x, PhiNumber(x.a, x.b))):
+            _check_order(left, right)
+
+    @settings(max_examples=300)
+    @given(wide_elements | near_cancelling | wide_rationals.map(PhiNumber), rational_operands)
+    def test_comparisons_with_int_and_fraction_operands(self, x, r):
+        # the int or Fraction on either side, and equal to a rational x
+        for left, right in ((x, r), (r, x), (PhiNumber(r), r), (r, PhiNumber(r))):
+            _check_order(left, right)
+
+    @settings(max_examples=100)
+    @given(near_phi)
+    def test_phi_against_near_convergents(self, r):
+        # phi against the Fraction F(n+1)/F(n) +- 1/10^9, on either side
+        _check_order(PHI, r)
+        _check_order(r, PHI)
+
+    def test_reflected_comparisons(self):
+        x = num(Fraction(1, 3))
+        assert 1 < PHI and not 2 < PHI and 2 > PHI and 1 <= PHI
+        assert Fraction(1, 3) >= x and Fraction(1, 3) <= x and Fraction(1, 3) == x
+        assert not Fraction(1, 3) > x and Fraction(1, 2) > x and 0 < x
+        with pytest.raises(TypeError):
+            x < 0.5
 
     def test_total_order_transitivity(self):
         a, b, c = num(0, 1), num(1, 0), num(2, -1)
