@@ -185,7 +185,7 @@ def cmd_desub(args) -> int:
         markers = [int(x) for x in args.markers.split(",")]
     except ValueError:
         raise ValueError(f"markers {args.markers!r}: expected comma-separated tile indices") from None
-    result = find_substitution(tileset, markers, args.axis, args.radius, args.side)
+    result = find_substitution(find_markers(tileset, args.axis, args.radius), markers, args.side)
     _emit(result.to_json(), args.out)
     return OK
 
@@ -255,8 +255,8 @@ def cmd_induce(args) -> int:
     partition, action = _load_partition(args.partition)
     bound = parse_phi(args.bound)
     window = Window(args.axis, bound)
-    induced, morphism = induced_partition(partition, action, window)
     new_action = induce_action(action, window)
+    induced, morphism = induced_partition(partition, action, window)
     _emit(
         {
             "partition": induced.to_json(),

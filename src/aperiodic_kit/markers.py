@@ -12,7 +12,6 @@ dominoes, which is the recognizability used by the self-similarity proof.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .morphisms import Morphism2d
 from .wang import (
@@ -37,13 +36,14 @@ class NotAMarkerSet(ValueError):
 
 @dataclass
 class MarkerReport:
-    """Marker subsets, and the admissible dominoes along the direction and
-    along the perpendicular axis that the search read them from."""
+    """Marker subsets of a tile set, and the admissible dominoes along the
+    direction and the perpendicular axis that the search read them from."""
 
     direction: int
     radius: int
     marker_subsets: list[list[int]]
     dominoes: tuple[set, set] = field(repr=False, compare=False)
+    tileset: WangTileSet = field(repr=False, compare=False)
 
     def __bool__(self):
         return bool(self.marker_subsets)
@@ -106,7 +106,7 @@ def find_markers(tileset: WangTileSet, direction: int, radius: int) -> MarkerRep
         if not any((u, v) in d_dir for u in members for v in members)
     ]
     subsets.sort(key=lambda s: s[0])
-    return MarkerReport(direction, radius, subsets, (d_dir, d_perp))
+    return MarkerReport(direction, radius, subsets, (d_dir, d_perp), tileset)
 
 
 def fuse(u: Tile, v: Tile, direction: int) -> Tile:
@@ -134,34 +134,23 @@ def _check_marker_criterion(members, d_dir, d_perp):
         raise NotAMarkerSet("a perpendicular domino mixes markers and non-markers")
 
 
-def find_substitution(
-    tileset: WangTileSet,
-    markers,
-    direction: int,
-    radius: int,
-    side: str = "right",
-    report: Optional[MarkerReport] = None,
-) -> DesubstitutionResult:
+def find_substitution(report: MarkerReport, markers, side: str = "right") -> DesubstitutionResult:
     """Desubstitute a Wang shift using a marker subset.
 
-    Builds the tile set whose tilings decompose those of the input: kept
-    non-marker tiles (sorted by index) followed by the fusions of the
-    admissible (non-marker, marker) dominoes on the chosen side (sorted by
-    index pairs).  The returned morphism sends each new letter to the tile
-    or domino it stands for; images are single letters or dominoes in the
-    direction, with the marker on the requested side.  A ``report`` of
-    find_markers for the same tile set, direction and radius supplies the
-    domino sets it already holds.
+    Builds the tile set whose tilings decompose those of the report's tile
+    set: kept non-marker tiles (sorted by index) followed by the fusions of
+    the admissible (non-marker, marker) dominoes on the chosen side (sorted
+    by index pairs), read off the report's domino sets.  The returned
+    morphism sends each new letter to the tile or domino it stands for;
+    images are single letters or dominoes in the report's direction, with
+    the marker on the requested side.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
+    tileset, direction = report.tileset, report.direction
     m = set(markers)
     if not m or not m < set(range(len(tileset))):
         raise NotAMarkerSet("markers must be a nonempty proper subset of tile indices")
-    if report is None:
-        report = find_markers(tileset, direction, radius)
-    elif (report.direction, report.radius) != (direction, radius):
-        raise ValueError("marker report is for another direction or radius")
     dominoes, perpendicular = report.dominoes
     _check_marker_criterion(m, dominoes, perpendicular)
     if side == "right":

@@ -2,9 +2,13 @@
 
 The lattice actions studied here are rotations of a torus by a pair of
 axis-aligned vectors; each generator is realized exactly as an exchange of
-at most four rectangles.  Inducing on an axis window produces first-return
-maps, return words, an induced partition, and the natural substitution
-sending new letters to the return words they stand for.
+at most four rectangles.  Inducing a rotation on an axis window produces
+first-return maps, return words, an induced partition, and the natural
+substitution sending new letters to the return words they stand for.
+
+Induction takes axis windows of torus rotations only, where every first
+return ends (see induced_transformation); induce_action rejects a window
+whose first-return map is not again a rotation as soon as it is known.
 """
 
 from __future__ import annotations
@@ -31,14 +35,6 @@ from .phifield import PhiNumber
 from .words import Word2d
 
 
-# a guard on first returns: the reference windows return within two steps
-MAX_RETURN_STEPS = 64
-
-
-class NonReturningPiece(RuntimeError):
-    """A window piece failed to return within MAX_RETURN_STEPS steps."""
-
-
 def _vadd(a: Point, b: Point) -> Point:
     return (a[0] + b[0], a[1] + b[1])
 
@@ -58,7 +54,7 @@ class Window:
             raise ValueError("window bound must be positive")
 
     def contains(self, x: Point) -> bool:
-        return x[self.axis - 1] < self.bound
+        return PhiNumber(0) <= x[self.axis - 1] < self.bound
 
     def sub_lattice(self, lattice) -> tuple[PhiNumber, PhiNumber]:
         """The lattice of the strip's rectangle inside that of ``lattice``."""
@@ -133,27 +129,30 @@ class PolygonExchange:
         return cls((l1, l2), pieces)
 
 
-def induced_transformation(transform: PolygonExchange, window):
-    """First-return map of a PET on a window, with return times.
+def induced_transformation(transform: PolygonExchange, window: Window):
+    """First-return map of a torus rotation on an axis window, with return times.
 
-    The window is an axis strip (a Window) or any convex Polygon inside
-    the domain.  Window pieces are pushed forward through the exchange and
-    split against the window after every step; the parts landing inside
-    have returned and the rest continues.  Returns the induced exchange
-    (domain normalized to the strip's rectangle for axis windows) and a
-    list of (piece, return time).
+    Window pieces are pushed forward through the exchange and split
+    against the window after every step; the parts landing inside have
+    returned and the rest continues.  Every piece returns, so the loop
+    ends: the strip constrains one coordinate, which moves by a circle
+    rotation.  A rational step brings each point back to its start, inside
+    the window; an irrational one enters [0, bound) within a bounded number
+    of steps (three-distance theorem).  Returns the induced exchange, on the
+    strip's rectangle, and a list of (piece, return time).
     """
-    if isinstance(window, Window):
-        new_lattice = window.sub_lattice(transform.lattice)
-        window_poly = rectangle(0, 0, new_lattice[0], new_lattice[1])
-    else:
-        window_poly = window
-        _, _, mx, my = window.bbox()
-        new_lattice = (mx, my)
+    if not isinstance(window, Window):
+        raise TypeError("induction needs an axis Window")
+    if transform.as_translation() is None:
+        raise ValueError("induction needs a torus rotation")
+    new_lattice = window.sub_lattice(transform.lattice)
+    window_poly = rectangle(0, 0, new_lattice[0], new_lattice[1])
 
     active = [(window_poly, (PhiNumber(0), PhiNumber(0)))]
     returned: list[tuple[Polygon, Point, int]] = []
-    for step in range(1, MAX_RETURN_STEPS + 1):
+    step = 0
+    while active:
+        step += 1
         moved = [
             (part.translate(v), _vadd(tau, v))
             for part, tau, v in split_cells(active, transform.pieces)
@@ -166,10 +165,6 @@ def induced_transformation(transform: PolygonExchange, window):
                     (inside.translate((-tau[0], -tau[1])), tau, step)
                 )
             active.extend((piece, tau) for piece in outside)
-        if not active:
-            break
-    else:
-        raise NonReturningPiece(f"no return within {MAX_RETURN_STEPS} steps")
 
     pieces = [(poly, tau) for poly, tau, _ in returned]
     times = [(poly, step) for poly, _, step in returned]
@@ -257,21 +252,23 @@ def config_patch(
 
 
 def first_return_time(action: TorusAction, window: Window, x: Point, axis: int) -> int:
+    """Least k >= 1 with x moved k steps along the axis back in the window:
+    across the window's axis k = 1, along it see induced_transformation."""
+    if not window.contains(x):
+        raise ValueError(f"{x} is not in the window")
     step = (1, 0) if axis == 1 else (0, 1)
-    y = x
-    for k in range(1, 1 << 20):
+    y = action.translate(x, step)
+    k = 1
+    while not window.contains(y):
         y = action.translate(y, step)
-        if window.contains(y):
-            return k
-    raise NonReturningPiece("orbit never returned to the window")
+        k += 1
+    return k
 
 
 def return_word(
     partition: TorusPartition, action: TorusAction, window: Window, x: Point
 ) -> Word2d:
     """Code block swept before the orbit of x first returns to the window."""
-    if not window.contains(x):
-        raise ValueError(f"{x} is not in the window")
     r = first_return_time(action, window, x, 1)
     s = first_return_time(action, window, x, 2)
     return config_patch(partition, action, x, (r, s))
@@ -374,7 +371,6 @@ def induced_partition(
     gen_along = action.generator(window.axis)
     _, time_pieces = induced_transformation(gen_along, window)
     new_lattice = window.sub_lattice(action.lattice)
-    window_poly = rectangle(0, 0, new_lattice[0], new_lattice[1])
 
     collected: dict[Word2d, list[Polygon]] = {}
     for piece, steps in time_pieces:

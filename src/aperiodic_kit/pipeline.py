@@ -225,7 +225,7 @@ def _markers_with_escalation(tileset, direction):
     for r in range(1, MAX_MARKER_RADIUS + 1):
         report = find_markers(tileset, direction, r)
         if report.marker_subsets:
-            return report, r
+            return report
     raise StageFailure(
         "find_markers",
         f"no markers in direction {direction} up to radius {MAX_MARKER_RADIUS}",
@@ -236,16 +236,10 @@ def run_wang_pipeline(direction_first: int = 2) -> WangLoopReport:
     """Desubstitute the tile set twice and close the loop by equivalence."""
     started = time.perf_counter()
     tiles = catalog.wang_tiles()
-    first_report, r1 = _markers_with_escalation(tiles, direction_first)
-    first = find_substitution(
-        tiles, first_report.marker_subsets[0], direction_first, r1, "right", first_report
-    )
-    second_direction = 3 - direction_first
-    second_report, r2 = _markers_with_escalation(first.tileset, second_direction)
-    second = find_substitution(
-        first.tileset, second_report.marker_subsets[0], second_direction, r2, "right",
-        second_report,
-    )
+    first_report = _markers_with_escalation(tiles, direction_first)
+    first = find_substitution(first_report, first_report.marker_subsets[0])
+    second_report = _markers_with_escalation(first.tileset, 3 - direction_first)
+    second = find_substitution(second_report, second_report.marker_subsets[0])
     certificate = is_equivalent(tiles, second.tileset)
     if certificate is None:
         raise StageFailure("is_equivalent", "final tile set is not equivalent to the start")
@@ -255,10 +249,10 @@ def run_wang_pipeline(direction_first: int = 2) -> WangLoopReport:
     return WangLoopReport(
         direction_first=direction_first,
         first_markers=first_report.marker_subsets,
-        first_radius=r1,
+        first_radius=first_report.radius,
         middle_size=len(first.tileset),
         second_markers=second_report.marker_subsets,
-        second_radius=r2,
+        second_radius=second_report.radius,
         final_size=len(second.tileset),
         vert=vert,
         horiz=horiz,

@@ -58,8 +58,8 @@ def verdict(criterion: str, detail: str):
 
 @pytest.fixture(scope="module")
 def wang_loop(tiles_u):
-    first = find_substitution(tiles_u, list(range(8)), 2, 2, "right")
-    second = find_substitution(first.tileset, V_MARKER_SETS[0], 1, 1, "right")
+    first = find_substitution(find_markers(tiles_u, 2, 2), list(range(8)))
+    second = find_substitution(find_markers(first.tileset, 1, 1), V_MARKER_SETS[0])
     certificate = is_equivalent(tiles_u, second.tileset)
     return first, second, certificate
 

@@ -27,8 +27,8 @@ HORIZ_CERTIFICATE = {"K": "PO", "L": "M", "M": "PL", "N": "MO", "O": "K", "P": "
 
 @pytest.fixture(scope="module")
 def wang_loop(tiles_u):
-    first = find_substitution(tiles_u, U_MARKERS, 2, 2, "right")
-    second = find_substitution(first.tileset, V_MARKER_SETS[0], 1, 1, "right")
+    first = find_substitution(find_markers(tiles_u, 2, 2), U_MARKERS)
+    second = find_substitution(find_markers(first.tileset, 1, 1), V_MARKER_SETS[0])
     return first, second
 
 
@@ -118,7 +118,7 @@ class TestFindSubstitution:
         assert is_valid_pattern(tiles_u, image)
 
     def test_left_side_form(self, tiles_u):
-        result = find_substitution(tiles_u, U_MARKERS, 2, 2, "left")
+        result = find_substitution(find_markers(tiles_u, 2, 2), U_MARKERS, "left")
         markers = set(U_MARKERS)
         for a in range(len(result.tileset)):
             img = result.morphism.image(a)
@@ -129,17 +129,20 @@ class TestFindSubstitution:
 
     def test_marker_report_supplies_the_dominoes(self, tiles_u):
         report = find_markers(tiles_u, 2, 2)
-        with_report = find_substitution(tiles_u, U_MARKERS, 2, 2, "right", report)
-        without = find_substitution(tiles_u, U_MARKERS, 2, 2, "right")
-        assert with_report.to_json() == without.to_json()
-        with pytest.raises(ValueError, match="another direction or radius"):
-            find_substitution(tiles_u, U_MARKERS, 2, 3, "right", report)
+        assert report.tileset is tiles_u
+        result = find_substitution(report, U_MARKERS)
+        assert result.direction == report.direction == 2
+        markers = set(U_MARKERS)
+        pairs = sorted((u, v) for u, v in report.dominoes[0] if u not in markers and v in markers)
+        images = [result.morphism.image(a) for a in range(len(result.tileset))]
+        assert [(w[0, 0], w[0, 1]) for w in images if w.shape == (1, 2)] == pairs
 
     def test_not_a_marker_set(self, tiles_u):
+        report = find_markers(tiles_u, 2, 2)
         with pytest.raises(NotAMarkerSet):
-            find_substitution(tiles_u, [8, 9], 2, 2, "right")
+            find_substitution(report, [8, 9])
         with pytest.raises(NotAMarkerSet):
-            find_substitution(tiles_u, [], 2, 2, "right")
+            find_substitution(report, [])
 
 
 class TestEquivalence:

@@ -12,6 +12,7 @@ from aperiodic_kit.pet import (
     coded_dominoes,
     config_patch,
     enumerate_language,
+    first_return_time,
     induce_action,
     induced_partition,
     induced_transformation,
@@ -99,23 +100,40 @@ class TestInducedTransformation:
         assert {k for _, k in times} == {1}
         assert induced.as_translation() == (PhiNumber(0), PhiNumber(0))
 
-    def test_triangle_window_worked_example(self):
+    def test_rational_translation_worked_example(self):
+        # y moves by 1/2, so every point of y < 1/3 is back after two steps
         t = PolygonExchange.toral_translation((1, 1), (Fraction(1, 3), Fraction(1, 2)))
+        induced, times = induced_transformation(t, Window(2, Fraction(1, 3)))
+        assert {k for _, k in times} == {2}
+        assert induced.is_bijective()
+        assert induced.as_translation() == (PhiNumber(Fraction(2, 3)), PhiNumber(0))
+
+    @pytest.mark.parametrize(
+        "bound, longest",
+        [(INV, 2), (PhiNumber(Fraction(1, 10)), 13), (PhiNumber(Fraction(1, 100)), 144)],
+    )
+    def test_kac_identity(self, action_u, bound, longest):
+        # the pieces of a first-return map, weighted by their return times,
+        # cover the torus once along the window's axis and the strip across it
+        window = Window(2, bound)
+        _, along = induced_transformation(action_u.generator(2), window)
+        assert max(k for _, k in along) == longest
+        assert sum((piece.area() * k for piece, k in along), PhiNumber(0)) == PhiNumber(1)
+        _, across = induced_transformation(action_u.generator(1), window)
+        assert {k for _, k in across} == {1}
+        assert sum((piece.area() for piece, _ in across), PhiNumber(0)) == bound
+
+    def test_non_rotation_rejected(self, action_u):
+        # the first return to y < 1/10 exchanges three pieces
+        induced, _ = induced_transformation(action_u.generator(2), Window(2, Fraction(1, 10)))
+        assert induced.as_translation() is None
+        with pytest.raises(ValueError, match="torus rotation"):
+            induced_transformation(induced, Window(1, Fraction(1, 2)))
+
+    def test_polygon_window_rejected(self, action_u):
         triangle = Polygon([pt(0, 0), pt(1, 0), pt(0, 1)])
-        induced, times = induced_transformation(t, triangle)
-        total = PhiNumber(0)
-        for piece, _ in induced.pieces:
-            total = total + piece.area()
-        assert total == PhiNumber(Fraction(1, 2))
-        assert max(k for _, k in times) > 1
-        # image pieces land back inside the triangle and tile it
-        image_total = PhiNumber(0)
-        for piece, v in induced.pieces:
-            img = piece.translate(v)
-            image_total = image_total + img.area()
-            for vx, vy in img.vertices:
-                assert (vx + vy) <= PhiNumber(1)
-        assert image_total == PhiNumber(Fraction(1, 2))
+        with pytest.raises(TypeError, match="axis Window"):
+            induced_transformation(action_u.generator(2), triangle)
 
 
 class TestInduceAction:
@@ -204,6 +222,13 @@ class TestReturnWords:
         w = return_word(partition_u, action_u, Window(2, INV), SAMPLE)
         patch = config_patch(partition_u, action_u, SAMPLE, w.shape)
         assert patch == w
+
+    @pytest.mark.parametrize("y", [INV, PhiNumber(Fraction(-1, 10))])
+    def test_first_return_from_outside_the_window_rejected(self, action_u, y):
+        # a negative y lies below the bound, but a rational step could keep
+        # its orbit out of [0, bound) forever
+        with pytest.raises(ValueError, match="not in the window"):
+            first_return_time(action_u, Window(2, INV), (SAMPLE[0], y), 2)
 
 
 def _inner(cell):

@@ -416,6 +416,12 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == f"error: window bound {bound} exceeds the lattice side 1 on axis {axis}\n"
 
+    def test_window_without_a_rotation_is_one_line_error(self, capsys):
+        # the first return to y < 1/100 exchanges three pieces, so
+        # induce_action refuses it before the partition is induced
+        assert main(["induce", "--axis", "2", "--bound", "1/100"]) == cli.USAGE_ERROR
+        assert capsys.readouterr().err == "error: induced generator 2 is not a rotation\n"
+
     def test_failed_verification_exit_code(self, tmp_path, monkeypatch, capsys):
         class FailingReport:
             def ok(self):
