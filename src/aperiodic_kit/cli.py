@@ -329,14 +329,12 @@ def build_parser() -> argparse.ArgumentParser:
             "subshift: substitution language, Wang tiles, coded rotations."
         ),
     )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="processes for the surrounding searches of lang --method tiles "
+    jobs_help = (
+        "processes for the surrounding searches of lang --method tiles "
         "and the verify-all language rows (default 1); goes before the "
-        "subcommand: aperiodic-kit --jobs 2 verify-all ...",
+        "subcommand or after lang and verify-all"
     )
+    parser.add_argument("--jobs", type=int, default=1, help=jobs_help)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("markers", help="find marker tile subsets")
@@ -373,6 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("substitution", "tiles", "coding"), required=True)
     p.add_argument("--shape", required=True, help="WxH")
     p.add_argument("--radius", type=_radius, default=2, help="surrounding radius for tiles")
+    # SUPPRESS leaves the top-level value in place when the option is absent
+    p.add_argument("--jobs", type=int, default=argparse.SUPPRESS, help=jobs_help)
     p.add_argument("--out")
     p.set_defaults(func=cmd_lang)
 
@@ -402,6 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-all", help="run every pipeline and cross-check")
     p.add_argument("--max-shape", default="2,2")
+    p.add_argument("--jobs", type=int, default=argparse.SUPPRESS, help=jobs_help)
     p.add_argument("--out", help="write the JSON report here")
     p.set_defaults(func=cmd_verify_all)
 

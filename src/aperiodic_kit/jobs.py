@@ -9,7 +9,6 @@ job count.
 from __future__ import annotations
 
 import os
-from multiprocessing import Pool
 from typing import Callable, Iterable
 
 
@@ -24,5 +23,9 @@ def parallel_map(fn: Callable, items: Iterable, jobs: int = 1) -> list:
     workers = min(jobs, len(items), os.cpu_count() or 1)
     if workers <= 1:
         return [fn(item) for item in items]
+    # imported here: the import costs tens of milliseconds and about 1 MB
+    # of resident memory, which a run without a pool need not pay
+    from multiprocessing import Pool
+
     with Pool(workers) as pool:
         return pool.map(fn, items)

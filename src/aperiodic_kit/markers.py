@@ -12,6 +12,7 @@ dominoes, which is the recognizability used by the self-similarity proof.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .morphisms import Morphism2d
 from .wang import (
@@ -81,22 +82,26 @@ class _UnionFind:
             self.parent[max(rx, ry)] = min(rx, ry)
 
 
-def find_markers(tileset: WangTileSet, direction: int, radius: int) -> MarkerReport:
+def find_markers(
+    tileset: WangTileSet, direction: int, radius: int, certificates: Iterable[Word2d] = ()
+) -> MarkerReport:
     """Candidate marker subsets for layers orthogonal to the direction.
 
     Tiles are merged whenever they can sit next to each other along the
     perpendicular axis (so whole layers stay within one class); a class
     qualifies when no two of its tiles can ever be adjacent along the
-    direction itself.
+    direction itself.  ``certificates`` spare domino searches as in
+    ``patterns_with_surrounding`` and never change the report.
     """
     if direction not in (1, 2):
         raise ValueError("direction must be 1 or 2")
     perp = 3 - direction
-    d_perp = dominoes_with_surrounding(tileset, perp, radius)
+    certificates = list(certificates)
+    d_perp = dominoes_with_surrounding(tileset, perp, radius, certificates)
     uf = _UnionFind(len(tileset))
     for u, v in d_perp:
         uf.union(u, v)
-    d_dir = dominoes_with_surrounding(tileset, direction, radius)
+    d_dir = dominoes_with_surrounding(tileset, direction, radius, certificates)
     classes: dict[int, list[int]] = {}
     for t in range(len(tileset)):
         classes.setdefault(uf.find(t), []).append(t)

@@ -221,9 +221,9 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _markers_with_escalation(tileset, direction):
+def _markers_with_escalation(tileset, direction, certificates=()):
     for r in range(1, MAX_MARKER_RADIUS + 1):
-        report = find_markers(tileset, direction, r)
+        report = find_markers(tileset, direction, r, certificates)
         if report.marker_subsets:
             return report
     raise StageFailure(
@@ -232,11 +232,16 @@ def _markers_with_escalation(tileset, direction):
     )
 
 
-def run_wang_pipeline(direction_first: int = 2) -> WangLoopReport:
-    """Desubstitute the tile set twice and close the loop by equivalence."""
+def run_wang_pipeline(direction_first: int = 2, certificates=()) -> WangLoopReport:
+    """Desubstitute the tile set twice and close the loop by equivalence.
+
+    ``certificates`` (factors of the substitution language, say) spare
+    domino searches of the first marker search, the one on the 19 tiles,
+    and never change the report; the derived tile sets have other letters.
+    """
     started = time.perf_counter()
     tiles = catalog.wang_tiles()
-    first_report = _markers_with_escalation(tiles, direction_first)
+    first_report = _markers_with_escalation(tiles, direction_first, certificates)
     first = find_substitution(first_report, first_report.marker_subsets[0])
     second_report = _markers_with_escalation(first.tileset, 3 - direction_first)
     second = find_substitution(second_report, second_report.marker_subsets[0])
@@ -370,8 +375,14 @@ def check_uniqueness_hypotheses() -> UniquenessReport:
     )
 
 
+def _certificate_shape(max_shape: tuple[int, int], r: int) -> tuple[int, int]:
+    """Shape of the language factors that hold every pattern of a shape up
+    to max_shape at margin r."""
+    return max_shape[0] + 2 * r, max_shape[1] + 2 * r
+
+
 def cross_check_languages(
-    coding_table, max_shape: tuple[int, int] = (2, 2), jobs: int = 1
+    coding_table, max_shape: tuple[int, int] = (2, 2), jobs: int = 1, certificates=None
 ) -> list[LanguageRow]:
     """Compare the three pattern languages at every shape up to max_shape.
 
@@ -382,15 +393,29 @@ def cross_check_languages(
     The substitution language is computed once at ``max_shape``, as a
     closure of factors under the rule; every smaller shape of it and of the
     coding table is their projection, since each of its factors extends
-    to one of ``max_shape``.  The tile side is searched
+    to one of ``max_shape``.  The tile side is checked
     shape by shape, because each shape settles at its own surrounding
     radius, which its row reports: the tile-set language may strictly
     contain the true language at a low radius, so on mismatch the radius is
-    raised from TILE_RADIUS up to MAX_TILE_RADIUS.
+    raised from TILE_RADIUS up to MAX_TILE_RADIUS.  At radius r the
+    substitution-language factors of shape ``max_shape`` plus r on every
+    side serve as certificates (``patterns_with_surrounding``): checked
+    against the tiles, they prove most patterns admissible without a
+    search, and they cannot change a row.  ``certificates`` are those of
+    TILE_RADIUS when the caller holds them already; the others are built on
+    first use.  Admissible sets shrink as the radius grows, so a raised
+    radius tests only the survivors of the one below.
     """
     phi = catalog.square_substitution()
     tiles = catalog.wang_tiles()
     substitution_table = language(phi, max_shape)
+    by_radius = {} if certificates is None else {TILE_RADIUS: certificates}
+
+    def certificates_at(r):
+        if r not in by_radius:
+            by_radius[r] = language(phi, _certificate_shape(max_shape, r))
+        return by_radius[r]
+
     rows = []
     for s1 in range(1, max_shape[0] + 1):
         for s2 in range(1, max_shape[1] + 1):
@@ -398,8 +423,12 @@ def cross_check_languages(
             from_substitution = project(substitution_table, shape)
             from_coding = project(coding_table, shape)
             r = TILE_RADIUS
+            from_tiles = None
             while True:
-                from_tiles = patterns_with_surrounding(tiles, shape, r, jobs)
+                from_tiles = patterns_with_surrounding(
+                    tiles, shape, r, jobs,
+                    candidates=from_tiles, certificates=certificates_at(r),
+                )
                 if from_tiles == from_substitution or r >= MAX_TILE_RADIUS:
                     break
                 r += 1
@@ -418,11 +447,14 @@ def cross_check_languages(
 
 def run_all(max_shape: tuple[int, int] = (2, 2), jobs: int = 1) -> VerificationReport:
     started = time.perf_counter()
-    wang = run_wang_pipeline()
+    certificates = language(
+        catalog.square_substitution(), _certificate_shape(max_shape, TILE_RADIUS)
+    )
+    wang = run_wang_pipeline(certificates=certificates)
     partition, action, coding_table = reference_coding(max_shape)
     induction = run_pet_pipeline((partition, action))
     uniqueness = check_uniqueness_hypotheses()
-    rows = cross_check_languages(coding_table, max_shape, jobs=jobs)
+    rows = cross_check_languages(coding_table, max_shape, jobs=jobs, certificates=certificates)
     loops_agree = all(a == b for a, b in zip(wang.morphisms, induction.morphisms))
     report = VerificationReport(
         wang=wang,

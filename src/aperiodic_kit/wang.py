@@ -8,6 +8,16 @@ table) and scans cells bottom-up row-major, so ``solve`` returns the
 lexicographically least solution in tile-index order along that scan.
 Domino sets are the 2-cell case of the surrounding search; nothing is
 cached between calls.
+
+The admissible patterns of a shape (those with an r-surrounding) are found
+as in the admissible-pattern-set method: every valid pattern is a
+candidate, and a candidate is kept when a certificate proves it or a
+search finds its surrounding.  A certificate is any word, typically a
+factor of the substitution language, that is a valid pattern of the tile
+set and holds the candidate at margin at least r; it is checked before it
+counts, so certificates only save searches and never change a set.
+Admissible sets shrink as r grows, so a radius escalation may pass the
+survivors of one radius as the candidates of the next.
 """
 
 from __future__ import annotations
@@ -15,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
+from .jobs import parallel_map
 from .words import Word2d
 
 RIGHT, TOP, LEFT, BOTTOM = 0, 1, 2, 3
@@ -285,12 +296,17 @@ def admits_surrounding(tileset: WangTileSet, u: Word2d, r: int) -> bool:
     return next(_backtrack(tileset.tiles, order, fixed, neighbors), None) is not None
 
 
-def dominoes_with_surrounding(tileset: WangTileSet, direction: int, r: int) -> set[tuple[int, int]]:
-    """Ordered index pairs whose domino in the direction has an r-surrounding."""
+def dominoes_with_surrounding(
+    tileset: WangTileSet, direction: int, r: int, certificates: Iterable[Word2d] = ()
+) -> set[tuple[int, int]]:
+    """Ordered index pairs whose domino in the direction has an r-surrounding.
+
+    ``certificates`` are as in ``patterns_with_surrounding``.
+    """
     if direction not in (1, 2):
         raise ValueError("direction must be 1 or 2")
     shape = (2, 1) if direction == 1 else (1, 2)
-    patterns = patterns_with_surrounding(tileset, shape, r)
+    patterns = patterns_with_surrounding(tileset, shape, r, certificates=certificates)
     return {(w[0, 0], w[shape[0] - 1, shape[1] - 1]) for w in patterns}
 
 
@@ -314,29 +330,76 @@ def sublattice_bases(max_index: int):
                 yield ((a, 0), (c, d))
 
 
-def _pattern_check(task) -> tuple[tuple, bool]:
-    tiles, r, columns = task
-    tileset = WangTileSet(tiles)
-    word = Word2d(columns)
-    return columns, admits_surrounding(tileset, word, r)
+def _pattern_check(task) -> bool:
+    tileset, r, columns = task
+    return admits_surrounding(tileset, Word2d(columns), r)
+
+
+def _certificate_windows(certificates, shape, r) -> dict[tuple, int]:
+    """Columns of every shape-window at margin >= r of the certificates,
+    each mapped to the index of the first certificate that has it."""
+    s1, s2 = shape
+    windows: dict[tuple, int] = {}
+    for i, word in enumerate(certificates):
+        columns = word.columns
+        n1, n2 = word.shape
+        for x in range(r, n1 - s1 - r + 1):
+            block = columns[x : x + s1]
+            for y in range(r, n2 - s2 - r + 1):
+                windows.setdefault(tuple(col[y : y + s2] for col in block), i)
+    return windows
+
+
+def _is_certificate(tileset: WangTileSet, word: Word2d) -> bool:
+    try:
+        return is_valid_pattern(tileset, word)
+    except UnknownTileIndex:
+        return False
 
 
 def patterns_with_surrounding(
-    tileset: WangTileSet, shape: tuple[int, int], r: int, jobs: int = 1
+    tileset: WangTileSet,
+    shape: tuple[int, int],
+    r: int,
+    jobs: int = 1,
+    candidates: Optional[Iterable[Word2d]] = None,
+    certificates: Iterable[Word2d] = (),
 ) -> set[Word2d]:
     """All shape-patterns admitting a surrounding of radius r.
+
+    ``candidates`` are the patterns to test, by default every valid
+    shape-pattern; a caller that already holds a superset of the answer,
+    such as the admissible set at a smaller radius, may pass it instead.
+    A candidate counts as admissible when a certificate proves it or when
+    the search finds a surrounding.  A certificate is a word that passes
+    ``is_valid_pattern`` against this tile set and has the candidate as a
+    window at margin at least r on every side: the block of that margin
+    around the window is itself a valid pattern, so it is an r-surrounding.
+    Each certificate is checked at most once, when a candidate first needs
+    it, and one that fails certifies nothing, so its candidates are
+    searched: the set does not depend on the certificates, only the number
+    of searches does.
 
     The surrounding searches run in ``jobs`` processes; the set does not
     depend on the count.
     """
-    # imported on use: the pool's multiprocessing import adds about 1 MB of
-    # resident memory to every process that loads the package
-    from .jobs import parallel_map
-
-    candidates = solve_all(TilingInstance(tileset, shape))
-    tasks = [(tileset.tiles, r, w.columns) for w in candidates]
-    return {
-        Word2d(columns)
-        for columns, good in parallel_map(_pattern_check, tasks, jobs)
-        if good
-    }
+    if candidates is None:
+        candidates = solve_all(TilingInstance(tileset, shape))
+    certificates = list(certificates)
+    windows = _certificate_windows(certificates, shape, r)
+    valid: dict[int, bool] = {}
+    found, searched = set(), []
+    for word in candidates:
+        i = windows.get(word.columns)
+        if i is not None:
+            if i not in valid:
+                valid[i] = _is_certificate(tileset, certificates[i])
+            if valid[i]:
+                found.add(word)
+                continue
+        searched.append(word)
+    tasks = [(tileset, r, word.columns) for word in searched]
+    found.update(
+        word for word, good in zip(searched, parallel_map(_pattern_check, tasks, jobs)) if good
+    )
+    return found

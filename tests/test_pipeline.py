@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -183,12 +186,34 @@ class TestLanguages:
 
         monkeypatch.setattr(pet, "_refine_by_codes", counting)
         monkeypatch.setattr(
-            pipeline, "patterns_with_surrounding", lambda tiles, shape, r, jobs: language(phi, shape)
+            pipeline,
+            "patterns_with_surrounding",
+            lambda tiles, shape, r, jobs, **searched: language(phi, shape),
         )
         report = run_all(max_shape)
         steps = [(i, j) for i in range(max_shape[0]) for j in range(max_shape[1])]
         assert whole == [steps[1:]]
         assert report.ok()
+
+    def test_run_without_a_pool_never_imports_multiprocessing(self):
+        import aperiodic_kit
+
+        src = Path(aperiodic_kit.__file__).resolve().parent.parent
+        script = (
+            "import sys\n"
+            "from aperiodic_kit.pipeline import run_all\n"
+            "assert run_all((1, 1)).ok()\n"
+            "print('multiprocessing' in sys.modules)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            stdout=subprocess.PIPE,
+            text=True,
+            check=True,
+            timeout=300,
+        )
+        assert done.stdout == "False\n"
 
     def test_reference_build_refines_over_the_domino_steps(self, monkeypatch):
         from aperiodic_kit import pet

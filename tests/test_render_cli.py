@@ -243,6 +243,52 @@ class TestCli:
         assert main(argv) == 0
         assert capsys.readouterr().out == parallel
 
+    @pytest.mark.parametrize(
+        "argv, jobs",
+        [
+            (["verify-all", "--max-shape", "1,1", "--jobs", "2"], 2),
+            (["--jobs", "2", "verify-all", "--max-shape", "1,1"], 2),
+            (["--jobs", "3", "verify-all", "--jobs", "2"], 2),
+            (["verify-all"], 1),
+        ],
+    )
+    def test_jobs_before_or_after_verify_all(self, monkeypatch, argv, jobs):
+        class PassingReport:
+            def ok(self):
+                return True
+
+            def to_text(self):
+                return "overall: PASS"
+
+        seen = []
+        monkeypatch.setattr(
+            cli, "run_all", lambda max_shape, jobs: seen.append(jobs) or PassingReport()
+        )
+        assert main(argv) == cli.OK
+        assert seen == [jobs]
+
+    def test_jobs_after_lang(self, capsys):
+        argv = ["lang", "--method", "tiles", "--shape", "2x1"]
+        assert main([*argv, "--jobs", "2"]) == 0
+        parallel = capsys.readouterr().out
+        assert main(argv) == 0
+        assert capsys.readouterr().out == parallel
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["markers", "U", "--jobs", "2"],
+            ["solve", "U", "--shape", "2x2", "--jobs", "2"],
+            ["verify-all", "--jobs", "0"],
+            ["lang", "--method", "substitution", "--shape", "1x1", "--jobs", "x"],
+        ],
+    )
+    def test_jobs_after_other_subcommands_is_one_error_line(self, capsys, argv):
+        assert main(argv) == cli.USAGE_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_induce_then_config_on_saved_system(self, tmp_path, capsys):
         out = tmp_path / "step.json"
         assert main(["induce", "--axis", "2", "--bound=-1+phi", "--out", str(out)]) == 0

@@ -1,9 +1,12 @@
+import multiprocessing
 import random
 
 import pytest
 
 import _oracles
 from aperiodic_kit import jobs as jobs_module
+from aperiodic_kit import wang
+from aperiodic_kit.morphisms import language
 from aperiodic_kit.wang import (
     SingularLattice,
     TilingInstance,
@@ -114,6 +117,65 @@ class TestSurrounding:
         assert len(patterns_with_surrounding(tiles_u, (2, 2), 2)) == 50
 
 
+class TestCertificates:
+    """Language factors prove surroundings; a bad one only costs a search."""
+
+    @pytest.mark.parametrize("shape", [(1, 2), (2, 2)])
+    def test_recolored_tile_set_same_with_and_without_certificates(self, phi, tiles_u, shape):
+        # tile 0 gets a right color no tile has on its left: language words
+        # with tile 0 left of another tile are no longer valid patterns
+        tiles = [list(t) for t in tiles_u.tiles]
+        tiles[0][0] = "Z"
+        recolored = WangTileSet(tiles)
+        certificates = language(phi, (shape[0] + 4, shape[1] + 4))
+        searched = patterns_with_surrounding(recolored, shape, 2)
+        assert patterns_with_surrounding(recolored, shape, 2, certificates=certificates) == searched
+        # some pattern of U's set is a valid candidate of the recolored set
+        # without a surrounding, so an unchecked certificate would keep it
+        lost = patterns_with_surrounding(tiles_u, shape, 2) - searched
+        assert any(is_valid_pattern(recolored, w) for w in lost)
+
+    def test_changed_letter_certifies_nothing(self, monkeypatch, phi, tiles_u):
+        # with every search refuted, only certificates keep a pattern
+        monkeypatch.setattr(wang, "admits_surrounding", lambda tileset, u, r: False)
+        word = min(language(phi, (6, 6)), key=lambda w: w.columns)
+        window = Word2d([col[2:4] for col in word.columns[2:4]])
+        assert patterns_with_surrounding(
+            tiles_u, (2, 2), 2, candidates=[window], certificates=[word]
+        ) == {window}
+        # one corner letter changed, outside the window: to a tile that
+        # breaks an edge, or to a letter outside the tile set
+        columns = [list(col) for col in word.columns]
+        broken = []
+        for letter in range(len(tiles_u) + 1):
+            columns[0][0] = letter
+            changed = Word2d(columns)
+            if letter == len(tiles_u) or not is_valid_pattern(tiles_u, changed):
+                broken.append(changed)
+        assert len(broken) > 1
+        for changed in broken:
+            assert patterns_with_surrounding(
+                tiles_u, (2, 2), 2, candidates=[window], certificates=[changed]
+            ) == set()
+
+    def test_certificates_too_small_are_ignored(self, monkeypatch, phi, tiles_u):
+        small = language(phi, (5, 6))
+        assert len(patterns_with_surrounding(tiles_u, (2, 2), 2, certificates=small)) == 50
+        monkeypatch.setattr(wang, "admits_surrounding", lambda tileset, u, r: False)
+        assert patterns_with_surrounding(tiles_u, (2, 2), 2, certificates=small) == set()
+        fitting = language(phi, (6, 6))
+        assert len(patterns_with_surrounding(tiles_u, (2, 2), 2, certificates=fitting)) == 50
+
+    def test_survivors_of_radius_3_give_the_radius_4_set(self, phi, tiles_u):
+        at_3 = patterns_with_surrounding(tiles_u, (1, 3), 3, certificates=language(phi, (7, 9)))
+        certificates = language(phi, (9, 11))
+        at_4 = patterns_with_surrounding(tiles_u, (1, 3), 4, certificates=certificates)
+        assert len(at_3) == 56 and len(at_4) == 55
+        assert patterns_with_surrounding(
+            tiles_u, (1, 3), 4, candidates=at_3, certificates=certificates
+        ) == at_4
+
+
 class TestPeriodicity:
     def test_self_matching_tile(self):
         single = WangTileSet([("A", "B", "A", "B")])
@@ -211,7 +273,7 @@ def test_parallel_map_caps_workers(monkeypatch, jobs, cpus, workers):
         def map(self, fn, items):
             return [fn(item) for item in items]
 
-    monkeypatch.setattr(jobs_module, "Pool", FakePool)
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
     monkeypatch.setattr(jobs_module.os, "cpu_count", lambda: cpus)
     assert jobs_module.parallel_map(abs, [-1, 2, -3], jobs) == [1, 2, 3]
     assert started == ([] if workers is None else [workers])
