@@ -45,18 +45,35 @@ class _Parser(argparse.ArgumentParser):
             name: action.nargs is None
             for action in self._actions for name in action.option_strings
         }
-        for i in range(len(words) - 1, 0, -1):
-            option, word = words[i - 1], words[i]
+
+        def resolve(option):
+            # an abbreviation stands for the one option it begins
             if option not in takes_value and option.startswith("--"):
-                # an abbreviation stands for the one option it begins
                 names = [name for name in takes_value if name.startswith(option)]
-                option = names[0] if len(names) == 1 else option
+                return names[0] if len(names) == 1 else option
+            return option
+
+        for i in range(len(words) - 1, 0, -1):
+            option, word = resolve(words[i - 1]), words[i]
             if (
                 takes_value.get(option)
                 and word[:1] == "-" and word[:2] != "--"
                 and word not in takes_value
             ):
                 words[i - 1 : i + 1] = [f"{words[i - 1]}={word}"]
+        # before the subcommand, argparse reads the value of an option it
+        # does not know as the subcommand and names the value; name the
+        # option and its words up to the subcommand, as after it
+        commands = next(
+            (a.choices for a in self._actions if isinstance(a, argparse._SubParsersAction)), None
+        )
+        for i, word in enumerate(words if commands else ()):
+            if word == "--" or word[:1] != "-":
+                break
+            if resolve(word.split("=", 1)[0]) not in takes_value:
+                rest = words[i:]
+                end = next((j for j, w in enumerate(rest) if w in commands), len(rest))
+                self.error(f"unrecognized arguments: {' '.join(rest[:end])}")
         return super().parse_known_args(words, namespace)
 
 
@@ -235,7 +252,7 @@ def cmd_lang(args) -> int:
     if args.method == "substitution":
         words = language(catalog.square_substitution(), shape)
     elif args.method == "tiles":
-        words = patterns_with_surrounding(catalog.wang_tiles(), shape, args.radius, args.jobs)
+        words = patterns_with_surrounding(catalog.wang_tiles(), shape, args.radius)
     else:
         _, _, words = reference_coding(shape)
     ordered = sorted(words, key=lambda w: w.columns)
@@ -312,7 +329,7 @@ def cmd_render(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
-    report = run_all(_parse_shape(args.max_shape, "--max-shape"), jobs=args.jobs)
+    report = run_all(_parse_shape(args.max_shape, "--max-shape"))
     if args.out:
         with open(args.out, "w") as handle:
             json.dump(report.to_json(), handle, indent=2)
@@ -329,12 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
             "subshift: substitution language, Wang tiles, coded rotations."
         ),
     )
-    jobs_help = (
-        "processes for the surrounding searches of lang --method tiles "
-        "and the verify-all language rows (default 1); goes before the "
-        "subcommand or after lang and verify-all"
-    )
-    parser.add_argument("--jobs", type=int, default=1, help=jobs_help)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("markers", help="find marker tile subsets")
@@ -371,8 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("substitution", "tiles", "coding"), required=True)
     p.add_argument("--shape", required=True, help="WxH")
     p.add_argument("--radius", type=_radius, default=2, help="surrounding radius for tiles")
-    # SUPPRESS leaves the top-level value in place when the option is absent
-    p.add_argument("--jobs", type=int, default=argparse.SUPPRESS, help=jobs_help)
     p.add_argument("--out")
     p.set_defaults(func=cmd_lang)
 
@@ -402,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-all", help="run every pipeline and cross-check")
     p.add_argument("--max-shape", default="2,2")
-    p.add_argument("--jobs", type=int, default=argparse.SUPPRESS, help=jobs_help)
     p.add_argument("--out", help="write the JSON report here")
     p.set_defaults(func=cmd_verify_all)
 
@@ -412,8 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.jobs < 1:
-            raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
         return args.func(args)
     except (OSError, ValueError, KeyError, TypeError, RuntimeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

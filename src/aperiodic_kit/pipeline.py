@@ -382,13 +382,12 @@ def _certificate_shape(max_shape: tuple[int, int], r: int) -> tuple[int, int]:
 
 
 def cross_check_languages(
-    coding_table, max_shape: tuple[int, int] = (2, 2), jobs: int = 1, certificates=None
+    coding_table, max_shape: tuple[int, int] = (2, 2), certificates=None
 ) -> list[LanguageRow]:
     """Compare the three pattern languages at every shape up to max_shape.
 
     ``coding_table`` is the coding language of ``max_shape``-patterns (the
-    third value of ``reference_coding``); the tile-side surrounding
-    searches run in ``jobs`` processes.
+    third value of ``reference_coding``).
 
     The substitution language is computed once at ``max_shape``, as a
     closure of factors under the rule; every smaller shape of it and of the
@@ -426,7 +425,7 @@ def cross_check_languages(
             from_tiles = None
             while True:
                 from_tiles = patterns_with_surrounding(
-                    tiles, shape, r, jobs,
+                    tiles, shape, r,
                     candidates=from_tiles, certificates=certificates_at(r),
                 )
                 if from_tiles == from_substitution or r >= MAX_TILE_RADIUS:
@@ -445,7 +444,7 @@ def cross_check_languages(
     return rows
 
 
-def run_all(max_shape: tuple[int, int] = (2, 2), jobs: int = 1) -> VerificationReport:
+def run_all(max_shape: tuple[int, int] = (2, 2)) -> VerificationReport:
     started = time.perf_counter()
     certificates = language(
         catalog.square_substitution(), _certificate_shape(max_shape, TILE_RADIUS)
@@ -454,7 +453,7 @@ def run_all(max_shape: tuple[int, int] = (2, 2), jobs: int = 1) -> VerificationR
     partition, action, coding_table = reference_coding(max_shape)
     induction = run_pet_pipeline((partition, action))
     uniqueness = check_uniqueness_hypotheses()
-    rows = cross_check_languages(coding_table, max_shape, jobs=jobs, certificates=certificates)
+    rows = cross_check_languages(coding_table, max_shape, certificates=certificates)
     loops_agree = all(a == b for a, b in zip(wang.morphisms, induction.morphisms))
     report = VerificationReport(
         wang=wang,

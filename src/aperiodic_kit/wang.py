@@ -17,7 +17,8 @@ factor of the substitution language, that is a valid pattern of the tile
 set and holds the candidate at margin at least r; it is checked before it
 counts, so certificates only save searches and never change a set.
 Admissible sets shrink as r grows, so a radius escalation may pass the
-survivors of one radius as the candidates of the next.
+survivors of one radius as the candidates of the next.  Every search runs
+in the calling process.
 """
 
 from __future__ import annotations
@@ -330,11 +331,6 @@ def sublattice_bases(max_index: int):
                 yield ((a, 0), (c, d))
 
 
-def _pattern_check(task) -> bool:
-    tileset, r, columns = task
-    return admits_surrounding(tileset, Word2d(columns), r)
-
-
 def _certificate_windows(certificates, shape, r) -> dict[tuple, int]:
     """Columns of every shape-window at margin >= r of the certificates,
     each mapped to the index of the first certificate that has it."""
@@ -361,7 +357,6 @@ def patterns_with_surrounding(
     tileset: WangTileSet,
     shape: tuple[int, int],
     r: int,
-    jobs: int = 1,
     candidates: Optional[Iterable[Word2d]] = None,
     certificates: Iterable[Word2d] = (),
 ) -> set[Word2d]:
@@ -379,9 +374,6 @@ def patterns_with_surrounding(
     it, and one that fails certifies nothing, so its candidates are
     searched: the set does not depend on the certificates, only the number
     of searches does.
-
-    The surrounding searches run in ``jobs`` processes; the set does not
-    depend on the count.
     """
     if candidates is None:
         candidates = solve_all(TilingInstance(tileset, shape))
@@ -398,8 +390,6 @@ def patterns_with_surrounding(
                 found.add(word)
                 continue
         searched.append(word)
-    tasks = [(tileset, r, word.columns) for word in searched]
-    found.update(
-        word for word, good in zip(searched, parallel_map(_pattern_check, tasks, jobs)) if good
-    )
+    admitted = parallel_map(lambda word: admits_surrounding(tileset, word, r), searched)
+    found.update(word for word, good in zip(searched, admitted) if good)
     return found

@@ -188,7 +188,7 @@ class TestLanguages:
         monkeypatch.setattr(
             pipeline,
             "patterns_with_surrounding",
-            lambda tiles, shape, r, jobs, **searched: language(phi, shape),
+            lambda tiles, shape, r, **searched: language(phi, shape),
         )
         report = run_all(max_shape)
         steps = [(i, j) for i in range(max_shape[0]) for j in range(max_shape[1])]

@@ -199,12 +199,6 @@ class TestCommandLine:
         assert_clean(*run_cli(argv))
 
     @FUZZ
-    @given(st.text(alphabet="0123x-", max_size=3), small_fields)
-    def test_jobs_and_shape(self, jobs, shape):
-        argv = ["--jobs", jobs, "lang", "--method", "substitution", "--shape", shape]
-        assert_clean(*run_cli(argv))
-
-    @FUZZ
     @given(st.sampled_from(["markers", "desub", "lang"]), st.integers(max_value=-1))
     def test_negative_radius(self, command, radius):
         argv = {

@@ -1,6 +1,5 @@
 import hashlib
 import json
-import os
 from pathlib import Path
 
 import pytest
@@ -216,9 +215,9 @@ class TestCli:
             ["solve", "U"],
             ["solve", "U", "--shape", "2x2", "--bogus"],
             ["solve", "U", "--shape", "2x2", "--backend", "exact_cover"],
-            ["--jobs", "x", "lang", "--method", "substitution", "--shape", "1x1"],
-            ["--jobs", "0", "lang", "--method", "substitution", "--shape", "1x1"],
-            ["--jobs", "-2", "lang", "--method", "substitution", "--shape", "1x1"],
+            ["--bogus"],
+            ["lang", "--method", "nope", "--shape", "1x1"],
+            ["verify-all", "--max-shape", "1,1", "--bogus", "2"],
             [],
         ],
     )
@@ -232,62 +231,48 @@ class TestCli:
         with pytest.raises(SystemExit) as exit_info:
             main(["-h"])
         assert exit_info.value.code == 0
-        assert "--jobs" in capsys.readouterr().out
 
-    def test_jobs_is_an_argument_not_an_environment_variable(self, capsys):
-        environ = dict(os.environ)
-        argv = ["lang", "--method", "tiles", "--shape", "2x1"]
-        assert main(["--jobs", "2", *argv]) == 0
-        assert dict(os.environ) == environ
-        parallel = capsys.readouterr().out
-        assert main(argv) == 0
-        assert capsys.readouterr().out == parallel
-
+    # argparse would name the value of an unknown option before the
+    # subcommand, since it reads that value as the subcommand
     @pytest.mark.parametrize(
-        "argv, jobs",
+        "argv, option",
         [
-            (["verify-all", "--max-shape", "1,1", "--jobs", "2"], 2),
-            (["--jobs", "2", "verify-all", "--max-shape", "1,1"], 2),
-            (["--jobs", "3", "verify-all", "--jobs", "2"], 2),
-            (["verify-all"], 1),
+            (["--jobs", "2", "verify-all"], "--jobs 2"),
+            (["--bogus", "2", "lang", "--method", "substitution", "--shape", "1x1"], "--bogus 2"),
         ],
+        ids=["jobs", "bogus"],
     )
-    def test_jobs_before_or_after_verify_all(self, monkeypatch, argv, jobs):
-        class PassingReport:
-            def ok(self):
-                return True
-
-            def to_text(self):
-                return "overall: PASS"
-
-        seen = []
-        monkeypatch.setattr(
-            cli, "run_all", lambda max_shape, jobs: seen.append(jobs) or PassingReport()
-        )
-        assert main(argv) == cli.OK
-        assert seen == [jobs]
-
-    def test_jobs_after_lang(self, capsys):
-        argv = ["lang", "--method", "tiles", "--shape", "2x1"]
-        assert main([*argv, "--jobs", "2"]) == 0
-        parallel = capsys.readouterr().out
-        assert main(argv) == 0
-        assert capsys.readouterr().out == parallel
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["markers", "U", "--jobs", "2"],
-            ["solve", "U", "--shape", "2x2", "--jobs", "2"],
-            ["verify-all", "--jobs", "0"],
-            ["lang", "--method", "substitution", "--shape", "1x1", "--jobs", "x"],
-        ],
-    )
-    def test_jobs_after_other_subcommands_is_one_error_line(self, capsys, argv):
+    def test_unknown_option_before_the_subcommand_is_named(self, capsys, argv, option):
         assert main(argv) == cli.USAGE_ERROR
         captured = capsys.readouterr()
         assert captured.out == ""
+        assert captured.err == f"error: unrecognized arguments: {option}\n"
+
+    # every search runs in this process, and no subcommand takes a job count
+    @pytest.mark.parametrize("value", ["2", "0", "x"])
+    @pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["markers", "U"],
+            ["desub", "U", "0,1"],
+            ["equiv", "U", "U"],
+            ["solve", "U", "--shape", "1x1"],
+            ["lang", "--method", "substitution", "--shape", "1x1"],
+            ["induce", "--axis", "2"],
+            ["config", "--seed-point", "0,0", "--shape", "1x1"],
+            ["render", "--target", "tiling", "--out", "tiles.svg"],
+            ["verify-all", "--max-shape", "1,1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_jobs_is_a_one_line_usage_error(self, capsys, argv, before, value):
+        jobs = ["--jobs", value]
+        assert main([*jobs, *argv] if before else [*argv, *jobs]) == cli.USAGE_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "--jobs" in captured.err
 
     def test_induce_then_config_on_saved_system(self, tmp_path, capsys):
         out = tmp_path / "step.json"
@@ -479,7 +464,7 @@ class TestCli:
             def to_text(self):
                 return "composite equals substitution: False"
 
-        monkeypatch.setattr(cli, "run_all", lambda max_shape, jobs: FailingReport())
+        monkeypatch.setattr(cli, "run_all", lambda max_shape: FailingReport())
         out = tmp_path / "report.json"
         assert main(["verify-all", "--out", str(out)]) == cli.VERIFY_FAILED == 3
         assert json.loads(out.read_text()) == {"ok": False}

@@ -1,10 +1,8 @@
-import multiprocessing
 import random
 
 import pytest
 
 import _oracles
-from aperiodic_kit import jobs as jobs_module
 from aperiodic_kit import wang
 from aperiodic_kit.morphisms import language
 from aperiodic_kit.wang import (
@@ -247,38 +245,3 @@ def test_instance_validation(tiles_u):
         TilingInstance(tiles_u, (2, 2), {(5, 0): 1})
     with pytest.raises(UnknownTileIndex):
         TilingInstance(tiles_u, (2, 2), {(0, 0): 99})
-
-
-def test_parallel_jobs_same_answer(tiles_u, h_dominoes):
-    parallel = patterns_with_surrounding(tiles_u, (2, 1), 2, jobs=2)
-    assert parallel == patterns_with_surrounding(tiles_u, (2, 1), 2, jobs=1)
-    assert {(w[0, 0], w[1, 0]) for w in parallel} == h_dominoes
-
-
-@pytest.mark.parametrize("jobs, cpus, workers", [(64, 8, 3), (64, 2, 2), (2, 8, 2), (1, 8, None)])
-def test_parallel_map_caps_workers(monkeypatch, jobs, cpus, workers):
-    # a fake pool records the worker count; no process starts
-    started = []
-
-    class FakePool:
-        def __init__(self, processes):
-            started.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return [fn(item) for item in items]
-
-    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
-    monkeypatch.setattr(jobs_module.os, "cpu_count", lambda: cpus)
-    assert jobs_module.parallel_map(abs, [-1, 2, -3], jobs) == [1, 2, 3]
-    assert started == ([] if workers is None else [workers])
-
-
-def test_parallel_map_rejects_job_count_below_one():
-    with pytest.raises(ValueError):
-        jobs_module.parallel_map(abs, [1], 0)
