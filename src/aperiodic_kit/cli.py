@@ -229,12 +229,16 @@ def cmd_equiv(args) -> int:
 def cmd_solve(args) -> int:
     tileset = _load_tileset(args.tileset)
     shape = _parse_shape(args.shape)
-    fixed = {}
+    fixed, pins = {}, {}
     for pin in args.fixed or []:
         x, y, tile = _integers("--fixed", pin, "x,y:tile")
         if not 0 <= tile < len(tileset):
             raise ValueError(f"--fixed {pin!r}: tile {tile} is not in the {len(tileset)}-tile set")
-        fixed[(x, y)] = tile
+        if fixed.setdefault((x, y), tile) != tile:
+            raise ValueError(
+                f"--fixed {pins[x, y]!r} and --fixed {pin!r} pin cell {(x, y)} to different tiles"
+            )
+        pins[x, y] = pin
     wrap = None
     if args.wrap:
         a, b, c, d = _integers("--wrap", args.wrap, "a,b,c,d")

@@ -6,8 +6,11 @@ colors.  One complete backtracking search serves every query: it reads a
 normalization of the instance (cells, reduced fixed tiles and a neighbor
 table) and scans cells bottom-up row-major, so ``solve`` returns the
 lexicographically least solution in tile-index order along that scan.
-Domino sets are the 2-cell case of the surrounding search; nothing is
-cached between calls.
+One fit rule gives a cell its tiles: a lookup, in an index the tile set
+builds once, of the colors its assigned neighbors show it, filtered only
+where a 1-wide or 1-high torus makes the cell its own neighbor.  The fixed
+tiles seed the assignment and are checked once by the same rule.  Domino
+sets are the 2-cell case of the surrounding search.
 
 The admissible patterns of a shape (those with an r-surrounding) are found
 as in the admissible-pattern-set method: every valid pattern is a
@@ -24,6 +27,7 @@ in the calling process.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Iterable, Optional, Sequence
 
 from .jobs import parallel_map
@@ -54,6 +58,12 @@ class WangTileSet:
                 )
             checked.append(tuple(str(color) for color in tile))
         self.tiles: tuple[Tile, ...] = tuple(checked)
+        # the tiles, in index order, that fit each (right, top, left, bottom)
+        # pattern of known side colors, None for a free side
+        self.fits: dict[tuple, list[int]] = {}
+        for index, tile in enumerate(self.tiles):
+            for key in product(*((color, None) for color in tile)):
+                self.fits.setdefault(key, []).append(index)
 
     def __len__(self):
         return len(self.tiles)
@@ -89,8 +99,9 @@ class TilingInstance:
 
     ``fixed`` pins tile indices at positions inside the shape.  When
     ``wrap`` is a nonsingular 2x2 integer matrix (columns generate a
-    sublattice of Z^2), the instance is the quotient torus and the shape is
-    derived from the lattice, not taken from ``shape``.
+    sublattice of Z^2), the instance is the quotient torus: the shape is
+    derived from the lattice, not taken from ``shape``, and a fixed cell
+    may be any integer cell, reduced onto the torus.
     """
 
     tileset: WangTileSet
@@ -101,7 +112,7 @@ class TilingInstance:
     def __post_init__(self):
         n1, n2 = self.shape
         for (x, y), t in self.fixed.items():
-            if not (0 <= x < n1 and 0 <= y < n2):
+            if self.wrap is None and not (0 <= x < n1 and 0 <= y < n2):
                 raise ValueError(f"fixed cell {(x, y)} outside shape {self.shape}")
             if not (0 <= t < len(self.tileset)):
                 raise UnknownTileIndex(t)
@@ -176,53 +187,31 @@ def _near_fixed_order(cells, fixed):
     return sorted(cells, key=lambda c: (distance(c), c[1], c[0]))
 
 
-def _backtrack(tiles, order, fixed, neighbors):
-    """Yield every valid assignment (one live dict) along the cell order."""
-    # candidate lists indexed by required (left, bottom) colors
-    by_lb: dict[tuple[Optional[str], Optional[str]], list[int]] = {}
-    for idx, t in enumerate(tiles):
-        for key in (
-            (t[LEFT], t[BOTTOM]),
-            (t[LEFT], None),
-            (None, t[BOTTOM]),
-            (None, None),
-        ):
-            by_lb.setdefault(key, []).append(idx)
-
-    assignment: dict[tuple[int, int], int] = {}
+def _backtrack(tileset, order, fixed, neighbors):
+    """Yield every valid assignment (one live dict) along the cell order;
+    the fixed tiles seed it and are checked once by the same fit rule."""
+    tiles, fits = tileset.tiles, tileset.fits
+    assignment = dict(fixed)
+    # 1-wide or 1-high torus: the sides on which a cell is its own neighbor
+    loops = {c: [s for s in (RIGHT, TOP) if nbs[s] == c] for c, nbs in neighbors.items() if c in nbs}
 
     def candidates(cell):
-        right_nb, top_nb, left_nb, bottom_nb = neighbors[cell]
-        want_left = tiles[assignment[left_nb]][RIGHT] if left_nb in assignment else None
-        want_bottom = tiles[assignment[bottom_nb]][TOP] if bottom_nb in assignment else None
-        base = by_lb.get((want_left, want_bottom), [])
-        if cell in fixed:
-            base = [t for t in base if t == fixed[cell]]
-        # width/height-1 torus: the cell is its own neighbor
-        if left_nb == cell:
-            base = [t for t in base if tiles[t][RIGHT] == tiles[t][LEFT]]
-        if bottom_nb == cell:
-            base = [t for t in base if tiles[t][TOP] == tiles[t][BOTTOM]]
-        # constraints from already-assigned right/top neighbors (fixed cells
-        # ahead of the scan, or wrap-around)
-        want_right = None
-        want_top = None
-        if right_nb is not None:
-            if right_nb in assignment:
-                want_right = tiles[assignment[right_nb]][LEFT]
-            elif right_nb in fixed:
-                want_right = tiles[fixed[right_nb]][LEFT]
-        if top_nb is not None:
-            if top_nb in assignment:
-                want_top = tiles[assignment[top_nb]][BOTTOM]
-            elif top_nb in fixed:
-                want_top = tiles[fixed[top_nb]][BOTTOM]
-        if want_right is not None:
-            base = [t for t in base if tiles[t][RIGHT] == want_right]
-        if want_top is not None:
-            base = [t for t in base if tiles[t][TOP] == want_top]
+        # on each side, the color an assigned neighbor shows on the opposite
+        # side (side ^ 2), or None
+        right, top, left, bottom = neighbors[cell]
+        base = fits.get((
+            tiles[assignment[right]][LEFT] if right in assignment else None,
+            tiles[assignment[top]][BOTTOM] if top in assignment else None,
+            tiles[assignment[left]][RIGHT] if left in assignment else None,
+            tiles[assignment[bottom]][TOP] if bottom in assignment else None,
+        ), ())
+        if cell in loops:
+            base = [t for t in base if all(tiles[t][s] == tiles[t][s ^ 2] for s in loops[cell])]
         return base
 
+    if any(t not in candidates(cell) for cell, t in fixed.items()):
+        return
+    order = [cell for cell in order if cell not in fixed]
     if not order:
         yield assignment
         return
@@ -250,7 +239,7 @@ def _solutions(instance: TilingInstance):
     if normal is None:
         return
     shape, cells, fixed, neighbors = normal
-    for grid in _backtrack(instance.tileset.tiles, cells, fixed, neighbors):
+    for grid in _backtrack(instance.tileset, cells, fixed, neighbors):
         yield Word2d([[grid[(x, y)] for y in range(shape[1])] for x in range(shape[0])])
 
 
@@ -294,7 +283,7 @@ def admits_surrounding(tileset: WangTileSet, u: Word2d, r: int) -> bool:
     # an existence query, so any complete cell order will do; scanning
     # outward from the fixed block refutes bad blocks sooner
     order = _near_fixed_order(cells, fixed) if fixed else cells
-    return next(_backtrack(tileset.tiles, order, fixed, neighbors), None) is not None
+    return next(_backtrack(tileset, order, fixed, neighbors), None) is not None
 
 
 def dominoes_with_surrounding(

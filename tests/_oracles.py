@@ -457,6 +457,29 @@ def brute_force_satisfiable(tileset, shape) -> bool:
     return extend(0)
 
 
+def brute_force_rectangle_tilings(tileset, shape, fixed) -> list:
+    """Every tiling of the rectangle that matches its shared edges and the
+    fixed cells, as words, least first along the bottom-up row-major scan.
+
+    Plain enumeration of every filling: ``product`` runs over the cells in
+    scan order with the first cell most significant, so the fillings come
+    in lexicographic order of their scans.
+    """
+    n1, n2 = shape
+    cells = [(x, y) for y in range(n2) for x in range(n1)]
+    tiles = tileset.tiles
+    found = []
+    for choice in product(range(len(tiles)), repeat=len(cells)):
+        grid = dict(zip(cells, choice))
+        if all(grid[cell] == t for cell, t in fixed.items()) and all(
+            (x + 1 == n1 or tiles[grid[x, y]][RIGHT] == tiles[grid[x + 1, y]][LEFT])
+            and (y + 1 == n2 or tiles[grid[x, y]][TOP] == tiles[grid[x, y + 1]][BOTTOM])
+            for x, y in cells
+        ):
+            found.append(Word2d([[grid[x, y] for y in range(n2)] for x in range(n1)]))
+    return found
+
+
 def _exact_cover_rows(tileset, cells, fixed, neighbors):
     """Option table of the exact-cover reduction.
 

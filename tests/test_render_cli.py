@@ -103,6 +103,21 @@ class TestCli:
         assert main(["solve", str(path), "--shape", "1x1", "--wrap", "1,0,1,2"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["shape"] == [1, 2]
+        # a fixed cell outside the shape reduces onto the torus: (3, 5) onto (0, 1)
+        argv = ["solve", str(path), "--shape", "1x1", "--wrap", "1,0,1,2", "--fixed", "3,5:0"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["columns"] == [[1, 0]]
+        assert main(["solve", "U", "--shape", "1x1", "--wrap", "4,0,0,4", "--fixed", "2,2:0"]) == 2
+
+    def test_solve_conflicting_pins_are_one_line_error(self, capsys):
+        argv = ["solve", "U", "--shape", "2x2", "--fixed", "0,0:1", "--fixed", "0,0:2"]
+        assert main(argv) == cli.USAGE_ERROR
+        assert capsys.readouterr().err == (
+            "error: --fixed '0,0:1' and --fixed '0,0:2' pin cell (0, 0) to different tiles\n"
+        )
+        # the same pin twice is one pin
+        assert main(["solve", "U", "--shape", "2x2", "--fixed", "0,0:1", "--fixed", "0,0:1"]) == 0
+        assert json.loads(capsys.readouterr().out)["columns"][0][0] == 1
 
     def test_lang_substitution(self, capsys):
         assert main(["lang", "--method", "substitution", "--shape", "2x2"]) == 0
@@ -487,3 +502,17 @@ class TestCli:
         assert main(["induce", "--partition", "PU", "--axis", str(axis), "--out", str(out)]) == 0
         expected = Path(__file__).parent / "expected" / f"induce_axis{axis}.json"
         assert out.read_bytes() == expected.read_bytes()
+
+    # the tile search's outputs, pinned byte for byte: an admissible-pattern
+    # row searched without certificates, and the least 7x7 tiling by U
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["lang", "--method", "tiles", "--shape", "3x3", "--radius", "3"], "lang_tiles_3x3_r3.json"),
+            (["solve", "U", "--shape", "7x7"], "solve_u_7x7.json"),
+        ],
+    )
+    def test_search_out_file_equals_the_expected_file(self, tmp_path, argv, name):
+        out = tmp_path / name
+        assert main([*argv, "--out", str(out)]) == 0
+        assert out.read_bytes() == (Path(__file__).parent / "expected" / name).read_bytes()

@@ -84,6 +84,27 @@ class TestSolve:
                 assert got_bt == expected
                 assert got_xc == expected
 
+    def test_fixed_cells_vs_plain_enumeration_random_sets(self):
+        # 1-3 fixed cells anywhere on the rectangle, the scan's first and
+        # last cells included, plus a pair of adjacent pins that may
+        # disagree: every solution, in scan order
+        rng = random.Random(41)
+        outcomes = set()
+        for _ in range(10):
+            ts = random_tileset(rng, tiles=rng.randint(3, 4), colors=2)
+            for shape in [(2, 2), (3, 2)]:
+                cells = [(x, y) for y in range(shape[1]) for x in range(shape[0])]
+                pins = [rng.sample(cells, rng.randint(1, 3)) for _ in range(3)]
+                pins += [[cells[0]], [cells[-1]], [(0, 0), (1, 0)], [(0, 0), (0, 1)]]
+                for chosen in pins:
+                    fixed = {cell: rng.randrange(len(ts)) for cell in chosen}
+                    expected = _oracles.brute_force_rectangle_tilings(ts, shape, fixed)
+                    instance = TilingInstance(ts, shape, fixed)
+                    assert solve_all(instance) == expected
+                    assert solve(instance) == (expected[0] if expected else None)
+                    outcomes.add(bool(expected))
+        assert outcomes == {True, False}
+
     def test_solutions_are_valid(self, tiles_u):
         for w in solve_all(TilingInstance(tiles_u, (2, 2))):
             assert is_valid_pattern(tiles_u, w)
@@ -221,7 +242,7 @@ class TestPeriodicity:
                 for wrap in (basis, other):
                     for fixed in ({}, {q: t, twin: t}, {q: t, twin: (t + 1) % len(ts)}):
                         reps, tilings = _oracles.brute_force_torus_tilings(ts, wrap, fixed)
-                        instance = TilingInstance(ts, (8, 8), fixed, wrap=wrap)
+                        instance = TilingInstance(ts, (1, 1), fixed, wrap=wrap)
                         for w in (solve(instance), _oracles.exact_cover_solve(instance)):
                             if tilings:
                                 assert _oracles.torus_word_as_tiling(wrap, reps, w) in tilings
@@ -245,3 +266,7 @@ def test_instance_validation(tiles_u):
         TilingInstance(tiles_u, (2, 2), {(5, 0): 1})
     with pytest.raises(UnknownTileIndex):
         TilingInstance(tiles_u, (2, 2), {(0, 0): 99})
+    # on a torus any integer cell reduces onto the lattice's representatives
+    TilingInstance(tiles_u, (1, 1), {(5, -3): 1}, wrap=((2, 0), (0, 2)))
+    with pytest.raises(UnknownTileIndex):
+        TilingInstance(tiles_u, (1, 1), {(5, -3): 99}, wrap=((2, 0), (0, 2)))
