@@ -2,11 +2,12 @@
 
 Everything here is exact: vertices are pairs of PhiNumber, areas come from
 the shoelace formula, and predicates never see a float.  A torus partition
-keeps its atoms as unions of convex cells inside the fundamental rectangle
+keeps each atom as a tuple of convex cells inside the fundamental rectangle
 of a diagonal lattice; non-convex atoms are represented by several cells
-glued along edges that no cutting segment covers.  Points are located by
-the closed cells alone: a point is on the partition boundary exactly when
-cells of two atoms hold it or one of its seam twins.
+glued along edges that no cutting segment covers.  Two atoms are equal up
+to null sets when their areas and the area of their intersection agree.
+Points are located by the closed cells alone: a point is on the partition
+boundary exactly when cells of two atoms hold it or one of its seam twins.
 
 Every cut is one _split pass over a plain vertex ring that returns both
 sides: an intersection with its difference, or a cell split by a line of
@@ -29,7 +30,8 @@ multiplication.  A polygon builds the halfplanes of its edges once and
 caches them next to its bounding box.  An axis halfplane that holds on the
 whole bounding box of the polygon being cut is skipped without touching
 its ring: the ring only shrinks from that polygon, so the box test stays
-valid after earlier cuts.
+valid after earlier cuts.  A point's side of a cell edge is read from the
+same cached halfplanes, in the same form as a cut reads a vertex.
 """
 
 from __future__ import annotations
@@ -132,12 +134,12 @@ class Polygon:
         return Polygon._canonical(tuple((p[0] + v[0], p[1] + v[1]) for p in self.vertices))
 
     def locate(self, x: Point) -> str:
-        """'interior', 'boundary' or 'outside' for this convex polygon."""
+        """'interior', 'boundary' or 'outside' for this convex polygon, from
+        the side of x on each cached edge halfplane, evaluated as a cut does."""
         on_edge = False
-        vs = self.vertices
-        for i in range(len(vs)):
-            s = _cross(vs[i], vs[(i + 1) % len(vs)], x).sign()
-            if s < 0:
+        for plane in _halfplanes(self):
+            s = _values((x,), plane)[0].sign()
+            if s > 0:
                 return "outside"
             if s == 0:
                 on_edge = True
@@ -164,6 +166,11 @@ def _doubled_area(vs) -> PhiNumber:
         p, q = vs[i], vs[(i + 1) % len(vs)]
         total = total + (p[0] * q[1] - q[0] * p[1])
     return total
+
+
+def _area_sum(cells: Iterable[Polygon]) -> PhiNumber:
+    """The total area of convex cells with disjoint interiors."""
+    return sum((cell.area() for cell in cells), ZERO)
 
 
 def _normalize_ring(vs: list[Point]) -> Optional[tuple[Point, ...]]:
@@ -385,7 +392,7 @@ def tiling_defect(cells: Sequence[Polygon], lattice) -> Optional[str]:
         x0, y0, x1, y1 = cell.bbox()
         if x0 < 0 or y0 < 0 or x1 > l1 or y1 > l2:
             return f"cell {cell} leaves the fundamental rectangle"
-    area = sum((cell.area() for cell in cells), ZERO)
+    area = _area_sum(cells)
     if area != l1 * l2:
         return f"cells cover area {area}, not the covolume {l1 * l2}"
     for i, a in enumerate(cells):
@@ -424,39 +431,6 @@ def _axis_shifts(lo, hi, period, box_lo, box_hi) -> list[PhiNumber]:
         shifts.append(shift)
         shift = shift + period
     return shifts
-
-
-class Region:
-    """Union of convex cells with pairwise disjoint interiors."""
-
-    __slots__ = ("cells",)
-
-    def __init__(self, cells: Iterable[Polygon]):
-        object.__setattr__(self, "cells", tuple(cells))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Region is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, Region) and self.cells == other.cells
-
-    def __hash__(self):
-        return hash(self.cells)
-
-    def __repr__(self):
-        return f"Region({len(self.cells)} cells, area {self.area()})"
-
-    def area(self) -> PhiNumber:
-        return sum((c.area() for c in self.cells), ZERO)
-
-    def intersection_area(self, other: "Region") -> PhiNumber:
-        pairs = split_cells([(a, None) for a in self.cells], [(b, None) for b in other.cells])
-        return sum((piece.area() for piece, _, _ in pairs), ZERO)
-
-    def equals_up_to_null(self, other: "Region") -> bool:
-        """Zero-area symmetric difference."""
-        mine, theirs = self.area(), other.area()
-        return mine == theirs and self.intersection_area(other) == mine
 
 
 # ---------------------------------------------------------------------------
@@ -535,9 +509,12 @@ def _interval_minus(lo, hi, covered) -> bool:
 
 
 class TorusPartition:
-    """Labeled partition of the torus of a diagonal lattice l1 Z x l2 Z."""
+    """Labeled partition of the torus of a diagonal lattice l1 Z x l2 Z.
 
-    def __init__(self, lattice, atoms: dict[int, Region]):
+    Each atom is a tuple of convex cells with pairwise disjoint interiors.
+    """
+
+    def __init__(self, lattice, atoms: dict[int, tuple[Polygon, ...]]):
         self.lattice = (_num(lattice[0]), _num(lattice[1]))
         self.atoms = dict(atoms)
 
@@ -546,11 +523,11 @@ class TorusPartition:
 
     def cells(self):
         for label in sorted(self.atoms):
-            for cell in self.atoms[label].cells:
+            for cell in self.atoms[label]:
                 yield label, cell
 
     def total_area(self) -> PhiNumber:
-        return sum((cell.area() for _, cell in self.cells()), ZERO)
+        return _area_sum(cell for _, cell in self.cells())
 
     def covolume(self) -> PhiNumber:
         return self.lattice[0] * self.lattice[1]
@@ -590,9 +567,9 @@ class TorusPartition:
             "atoms": {
                 str(label): [
                     [[str(v[0]), str(v[1])] for v in cell.vertices]
-                    for cell in region.cells
+                    for cell in cells
                 ]
-                for label, region in sorted(self.atoms.items())
+                for label, cells in sorted(self.atoms.items())
             },
         }
 
@@ -608,12 +585,15 @@ class TorusPartition:
         if len(lattice) != 2 or min(lattice).sign() <= 0:
             raise ValueError(f"lattice needs two positive entries, got {data['lattice']!r}")
         atoms = {
-            int(label): Region(
+            int(label): tuple(
                 Polygon([(parse_phi(x), parse_phi(y)) for x, y in cell])
                 for cell in cells
             )
             for label, cells in data["atoms"].items()
         }
+        for label, cells in atoms.items():
+            if not cells:
+                raise ValueError(f"atom {label} has no cells")
         partition = cls(lattice, atoms)
         defect = tiling_defect([cell for _, cell in partition.cells()], partition.lattice)
         if defect:
@@ -716,9 +696,9 @@ def partition_from_segments(segments, lattice) -> TorusPartition:
     groups: dict[int, list[Polygon]] = {}
     for idx, cell in enumerate(cells):
         groups.setdefault(find(idx), []).append(cell)
-    regions = [Region(sorted(cells_, key=lambda c: c.vertices)) for cells_ in groups.values()]
-    regions.sort(key=lambda r: r.cells[0].vertices)
-    return TorusPartition((l1, l2), {i: r for i, r in enumerate(regions)})
+    atoms = [tuple(sorted(group, key=lambda c: c.vertices)) for group in groups.values()]
+    atoms.sort(key=lambda atom: atom[0].vertices)
+    return TorusPartition((l1, l2), dict(enumerate(atoms)))
 
 
 # ---------------------------------------------------------------------------
@@ -781,15 +761,20 @@ def is_equal_up_to_relabeling(p: TorusPartition, q: TorusPartition):
     """Label map a -> b with atom_p(a) = atom_q(b) up to null sets, or None."""
     if p.lattice != q.lattice or len(p.atoms) != len(q.atoms):
         return None
-    # Region.equals_up_to_null, with every area computed once
-    areas = {b: other.area() for b, other in q.atoms.items()}
+    # atoms of equal area are equal up to null sets when their intersection
+    # has that area too; every area is computed once
+    areas = {b: _area_sum(cells) for b, cells in q.atoms.items()}
     mapping = {}
-    for a, region in p.atoms.items():
-        area = region.area()
+    for a, cells in p.atoms.items():
+        area = _area_sum(cells)
+        mine = [(cell, None) for cell in cells]
         matches = [
             b
             for b, other in q.atoms.items()
-            if areas[b] == area and region.intersection_area(other) == area
+            if areas[b] == area
+            and _area_sum(
+                part for part, _, _ in split_cells(mine, [(cell, None) for cell in other])
+            ) == area
         ]
         if len(matches) != 1:
             return None
@@ -809,12 +794,12 @@ def rescale(partition: TorusPartition, factor, translation=(0, 0)) -> TorusParti
     new_lattice = (partition.lattice[0] * scale_abs, partition.lattice[1] * scale_abs)
     box = rectangle(0, 0, new_lattice[0], new_lattice[1])
     atoms = {}
-    for label, region in partition.atoms.items():
-        cells = []
-        for cell in region.cells:
+    for label, cells in partition.atoms.items():
+        pieces = []
+        for cell in cells:
             mapped = Polygon(
                 [(v[0] * factor + t[0], v[1] * factor + t[1]) for v in cell.vertices]
             )
-            cells.extend(lattice_pieces(mapped, new_lattice, box))
-        atoms[label] = Region(sorted(cells, key=lambda c: c.vertices))
+            pieces.extend(lattice_pieces(mapped, new_lattice, box))
+        atoms[label] = tuple(sorted(pieces, key=lambda c: c.vertices))
     return TorusPartition(new_lattice, atoms)

@@ -155,26 +155,32 @@ def compose(m1: Morphism2d, m2: Morphism2d) -> Morphism2d:
     )
 
 
-# Powers of the rule checked for growth: the square substitution grows in
-# both directions from its second power on.
-EXPANSIVE_POWERS = 12
-
-
 def is_expansive(m: Morphism2d) -> bool:
     """True iff iterated images of every letter grow in both directions.
 
-    Once some power sends every letter to an image of width and height at
-    least 2, shapes at least double every further power, so checking
-    EXPANSIVE_POWERS powers decides expansiveness for any reasonable rule.
+    A rule with an empty image is not expansive.  Otherwise every image side
+    is at least 1, so the sides of a letter's iterates never shrink, and
+    they grow past 1 in a direction exactly when the letters of its
+    iterates, the letter itself included, hold an image at least 2 long in
+    it.  Some power then sends every letter to an image at least 2x2, and
+    the shapes of its powers at least double.  The letters of the iterates
+    are the letters reachable from the letter, so no power bound is needed.
     """
     if m.domain_size != m.codomain_size:
         raise ValueError("expansiveness needs domain = codomain")
-    words = {a: Word2d.single(a) for a in range(m.domain_size)}
-    for _ in range(EXPANSIVE_POWERS):
-        words = {a: m.apply(w) for a, w in words.items()}
-        if all(min(w.shape) >= 2 for w in words.values()):
-            return True
-    return False
+    images = [m.image(a) for a in range(m.domain_size)]
+    if any(0 in w.shape for w in images):
+        return False
+    for a in range(m.domain_size):
+        reached, frontier = {a}, [a]
+        while frontier:
+            for b in images[frontier.pop()].letters() - reached:
+                reached.add(b)
+                frontier.append(b)
+        shapes = [images[b].shape for b in reached]
+        if max(width for width, _ in shapes) < 2 or max(height for _, height in shapes) < 2:
+            return False
+    return True
 
 
 def is_primitive(m: Morphism2d) -> bool:

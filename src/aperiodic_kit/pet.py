@@ -20,7 +20,6 @@ from .geometry import (
     BoundaryHit,
     Point,
     Polygon,
-    Region,
     TorusPartition,
     _num,
     closure_hits,
@@ -385,7 +384,7 @@ def induced_partition(
 
     ordered = sorted(collected, key=word_key)
     atoms = {
-        b: Region(sorted(collected[w], key=lambda c: c.vertices))
+        b: tuple(sorted(collected[w], key=lambda c: c.vertices))
         for b, w in enumerate(ordered)
     }
     rule = {b: w for b, w in enumerate(ordered)}

@@ -140,8 +140,8 @@ def render_partition(partition: TorusPartition, seed: int = 0) -> str:
             f'<polygon points="{_polygon_path(cell, scale, pad, height)}" '
             f'fill="{color}" stroke="black" stroke-width="1"/>'
         )
-    for label, region in sorted(partition.atoms.items()):
-        biggest = max(region.cells, key=lambda c: float(c.area()))
+    for label, cells in sorted(partition.atoms.items()):
+        biggest = max(cells, key=lambda c: float(c.area()))
         sx = sum(float(v[0]) for v in biggest.vertices) / len(biggest.vertices)
         sy = sum(float(v[1]) for v in biggest.vertices) / len(biggest.vertices)
         body.append(

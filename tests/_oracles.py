@@ -26,7 +26,6 @@ from itertools import product
 from aperiodic_kit.geometry import (
     DegenerateArrangement,
     Polygon,
-    Region,
     TorusPartition,
     _canonical_line,
     _clip_segment_to_box,
@@ -301,8 +300,18 @@ def _turn(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
+def cross_product_locate(poly, x) -> str:
+    """'interior', 'boundary' or 'outside' for a convex counterclockwise
+    polygon, from the sign of the cross product of every edge with x."""
+    vs = poly.vertices
+    signs = {_turn(vs[i - 1], vs[i], x).sign() for i in range(len(vs))}
+    if -1 in signs:
+        return "outside"
+    return "boundary" if 0 in signs else "interior"
+
+
 def _labeled_cells(partition):
-    return [(label, cell) for label, region in partition.atoms.items() for cell in region.cells]
+    return [(label, cell) for label, cells in partition.atoms.items() for cell in cells]
 
 
 def _float_box(segment):
@@ -364,8 +373,7 @@ def brute_force_labels(partition, x) -> set:
     labels = set()
     for u in _seam_twins(partition.lattice, x):
         for label, cell in _labeled_cells(partition):
-            vs = cell.vertices
-            if all(_turn(vs[i - 1], vs[i], u).sign() >= 0 for i in range(len(vs))):
+            if cross_product_locate(cell, u) != "outside":
                 labels.add(label)
     return labels
 
@@ -769,8 +777,8 @@ def partition_from_segments_each_cut(segments, lattice):
     groups = {}
     for idx, cell in enumerate(cells):
         groups.setdefault(find(idx), []).append(cell)
-    regions = sorted(
-        (Region(sorted(group, key=lambda c: c.vertices)) for group in groups.values()),
-        key=lambda r: r.cells[0].vertices,
+    atoms = sorted(
+        (tuple(sorted(group, key=lambda c: c.vertices)) for group in groups.values()),
+        key=lambda atom: atom[0].vertices,
     )
-    return TorusPartition((l1, l2), dict(enumerate(regions)))
+    return TorusPartition((l1, l2), dict(enumerate(atoms)))

@@ -5,7 +5,13 @@ from pathlib import Path
 
 import pytest
 
-from _oracles import brute_force_cuts, brute_force_labels, brute_force_on_boundary, clip
+from _oracles import (
+    brute_force_cuts,
+    brute_force_labels,
+    brute_force_on_boundary,
+    clip,
+    cross_product_locate,
+)
 from aperiodic_kit.catalog import partition_segments, rotation_action
 from aperiodic_kit.geometry import (
     AmbiguousLabeling,
@@ -108,8 +114,11 @@ class TestArrangement:
         ]
         p = partition_from_segments(segs, (1, 1))
         assert len(p.atoms) == 2
-        assert sorted(len(r.cells) for r in p.atoms.values()) == [2, 2]
-        assert all(r.area() == PhiNumber(Fraction(1, 2)) for r in p.atoms.values())
+        assert sorted(len(cells) for cells in p.atoms.values()) == [2, 2]
+        assert all(
+            sum((c.area() for c in cells), PhiNumber(0)) == PhiNumber(Fraction(1, 2))
+            for cells in p.atoms.values()
+        )
 
     def test_diagonals_with_covered_seams(self):
         # adding the seams as explicit segments forbids the gluing and
@@ -172,8 +181,7 @@ class TestRelabel:
         letters = relabel_to_match(shuffled, h_dominoes, v_dominoes, _coded(shuffled))
         assert letters == {b: a for a, b in shuffle.items()}
         back = shuffled.relabel(letters)
-        for a in range(19):
-            assert back.atoms[a].equals_up_to_null(partition_u.atoms[a])
+        assert is_equal_up_to_relabeling(back, partition_u) == {a: a for a in range(19)}
 
     def test_search_reads_only_the_coded_pairs(self, partition_u, h_dominoes, v_dominoes):
         # coded pairs given under a known letter map: the search inverts it
@@ -235,8 +243,7 @@ def test_json_roundtrip(partition_u):
     data = partition_u.to_json()
     back = TorusPartition.from_json(data)
     assert back.lattice == partition_u.lattice
-    for a in range(19):
-        assert back.atoms[a].equals_up_to_null(partition_u.atoms[a])
+    assert is_equal_up_to_relabeling(back, partition_u) == {a: a for a in range(19)}
 
 
 def _probe_points(partition, seed):
@@ -258,6 +265,27 @@ def _probe_points(partition, seed):
         points.append((frac() * l1, PhiNumber(0)))
     points += [pt(0, 0), (l1, l2)]
     return points
+
+
+@pytest.mark.parametrize("which", ["PU", "P1"])
+def test_polygon_locate_agrees_with_cross_products(which, partition_u, induction_tower):
+    # the cells of PU and P1 have axis and slanted edges; each is probed at
+    # its vertices, its edge midpoints and seeded points of a box around it
+    partition = partition_u if which == "PU" else induction_tower[0]
+    rng = random.Random(len(which))
+    seen = set()
+    for _, cell in partition.cells():
+        x0, y0, x1, y1 = cell.bbox()
+        points = list(cell.vertices)
+        points += [((p[0] + q[0]) / 2, (p[1] + q[1]) / 2) for p, q in cell.edges()]
+        for _ in range(6):
+            s, t = (Fraction(rng.randrange(-50, 151), 100) for _ in range(2))
+            points.append((x0 + (x1 - x0) * s, y0 + (y1 - y0) * t))
+        for x in points:
+            where = cell.locate(x)
+            assert where == cross_product_locate(cell, x), (cell, x)
+            seen.add(where)
+    assert seen == {"interior", "boundary", "outside"}
 
 
 @pytest.mark.parametrize("which", ["PU", "P1", "diagonals"])

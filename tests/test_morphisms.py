@@ -97,6 +97,16 @@ class TestStructure:
         tall = Morphism2d({0: [[0, 0]]})  # 1x2 image: width never grows
         assert not is_expansive(tall)
 
+    def test_late_growth_is_expansive(self):
+        # i -> i+1 for i < 14 and 14 -> a 2x2 block of 14: the iterates of
+        # 0 stay 1x1 up to the 14th power and are at least 2x2 from the 15th
+        rule = {i: [[i + 1]] for i in range(14)}
+        rule[14] = [[14, 14], [14, 14]]
+        assert is_expansive(Morphism2d(rule))
+
+    def test_empty_image_not_expansive(self):
+        assert not is_expansive(Morphism2d({0: [[0, 1], [1, 0]], 1: []}, 2, 2))
+
     def test_phi_primitive(self, phi):
         assert is_primitive(phi)
 

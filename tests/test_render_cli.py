@@ -28,7 +28,7 @@ class TestRender:
     def test_partition_svg(self, partition_u):
         svg = render_partition(partition_u)
         assert svg.count("<polygon") == sum(
-            len(r.cells) for r in partition_u.atoms.values()
+            len(cells) for cells in partition_u.atoms.values()
         )
         assert render_partition(partition_u) == svg
 
@@ -456,6 +456,24 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: {message}") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["render", "--target", "partition", "--input"],
+            CONFIG,
+            ["induce", "--axis", "2", "--partition"],
+        ],
+    )
+    def test_atom_without_cells_names_the_file_and_the_label(self, tmp_path, capsys, command):
+        # the reference partition with a 20th atom that has no cells
+        data = json.loads((Path(__file__).parent / "expected" / "reference_partition.json").read_text())
+        data["atoms"]["19"] = []
+        path, out = tmp_path / "input.json", tmp_path / "out"
+        path.write_text(json.dumps(data))
+        assert main([*command, str(path), "--out", str(out)]) == cli.USAGE_ERROR
+        assert capsys.readouterr().err == f"error: {path}: atom 19 has no cells\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("axis, bound", [("2", "2"), ("2", "3/2"), ("1", "phi")])
     def test_window_beyond_the_lattice_is_one_line_error(self, capsys, axis, bound):
         assert main(["induce", "--axis", axis, "--bound", bound]) == cli.USAGE_ERROR
@@ -513,6 +531,25 @@ class TestCli:
         ],
     )
     def test_search_out_file_equals_the_expected_file(self, tmp_path, argv, name):
+        out = tmp_path / name
+        assert main([*argv, "--out", str(out)]) == 0
+        assert out.read_bytes() == (Path(__file__).parent / "expected" / name).read_bytes()
+
+    # outputs that read the atoms of the reference partition and locate
+    # points in them, pinned byte for byte: its drawing, a coded orbit drawn
+    # on it, and the coded patch of the same orbit
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["render", "--target", "partition", "--input", "PU"], "render_partition_pu.svg"),
+            (["render", "--target", "coded-orbit", "--input", "PU",
+              "--seed-point", "1357/10000,2938/10000", "--shape", "6x8"],
+             "render_coded_orbit_pu_6x8.svg"),
+            (["config", "--seed-point", "1357/10000,2938/10000", "--shape", "6x8"],
+             "config_6x8.json"),
+        ],
+    )
+    def test_partition_out_file_equals_the_expected_file(self, tmp_path, argv, name):
         out = tmp_path / name
         assert main([*argv, "--out", str(out)]) == 0
         assert out.read_bytes() == (Path(__file__).parent / "expected" / name).read_bytes()
