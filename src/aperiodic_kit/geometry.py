@@ -32,6 +32,13 @@ whole bounding box of the polygon being cut is skipped without touching
 its ring: the ring only shrinks from that polygon, so the box test stays
 valid after earlier cuts.  A point's side of a cell edge is read from the
 same cached halfplanes, in the same form as a cut reads a vertex.
+
+A line of the torus arrangement has the same one form: the halfplane of
+its segment whose normal leads with +1 keys the line, cuts the cells along
+it and groups the cell edges on it.  A point on the line is measured by
+its free coordinate, y, or x on a horizontal line.  A segment is clipped
+to the fundamental rectangle as a cut reads a vertex: both ends are read
+on each box halfplane, and an end outside moves to the cut point.
 """
 
 from __future__ import annotations
@@ -71,15 +78,6 @@ def _num(x) -> PhiNumber:
 
 def pt(x, y) -> Point:
     return (_num(x), _num(y))
-
-
-def _dot(n: Point, p: Point) -> PhiNumber:
-    # box, window and rotation-piece edges have axis-parallel normals
-    if not n[0]:
-        return n[1] * p[1]
-    if not n[1]:
-        return n[0] * p[0]
-    return n[0] * p[0] + n[1] * p[1]
 
 
 def _cross(o: Point, a: Point, b: Point) -> PhiNumber:
@@ -286,12 +284,17 @@ def _split(ring: Sequence[Point], plane):
         if sc >= 0:
             outside.append(cur)
         if sc * signs[j] < 0:
-            vc, nxt = values[i], ring[j]
-            t = vc / (vc - values[j])
-            cut = (cur[0] + t * (nxt[0] - cur[0]), cur[1] + t * (nxt[1] - cur[1]))
+            cut = _cut_point(cur, ring[j], values[i], values[j])
             inside.append(cut)
             outside.append(cut)
     return inside, outside
+
+
+def _cut_point(a: Point, b: Point, va: PhiNumber, vb: PhiNumber) -> Point:
+    """The point of segment ab on a halfplane's line, from the values va and
+    vb of its ends, which have opposite signs."""
+    t = va / (va - vb)
+    return (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
 
 
 def _halfplanes(poly: Polygon) -> tuple:
@@ -437,37 +440,20 @@ def _axis_shifts(lo, hi, period, box_lo, box_hi) -> list[PhiNumber]:
 # lines, intervals and edge bookkeeping
 
 
-def _canonical_line(p: Point, q: Point):
-    """Hashable key (A, B, C) for the line through p and q: A x + B y = C.
-
-    Scaled so the first nonzero of (A, B) is 1; the parameter of a point on
-    the line is its dot product with the direction (-B, A).
-    """
-    a = p[1] - q[1]
-    b = q[0] - p[0]
-    c = a * p[0] + b * p[1]
-    if a.sign() != 0:
-        return (PhiNumber(1), b / a, c / a)
-    return (PhiNumber(0), PhiNumber(1), c / b)
-
-
-def _line_param(line, x: Point) -> PhiNumber:
-    a, b, _ = line
-    return _dot((-b, ONE) if a else (ONE, ZERO), x)
-
-
 def _edge_key(p: Point, q: Point, lattice):
-    """(line, lo, hi) of the segment pq on the torus of the lattice.
-
-    A line on the far side of the fundamental rectangle (x = l1 or y = l2)
-    is keyed as its seam twin through the origin; the parameter along an
-    axis-parallel line does not change under that translation.
-    """
-    line = _canonical_line(p, q)
-    a, b, c = line
-    if (not b and c == lattice[0]) or (not a and c == lattice[1]):
-        line = (a, b, ZERO)
-    lo, hi = sorted((_line_param(line, p), _line_param(line, q)))
+    """(line, lo, hi) of the segment pq on the torus of the lattice: the
+    halfplane of pq whose normal leads with +1, one for both orientations,
+    and the free coordinates of p and q.  A line at x = l1 or y = l2 is
+    keyed as its seam twin through the origin, which keeps them."""
+    normal = (q[1] - p[1], p[0] - q[0])
+    if (normal[0] or normal[1]).sign() < 0:
+        normal = (-normal[0], -normal[1])
+    line = _halfplane(normal, p)
+    _, _, axis, _, bound = line
+    if axis is not None and bound == lattice[axis]:
+        line = _halfplane(normal, (ZERO, ZERO))
+    free = 0 if axis == 1 else 1
+    lo, hi = sorted((p[free], q[free]))
     return line, lo, hi
 
 
@@ -575,7 +561,8 @@ class TorusPartition:
 
     @classmethod
     def from_json(cls, data: dict) -> "TorusPartition":
-        """Load a partition, checking that its atoms tile the torus."""
+        """Load a partition, checking that its atoms are labeled 0..n-1 and
+        tile the torus; a malformed atom or cell is named in the error."""
         from .phifield import parse_phi
 
         for key in ("lattice", "atoms"):
@@ -584,16 +571,29 @@ class TorusPartition:
         lattice = tuple(parse_phi(s) for s in data["lattice"])
         if len(lattice) != 2 or min(lattice).sign() <= 0:
             raise ValueError(f"lattice needs two positive entries, got {data['lattice']!r}")
-        atoms = {
-            int(label): tuple(
-                Polygon([(parse_phi(x), parse_phi(y)) for x, y in cell])
-                for cell in cells
-            )
-            for label, cells in data["atoms"].items()
-        }
-        for label, cells in atoms.items():
+        if not isinstance(data["atoms"], dict):
+            raise ValueError("partition atoms must map labels to lists of cells")
+        atoms = {}
+        for label, cells in data["atoms"].items():
+            try:
+                number = int(label)
+            except ValueError:
+                raise ValueError(f"atom label {label!r} is not an integer") from None
+            if not isinstance(cells, list):
+                raise ValueError(f"atom {label}: cells must be a list, got {cells!r}")
             if not cells:
                 raise ValueError(f"atom {label} has no cells")
+            polygons = []
+            for index, cell in enumerate(cells):
+                try:
+                    polygons.append(Polygon([(parse_phi(x), parse_phi(y)) for x, y in cell]))
+                except (ValueError, TypeError) as exc:
+                    raise ValueError(f"atom {label}, cell {index}: {exc}") from None
+            atoms[number] = tuple(polygons)
+        count = len(data["atoms"])
+        missing = [label for label in range(count) if label not in atoms]
+        if missing:
+            raise ValueError(f"atom labels must be 0..{count - 1}; label {missing[0]} is missing")
         partition = cls(lattice, atoms)
         defect = tiling_defect([cell for _, cell in partition.cells()], partition.lattice)
         if defect:
@@ -606,25 +606,20 @@ class TorusPartition:
 
 
 def _clip_segment_to_box(p: Point, q: Point, box: Polygon) -> Optional[Segment]:
-    """The part of pq in the closed convex box; None when it is a point or empty."""
-    d = (q[0] - p[0], q[1] - p[1])
-    t_lo, t_hi = ZERO, ONE
-    for normal, offset, *_ in _halfplanes(box):
-        # p + t d lies in the halfplane when t <normal, d> <= room
-        nd, room = _dot(normal, d), offset - _dot(normal, p)
-        side = nd.sign()
-        if side > 0:
-            t_hi = min(t_hi, room / nd)
-        elif side < 0:
-            t_lo = max(t_lo, room / nd)
-        elif room.sign() < 0:
+    """The part of pq in the closed convex box; None when it is a point or empty.
+
+    Both ends are read on each edge halfplane of the box as _split reads a
+    vertex, and an end outside is moved to the cut point."""
+    for plane in _halfplanes(box):
+        vp, vq = _values((p, q), plane)
+        sp, sq = vp.sign(), vq.sign()
+        if sp >= 0 and sq >= 0 and (sp or sq):
             return None
-    if not t_lo < t_hi:
-        return None
-    return (
-        (p[0] + t_lo * d[0], p[1] + t_lo * d[1]),
-        (p[0] + t_hi * d[0], p[1] + t_hi * d[1]),
-    )
+        if sp > 0:
+            p = _cut_point(p, q, vp, vq)
+        elif sq > 0:
+            q = _cut_point(q, p, vq, vp)
+    return p, q
 
 
 def _reduce_segments(segments, l1, l2) -> list[Segment]:
@@ -656,14 +651,13 @@ def partition_from_segments(segments, lattice) -> TorusPartition:
     l1, l2 = _num(lattice[0]), _num(lattice[1])
     keys = [_edge_key(p, q, (l1, l2)) for p, q in _reduce_segments(segments, l1, l2)]
 
-    # distinct supporting lines; the box boundary is keyed as the two seam
-    # lines and has no area to split
-    seams = {(ONE, ZERO, ZERO), (ZERO, ONE, ZERO)}
+    # distinct supporting lines, each the halfplane that cuts along it; the
+    # box boundary is keyed as the two seam lines and has no area to split
+    seams = {_halfplane(normal, (ZERO, ZERO)) for normal in ((ONE, ZERO), (ZERO, ONE))}
     lines = dict.fromkeys(line for line, _, _ in keys if line not in seams)
 
     cells = [rectangle(0, 0, l1, l2)]
-    for a, b, c in lines:
-        plane = _halfplane((a, b), (c, ZERO) if a else (ZERO, c))
+    for plane in lines:
         cells = [
             piece
             for cell in cells

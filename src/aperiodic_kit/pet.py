@@ -388,6 +388,5 @@ def induced_partition(
         for b, w in enumerate(ordered)
     }
     rule = {b: w for b, w in enumerate(ordered)}
-    alphabet_size = max(partition.labels()) + 1
-    morphism = Morphism2d(rule, len(ordered), alphabet_size)
+    morphism = Morphism2d(rule, len(ordered), len(partition.atoms))
     return TorusPartition(new_lattice, atoms), morphism

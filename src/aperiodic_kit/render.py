@@ -126,13 +126,9 @@ def _polygon_path(cell, scale, pad, height) -> str:
     return points
 
 
-def render_partition(partition: TorusPartition, seed: int = 0) -> str:
-    """Filled atoms with labels at cell midpoints."""
-    palette = _palette(seed)
+def _partition_body(partition: TorusPartition, palette, pad, height) -> list[str]:
+    """SVG elements of the filled atoms, with labels at cell midpoints."""
     scale = TORUS_UNIT
-    pad = 10
-    height = float(partition.lattice[1]) * scale
-    width = float(partition.lattice[0]) * scale
     body = []
     for label, cell in partition.cells():
         color = palette[label % len(palette)]
@@ -148,6 +144,14 @@ def render_partition(partition: TorusPartition, seed: int = 0) -> str:
             f'<text x="{_f(pad + sx * scale)}" y="{_f(pad + height - sy * scale)}" '
             f'font-size="{_f(scale * 0.045)}" text-anchor="middle">{label}</text>'
         )
+    return body
+
+
+def render_partition(partition: TorusPartition, seed: int = 0) -> str:
+    """Filled atoms with labels at cell midpoints."""
+    pad = 10
+    width, height = (float(side) * TORUS_UNIT for side in partition.lattice)
+    body = _partition_body(partition, _palette(seed), pad, height)
     return _svg(width + 2 * pad, height + 2 * pad, body)
 
 
@@ -160,11 +164,10 @@ def render_coded_orbit(
 ) -> str:
     """Partition with the coded orbit points of a starting point drawn on top."""
     patch = config_patch(partition, action, point, shape)
-    base = render_partition(partition, seed=seed).splitlines()
     scale = TORUS_UNIT
-    body = base[2:-1]
     pad = 10
-    height = float(partition.lattice[1]) * scale
+    width, height = (float(side) * scale for side in partition.lattice)
+    body = _partition_body(partition, _palette(seed), pad, height)
     for (i, j), letter in patch:
         x = action.translate(point, (i, j))
         px = pad + float(x[0]) * scale
@@ -177,5 +180,4 @@ def render_coded_orbit(
             f'<text x="{_f(px)}" y="{_f(py - scale * 0.02)}" '
             f'font-size="{_f(scale * 0.035)}" text-anchor="middle">{letter}</text>'
         )
-    width = float(partition.lattice[0]) * scale
     return _svg(width + 2 * pad, height + 2 * pad, body)

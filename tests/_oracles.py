@@ -16,7 +16,9 @@ The clipping oracles build a normalized Polygon after every halfplane cut;
 clip is the library's one-halfplane cut, kept here for the tests.
 The arrangement oracle clips every lattice translate of a segment in a
 range of shifts bounded by floors of its own, and splits each cell by each
-line with two such clips, one per side.
+line with two such clips, one per side.  Its lines are (A, B, C) keys of
+A x + B y = C, and it clips a segment by Liang-Barsky parameters, so it
+shares neither the line form nor the segment clip with the library.
 """
 
 from __future__ import annotations
@@ -27,8 +29,6 @@ from aperiodic_kit.geometry import (
     DegenerateArrangement,
     Polygon,
     TorusPartition,
-    _canonical_line,
-    _clip_segment_to_box,
     _edge_key,
     _edge_sweep,
     _halfplane,
@@ -704,6 +704,54 @@ def difference_each_cut(a, b):
     return pieces
 
 
+def _canonical_line(p, q):
+    """Hashable key (A, B, C) for the line through p and q: A x + B y = C,
+    scaled so the first nonzero of (A, B) is 1."""
+    a = p[1] - q[1]
+    b = q[0] - p[0]
+    c = a * p[0] + b * p[1]
+    if a.sign() != 0:
+        return (ONE, b / a, c / a)
+    return (ZERO, ONE, c / b)
+
+
+def edge_key_by_dot(p, q, lattice):
+    """(line, lo, hi) of pq with an (A, B, C) line, keyed as its seam twin
+    through the origin when it lies at x = l1 or y = l2; the parameters of
+    p and q are their dot products with the direction (-B, 1), or (1, 0) on
+    a horizontal line."""
+    a, b, c = line = _canonical_line(p, q)
+    if (not b and c == lattice[0]) or (not a and c == lattice[1]):
+        line = (a, b, ZERO)
+    direction = (-b, ONE) if a else (ONE, ZERO)
+    lo, hi = sorted(direction[0] * x[0] + direction[1] * x[1] for x in (p, q))
+    return line, lo, hi
+
+
+def clip_segment_liang_barsky(p, q, box):
+    """The part of pq in the closed convex box by Liang-Barsky parameters;
+    None when it is a point or empty."""
+    d = (q[0] - p[0], q[1] - p[1])
+    t_lo, t_hi = ZERO, ONE
+    for normal, offset in _edge_halfplanes(box):
+        # p + t d lies in the halfplane when t <normal, d> <= room
+        nd = normal[0] * d[0] + normal[1] * d[1]
+        room = offset - (normal[0] * p[0] + normal[1] * p[1])
+        side = nd.sign()
+        if side > 0:
+            t_hi = min(t_hi, room / nd)
+        elif side < 0:
+            t_lo = max(t_lo, room / nd)
+        elif room.sign() < 0:
+            return None
+    if not t_lo < t_hi:
+        return None
+    return (
+        (p[0] + t_lo * d[0], p[1] + t_lo * d[1]),
+        (p[0] + t_hi * d[0], p[1] + t_hi * d[1]),
+    )
+
+
 def reduce_segments_each_shift(segments, l1, l2):
     """Every lattice translate of the segments in a box of shifts around
     the fundamental rectangle, clipped to the closed rectangle."""
@@ -719,7 +767,7 @@ def reduce_segments_each_shift(segments, l1, l2):
         k2_hi = ((l2 - min(p[1], q[1])) / l2).floor() + 1
         for k1, k2 in product(range(k1_lo, k1_hi + 1), range(k2_lo, k2_hi + 1)):
             shift = (PhiNumber(k1) * l1, PhiNumber(k2) * l2)
-            piece = _clip_segment_to_box(
+            piece = clip_segment_liang_barsky(
                 (p[0] + shift[0], p[1] + shift[1]), (q[0] + shift[0], q[1] + shift[1]), box
             )
             if piece is not None:

@@ -3,18 +3,29 @@
 `_axis_shifts` is checked against a scan of every lattice shift in a wide
 range, and `partition_from_segments` against the reference that clips every
 translate in a box of shifts of its own and splits each cell with one
-normalized clip per side.  Scalars are a + b*phi with small rational a, b.
+normalized clip per side.  The segment clip and the line keys are checked
+against the reference's Liang-Barsky clip and (A, B, C) keys.  Scalars are
+a + b*phi with small rational a, b.
 """
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from _oracles import partition_from_segments_each_cut
+from _oracles import clip_segment_liang_barsky, edge_key_by_dot, partition_from_segments_each_cut
 from aperiodic_kit import geometry
 from aperiodic_kit.catalog import partition_segments
-from aperiodic_kit.geometry import _axis_shifts, _reduce_segments, partition_from_segments
+from aperiodic_kit.geometry import (
+    _axis_shifts,
+    _clip_segment_to_box,
+    _edge_key,
+    _reduce_segments,
+    partition_from_segments,
+    pt,
+    rectangle,
+)
 from aperiodic_kit.phifield import ONE, PHI, ZERO, PhiNumber
 
 coefficients = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3]))
@@ -92,3 +103,57 @@ def test_catalog_clips_sixteen_translates_and_keeps_thirteen(monkeypatch):
     monkeypatch.setattr(geometry, "_clip_segment_to_box", counted)
     assert len(_reduce_segments(partition_segments(), ONE, ONE)) == 13
     assert len(calls) == 16
+
+
+BOXES = [rectangle(ZERO, ZERO, l1, l2) for l1, l2 in LATTICES]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(LATTICES).flatmap(segments))
+def test_segment_clip_matches_liang_barsky_on_every_box(segment):
+    # the coordinates put segments inside, across, outside and on the
+    # boundary of each box; None and the order of the ends must agree too
+    for box in BOXES:
+        for p, q in (segment, segment[::-1]):
+            assert _clip_segment_to_box(p, q, box) == clip_segment_liang_barsky(p, q, box)
+
+
+@pytest.mark.parametrize(
+    "p, q",
+    [
+        ((Fraction(1, 4), Fraction(1, 4)), (Fraction(3, 4), Fraction(1, 2))),  # inside
+        ((Fraction(-1, 2), Fraction(1, 2)), (Fraction(3, 2), Fraction(1, 4))),  # across
+        ((Fraction(3, 2), Fraction(1, 2)), (2, 2)),  # outside
+        ((0, Fraction(1, 4)), (0, Fraction(3, 4))),  # on the left side
+        ((-1, 1), (2, 1)),  # along the top side and beyond it
+        ((2, 0), (0, 2)),  # through the corner (1, 1) only
+        ((1, 1), (2, 2)),  # from the corner (1, 1) outwards
+        ((0, 0), (1, 1)),  # corner to corner
+        ((-1, -1), (Fraction(1, 2), Fraction(1, 2))),  # into the box through a corner
+    ],
+)
+def test_segment_clip_matches_liang_barsky_on_the_unit_box(p, q):
+    box = rectangle(0, 0, 1, 1)
+    p, q = pt(*p), pt(*q)
+    for a, b in ((p, q), (q, p)):
+        assert _clip_segment_to_box(a, b, box) == clip_segment_liang_barsky(a, b, box)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(LATTICES).flatmap(
+        lambda lattice: st.tuples(st.just(lattice), segments(lattice), segments(lattice))
+    )
+)
+def test_edge_keys_share_a_line_and_an_order_with_the_reference(drawn):
+    lattice, first, second = drawn
+    keys = [_edge_key(p, q, lattice) for p, q in (first, second)]
+    reference = [edge_key_by_dot(p, q, lattice) for p, q in (first, second)]
+    assert (keys[0][0] == keys[1][0]) == (reference[0][0] == reference[1][0])
+    if keys[0][0] == keys[1][0]:
+        ends = [end for key in keys for end in key[1:]]
+        reference_ends = [end for key in reference for end in key[1:]]
+        for i, a in enumerate(ends):
+            for j, b in enumerate(ends):
+                r, s = reference_ends[i], reference_ends[j]
+                assert (a < b, a == b) == (r < s, r == s)

@@ -146,7 +146,7 @@ class TestArrangement:
     def test_cuts_cover_inputs(self, partition_u):
         # every cell edge whose midpoint is a boundary point lies on a
         # supporting line of some input segment translate
-        from aperiodic_kit.geometry import _canonical_line
+        from _oracles import _canonical_line
 
         input_lines = set()
         for p, q in partition_segments():

@@ -402,6 +402,7 @@ class TestCli:
         [
             (["config", "--seed-point", "1/3,1/5", "--shape", "1x1", "--partition"],
              {"lattice": 1, "atoms": {}}),
+            (CONFIG, {"lattice": ["1", "1"], "atoms": 5}),
             (["solve", "--shape", "2x2"], {"tiles": 5}),
         ],
     )
@@ -473,6 +474,41 @@ class TestCli:
         assert main([*command, str(path), "--out", str(out)]) == cli.USAGE_ERROR
         assert capsys.readouterr().err == f"error: {path}: atom 19 has no cells\n"
         assert not out.exists()
+
+    def test_atom_labels_with_a_gap_name_the_missing_label(self, tmp_path, capsys):
+        # the reference partition with atom 18 relabeled 25 would induce a
+        # morphism over 26 letters, seven of them unused
+        data = json.loads((Path(__file__).parent / "expected" / "reference_partition.json").read_text())
+        data["atoms"]["25"] = data["atoms"].pop("18")
+        path, out = tmp_path / "input.json", tmp_path / "out"
+        path.write_text(json.dumps(data))
+        argv = ["induce", "--partition", str(path), "--axis", "2", "--out", str(out)]
+        assert main(argv) == cli.USAGE_ERROR
+        assert capsys.readouterr().err == (
+            f"error: {path}: atom labels must be 0..18; label 18 is missing\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda atoms: atoms.__setitem__("x", atoms.pop("18")),
+             "atom label 'x' is not an integer"),
+            (lambda atoms: atoms["3"].append([["0", "0"], ["1", "1"]]),
+             "atom 3, cell 1: degenerate polygon"),
+            (lambda atoms: atoms["5"][0][2].append("0"),
+             "atom 5, cell 0: too many values to unpack (expected 2)"),
+            (lambda atoms: atoms.__setitem__("7", 5), "atom 7: cells must be a list, got 5"),
+        ],
+    )
+    def test_malformed_atom_names_the_label_and_the_cell(self, tmp_path, capsys, edit, message):
+        data = json.loads((Path(__file__).parent / "expected" / "reference_partition.json").read_text())
+        edit(data["atoms"])
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        argv = ["config", "--partition", str(path), "--seed-point", "1/3,1/5", "--shape", "2x2"]
+        assert main(argv) == cli.USAGE_ERROR
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
     @pytest.mark.parametrize("axis, bound", [("2", "2"), ("2", "3/2"), ("1", "phi")])
     def test_window_beyond_the_lattice_is_one_line_error(self, capsys, axis, bound):
