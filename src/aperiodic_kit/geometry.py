@@ -568,8 +568,10 @@ class TorusPartition:
         for key in ("lattice", "atoms"):
             if not isinstance(data, dict) or key not in data:
                 raise ValueError(f"partition JSON has no {key!r} key")
+        if not isinstance(data["lattice"], list) or len(data["lattice"]) != 2:
+            raise ValueError(f"lattice must be a list of two entries, got {data['lattice']!r}")
         lattice = tuple(parse_phi(s) for s in data["lattice"])
-        if len(lattice) != 2 or min(lattice).sign() <= 0:
+        if min(lattice).sign() <= 0:
             raise ValueError(f"lattice needs two positive entries, got {data['lattice']!r}")
         if not isinstance(data["atoms"], dict):
             raise ValueError("partition atoms must map labels to lists of cells")
@@ -716,17 +718,28 @@ def relabel_to_match(partition: TorusPartition, horizontal, vertical, coded) -> 
         raise NoConsistentLabeling("reference alphabet smaller than atom count")
 
     order = sorted(labels, key=lambda a: -sum(a in p for p in h_pairs | v_pairs))
+    # each label's coded pairs as (the other label, the letters each letter
+    # of this label allows it): one table per reference pair side
+    checks: dict[int, list] = {}
+    for pairs, reference in ((h_pairs, horizontal), (v_pairs, vertical)):
+        after: dict[int, set] = {}
+        before: dict[int, set] = {}
+        for first, second in reference:
+            after.setdefault(first, set()).add(second)
+            before.setdefault(second, set()).add(first)
+        for a, b in pairs:
+            checks.setdefault(a, []).append((b, after))
+            checks.setdefault(b, []).append((a, before))
     solutions = []
     assignment: dict[int, int] = {}
+    used: set[int] = set()
 
     def consistent(a, t):
         # (a, a) is checked against (t, t) like any placed pair
-        for b, tb in [(a, t), *assignment.items()]:
-            for pairs, reference in ((h_pairs, horizontal), (v_pairs, vertical)):
-                if (a, b) in pairs and (t, tb) not in reference:
-                    return False
-                if (b, a) in pairs and (tb, t) not in reference:
-                    return False
+        for b, allowed in checks.get(a, ()):
+            tb = t if b == a else assignment.get(b)
+            if tb is not None and tb not in allowed.get(t, ()):
+                return False
         return True
 
     def search(i):
@@ -737,10 +750,12 @@ def relabel_to_match(partition: TorusPartition, horizontal, vertical, coded) -> 
             return
         a = order[i]
         for t in targets:
-            if t in assignment.values() or not consistent(a, t):
+            if t in used or not consistent(a, t):
                 continue
             assignment[a] = t
+            used.add(t)
             search(i + 1)
+            used.discard(t)
             del assignment[a]
 
     search(0)

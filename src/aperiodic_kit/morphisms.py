@@ -3,16 +3,17 @@
 Application assembles a block matrix of letter images, which is defined only
 when image widths agree along every column of the argument and image heights
 agree along every row.  Languages are closures of factors under the rule,
-the seed graph runs over the 2x2 words with a defined image, and periodic
-seeds are found by iterating the rule on language words.
+run on column tuples; the seed graph is searched for cycles only on the
+limit set of the rule's action on 2x2 words, and periodic seeds are found
+by iterating the rule on language words.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import chain, product
 from typing import Iterable, Mapping
 
-from .words import Language2d, Word2d, occurs_at, subwords
+from .words import Language2d, Word2d, occurs_at
 
 
 class UnknownLetter(KeyError):
@@ -95,30 +96,7 @@ class Morphism2d:
 
     def apply(self, u: Word2d) -> Word2d:
         """Blockwise image of u; origin at the image of u's cell (0, 0)."""
-        n1, n2 = u.shape
-        if n1 == 0:
-            return Word2d([])
-        images = [[self.image(u[x, y]) for y in range(n2)] for x in range(n1)]
-        widths = []
-        for x in range(n1):
-            w = images[x][0].shape[0]
-            if any(images[x][y].shape[0] != w for y in range(n2)):
-                raise UndefinedImage(f"image widths disagree in column {x}")
-            widths.append(w)
-        heights = []
-        for y in range(n2):
-            h = images[0][y].shape[1]
-            if any(images[x][y].shape[1] != h for x in range(n1)):
-                raise UndefinedImage(f"image heights disagree in row {y}")
-            heights.append(h)
-        columns = []
-        for x in range(n1):
-            for i in range(widths[x]):
-                col = []
-                for y in range(n2):
-                    col.extend(images[x][y].columns[i])
-                columns.append(tuple(col))
-        return Word2d(columns)
+        return Word2d(_block_image(self.rule, u.columns))
 
     def to_json(self) -> dict:
         return {
@@ -140,6 +118,33 @@ class Morphism2d:
             f"Morphism2d(<{self.domain_size} letters -> "
             f"words over {self.codomain_size} letters>)"
         )
+
+
+def _block_image(rule: Mapping[int, Word2d], columns: tuple) -> tuple:
+    """Columns of the blockwise image of the word with the given columns."""
+    try:
+        blocks = [[rule[letter] for letter in column] for column in columns]
+    except KeyError as missing:
+        raise UnknownLetter(missing.args[0]) from None
+    for x, column in enumerate(blocks):
+        if len({block.shape[0] for block in column}) > 1:
+            raise UndefinedImage(f"image widths disagree in column {x}")
+    for y, row in enumerate(zip(*blocks)):
+        if len({block.shape[1] for block in row}) > 1:
+            raise UndefinedImage(f"image heights disagree in row {y}")
+    return tuple(
+        tuple(chain.from_iterable(pieces))
+        for column in blocks
+        for pieces in zip(*(block.columns for block in column))
+    )
+
+
+def _windows(columns: tuple, shape: tuple[int, int]):
+    """Column tuples of the shape-factors of the word with the given columns."""
+    s1, s2 = shape
+    height = len(columns[0]) if columns else 0
+    cuts = [[column[y : y + s2] for y in range(height - s2 + 1)] for column in columns]
+    return (window for x in range(len(cuts) - s1 + 1) for window in zip(*cuts[x : x + s1]))
 
 
 def compose(m1: Morphism2d, m2: Morphism2d) -> Morphism2d:
@@ -230,22 +235,21 @@ def language(m: Morphism2d, shape: tuple[int, int], bound: int = 40) -> Language
     # under primitivity an axis grows without bound once one image is 2 long
     if (s1 > 1 and max(w for w, _ in shapes) == 1) or (s2 > 1 and max(h for _, h in shapes) == 1):
         raise NotStabilized(f"images never grow to shape {shape}")
-    images = [Word2d.single(a) for a in range(m.domain_size)]
-    seen: Language2d = set()
-    frontier: Language2d = set()
+    images = [((a,),) for a in range(m.domain_size)]
+    seen: set[tuple] = set()
+    frontier: set[tuple] = set()
     for _ in range(bound):
         if seen:
-            grown = [m.apply(u) for u in frontier]
+            grown = [_block_image(m.rule, u) for u in frontier]
         else:
-            images = [m.apply(w) for w in images]
+            images = [_block_image(m.rule, w) for w in images]
             grown = images
         frontier = set()
         for w in grown:
-            if w.shape[0] >= s1 and w.shape[1] >= s2:
-                frontier |= subwords(w, shape)
+            frontier.update(_windows(w, shape))
         frontier -= seen
         if seen and not frontier:
-            return seen
+            return {Word2d(u) for u in seen}
         seen |= frontier
     raise NotStabilized(f"language at shape {shape} still growing after {bound} iterations")
 
@@ -256,37 +260,56 @@ def seeds(m: Morphism2d) -> Language2d:
     The graph has an edge ``u -> v`` from a 2x2 word u whose image is
     defined to every 2x2 factor v of that image.  A word whose image is
     undefined (its columns' letters differ in image width, or its rows'
-    letters in image height) has no out-edge, so it lies on no cycle: the
-    graph is built over the defined-image words alone, and edges into
-    other words are dropped.  Vertices are keyed by their column tuples
-    and each image's windows are read straight off its columns.  Vertices
-    on cycles are those inside a strongly connected component of size > 1
-    or carrying a self-loop.
+    letters in image height) has no out-edge, so it lies on no cycle, and
+    edges into it are dropped.  A word is a pair (l, r) of letter columns,
+    and its image is ``block(l) + block(r)``, so each of its factors lies
+    inside block(l), inside block(r), or across the seam of the last column
+    of block(l) and the first of block(r): factors are read once per column
+    and once per seam, and the graph itself is never built.
+
+    A word on a cycle has backward paths of every length, so it lies in
+    the limit set, the fixed point of ``S <- succ(S)`` started from the
+    factors of every image (the sets only shrink).  That set is closed
+    under successors, so the cycles of the graph on it are all the cycles:
+    for the catalog rule, 367 of the 10,825 words with a defined image.
+    Vertices on cycles are those inside a strongly connected component of
+    size > 1 or carrying a self-loop.
     """
     if m.domain_size != m.codomain_size:
         raise ValueError("seed graph needs domain = codomain")
     images = [m.image(a) for a in range(m.domain_size)]
-    # the image of each column (a, b) whose letters' images share a width,
-    # grouped by the heights of its two blocks
-    columns: dict[tuple[int, int], list] = {}
+    # the image block of each column (a, b) whose letters' images share a
+    # width, and the heights of its two blocks: (l, r) has a defined image
+    # exactly when both columns have a block and their heights agree; a
+    # column of empty images gets no block, since its words have no factor
+    blocks, heights, groups = {}, {}, {}
     for a, b in product(range(m.domain_size), repeat=2):
         (wa, ha), (wb, hb) = images[a].shape, images[b].shape
-        if wa == wb:
-            block = tuple(ca + cb for ca, cb in zip(images[a].columns, images[b].columns))
-            columns.setdefault((ha, hb), []).append(((a, b), block))
-    graph = {
-        (left, right): left_image + right_image
-        for group in columns.values()
-        for (left, left_image), (right, right_image) in product(group, repeat=2)
+        if wa == wb > 0:
+            blocks[a, b] = tuple(ca + cb for ca, cb in zip(images[a].columns, images[b].columns))
+            heights[a, b] = (ha, hb)
+            groups.setdefault((ha, hb), []).append(blocks[a, b])
+
+    def defined(found):
+        return {(l, r) for l, r in found if l in heights and heights[l] == heights.get(r)}
+
+    inside = {column: defined(_windows(block, (2, 2))) for column, block in blocks.items()}
+    seams = {
+        seam: defined(_windows(seam, (2, 2)))
+        for group in groups.values()
+        for seam in product({block[-1] for block in group}, {block[0] for block in group})
     }
-    vertices = list(graph)
+
+    def succ(v):
+        l, r = v
+        return inside[l] | inside[r] | seams[blocks[l][-1], blocks[r][0]]
+
+    limit, step = None, set().union(*inside.values(), *seams.values())
+    while step != limit:
+        limit, step = step, set().union(*map(succ, step))
+    vertices = list(limit)
     index = {v: i for i, v in enumerate(vertices)}
-    edges = []
-    for image in graph.values():
-        found = {((c[y], c[y + 1]), (d[y], d[y + 1]))
-                 for c, d in zip(image, image[1:]) for y in range(len(c) - 1)}
-        edges.append([index[w] for w in found if w in index])
-    on_cycle = _cycle_vertices(len(vertices), edges)
+    on_cycle = _cycle_vertices(len(vertices), [[index[w] for w in succ(v)] for v in vertices])
     return {Word2d(vertices[i]) for i in on_cycle}
 
 

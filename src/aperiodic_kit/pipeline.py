@@ -351,9 +351,9 @@ def check_uniqueness_hypotheses() -> UniquenessReport:
 
     The containment of the seed graph's cycle vertices in the language is
     recorded faithfully: it fails, because the factor graph has 2-cycles
-    through words that are not locally admissible.  The graph is built over
-    the 10,825 of the 19^4 2x2 words whose image is defined, since no other
-    word lies on a cycle.
+    through words that are not locally admissible.  The graph is never
+    built: its cycles are searched only on the limit set of the rule's
+    action on 2x2 words, 367 of the 10,825 words whose image is defined.
     """
     started = time.perf_counter()
     phi = catalog.square_substitution()

@@ -194,6 +194,26 @@ def primitive_rule(seed: int) -> Morphism2d:
 primitive_rules = st.integers(0, 2**32).map(primitive_rule)
 
 
+@st.composite
+def arbitrary_rule(draw):
+    """Rules on 2 or 3 letters with image sides 0..2, defined or not."""
+    size = draw(st.integers(2, 3))
+    rule = {}
+    for a in range(size):
+        width, height = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+        rule[a] = draw(
+            st.lists(
+                st.lists(st.integers(0, size - 1), min_size=height, max_size=height),
+                min_size=width,
+                max_size=width,
+            )
+        )
+    return Morphism2d(rule, size, size)
+
+
+arbitrary_rules = arbitrary_rule()
+
+
 class TestLanguageByClosure:
     @pytest.mark.parametrize(
         "shape", [(s1, s2) for s1 in (1, 2, 3) for s2 in (1, 2, 3)] + [(6, 6)]
@@ -231,6 +251,29 @@ class TestSeeds:
     @settings(max_examples=60, deadline=None)
     @given(primitive_rules)
     def test_small_primitive_rules_equal_full_graph_seeds(self, m):
+        assert seeds(m) == full_graph_seeds(m)
+
+    @pytest.mark.parametrize(
+        "rule, count",
+        [
+            # letter 1 has an empty image, so no word holding it has a factor
+            ({0: [[0, 1], [1, 0]], 1: []}, 0),
+            # a 1x1 permutation: every 2x2 word is its own image's factor
+            ({0: [[1]], 1: [[0]]}, 16),
+            # image widths 1 and 2 disagree, so words mixing the letters in
+            # a column have no image
+            ({0: [[1]], 1: [[0], [1]]}, 3),
+        ],
+    )
+    def test_edge_rules_equal_full_graph_seeds(self, rule, count):
+        m = Morphism2d(rule, 2, 2)
+        found = seeds(m)
+        assert len(found) == count
+        assert found == full_graph_seeds(m)
+
+    @settings(max_examples=80, deadline=None)
+    @given(arbitrary_rules)
+    def test_arbitrary_rules_equal_full_graph_seeds(self, m):
         assert seeds(m) == full_graph_seeds(m)
 
     def test_known_seed_present(self, phi):

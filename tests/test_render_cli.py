@@ -414,6 +414,19 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
+        "lattice, shown", [(1, "1"), ("11", "'11'"), (["1"], "['1']"), (["1", "1", "1"], "['1', '1', '1']")]
+    )
+    def test_lattice_that_is_no_pair_names_the_file_and_the_value(
+        self, tmp_path, capsys, lattice, shown
+    ):
+        # "11" once read as the lattice (1, 1) from the string's characters
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps({**UNIT_SQUARE, "lattice": lattice}))
+        assert main([*CONFIG, str(path)]) == cli.USAGE_ERROR
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: lattice must be a list of two entries, got {shown}\n"
+
+    @pytest.mark.parametrize(
         "command, data, key",
         [
             (["solve", "--shape", "2x2"], {}, "tiles"),
@@ -557,13 +570,15 @@ class TestCli:
         expected = Path(__file__).parent / "expected" / f"induce_axis{axis}.json"
         assert out.read_bytes() == expected.read_bytes()
 
-    # the tile search's outputs, pinned byte for byte: an admissible-pattern
-    # row searched without certificates, and the least 7x7 tiling by U
+    # the search outputs, pinned byte for byte: an admissible-pattern row
+    # searched without certificates, the least 7x7 tiling by U, and the 6x6
+    # substitution language, the certificate set of verify-all at 2,2
     @pytest.mark.parametrize(
         "argv, name",
         [
             (["lang", "--method", "tiles", "--shape", "3x3", "--radius", "3"], "lang_tiles_3x3_r3.json"),
             (["solve", "U", "--shape", "7x7"], "solve_u_7x7.json"),
+            (["lang", "--method", "substitution", "--shape", "6x6"], "lang_substitution_6x6.json"),
         ],
     )
     def test_search_out_file_equals_the_expected_file(self, tmp_path, argv, name):
