@@ -308,8 +308,12 @@ def cmd_config(args) -> int:
 def cmd_render(args) -> int:
     from . import render
 
+    builtin, other = ("U", "PU") if args.target == "tiling" else ("PU", "U")
+    source = args.input or builtin
+    if source == other:
+        raise ValueError(f"--target {args.target} needs --input {builtin} or a path, not {other}")
     if args.target == "tiling":
-        tileset = _load_tileset(args.input)
+        tileset = _load_tileset(source)
         if args.shape:
             shape = _parse_shape(args.shape)
             word = solve(TilingInstance(tileset, shape))
@@ -320,12 +324,12 @@ def cmd_render(args) -> int:
         else:
             svg = render.render_tileset(tileset, seed=args.seed)
     elif args.target == "partition":
-        partition, _ = _load_partition(args.input)
+        partition, _ = _load_partition(source)
         svg = render.render_partition(partition, seed=args.seed)
     else:  # coded-orbit
         point = _parse_point(args.seed_point)
         shape = _parse_shape(args.shape or "6x8")
-        partition, action = _load_partition(args.input)
+        partition, action = _load_partition(source)
         svg = render.render_coded_orbit(partition, action, point, shape, seed=args.seed)
     with open(args.out, "w") as handle:
         handle.write(svg + "\n")
@@ -406,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("render", help="draw a tile set, tiling, partition or orbit")
     p.add_argument("--target", choices=("tiling", "partition", "coded-orbit"), required=True)
-    p.add_argument("--input", default="U", help="artifact path, or U / PU built-ins")
+    p.add_argument("--input", help="artifact path; default U for tiling, PU otherwise")
     p.add_argument("--shape", help="WxH (tiling and coded-orbit targets)")
     p.add_argument("--seed-point", help='"x,y" (coded-orbit target)')
     p.add_argument("--seed", type=int, default=0, help="palette rotation")

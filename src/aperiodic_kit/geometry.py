@@ -23,15 +23,16 @@ on both axes are clipped.
 
 A halfplane <n, x> <= c comes from _halfplane, with its normal scaled by a
 positive factor so that the first nonzero coordinate is +-1; that keeps
-the side of every point and every cut point.  It records its form: an
-axis halfplane bounds one coordinate and evaluates a vertex as
-+-(v[k] - bound) with no multiplication, a slanted one costs one
-multiplication.  A polygon builds the halfplanes of its edges once and
-caches them next to its bounding box.  An axis halfplane that holds on the
-whole bounding box of the polygon being cut is skipped without touching
-its ring: the ring only shrinks from that polygon, so the box test stays
-valid after earlier cuts.  A point's side of a cell edge is read from the
-same cached halfplanes, in the same form as a cut reads a vertex.
+the side of every point and every cut point.  It records its form: an axis
+halfplane bounds one coordinate, a slanted one reads m*y +- x <= offset.
+One integer test, _side, reads every side, from the coordinate or from
+m*y +- x - offset on unreduced integer numerators; numbers are built only
+for cut points, and on an axis halfplane the cut coordinate is the bound.
+A polygon builds the halfplanes of its edges once and caches them next to
+its bounding box.  An axis halfplane that holds on the whole bounding box
+of the polygon being cut is skipped without touching its ring: the ring
+only shrinks from that polygon, so the box test stays valid after earlier
+cuts.  A point's side of a cached cell edge is read by the same test.
 
 A line of the torus arrangement has the same one form: the halfplane of
 its segment whose normal leads with +1 keys the line, cuts the cells along
@@ -46,7 +47,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterable, Optional, Sequence
 
-from .phifield import ONE, ZERO, PhiNumber
+from .phifield import ONE, ZERO, PhiNumber, _sign
 
 Point = tuple[PhiNumber, PhiNumber]
 Segment = tuple[Point, Point]
@@ -136,7 +137,7 @@ class Polygon:
         the side of x on each cached edge halfplane, evaluated as a cut does."""
         on_edge = False
         for plane in _halfplanes(self):
-            s = _values((x,), plane)[0].sign()
+            s = _side(x, plane)
             if s > 0:
                 return "outside"
             if s == 0:
@@ -235,8 +236,8 @@ def _halfplane(normal: Point, point: Point) -> tuple:
 
 
 def _values(ring: Sequence[Point], plane) -> list[PhiNumber]:
-    """<normal, v> - offset for every vertex v of the ring: +-(v[k] - bound)
-    on an axis halfplane, one multiplication on a slanted one."""
+    """<normal, v> - offset for every vertex v of the ring, built in the
+    halfplane's form: the numbers _cut_point reads at the ends of an edge."""
     (_, m), offset, axis, lower, bound = plane
     if axis is not None:
         if lower:
@@ -245,6 +246,29 @@ def _values(ring: Sequence[Point], plane) -> list[PhiNumber]:
     if lower:
         return [m * v[1] - (v[0] + offset) for v in ring]
     return [m * v[1] + (v[0] - offset) for v in ring]
+
+
+def _integers(x: PhiNumber) -> tuple[int, int, int]:
+    """Integers (p, q, d), d > 0, with x = (p + q*phi) / d, not reduced."""
+    p, dp = x.a.as_integer_ratio()
+    q, dq = x.b.as_integer_ratio()
+    return p * dq, q * dp, dp * dq
+
+
+def _side(v: Point, plane) -> int:
+    """The sign of <normal, v> - offset, decided by _sign on unreduced
+    integer numerators as a comparison is: -1 inside, 0 on the line."""
+    (_, m), offset, axis, lower, bound = plane
+    if axis is not None:
+        s = v[axis]._compare(bound)
+        return -s if lower else s
+    (mp, mq, md), (op, oq, od) = _integers(m), _integers(offset)
+    (xp, xq, xd), (yp, yq, yd) = _integers(v[0]), _integers(v[1])
+    # the value times md*yd * xd*od > 0 is a + b*phi
+    d, e, s = md * yd, xd * od, -1 if lower else 1
+    a = (mp * yp + mq * yq) * e + (s * xp * od - op * xd) * d
+    b = (mp * yq + mq * yp + mq * yq) * e + (s * xq * od - oq * xd) * d
+    return _sign(a, 1, b, 1)
 
 
 def _holds_on_box(plane, box) -> bool:
@@ -260,15 +284,14 @@ def _split(ring: Sequence[Point], plane):
     <normal, x> >= offset for the halfplane's normal and offset, as rings
     that keep the input's vertex order.
 
-    The value and sign of each vertex are computed once, in the form the
-    halfplane records, and both parts share the cut points.  A part
-    holding every vertex is the ring itself, and a part without interior
-    is empty.  A counterclockwise ring without repeated or collinear
-    vertices cuts into rings of the same kind: the line holds at most two
-    of a part's points, both on its cut side.
+    The side of each vertex is read once by _side, and both parts share
+    the cut points, the only numbers built.  A part holding every vertex is
+    the ring itself, and a part without interior is empty.  A
+    counterclockwise ring without repeated or collinear vertices cuts into
+    rings of the same kind: the line holds at most two of a part's points,
+    both on its cut side.
     """
-    values = _values(ring, plane)
-    signs = [value.sign() for value in values]
+    signs = [_side(v, plane) for v in ring]
     if max(signs) <= 0:
         return ring, ()
     if min(signs) >= 0:
@@ -284,17 +307,18 @@ def _split(ring: Sequence[Point], plane):
         if sc >= 0:
             outside.append(cur)
         if sc * signs[j] < 0:
-            cut = _cut_point(cur, ring[j], values[i], values[j])
+            cut = _cut_point(cur, ring[j], plane)
             inside.append(cut)
             outside.append(cut)
     return inside, outside
 
 
-def _cut_point(a: Point, b: Point, va: PhiNumber, vb: PhiNumber) -> Point:
-    """The point of segment ab on a halfplane's line, from the values va and
-    vb of its ends, which have opposite signs."""
+def _cut_point(a: Point, b: Point, plane) -> Point:
+    """The point of segment ab on the halfplane's line, for ends on opposite
+    sides of it; on an axis halfplane that coordinate is the bound itself."""
+    va, vb = _values((a, b), plane)
     t = va / (va - vb)
-    return (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
+    return tuple(plane[4] if k == plane[2] else a[k] + t * (b[k] - a[k]) for k in (0, 1))
 
 
 def _halfplanes(poly: Polygon) -> tuple:
@@ -312,8 +336,8 @@ def _halfplanes(poly: Polygon) -> tuple:
 
 
 def _piece(poly: Polygon, ring: Sequence[Point]) -> Optional[Polygon]:
-    """The polygon of a ring that _split cut from poly, None when it is empty:
-    poly itself when nothing was cut, else the ring from its least vertex."""
+    """The polygon of a canonical ring made from poly, None when it is empty:
+    poly itself when it is poly's own ring, else from its least vertex."""
     if ring is poly.vertices:
         return poly
     if len(ring) < 3:
@@ -425,10 +449,24 @@ def lattice_pieces(poly: Polygon, lattice, box: Polygon, offset: Point = (ZERO, 
 def _axis_shifts(lo, hi, period, box_lo, box_hi) -> list[PhiNumber]:
     """Multiples k*period moving the interval [lo, hi] to meet [box_lo, box_hi]
     in an open interval, or anywhere in the closed box when lo == hi, so that
-    a segment on a seam keeps its translates on both sides of the rectangle."""
+    a segment on a seam keeps its translates on both sides of the rectangle.
+    The first is reached by additions: doubling strides, then halving."""
     point = lo == hi
-    k = -((hi - box_lo) / period).floor() if point else ((box_lo - hi) / period).floor() + 1
-    shift = PhiNumber(k) * period
+
+    def meets(shift) -> bool:
+        return (hi + shift)._compare(box_lo) >= (0 if point else 1)
+
+    below, step = ZERO, period
+    while meets(below):
+        below, step = below - step, step + step
+    strides, step = [], period
+    while not meets(below + step):
+        strides.append(step)
+        below, step = below + step, step + step
+    for stride in reversed(strides):
+        if not meets(below + stride):
+            below = below + stride
+    shift = below + period
     shifts = []
     while lo + shift < box_hi or (point and lo + shift == box_hi):
         shifts.append(shift)
@@ -613,14 +651,13 @@ def _clip_segment_to_box(p: Point, q: Point, box: Polygon) -> Optional[Segment]:
     Both ends are read on each edge halfplane of the box as _split reads a
     vertex, and an end outside is moved to the cut point."""
     for plane in _halfplanes(box):
-        vp, vq = _values((p, q), plane)
-        sp, sq = vp.sign(), vq.sign()
+        sp, sq = _side(p, plane), _side(q, plane)
         if sp >= 0 and sq >= 0 and (sp or sq):
             return None
         if sp > 0:
-            p = _cut_point(p, q, vp, vq)
+            p = _cut_point(p, q, plane)
         elif sq > 0:
-            q = _cut_point(q, p, vq, vp)
+            q = _cut_point(q, p, plane)
     return p, q
 
 
@@ -806,9 +843,8 @@ def rescale(partition: TorusPartition, factor, translation=(0, 0)) -> TorusParti
     for label, cells in partition.atoms.items():
         pieces = []
         for cell in cells:
-            mapped = Polygon(
-                [(v[0] * factor + t[0], v[1] * factor + t[1]) for v in cell.vertices]
-            )
-            pieces.extend(lattice_pieces(mapped, new_lattice, box))
+            # x -> factor*x + t has determinant factor^2 > 0: keeps a ring canonical
+            ring = [(v[0] * factor + t[0], v[1] * factor + t[1]) for v in cell.vertices]
+            pieces.extend(lattice_pieces(_piece(cell, ring), new_lattice, box))
         atoms[label] = tuple(sorted(pieces, key=lambda c: c.vertices))
     return TorusPartition(new_lattice, atoms)

@@ -19,6 +19,10 @@ range of shifts bounded by floors of its own, and splits each cell by each
 line with two such clips, one per side.  Its lines are (A, B, C) keys of
 A x + B y = C, and it clips a segment by Liang-Barsky parameters, so it
 shares neither the line form nor the segment clip with the library.
+
+A point is located against a polygon by cross products with its edges,
+and the lattice shifts of an interval are found by the former rule of
+_axis_shifts: a division by the period and a floor.
 """
 
 from __future__ import annotations
@@ -308,6 +312,19 @@ def cross_product_locate(poly, x) -> str:
     if -1 in signs:
         return "outside"
     return "boundary" if 0 in signs else "interior"
+
+
+def axis_shifts_by_floor(lo, hi, period, box_lo, box_hi) -> list:
+    """geometry._axis_shifts by its former rule: the first multiple from a
+    division by the period and a floor, then each next one up to the box."""
+    point = lo == hi
+    k = -((hi - box_lo) / period).floor() if point else ((box_lo - hi) / period).floor() + 1
+    shift = PhiNumber(k) * period
+    shifts = []
+    while lo + shift < box_hi or (point and lo + shift == box_hi):
+        shifts.append(shift)
+        shift = shift + period
+    return shifts
 
 
 def _labeled_cells(partition):

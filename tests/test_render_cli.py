@@ -154,6 +154,41 @@ class TestCli:
         assert code == 0
         assert out.read_text().count("<circle") == 9
 
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["render", "--target", "partition"], "render_partition_pu.svg"),
+            (["render", "--target", "coded-orbit",
+              "--seed-point", "1357/10000,2938/10000", "--shape", "6x8"],
+             "render_coded_orbit_pu_6x8.svg"),
+        ],
+    )
+    def test_render_partition_targets_default_to_pu(self, tmp_path, argv, name):
+        out = tmp_path / name
+        assert main([*argv, "--out", str(out)]) == 0
+        assert out.read_bytes() == (Path(__file__).parent / "expected" / name).read_bytes()
+
+    def test_render_tiling_defaults_to_u(self, tmp_path):
+        default, explicit = tmp_path / "default.svg", tmp_path / "u.svg"
+        assert main(["render", "--target", "tiling", "--out", str(default)]) == 0
+        assert main(["render", "--target", "tiling", "--input", "U", "--out", str(explicit)]) == 0
+        assert default.read_bytes() == explicit.read_bytes()
+
+    @pytest.mark.parametrize(
+        "target, given, needed",
+        [("tiling", "PU", "U"), ("partition", "U", "PU"), ("coded-orbit", "U", "PU")],
+    )
+    def test_render_builtin_of_the_wrong_kind_is_one_line_error(
+        self, tmp_path, capsys, target, given, needed
+    ):
+        out = tmp_path / "x.svg"
+        argv = ["render", "--target", target, "--input", given,
+                "--seed-point", "1/3,1/5", "--out", str(out)]
+        assert main(argv) == cli.USAGE_ERROR
+        err = capsys.readouterr().err
+        assert err == f"error: --target {target} needs --input {needed} or a path, not {given}\n"
+        assert not out.exists()
+
     def test_config_on_boundary_is_one_line_error(self, capsys):
         assert main(["config", "--seed-point", "1/2,0", "--shape", "1x1"]) == 1
         err = capsys.readouterr().err
