@@ -44,10 +44,11 @@ on each box halfplane, and an end outside moves to the cut point.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import islice, product
 from typing import Iterable, Optional, Sequence
 
 from .phifield import ONE, ZERO, PhiNumber, _sign
+from .words import bijections, classes
 
 Point = tuple[PhiNumber, PhiNumber]
 Segment = tuple[Point, Point]
@@ -207,7 +208,12 @@ def _normalize_ring(vs: list[Point]) -> Optional[tuple[Point, ...]]:
 
 
 def rectangle(x0, y0, x1, y1) -> Polygon:
-    return Polygon([pt(x0, y0), pt(x1, y0), pt(x1, y1), pt(x0, y1)])
+    """The rectangle [x0, x1] x [y0, y1], built canonical: counterclockwise
+    from its least vertex (x0, y0).  It needs x0 < x1 and y0 < y1."""
+    (x0, y0), (x1, y1) = pt(x0, y0), pt(x1, y1)
+    if not (x0 < x1 and y0 < y1):
+        raise ValueError("degenerate polygon")
+    return Polygon._canonical(((x0, y0), (x1, y0), (x1, y1), (x0, y1)))
 
 
 def _halfplane(normal: Point, point: Point) -> tuple:
@@ -711,25 +717,16 @@ def partition_from_segments(segments, lattice) -> TorusPartition:
         covered.setdefault(line, []).append((lo, hi))
 
     # glue cells along shared edge pieces not covered by segments
-    parent = list(range(len(cells)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for line, lo, hi, covering in _edge_sweep(cells, (l1, l2)):
-        if len(covering) > 1 and _interval_minus(lo, hi, covered.get(line, [])):
-            for idx in covering[1:]:
-                ri, rj = find(covering[0]), find(idx)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-
-    groups: dict[int, list[Polygon]] = {}
-    for idx, cell in enumerate(cells):
-        groups.setdefault(find(idx), []).append(cell)
-    atoms = [tuple(sorted(group, key=lambda c: c.vertices)) for group in groups.values()]
+    glued = (
+        (covering[0], idx)
+        for line, lo, hi, covering in _edge_sweep(cells, (l1, l2))
+        if len(covering) > 1 and _interval_minus(lo, hi, covered.get(line, []))
+        for idx in covering[1:]
+    )
+    atoms = [
+        tuple(sorted((cells[idx] for idx in group), key=lambda c: c.vertices))
+        for group in classes(len(cells), glued)
+    ]
     atoms.sort(key=lambda atom: atom[0].vertices)
     return TorusPartition((l1, l2), dict(enumerate(atoms)))
 
@@ -753,49 +750,8 @@ def relabel_to_match(partition: TorusPartition, horizontal, vertical, coded) -> 
     targets = sorted({a for pair in horizontal | vertical for a in pair})
     if len(targets) < len(labels):
         raise NoConsistentLabeling("reference alphabet smaller than atom count")
-
-    order = sorted(labels, key=lambda a: -sum(a in p for p in h_pairs | v_pairs))
-    # each label's coded pairs as (the other label, the letters each letter
-    # of this label allows it): one table per reference pair side
-    checks: dict[int, list] = {}
-    for pairs, reference in ((h_pairs, horizontal), (v_pairs, vertical)):
-        after: dict[int, set] = {}
-        before: dict[int, set] = {}
-        for first, second in reference:
-            after.setdefault(first, set()).add(second)
-            before.setdefault(second, set()).add(first)
-        for a, b in pairs:
-            checks.setdefault(a, []).append((b, after))
-            checks.setdefault(b, []).append((a, before))
-    solutions = []
-    assignment: dict[int, int] = {}
-    used: set[int] = set()
-
-    def consistent(a, t):
-        # (a, a) is checked against (t, t) like any placed pair
-        for b, allowed in checks.get(a, ()):
-            tb = t if b == a else assignment.get(b)
-            if tb is not None and tb not in allowed.get(t, ()):
-                return False
-        return True
-
-    def search(i):
-        if len(solutions) > 1:
-            return
-        if i == len(order):
-            solutions.append(dict(assignment))
-            return
-        a = order[i]
-        for t in targets:
-            if t in used or not consistent(a, t):
-                continue
-            assignment[a] = t
-            used.add(t)
-            search(i + 1)
-            used.discard(t)
-            del assignment[a]
-
-    search(0)
+    relations = ((h_pairs, horizontal), (v_pairs, vertical))
+    solutions = list(islice(bijections(labels, targets, relations), 2))
     if not solutions:
         raise NoConsistentLabeling("no labeling matches the reference dominoes")
     if len(solutions) > 1:

@@ -12,6 +12,7 @@ dominoes, which is the recognizability used by the self-similarity proof.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Iterable
 
 from .morphisms import Morphism2d
@@ -24,7 +25,7 @@ from .wang import (
     WangTileSet,
     dominoes_with_surrounding,
 )
-from .words import Word2d
+from .words import Word2d, bijections, classes
 
 
 class EdgeMismatch(ValueError):
@@ -66,22 +67,6 @@ class DesubstitutionResult:
         }
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x: int, y: int):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[max(rx, ry)] = min(rx, ry)
-
-
 def find_markers(
     tileset: WangTileSet, direction: int, radius: int, certificates: Iterable[Word2d] = ()
 ) -> MarkerReport:
@@ -98,19 +83,12 @@ def find_markers(
     perp = 3 - direction
     certificates = list(certificates)
     d_perp = dominoes_with_surrounding(tileset, perp, radius, certificates)
-    uf = _UnionFind(len(tileset))
-    for u, v in d_perp:
-        uf.union(u, v)
     d_dir = dominoes_with_surrounding(tileset, direction, radius, certificates)
-    classes: dict[int, list[int]] = {}
-    for t in range(len(tileset)):
-        classes.setdefault(uf.find(t), []).append(t)
     subsets = [
-        sorted(members)
-        for members in classes.values()
+        members
+        for members in classes(len(tileset), d_perp)
         if not any((u, v) in d_dir for u in members for v in members)
     ]
-    subsets.sort(key=lambda s: s[0])
     return MarkerReport(direction, radius, subsets, (d_dir, d_perp), tileset)
 
 
@@ -176,6 +154,21 @@ def find_substitution(report: MarkerReport, markers, side: str = "right") -> Des
     return DesubstitutionResult(WangTileSet(new_tiles), morphism, side, direction)
 
 
+def _side_relations(tileset: WangTileSet) -> list[set]:
+    """The pairs (i, k) where side p of tile i has the color of side q of
+    tile k, for p and q both in (RIGHT, LEFT), then both in (TOP, BOTTOM)."""
+    relations = []
+    for sides in ((RIGHT, LEFT), (TOP, BOTTOM)):
+        for p, q in product(sides, repeat=2):
+            having: dict[str, list[int]] = {}
+            for k, tile in enumerate(tileset.tiles):
+                having.setdefault(tile[q], []).append(k)
+            relations.append(
+                {(i, k) for i, tile in enumerate(tileset.tiles) for k in having.get(tile[p], ())}
+            )
+    return relations
+
+
 def is_equivalent(tileset: WangTileSet, other: WangTileSet):
     """Color-word maps and a tile bijection carrying one set onto the other.
 
@@ -183,61 +176,24 @@ def is_equivalent(tileset: WangTileSet, other: WangTileSet):
     horizontal colors to the second set's color tokens, together with a
     tile bijection, such that mapping every color of every tile reproduces
     the second tile list.  Returns ``(vert, horiz, bijection)`` or None.
-    Tiles are matched in index order and candidates tried in index order,
-    so the certificate is deterministic.
+    Those are the bijections that carry each relation "side p of tile i
+    has the color of side q of tile k", for p, q on one axis, onto the
+    other set's.  The first in index order is taken and the color maps are
+    read off it tile by tile, so the certificate is deterministic.
     """
     if len(tileset) != len(other):
         return None
-
+    mine, theirs = _side_relations(tileset), _side_relations(other)
+    if any(len(a) != len(b) for a, b in zip(mine, theirs)):
+        return None
     n = len(tileset)
+    bijection = next(bijections(range(n), range(n), zip(mine, theirs)), None)
+    if bijection is None:
+        return None
     vert: dict[str, str] = {}
     horiz: dict[str, str] = {}
-    bijection: dict[int, int] = {}
-    used = [False] * n
-
-    def compatible(tile: Tile, target: Tile):
-        """Extend the color maps to send tile to target; None if impossible.
-
-        Applies the new assignments immediately (returning them for
-        rollback) so a color appearing twice on one tile stays consistent.
-        """
-        new = []
+    for i, tile in enumerate(tileset.tiles):
+        target = other[bijection[i]]
         for pos, table in ((RIGHT, vert), (TOP, horiz), (LEFT, vert), (BOTTOM, horiz)):
-            src, dst = tile[pos], target[pos]
-            if src in table:
-                if table[src] != dst:
-                    break
-            elif dst in table.values():
-                break  # injectivity
-            else:
-                table[src] = dst
-                new.append((table, src))
-        else:
-            return new
-        for table, src in new:
-            del table[src]
-        return None
-
-    def search(i: int) -> bool:
-        if i == n:
-            return True
-        tile = tileset[i]
-        for j in range(n):
-            if used[j]:
-                continue
-            extension = compatible(tile, other[j])
-            if extension is None:
-                continue
-            used[j] = True
-            bijection[i] = j
-            if search(i + 1):
-                return True
-            used[j] = False
-            del bijection[i]
-            for table, src in extension:
-                del table[src]
-        return False
-
-    if not search(0):
-        return None
-    return dict(vert), dict(horiz), dict(bijection)
+            table.setdefault(tile[pos], target[pos])
+    return vert, horiz, bijection

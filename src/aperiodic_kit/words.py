@@ -5,6 +5,11 @@ A word of shape ``(n1, n2)`` assigns a letter to every cell ``(x, y)`` with
 tuple of columns, each column read bottom to top.  This matches the
 Cartesian convention used everywhere else in the package and keeps the JSON
 form (list of columns) identical to the internal one.
+
+Two searches over letters live here too, since both sides of the package
+use them: the letter bijections that preserve pair relations, which close
+the Wang loop and label the partition's atoms, and the classes of letters
+under the equivalence that pairs generate.
 """
 
 from __future__ import annotations
@@ -154,3 +159,72 @@ def project(language: Language2d, shape: tuple[int, int]) -> Language2d:
     for w in language:
         found |= subwords(w, shape)
     return found
+
+
+def bijections(letters, targets, relations) -> Iterator[dict]:
+    """Every injective map from letters to targets that carries each source
+    pair of each ``(source pairs, target pairs)`` relation into the target
+    pairs of that relation.
+
+    Letters are assigned in the given order and each tries the targets in
+    the given order, so the maps come lexicographically.  A pair (a, a) is
+    checked against (t, t) like any pair of assigned letters.
+    """
+    letters, targets = list(letters), list(targets)
+    # each letter's source pairs as (the other letter, the targets each
+    # target of this letter allows it): one table per target pair side
+    checks: dict = {}
+    for pairs, reference in relations:
+        after: dict = {}
+        before: dict = {}
+        for first, second in reference:
+            after.setdefault(first, set()).add(second)
+            before.setdefault(second, set()).add(first)
+        for a, b in pairs:
+            checks.setdefault(a, []).append((b, after))
+            checks.setdefault(b, []).append((a, before))
+    assignment: dict = {}
+    used: set = set()
+
+    def consistent(a, t):
+        for b, allowed in checks.get(a, ()):
+            tb = t if b == a else assignment.get(b)
+            if tb is not None and tb not in allowed.get(t, ()):
+                return False
+        return True
+
+    def search(i):
+        if i == len(letters):
+            yield dict(assignment)
+            return
+        a = letters[i]
+        for t in targets:
+            if t in used or not consistent(a, t):
+                continue
+            assignment[a] = t
+            used.add(t)
+            yield from search(i + 1)
+            used.discard(t)
+            del assignment[a]
+
+    return search(0)
+
+
+def classes(n: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """The classes of range(n) under the equivalence the pairs generate,
+    each in increasing order, ordered by their least members."""
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for a, b in pairs:
+        parent[find(a)] = find(b)
+    # each class is first met at its least member
+    found: dict[int, list[int]] = {}
+    for i in range(n):
+        found.setdefault(find(i), []).append(i)
+    return list(found.values())

@@ -20,6 +20,9 @@ line with two such clips, one per side.  Its lines are (A, B, C) keys of
 A x + B y = C, and it clips a segment by Liang-Barsky parameters, so it
 shares neither the line form nor the segment clip with the library.
 
+Tile-set equivalence is searched on the color maps themselves: each tile
+is matched in turn, extending the maps or backtracking.
+
 A point is located against a polygon by cross products with its edges,
 and the lattice shifts of an interval are found by the former rule of
 _axis_shifts: a division by the period and a floor.
@@ -847,3 +850,70 @@ def partition_from_segments_each_cut(segments, lattice):
         key=lambda atom: atom[0].vertices,
     )
     return TorusPartition((l1, l2), dict(enumerate(atoms)))
+
+
+def is_equivalent_by_color_maps(tileset: WangTileSet, other: WangTileSet):
+    """Color-word maps and a tile bijection carrying one set onto the other.
+
+    Searches for injective maps from the first set's vertical and
+    horizontal colors to the second set's color tokens, together with a
+    tile bijection, such that mapping every color of every tile reproduces
+    the second tile list.  Returns ``(vert, horiz, bijection)`` or None.
+    Tiles are matched in index order and candidates tried in index order,
+    so the certificate is deterministic.
+    """
+    if len(tileset) != len(other):
+        return None
+
+    n = len(tileset)
+    vert: dict[str, str] = {}
+    horiz: dict[str, str] = {}
+    bijection: dict[int, int] = {}
+    used = [False] * n
+
+    def compatible(tile: Tile, target: Tile):
+        """Extend the color maps to send tile to target; None if impossible.
+
+        Applies the new assignments immediately (returning them for
+        rollback) so a color appearing twice on one tile stays consistent.
+        """
+        new = []
+        for pos, table in ((RIGHT, vert), (TOP, horiz), (LEFT, vert), (BOTTOM, horiz)):
+            src, dst = tile[pos], target[pos]
+            if src in table:
+                if table[src] != dst:
+                    break
+            elif dst in table.values():
+                break  # injectivity
+            else:
+                table[src] = dst
+                new.append((table, src))
+        else:
+            return new
+        for table, src in new:
+            del table[src]
+        return None
+
+    def search(i: int) -> bool:
+        if i == n:
+            return True
+        tile = tileset[i]
+        for j in range(n):
+            if used[j]:
+                continue
+            extension = compatible(tile, other[j])
+            if extension is None:
+                continue
+            used[j] = True
+            bijection[i] = j
+            if search(i + 1):
+                return True
+            used[j] = False
+            del bijection[i]
+            for table, src in extension:
+                del table[src]
+        return False
+
+    if not search(0):
+        return None
+    return dict(vert), dict(horiz), dict(bijection)
