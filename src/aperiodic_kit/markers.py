@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterable
+from typing import Iterable, Optional
 
 from .morphisms import Morphism2d
 from .wang import (
@@ -21,6 +21,7 @@ from .wang import (
     LEFT,
     RIGHT,
     TOP,
+    AdmissibleTable,
     Tile,
     WangTileSet,
     dominoes_with_surrounding,
@@ -68,22 +69,27 @@ class DesubstitutionResult:
 
 
 def find_markers(
-    tileset: WangTileSet, direction: int, radius: int, certificates: Iterable[Word2d] = ()
+    tileset: WangTileSet,
+    direction: int,
+    radius: int,
+    certificates: Iterable[Word2d] = (),
+    table: Optional[AdmissibleTable] = None,
 ) -> MarkerReport:
     """Candidate marker subsets for layers orthogonal to the direction.
 
     Tiles are merged whenever they can sit next to each other along the
     perpendicular axis (so whole layers stay within one class); a class
     qualifies when no two of its tiles can ever be adjacent along the
-    direction itself.  ``certificates`` spare domino searches as in
-    ``patterns_with_surrounding`` and never change the report.
+    direction itself.  ``certificates`` and ``table`` spare domino
+    searches as in ``patterns_with_surrounding`` and never change the
+    report.
     """
     if direction not in (1, 2):
         raise ValueError("direction must be 1 or 2")
     perp = 3 - direction
     certificates = list(certificates)
-    d_perp = dominoes_with_surrounding(tileset, perp, radius, certificates)
-    d_dir = dominoes_with_surrounding(tileset, direction, radius, certificates)
+    d_perp = dominoes_with_surrounding(tileset, perp, radius, certificates, table)
+    d_dir = dominoes_with_surrounding(tileset, direction, radius, certificates, table)
     subsets = [
         members
         for members in classes(len(tileset), d_perp)

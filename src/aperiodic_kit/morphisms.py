@@ -265,7 +265,8 @@ def seeds(m: Morphism2d) -> Language2d:
     and its image is ``block(l) + block(r)``, so each of its factors lies
     inside block(l), inside block(r), or across the seam of the last column
     of block(l) and the first of block(r): factors are read once per column
-    and once per seam, and the graph itself is never built.
+    and once per seam the search meets, and the graph itself is never
+    built.
 
     A word on a cycle has backward paths of every length, so it lies in
     the limit set, the fixed point of ``S <- succ(S)`` started from the
@@ -294,17 +295,24 @@ def seeds(m: Morphism2d) -> Language2d:
         return {(l, r) for l, r in found if l in heights and heights[l] == heights.get(r)}
 
     inside = {column: defined(_windows(block, (2, 2))) for column, block in blocks.items()}
-    seams = {
-        seam: defined(_windows(seam, (2, 2)))
-        for group in groups.values()
-        for seam in product({block[-1] for block in group}, {block[0] for block in group})
-    }
+    # the seam factors of every word of a group: at row y, each vertical
+    # domino of a last block column beside each of a first block column
+    across = set()
+    for group in groups.values():
+        lasts, firsts = {block[-1] for block in group}, {block[0] for block in group}
+        for y in range(len(group[0][0]) - 1):
+            dominoes = [{column[y : y + 2] for column in side} for side in (lasts, firsts)]
+            across |= defined(product(*dominoes))
+    seams: dict[tuple, set] = {}
 
     def succ(v):
         l, r = v
-        return inside[l] | inside[r] | seams[blocks[l][-1], blocks[r][0]]
+        seam = blocks[l][-1], blocks[r][0]
+        if seam not in seams:
+            seams[seam] = defined(_windows(seam, (2, 2)))
+        return inside[l] | inside[r] | seams[seam]
 
-    limit, step = None, set().union(*inside.values(), *seams.values())
+    limit, step = None, set().union(*inside.values(), across)
     while step != limit:
         limit, step = step, set().union(*map(succ, step))
     vertices = list(limit)

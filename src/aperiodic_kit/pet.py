@@ -182,6 +182,7 @@ class TorusAction:
         self.alpha1 = (a1[0] % self.lattice[0], PhiNumber(0))
         self.alpha2 = (PhiNumber(0), a2[1] % self.lattice[1])
         self._gens: dict[int, PolygonExchange] = {}
+        self._returns: dict[tuple[int, Window], tuple] = {}
 
     def generator(self, axis: int) -> PolygonExchange:
         if axis not in (1, 2):
@@ -190,6 +191,14 @@ class TorusAction:
             alpha = self.alpha1 if axis == 1 else self.alpha2
             self._gens[axis] = PolygonExchange.toral_translation(self.lattice, alpha)
         return self._gens[axis]
+
+    def first_return(self, axis: int, window: Window):
+        """``induced_transformation`` of the axis generator on the window,
+        computed once: the induced partition and the induced action both
+        read the return along the window's axis."""
+        if (axis, window) not in self._returns:
+            self._returns[axis, window] = induced_transformation(self.generator(axis), window)
+        return self._returns[axis, window]
 
     def translate(self, x: Point, n: tuple[int, int]) -> Point:
         """Exact image of x under the n-th power of the action."""
@@ -217,7 +226,7 @@ def induce_action(action: TorusAction, window: Window) -> TorusAction:
     new_lattice = window.sub_lattice(action.lattice)
     alphas = {}
     for axis in (1, 2):
-        induced, _ = induced_transformation(action.generator(axis), window)
+        induced, _ = action.first_return(axis, window)
         vector = induced.as_translation()
         if vector is None:
             raise ValueError(f"induced generator {axis} is not a rotation")
@@ -367,8 +376,7 @@ def induced_partition(
     then lexicographic on the cells read column by column, bottom to top),
     which makes one-dimensional return words follow the shortlex order.
     """
-    gen_along = action.generator(window.axis)
-    _, time_pieces = induced_transformation(gen_along, window)
+    _, time_pieces = action.first_return(window.axis, window)
     new_lattice = window.sub_lattice(action.lattice)
 
     collected: dict[Word2d, list[Polygon]] = {}

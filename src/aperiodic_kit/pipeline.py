@@ -32,7 +32,7 @@ from .pet import (
     shape_steps,
 )
 from .phifield import PHI
-from .wang import patterns_with_surrounding
+from .wang import AdmissibleTable, patterns_with_surrounding
 from .words import project
 
 
@@ -221,9 +221,12 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _markers_with_escalation(tileset, direction, certificates=()):
+def _markers_with_escalation(tileset, direction, certificates=(), table=None):
+    # one table of the tile set's admissible sets for every radius, so each
+    # radius searches only the dominoes the one below kept
+    table = {} if table is None else table
     for r in range(1, MAX_MARKER_RADIUS + 1):
-        report = find_markers(tileset, direction, r, certificates)
+        report = find_markers(tileset, direction, r, certificates, table)
         if report.marker_subsets:
             return report
     raise StageFailure(
@@ -232,16 +235,20 @@ def _markers_with_escalation(tileset, direction, certificates=()):
     )
 
 
-def run_wang_pipeline(direction_first: int = 2, certificates=()) -> WangLoopReport:
+def run_wang_pipeline(
+    direction_first: int = 2, certificates=(), table: Optional[AdmissibleTable] = None
+) -> WangLoopReport:
     """Desubstitute the tile set twice and close the loop by equivalence.
 
     ``certificates`` (factors of the substitution language, say) spare
     domino searches of the first marker search, the one on the 19 tiles,
     and never change the report; the derived tile sets have other letters.
+    ``table`` is the 19 tiles' table of admissible sets, which the marker
+    search reads and fills; the middle tile set gets a table of its own.
     """
     started = time.perf_counter()
     tiles = catalog.wang_tiles()
-    first_report = _markers_with_escalation(tiles, direction_first, certificates)
+    first_report = _markers_with_escalation(tiles, direction_first, certificates, table)
     first = find_substitution(first_report, first_report.marker_subsets[0])
     second_report = _markers_with_escalation(first.tileset, 3 - direction_first)
     second = find_substitution(second_report, second_report.marker_subsets[0])
@@ -382,7 +389,10 @@ def _certificate_shape(max_shape: tuple[int, int], r: int) -> tuple[int, int]:
 
 
 def cross_check_languages(
-    coding_table, max_shape: tuple[int, int] = (2, 2), certificates=None
+    coding_table,
+    max_shape: tuple[int, int] = (2, 2),
+    certificates=None,
+    table: Optional[AdmissibleTable] = None,
 ) -> list[LanguageRow]:
     """Compare the three pattern languages at every shape up to max_shape.
 
@@ -402,11 +412,15 @@ def cross_check_languages(
     against the tiles, they prove most patterns admissible without a
     search, and they cannot change a row.  ``certificates`` are those of
     TILE_RADIUS when the caller holds them already; the others are built on
-    first use.  Admissible sets shrink as the radius grows, so a raised
-    radius tests only the survivors of the one below.
+    first use.  ``table`` is the 19 tiles' table of admissible sets (a new
+    one when None), which every row reads and fills: a set already found,
+    by the marker search say, is not searched again, a raised radius tests
+    only the survivors of the one below, and a shape tests only the
+    patterns whose smaller windows are admissible.
     """
     phi = catalog.square_substitution()
     tiles = catalog.wang_tiles()
+    table = {} if table is None else table
     substitution_table = language(phi, max_shape)
     by_radius = {} if certificates is None else {TILE_RADIUS: certificates}
 
@@ -422,11 +436,9 @@ def cross_check_languages(
             from_substitution = project(substitution_table, shape)
             from_coding = project(coding_table, shape)
             r = TILE_RADIUS
-            from_tiles = None
             while True:
                 from_tiles = patterns_with_surrounding(
-                    tiles, shape, r,
-                    candidates=from_tiles, certificates=certificates_at(r),
+                    tiles, shape, r, certificates=certificates_at(r), table=table
                 )
                 if from_tiles == from_substitution or r >= MAX_TILE_RADIUS:
                     break
@@ -449,11 +461,12 @@ def run_all(max_shape: tuple[int, int] = (2, 2)) -> VerificationReport:
     certificates = language(
         catalog.square_substitution(), _certificate_shape(max_shape, TILE_RADIUS)
     )
-    wang = run_wang_pipeline(certificates=certificates)
+    table: AdmissibleTable = {}  # the 19 tiles' admissible sets, for both stages
+    wang = run_wang_pipeline(certificates=certificates, table=table)
     partition, action, coding_table = reference_coding(max_shape)
     induction = run_pet_pipeline((partition, action))
     uniqueness = check_uniqueness_hypotheses()
-    rows = cross_check_languages(coding_table, max_shape, certificates=certificates)
+    rows = cross_check_languages(coding_table, max_shape, certificates=certificates, table=table)
     loops_agree = all(a == b for a, b in zip(wang.morphisms, induction.morphisms))
     report = VerificationReport(
         wang=wang,

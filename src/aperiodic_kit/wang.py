@@ -19,9 +19,12 @@ search finds its surrounding.  A certificate is any word, typically a
 factor of the substitution language, that is a valid pattern of the tile
 set and holds the candidate at margin at least r; it is checked before it
 counts, so certificates only save searches and never change a set.
-Admissible sets shrink as r grows, so a radius escalation may pass the
-survivors of one radius as the candidates of the next.  Every search runs
-in the calling process.
+Admissible sets shrink as r grows, and every window of an admissible
+pattern is admissible at the same radius, so a table of the sets found so
+far, keyed by shape and radius, lets each set grow from smaller ones: the
+set of the radius below gives the candidates, and those whose windows the
+table refuses are dropped unsearched.  Every search runs in the calling
+process.
 """
 
 from __future__ import annotations
@@ -36,6 +39,8 @@ from .words import Word2d
 RIGHT, TOP, LEFT, BOTTOM = 0, 1, 2, 3
 
 Tile = tuple[str, str, str, str]
+# the admissible patterns of one tile set found so far, by (shape, radius)
+AdmissibleTable = dict[tuple[tuple[int, int], int], frozenset[Word2d]]
 
 
 class UnknownTileIndex(KeyError):
@@ -67,6 +72,9 @@ class WangTileSet:
 
     def __len__(self):
         return len(self.tiles)
+
+    def __iter__(self):
+        return iter(self.tiles)
 
     def __getitem__(self, index: int) -> Tile:
         try:
@@ -287,16 +295,20 @@ def admits_surrounding(tileset: WangTileSet, u: Word2d, r: int) -> bool:
 
 
 def dominoes_with_surrounding(
-    tileset: WangTileSet, direction: int, r: int, certificates: Iterable[Word2d] = ()
+    tileset: WangTileSet,
+    direction: int,
+    r: int,
+    certificates: Iterable[Word2d] = (),
+    table: Optional[AdmissibleTable] = None,
 ) -> set[tuple[int, int]]:
     """Ordered index pairs whose domino in the direction has an r-surrounding.
 
-    ``certificates`` are as in ``patterns_with_surrounding``.
+    ``certificates`` and ``table`` are as in ``patterns_with_surrounding``.
     """
     if direction not in (1, 2):
         raise ValueError("direction must be 1 or 2")
     shape = (2, 1) if direction == 1 else (1, 2)
-    patterns = patterns_with_surrounding(tileset, shape, r, certificates=certificates)
+    patterns = patterns_with_surrounding(tileset, shape, r, certificates=certificates, table=table)
     return {(w[0, 0], w[shape[0] - 1, shape[1] - 1]) for w in patterns}
 
 
@@ -342,30 +354,68 @@ def _is_certificate(tileset: WangTileSet, word: Word2d) -> bool:
         return False
 
 
+def _held(table: AdmissibleTable, shape: tuple[int, int], r: int):
+    """The table's set of the shape at its largest radius up to r, or None."""
+    radii = [q for held, q in table if held == shape and q <= r]
+    return table[shape, max(radii)] if radii else None
+
+
+def _with_admitted_windows(table: AdmissibleTable, shape, r: int, candidates) -> list[Word2d]:
+    """The candidates whose (s1-1, s2) and (s1, s2-1) windows are in the
+    table's sets of those shapes at the largest radius up to r.
+
+    A window of an r-admissible pattern has an r-surrounding inside the
+    pattern's, hence a q-surrounding for every q <= r, so the filter drops
+    only patterns without an r-surrounding.  A set at a radius above r
+    would not do: it may lack windows that are admissible at r.
+    """
+    s1, s2 = shape
+    kept = list(candidates)
+    for window_shape, cut in (
+        ((s1 - 1, s2), lambda cols: (cols[:-1], cols[1:])),
+        ((s1, s2 - 1), lambda cols: (tuple(c[:-1] for c in cols), tuple(c[1:] for c in cols))),
+    ):
+        held = _held(table, window_shape, r)
+        if held is not None:
+            admitted = {w.columns for w in held}
+            kept = [w for w in kept if all(window in admitted for window in cut(w.columns))]
+    return kept
+
+
 def patterns_with_surrounding(
     tileset: WangTileSet,
     shape: tuple[int, int],
     r: int,
-    candidates: Optional[Iterable[Word2d]] = None,
     certificates: Iterable[Word2d] = (),
+    table: Optional[AdmissibleTable] = None,
 ) -> set[Word2d]:
     """All shape-patterns admitting a surrounding of radius r.
 
-    ``candidates`` are the patterns to test, by default every valid
-    shape-pattern; a caller that already holds a superset of the answer,
-    such as the admissible set at a smaller radius, may pass it instead.
-    A candidate counts as admissible when a certificate proves it or when
-    the search finds a surrounding.  A certificate is a word that passes
-    ``is_valid_pattern`` against this tile set and has the candidate as a
-    window at margin at least r on every side: the block of that margin
-    around the window is itself a valid pattern, so it is an r-surrounding.
-    Each certificate is checked at most once, when a candidate first needs
-    it, and one that fails certifies nothing, so its candidates are
-    searched: the set does not depend on the certificates, only the number
-    of searches does.
+    The candidates are the valid shape-patterns, or fewer when a table is
+    given (below).  A candidate counts as admissible when a certificate
+    proves it or when the search finds a surrounding.  A certificate is a
+    word that passes ``is_valid_pattern`` against this tile set and has the
+    candidate as a window at margin at least r on every side: the block of
+    that margin around the window is itself a valid pattern, so it is an
+    r-surrounding.  Each certificate is checked at most once, when a
+    candidate first needs it, and one that fails certifies nothing, so its
+    candidates are searched: the set does not depend on the certificates,
+    only the number of searches does.
+
+    ``table`` holds the admissible sets of this tile set found so far, by
+    (shape, radius), and the answer is stored in it.  A set the table holds
+    is returned without a search.  Otherwise the candidates are the table's
+    set of the shape at its largest radius below r, if it has one, and each
+    candidate needs its smaller windows in the table
+    (``_with_admitted_windows``).  Neither changes the set.
     """
+    table = {} if table is None else table
+    if (shape, r) in table:
+        return set(table[shape, r])
+    candidates = _held(table, shape, r - 1)
     if candidates is None:
         candidates = solve_all(TilingInstance(tileset, shape))
+    candidates = _with_admitted_windows(table, shape, r, candidates)
     certificates = list(certificates)
     windows = _certificate_windows(certificates, shape, r)
     valid: dict[int, bool] = {}
@@ -381,4 +431,5 @@ def patterns_with_surrounding(
         searched.append(word)
     admitted = parallel_map(lambda word: admits_surrounding(tileset, word, r), searched)
     found.update(word for word, good in zip(searched, admitted) if good)
+    table[shape, r] = frozenset(found)
     return found

@@ -165,6 +165,26 @@ class TestInduceAction:
         with pytest.raises(ValueError, match="exceeds the lattice side"):
             induce_action(action_u, Window(axis, bound))
 
+    def test_first_return_along_the_axis_computed_once_per_level(self, monkeypatch, partition_u):
+        # the induced partition and the induced action both read the return
+        # along the window's axis; the action induces the other axis too
+        from aperiodic_kit import catalog, pet
+
+        transforms = []
+        induce = pet.induced_transformation
+
+        def counting(transform, window):
+            transforms.append((id(transform), window))
+            return induce(transform, window)
+
+        monkeypatch.setattr(pet, "induced_transformation", counting)
+        action, first, second = catalog.rotation_action(), Window(2, INV), Window(1, INV)
+        middle, _ = induced_partition(partition_u, action, first)
+        middle_action = induce_action(action, first)
+        induced_partition(middle, middle_action, second)
+        induce_action(middle_action, second)
+        assert len(transforms) == len(set(transforms)) == 4
+
     def test_commutation_sampled(self, action_u):
         g1, g2 = action_u.generator(1), action_u.generator(2)
         rng = random.Random(7)

@@ -55,6 +55,16 @@ class TestWangLoop:
         assert wang_report.composite_equals_substitution
         assert wang_report.composite == square_substitution()
 
+    def test_table_holds_only_the_first_tile_sets_dominoes(self, h_dominoes, v_dominoes):
+        # the marker search fills the 19 tiles' table at radius 1 and 2; the
+        # middle tile set searches in a table of its own
+        table = {}
+        report = run_wang_pipeline(table=table)
+        assert report.composite_equals_substitution
+        assert sorted(table) == [((1, 2), 1), ((1, 2), 2), ((2, 1), 1), ((2, 1), 2)]
+        assert {(w[0, 0], w[1, 0]) for w in table[(2, 1), 2]} == h_dominoes
+        assert {(w[0, 0], w[0, 1]) for w in table[(1, 2), 2]} == v_dominoes
+
     def test_alternate_direction_closes(self):
         report = run_wang_pipeline(direction_first=1)
         assert report.final_size == 19
@@ -194,6 +204,29 @@ class TestLanguages:
         steps = [(i, j) for i in range(max_shape[0]) for j in range(max_shape[1])]
         assert whole == [steps[1:]]
         assert report.ok()
+
+    @pytest.mark.parametrize(
+        "max_shape, searches", [((2, 2), 210), ((3, 3), 242)], ids=["2x2", "3x3"]
+    )
+    def test_each_admissible_set_grows_from_the_table(self, monkeypatch, max_shape, searches):
+        # the marker search and the rows share one table of the 19 tiles'
+        # admissible sets, so no set is searched twice, a raised radius
+        # searches the survivors of the one below, and a shape only the
+        # patterns whose smaller windows are admissible (413 and 1,541
+        # searches without the table)
+        from aperiodic_kit import wang
+
+        radii = []
+        search = wang.admits_surrounding
+
+        def counting(tileset, u, r):
+            radii.append(r)
+            return search(tileset, u, r)
+
+        monkeypatch.setattr(wang, "admits_surrounding", counting)
+        report = run_all(max_shape)
+        assert report.ok()
+        assert len(radii) <= searches
 
     def test_run_without_a_pool_never_imports_multiprocessing(self):
         import aperiodic_kit

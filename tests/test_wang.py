@@ -159,8 +159,10 @@ class TestCertificates:
         monkeypatch.setattr(wang, "admits_surrounding", lambda tileset, u, r: False)
         word = min(language(phi, (6, 6)), key=lambda w: w.columns)
         window = Word2d([col[2:4] for col in word.columns[2:4]])
+        # the window alone survives radius 1, so it is the one candidate
+        alone = {((2, 2), 1): frozenset([window])}
         assert patterns_with_surrounding(
-            tiles_u, (2, 2), 2, candidates=[window], certificates=[word]
+            tiles_u, (2, 2), 2, certificates=[word], table=dict(alone)
         ) == {window}
         # one corner letter changed, outside the window: to a tile that
         # breaks an edge, or to a letter outside the tile set
@@ -174,7 +176,7 @@ class TestCertificates:
         assert len(broken) > 1
         for changed in broken:
             assert patterns_with_surrounding(
-                tiles_u, (2, 2), 2, candidates=[window], certificates=[changed]
+                tiles_u, (2, 2), 2, certificates=[changed], table=dict(alone)
             ) == set()
 
     def test_certificates_too_small_are_ignored(self, monkeypatch, phi, tiles_u):
@@ -191,8 +193,87 @@ class TestCertificates:
         at_4 = patterns_with_surrounding(tiles_u, (1, 3), 4, certificates=certificates)
         assert len(at_3) == 56 and len(at_4) == 55
         assert patterns_with_surrounding(
-            tiles_u, (1, 3), 4, candidates=at_3, certificates=certificates
+            tiles_u, (1, 3), 4, certificates=certificates, table={((1, 3), 3): frozenset(at_3)}
         ) == at_4
+
+
+class TestAdmissibleTable:
+    """A table of admissible sets by (shape, radius) spares searches and
+    never changes a set, whatever order fills it."""
+
+    SHAPES = [(s1, s2) for s1 in range(1, 4) for s2 in range(1, 4)]
+    RADII = range(1, 5)
+
+    def orders(self, rng):
+        # the order of run_all: dominoes at radius 1 and 2 for the markers,
+        # then each language row escalating its radius; every window set at
+        # a radius above the query first; and a seeded shuffle
+        dominoes = [((1, 2), 1), ((2, 1), 1), ((1, 2), 2), ((2, 1), 2)]
+        rows = [(shape, r) for shape in self.SHAPES for r in range(2, 5)]
+        at_one = [(shape, 1) for shape in self.SHAPES]
+        run_all_order = dominoes + [key for key in rows + at_one if key not in dominoes]
+        high_first = [(shape, r) for r in reversed(self.RADII) for shape in self.SHAPES]
+        shuffled = list(high_first)
+        rng.shuffle(shuffled)
+        return [run_all_order, high_first, shuffled]
+
+    def check(self, tileset, rng, certificates=lambda r: ()):
+        expected = {
+            (shape, r): patterns_with_surrounding(tileset, shape, r, certificates=certificates(r))
+            for shape in self.SHAPES
+            for r in self.RADII
+        }
+        for order in self.orders(rng):
+            assert sorted(order) == sorted(expected)
+            table = {}
+            for shape, r in order:
+                found = patterns_with_surrounding(
+                    tileset, shape, r, certificates=certificates(r), table=table
+                )
+                assert found == expected[shape, r], (order.index((shape, r)), shape, r)
+        return expected
+
+    def test_random_small_tile_sets(self):
+        # sets with at most 40 valid 3x3 patterns, so that the searches
+        # without a table stay cheap; some of their sets shrink with r
+        rng = random.Random(67)
+        checked, shrinking = 0, 0
+        while checked < 8:
+            tileset = random_tileset(rng, tiles=rng.randint(3, 6), colors=3)
+            if not 0 < len(solve_all(TilingInstance(tileset, (3, 3)))) <= 40:
+                continue
+            expected = self.check(tileset, rng)
+            checked += 1
+            shrinking += expected[(3, 3), 1] != expected[(3, 3), 4]
+        assert shrinking >= 2
+
+    def test_u_with_windows_admitted_above_the_radius(self, phi, tiles_u):
+        # U's sets shrink up to radius 4, and a window set taken at a radius
+        # above the query would be too small: at radius 2 the (2, 3) and
+        # (3, 3) sets would lose patterns through the (1, 3) set of radius 4
+        closures = {r: language(phi, (3 + 2 * r, 3 + 2 * r)) for r in self.RADII}
+        expected = self.check(tiles_u, random.Random(71), certificates=closures.get)
+        assert [len(expected[(1, 3), r]) for r in self.RADII] == [69, 58, 56, 55]
+        assert [len(expected[(3, 3), r]) for r in self.RADII] == [101, 95, 94, 94]
+
+    def test_held_sets_spare_searches(self, monkeypatch, tiles_u):
+        table = {}
+        found = patterns_with_surrounding(tiles_u, (2, 2), 2, table=table)
+        assert set(table) == {((2, 2), 2)}
+        searched = []
+        monkeypatch.setattr(wang, "admits_surrounding", lambda tileset, u, r: searched.append(u))
+        assert patterns_with_surrounding(tiles_u, (2, 2), 2, table=table) == found
+        assert searched == []
+        # a (2, 3) candidate is searched only when both its (2, 2) windows are held
+        held = {w.columns for w in found}
+        valid = solve_all(TilingInstance(tiles_u, (2, 3)))
+        kept = [
+            w for w in valid
+            if {tuple(c[:2] for c in w.columns), tuple(c[1:] for c in w.columns)} <= held
+        ]
+        patterns_with_surrounding(tiles_u, (2, 3), 2, table=table)
+        assert searched == kept
+        assert 0 < len(kept) < len(valid)
 
 
 class TestPeriodicity:
@@ -253,6 +334,12 @@ class TestPeriodicity:
                         assert sorted(found) == sorted(tilings)
                         outcomes.add(bool(tilings))
         assert outcomes == {True, False}
+
+
+def test_tile_set_iterates_over_its_tiles(tiles_u):
+    tiles = list(tiles_u)
+    assert len(tiles) == 19
+    assert tiles == list(tiles_u.tiles)
 
 
 def test_json_roundtrip(tiles_u):
