@@ -2,7 +2,8 @@
 
 All structured output is JSON on stdout; SVG goes to --out files.  Exit
 codes: 0 success, 1 usage or input error (one ``error:`` line), 2 empty
-result, 3 a verification that ran to the end and failed (verify-all).
+result, 3 a verification that ran and failed (verify-all: a check failed,
+or a stage did, named in one line).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .pet import (
     induced_partition,
 )
 from .phifield import PhiNumber, parse_phi
-from .pipeline import build_reference_partition, reference_coding, run_all
+from .pipeline import StageFailure, build_reference_partition, reference_coding, run_all
 from .wang import TilingInstance, WangTileSet, patterns_with_surrounding, solve
 
 OK, USAGE_ERROR, EMPTY, VERIFY_FAILED = 0, 1, 2, 3
@@ -337,7 +338,13 @@ def cmd_render(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
-    report = run_all(_parse_shape(args.max_shape, "--max-shape"))
+    max_shape = _parse_shape(args.max_shape, "--max-shape")
+    try:
+        report = run_all(max_shape)
+    except StageFailure as exc:
+        # a verification that ran and failed, not a usage error
+        print(f"verification failed at stage {exc}", file=sys.stderr)
+        return VERIFY_FAILED
     if args.out:
         with open(args.out, "w") as handle:
             json.dump(report.to_json(), handle, indent=2)

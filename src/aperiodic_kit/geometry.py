@@ -9,30 +9,37 @@ to null sets when their areas and the area of their intersection agree.
 Points are located by the closed cells alone: a point is on the partition
 boundary exactly when cells of two atoms hold it or one of its seam twins.
 
-Every cut is one _split pass over a plain vertex ring that returns both
-sides: an intersection with its difference, or a cell split by a line of
-the arrangement.  Each halfplane is applied to the ring of the previous
-cut.  Cut pieces are canonical by construction: a line meets a strictly
-convex counterclockwise ring in at most two boundary points, so each side
-is again counterclockwise, without repeated or collinear vertices, and
-either empty or of positive area.  A piece is therefore only rotated to
-start at its least vertex; Polygon(...) keeps the full normalization for
-outside input.  Segments and polygons share one rule for their lattice
-translates, _axis_shifts: only translates whose projections meet the box
-on both axes are clipped.
+Every cut is one _split pass over a vertex ring and the halfplanes of its
+edges that returns both sides: an intersection with its difference, or a
+cell split by a line of the arrangement.  Each halfplane is applied to
+the ring of the previous cut.  Cut pieces are canonical by construction:
+a line meets a strictly convex counterclockwise ring in at most two
+boundary points, so each side is again counterclockwise, without repeated
+or collinear vertices, and either empty or of positive area.  A piece is
+therefore only rotated to start at its least vertex; Polygon(...) keeps
+the full normalization for outside input.  Segments and polygons share
+one rule for their lattice translates, _axis_shifts: only translates
+whose projections meet the box on both axes are clipped.
 
-A halfplane <n, x> <= c comes from _halfplane, with its normal scaled by a
-positive factor so that the first nonzero coordinate is +-1; that keeps
-the side of every point and every cut point.  It records its form: an axis
-halfplane bounds one coordinate, a slanted one reads m*y +- x <= offset.
-One integer test, _side, reads every side, from the coordinate or from
-m*y +- x - offset on unreduced integer numerators; numbers are built only
-for cut points, and on an axis halfplane the cut coordinate is the bound.
-A polygon builds the halfplanes of its edges once and caches them next to
-its bounding box.  An axis halfplane that holds on the whole bounding box
-of the polygon being cut is skipped without touching its ring: the ring
-only shrinks from that polygon, so the box test stays valid after earlier
-cuts.  A point's side of a cached cell edge is read by the same test.
+A halfplane <n, x> <= c comes from _halfplane, with its normal scaled by
+a positive factor so that the first nonzero coordinate is +-1; that keeps
+the side of every point and every cut point.  It records its form: an
+axis halfplane bounds one coordinate, a slanted one reads m*y +- x <=
+offset.  One integer test, _side, reads every side, from the coordinate
+or from m*y +- x - offset on unreduced integer numerators; numbers are
+built only for cut points.  A cut point lies where the cut line meets the
+line of its edge; where one of them is an axis line, the point is read
+off the other without a division, through the 1/m that a slanted
+halfplane keeps.  A polygon builds the halfplanes of its edges once and
+caches them next to its bounding box.  A cut piece carries them from its
+source: an uncut edge keeps its halfplane and the cut edge gets the cut
+halfplane, or its opposite on the far side; a translate or a rescaled
+cell moves its source's.  So a halfplane is built only for a new line,
+such as an edge of outside input or a segment of the arrangement.  An
+axis halfplane that holds on the whole bounding box of the polygon being
+cut is skipped without touching its ring: the ring only shrinks from that
+polygon, so the box test stays valid after earlier cuts.  A point's side
+of a cached cell edge is read by the same test.
 
 A line of the torus arrangement has the same one form: the halfplane of
 its segment whose normal leads with +1 keys the line, cuts the cells along
@@ -120,18 +127,23 @@ class Polygon:
         return [(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs))]
 
     @classmethod
-    def _canonical(cls, vertices: tuple[Point, ...]) -> "Polygon":
-        """The polygon of a vertex tuple that is already canonical."""
+    def _canonical(cls, vertices: tuple[Point, ...], planes: Optional[tuple] = None) -> "Polygon":
+        """The polygon of a vertex tuple that is already canonical, with the
+        halfplanes of its edges when they are known."""
         poly = object.__new__(cls)
         object.__setattr__(poly, "vertices", vertices)
         object.__setattr__(poly, "_bbox", None)
-        object.__setattr__(poly, "_planes", None)
+        object.__setattr__(poly, "_planes", planes)
         return poly
 
     def translate(self, v: Point) -> "Polygon":
         # a translation keeps the orientation, the collinearity and the
-        # lexicographically least vertex: the moved tuple is canonical
-        return Polygon._canonical(tuple((p[0] + v[0], p[1] + v[1]) for p in self.vertices))
+        # lexicographically least vertex: the moved tuple is canonical, and
+        # each edge halfplane moves with it
+        return Polygon._canonical(
+            tuple((p[0] + v[0], p[1] + v[1]) for p in self.vertices),
+            tuple(_shifted(plane, v) for plane in _halfplanes(self)),
+        )
 
     def locate(self, x: Point) -> str:
         """'interior', 'boundary' or 'outside' for this convex polygon, from
@@ -168,9 +180,14 @@ def _doubled_area(vs) -> PhiNumber:
     return total
 
 
+def _doubled_area_sum(cells: Iterable[Polygon]) -> PhiNumber:
+    """Twice the total area of convex cells with disjoint interiors."""
+    return sum((_doubled_area(cell.vertices) for cell in cells), ZERO)
+
+
 def _area_sum(cells: Iterable[Polygon]) -> PhiNumber:
     """The total area of convex cells with disjoint interiors."""
-    return sum((cell.area() for cell in cells), ZERO)
+    return _doubled_area_sum(cells) / PhiNumber(2)
 
 
 def _normalize_ring(vs: list[Point]) -> Optional[tuple[Point, ...]]:
@@ -221,11 +238,13 @@ def _halfplane(normal: Point, point: Point) -> tuple:
     by a positive factor so that its first nonzero coordinate is +-1; the
     side of every point and the cut points of every segment stay the same.
 
-    The result is the tuple (normal, offset, axis, lower, bound) of the
+    The result is the tuple (normal, offset, axis, lower, last) of the
     halfplane <normal, x> <= offset.  An axis halfplane has axis 0 or 1 and
     normal +-e_axis: it reads x[axis] <= bound, or x[axis] >= bound when
-    lower is set, where bound is +-offset.  A slanted halfplane has axis
-    None, lower set when its normal starts with -1, and bound None.
+    lower is set, and last is that bound, +-offset.  A slanted halfplane
+    has axis None, normal (u, m) with u = +-1, lower set when u = -1, and
+    last 1/m: its line u*x + m*y = offset gives up a point at a known x or
+    y without a division (_cut_point).
     """
     nx, ny = normal
     if not nx or not ny:
@@ -238,7 +257,34 @@ def _halfplane(normal: Point, point: Point) -> tuple:
     lower = nx.sign() < 0
     m = (-ny if lower else ny) / nx
     offset = m * point[1] + (-point[0] if lower else point[0])
-    return (-ONE if lower else ONE, m), offset, None, lower, None
+    return (-ONE if lower else ONE, m), offset, None, lower, m.inverse()
+
+
+def _opposite(plane) -> tuple:
+    """The halfplane <normal, x> >= offset in the same form, by negation."""
+    (nx, ny), offset, axis, lower, last = plane
+    return (-nx, -ny), -offset, axis, not lower, last if axis is not None else -last
+
+
+def _shifted(plane, v: Point) -> tuple:
+    """The halfplane moved by v: its offset grows by <normal, v>."""
+    normal, offset, axis, lower, last = plane
+    if axis is not None:
+        bound = last + v[axis]
+        return normal, -bound if lower else bound, axis, lower, bound
+    shift = normal[1] * v[1] + (-v[0] if lower else v[0])
+    return normal, offset + shift, None, lower, last
+
+
+def _scaled(plane, factor: PhiNumber) -> tuple:
+    """The halfplane's image under x -> factor*x, for a nonzero factor."""
+    normal, offset, axis, lower, last = plane
+    plane = normal, offset * factor, axis, lower, last * factor if axis is not None else last
+    return plane if factor.sign() > 0 else _opposite(plane)
+
+
+# the lines x = 0 and y = 0 with their normals leading with +1
+_SEAMS = (_halfplane((ONE, ZERO), (ZERO, ZERO)), _halfplane((ZERO, ONE), (ZERO, ZERO)))
 
 
 def _values(ring: Sequence[Point], plane) -> list[PhiNumber]:
@@ -285,51 +331,86 @@ def _holds_on_box(plane, box) -> bool:
     return bound <= box[axis] if lower else box[axis + 2] <= bound
 
 
-def _split(ring: Sequence[Point], plane):
-    """The parts of a convex vertex ring with <normal, x> <= offset and with
-    <normal, x> >= offset for the halfplane's normal and offset, as rings
-    that keep the input's vertex order.
+def _split(part, plane):
+    """The parts of a convex ring with <normal, x> <= offset and with
+    <normal, x> >= offset for the halfplane's normal and offset.
 
-    The side of each vertex is read once by _side, and both parts share
-    the cut points, the only numbers built.  A part holding every vertex is
-    the ring itself, and a part without interior is empty.  A
-    counterclockwise ring without repeated or collinear vertices cuts into
-    rings of the same kind: the line holds at most two of a part's points,
-    both on its cut side.
+    A part is a vertex ring with the halfplanes of its edges, the one of
+    edge (ring[i], ring[i+1]) at i; both parts keep the input's vertex
+    order.  The side of each vertex is read once by _side, and both parts
+    share the cut points, the only numbers built, each where the cut line
+    meets the line of its edge.  An uncut edge keeps its halfplane, and an
+    edge on the cut line has the cut halfplane, or its opposite on the far
+    side.  A part holding every vertex is the input itself, and a part
+    without interior is empty.  A counterclockwise ring without repeated
+    or collinear vertices cuts into rings of the same kind: the line holds
+    at most two of a part's points, both on its cut side.
     """
+    ring, planes = part
     signs = [_side(v, plane) for v in ring]
     if max(signs) <= 0:
-        return ring, ()
+        return part, ((), ())
     if min(signs) >= 0:
-        return (), ring
+        return ((), ()), part
+    far = _opposite(plane)
     inside: list[Point] = []
+    inside_planes: list = []
     outside: list[Point] = []
+    outside_planes: list = []
     last = len(ring) - 1
     for i, cur in enumerate(ring):
         j = i + 1 if i < last else 0
-        sc = signs[i]
+        sc, sn = signs[i], signs[j]
+        edge = planes[i]
+        # a vertex on the cut line leaves its part along that line when the
+        # next vertex is on the other side
         if sc <= 0:
             inside.append(cur)
+            inside_planes.append(plane if sc == 0 and sn > 0 else edge)
         if sc >= 0:
             outside.append(cur)
-        if sc * signs[j] < 0:
-            cut = _cut_point(cur, ring[j], plane)
+            outside_planes.append(far if sc == 0 and sn < 0 else edge)
+        if sc * sn < 0:
+            cut = _cut_point(cur, ring[j], plane, edge)
             inside.append(cut)
             outside.append(cut)
-    return inside, outside
+            inside_planes.append(plane if sc < 0 else edge)
+            outside_planes.append(edge if sc < 0 else far)
+    return (inside, inside_planes), (outside, outside_planes)
 
 
-def _cut_point(a: Point, b: Point, plane) -> Point:
+def _cut_point(a: Point, b: Point, plane, edge=None) -> Point:
     """The point of segment ab on the halfplane's line, for ends on opposite
-    sides of it; on an axis halfplane that coordinate is the bound itself."""
+    sides of it; edge, when known, is a halfplane whose line holds ab.
+
+    Where one of the two lines is an axis line, the point is read off the
+    other line: x = c meets u*x + m*y = o at y = (o - u*c) * (1/m), and
+    y = c meets it at x = u*(o - m*c), with 1/m from the slanted line's
+    form.  Two axis lines meet at their bounds.  Otherwise the point is
+    a + t*(b - a) for t = va / (va - vb), the values of the ends, and on
+    an axis halfplane the cut coordinate is the bound itself.
+    """
+    if edge is not None and plane[2] is None and edge[2] is not None:
+        plane, edge = edge, plane
+    axis = plane[2]
+    if edge is not None and axis is not None:
+        c = plane[4]
+        (_, m), offset, edge_axis, lower, last = edge
+        if edge_axis is not None:
+            return (c, last) if axis == 0 else (last, c)
+        if axis == 0:
+            return c, (offset + c if lower else offset - c) * last
+        x = offset - m * c
+        return -x if lower else x, c
     va, vb = _values((a, b), plane)
     t = va / (va - vb)
-    return tuple(plane[4] if k == plane[2] else a[k] + t * (b[k] - a[k]) for k in (0, 1))
+    return tuple(plane[4] if k == axis else a[k] + t * (b[k] - a[k]) for k in (0, 1))
 
 
 def _halfplanes(poly: Polygon) -> tuple:
     """The halfplanes of the polygon's edges, one per edge in vertex order,
-    whose intersection is the polygon; built once and cached on it."""
+    whose intersection is the polygon; built once and cached on it, unless
+    the polygon was cut or moved from one that had them."""
     if poly._planes is None:
         planes = []
         for p, q in poly.edges():
@@ -341,29 +422,38 @@ def _halfplanes(poly: Polygon) -> tuple:
     return poly._planes
 
 
-def _piece(poly: Polygon, ring: Sequence[Point]) -> Optional[Polygon]:
-    """The polygon of a canonical ring made from poly, None when it is empty:
-    poly itself when it is poly's own ring, else from its least vertex."""
+def _part(poly: Polygon):
+    """The polygon's ring with the halfplanes of its edges, as _split cuts it."""
+    return poly.vertices, _halfplanes(poly)
+
+
+def _piece(poly: Polygon, part) -> Optional[Polygon]:
+    """The polygon of a canonical part cut from poly, None when it is empty:
+    poly itself when it is poly's own ring, else from its least vertex,
+    with the halfplanes of its edges."""
+    ring, planes = part
     if ring is poly.vertices:
         return poly
     if len(ring) < 3:
         return None
     start = min(range(len(ring)), key=ring.__getitem__)
-    return Polygon._canonical(tuple(ring[start:]) + tuple(ring[:start]))
+    return Polygon._canonical(
+        tuple(ring[start:]) + tuple(ring[:start]), tuple(planes[start:]) + tuple(planes[:start])
+    )
 
 
 def convex_intersection(a: Polygon, b: Polygon) -> Optional[Polygon]:
     """a & b, None when it has no interior: a's ring cut by each edge
     halfplane of b, skipping the axis halfplanes that hold on a's box."""
     box = a.bbox()
-    ring = a.vertices
+    part = _part(a)
     for plane in _halfplanes(b):
         if _holds_on_box(plane, box):
             continue
-        ring = _split(ring, plane)[0]
-        if len(ring) < 3:
+        part = _split(part, plane)[0]
+        if len(part[0]) < 3:
             return None
-    return _piece(a, ring)
+    return _piece(a, part)
 
 
 def convex_split(a: Polygon, b: Polygon) -> tuple[Optional[Polygon], list[Polygon]]:
@@ -371,7 +461,7 @@ def convex_split(a: Polygon, b: Polygon) -> tuple[Optional[Polygon], list[Polygo
     interiors, from one cut of a by each edge halfplane of b."""
     box = a.bbox()
     pieces = []
-    rest = a.vertices
+    rest = _part(a)
     for plane in _halfplanes(b):
         if _holds_on_box(plane, box):
             continue
@@ -379,7 +469,7 @@ def convex_split(a: Polygon, b: Polygon) -> tuple[Optional[Polygon], list[Polygo
         piece = _piece(a, outside)
         if piece is not None:
             pieces.append(piece)
-        if len(rest) < 3:
+        if len(rest[0]) < 3:
             return None, pieces
     return _piece(a, rest), pieces
 
@@ -484,18 +574,18 @@ def _axis_shifts(lo, hi, period, box_lo, box_hi) -> list[PhiNumber]:
 # lines, intervals and edge bookkeeping
 
 
-def _edge_key(p: Point, q: Point, lattice):
+def _edge_key(p: Point, q: Point, lattice, plane=None):
     """(line, lo, hi) of the segment pq on the torus of the lattice: the
     halfplane of pq whose normal leads with +1, one for both orientations,
-    and the free coordinates of p and q.  A line at x = l1 or y = l2 is
-    keyed as its seam twin through the origin, which keeps them."""
-    normal = (q[1] - p[1], p[0] - q[0])
-    if (normal[0] or normal[1]).sign() < 0:
-        normal = (-normal[0], -normal[1])
-    line = _halfplane(normal, p)
+    and the free coordinates of p and q.  plane, when given, is a halfplane
+    of pq, read instead of built.  A line at x = l1 or y = l2 is keyed as
+    its seam twin through the origin, which keeps them."""
+    if plane is None:
+        plane = _halfplane((q[1] - p[1], p[0] - q[0]), p)
+    line = _opposite(plane) if plane[3] else plane
     _, _, axis, _, bound = line
     if axis is not None and bound == lattice[axis]:
-        line = _halfplane(normal, (ZERO, ZERO))
+        line = _SEAMS[axis]
     free = 0 if axis == 1 else 1
     lo, hi = sorted((p[free], q[free]))
     return line, lo, hi
@@ -506,8 +596,8 @@ def _edge_sweep(cells: Sequence[Polygon], lattice):
     the cells' edges on the torus, with the indices of the edges over it."""
     by_line: dict = {}
     for idx, cell in enumerate(cells):
-        for p, q in cell.edges():
-            line, lo, hi = _edge_key(p, q, lattice)
+        for (p, q), plane in zip(cell.edges(), _halfplanes(cell)):
+            line, lo, hi = _edge_key(p, q, lattice, plane)
             by_line.setdefault(line, []).append((lo, hi, idx))
     for line, entries in by_line.items():
         points = sorted({e[0] for e in entries} | {e[1] for e in entries})
@@ -698,16 +788,15 @@ def partition_from_segments(segments, lattice) -> TorusPartition:
 
     # distinct supporting lines, each the halfplane that cuts along it; the
     # box boundary is keyed as the two seam lines and has no area to split
-    seams = {_halfplane(normal, (ZERO, ZERO)) for normal in ((ONE, ZERO), (ZERO, ONE))}
-    lines = dict.fromkeys(line for line, _, _ in keys if line not in seams)
+    lines = dict.fromkeys(line for line, _, _ in keys if line not in _SEAMS)
 
     cells = [rectangle(0, 0, l1, l2)]
     for plane in lines:
         cells = [
             piece
             for cell in cells
-            for ring in _split(cell.vertices, plane)
-            if (piece := _piece(cell, ring)) is not None
+            for part in _split(_part(cell), plane)
+            if (piece := _piece(cell, part)) is not None
         ]
 
     # covered intervals per line (seam-canonicalized) from the cut segments,
@@ -764,17 +853,17 @@ def is_equal_up_to_relabeling(p: TorusPartition, q: TorusPartition):
     if p.lattice != q.lattice or len(p.atoms) != len(q.atoms):
         return None
     # atoms of equal area are equal up to null sets when their intersection
-    # has that area too; every area is computed once
-    areas = {b: _area_sum(cells) for b, cells in q.atoms.items()}
+    # has that area too; every area is computed once, and doubled
+    areas = {b: _doubled_area_sum(cells) for b, cells in q.atoms.items()}
     mapping = {}
     for a, cells in p.atoms.items():
-        area = _area_sum(cells)
+        area = _doubled_area_sum(cells)
         mine = [(cell, None) for cell in cells]
         matches = [
             b
             for b, other in q.atoms.items()
             if areas[b] == area
-            and _area_sum(
+            and _doubled_area_sum(
                 part for part, _, _ in split_cells(mine, [(cell, None) for cell in other])
             ) == area
         ]
@@ -801,6 +890,7 @@ def rescale(partition: TorusPartition, factor, translation=(0, 0)) -> TorusParti
         for cell in cells:
             # x -> factor*x + t has determinant factor^2 > 0: keeps a ring canonical
             ring = [(v[0] * factor + t[0], v[1] * factor + t[1]) for v in cell.vertices]
-            pieces.extend(lattice_pieces(_piece(cell, ring), new_lattice, box))
+            planes = [_shifted(_scaled(plane, factor), t) for plane in _halfplanes(cell)]
+            pieces.extend(lattice_pieces(_piece(cell, (ring, planes)), new_lattice, box))
         atoms[label] = tuple(sorted(pieces, key=lambda c: c.vertices))
     return TorusPartition(new_lattice, atoms)

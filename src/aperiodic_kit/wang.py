@@ -9,8 +9,11 @@ lexicographically least solution in tile-index order along that scan.
 One fit rule gives a cell its tiles: a lookup, in an index the tile set
 builds once, of the colors its assigned neighbors show it, filtered only
 where a 1-wide or 1-high torus makes the cell its own neighbor.  The fixed
-tiles seed the assignment and are checked once by the same rule.  Domino
-sets are the 2-cell case of the surrounding search.
+tiles seed the assignment and are checked once by the same rule.  An
+existence query (a surrounding, a periodic tiling) branches over the
+first of each group of tiles with the same four colors, since copies fit
+in the same places.  Domino sets are the 2-cell case of the surrounding
+search.
 
 The admissible patterns of a shape (those with an r-surrounding) are found
 as in the admissible-pattern-set method: every valid pattern is a
@@ -69,6 +72,14 @@ class WangTileSet:
         for index, tile in enumerate(self.tiles):
             for key in product(*((color, None) for color in tile)):
                 self.fits.setdefault(key, []).append(index)
+        # the first tile with the same four colors, for each tile, and the
+        # fit index of those first tiles alone, for existence queries
+        first: dict[Tile, int] = {}
+        self.representative = tuple(first.setdefault(tile, i) for i, tile in enumerate(self.tiles))
+        distinct = set(first.values())
+        self.distinct_fits = self.fits if len(distinct) == len(self.tiles) else {
+            key: [t for t in found if t in distinct] for key, found in self.fits.items()
+        }
 
     def __len__(self):
         return len(self.tiles)
@@ -195,10 +206,11 @@ def _near_fixed_order(cells, fixed):
     return sorted(cells, key=lambda c: (distance(c), c[1], c[0]))
 
 
-def _backtrack(tileset, order, fixed, neighbors):
+def _backtrack(tileset, order, fixed, neighbors, fits=None):
     """Yield every valid assignment (one live dict) along the cell order;
-    the fixed tiles seed it and are checked once by the same fit rule."""
-    tiles, fits = tileset.tiles, tileset.fits
+    the fixed tiles seed it and are checked once by the same fit rule.
+    ``fits`` is the fit index to branch on, the tile set's by default."""
+    tiles, fits = tileset.tiles, tileset.fits if fits is None else fits
     assignment = dict(fixed)
     # 1-wide or 1-high torus: the sides on which a cell is its own neighbor
     loops = {c: [s for s in (RIGHT, TOP) if nbs[s] == c] for c, nbs in neighbors.items() if c in nbs}
@@ -282,16 +294,30 @@ def is_valid_pattern(tileset: WangTileSet, w: Word2d) -> bool:
     return True
 
 
+def _exists(instance: TilingInstance) -> bool:
+    """True iff the instance has a valid assignment.
+
+    An existence query: copies of a tile fit in the same places, so the
+    search branches over the first tile of each color tuple only, with the
+    fixed tiles replaced by theirs, and any complete cell order will do;
+    scanning outward from the fixed tiles refutes bad blocks sooner.
+    """
+    normal = _normalize(instance)
+    if normal is None:
+        return False
+    _, cells, fixed, neighbors = normal
+    tileset = instance.tileset
+    fixed = {cell: tileset.representative[t] for cell, t in fixed.items()}
+    order = _near_fixed_order(cells, fixed) if fixed else cells
+    search = _backtrack(tileset, order, fixed, neighbors, tileset.distinct_fits)
+    return next(search, None) is not None
+
+
 def admits_surrounding(tileset: WangTileSet, u: Word2d, r: int) -> bool:
     """True iff u extends to a valid pattern with an r-cell margin."""
     n1, n2 = u.shape
     fixed = {(x + r, y + r): u[x, y] for x in range(n1) for y in range(n2)}
-    instance = TilingInstance(tileset, (n1 + 2 * r, n2 + 2 * r), fixed)
-    _, cells, fixed, neighbors = _normalize(instance)
-    # an existence query, so any complete cell order will do; scanning
-    # outward from the fixed block refutes bad blocks sooner
-    order = _near_fixed_order(cells, fixed) if fixed else cells
-    return next(_backtrack(tileset, order, fixed, neighbors), None) is not None
+    return _exists(TilingInstance(tileset, (n1 + 2 * r, n2 + 2 * r), fixed))
 
 
 def dominoes_with_surrounding(
@@ -314,8 +340,7 @@ def dominoes_with_surrounding(
 
 def exists_periodic_tiling(tileset: WangTileSet, basis) -> bool:
     """True iff the quotient torus of the basis lattice admits a valid tiling."""
-    instance = TilingInstance(tileset, (1, 1), {}, wrap=tuple(map(tuple, basis)))
-    return solve(instance) is not None
+    return _exists(TilingInstance(tileset, (1, 1), {}, wrap=tuple(map(tuple, basis))))
 
 
 def sublattice_bases(max_index: int):

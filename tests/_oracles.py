@@ -41,14 +41,25 @@ from aperiodic_kit.geometry import (
     _halfplane,
     _interval_minus,
     _num,
+    _part,
     _piece,
     _split,
+    _values,
     pt,
     rectangle,
 )
 from aperiodic_kit.morphisms import Morphism2d, NotStabilized, UndefinedImage, _cycle_vertices
 from aperiodic_kit.phifield import ONE, ZERO, PhiNumber
-from aperiodic_kit.wang import BOTTOM, LEFT, RIGHT, TOP, _normalize
+from aperiodic_kit.wang import (
+    BOTTOM,
+    LEFT,
+    RIGHT,
+    TOP,
+    TilingInstance,
+    _backtrack,
+    _near_fixed_order,
+    _normalize,
+)
 from aperiodic_kit.words import Word2d, subwords
 
 
@@ -508,6 +519,16 @@ def brute_force_rectangle_tilings(tileset, shape, fixed) -> list:
     return found
 
 
+def admits_surrounding_every_copy(tileset, u: Word2d, r: int) -> bool:
+    """Whether u has an r-surrounding, by the search that branches on every
+    tile, copies of a tile included, scanning outward from u."""
+    n1, n2 = u.shape
+    fixed = {(x + r, y + r): u[x, y] for x in range(n1) for y in range(n2)}
+    _, cells, fixed, neighbors = _normalize(TilingInstance(tileset, (n1 + 2 * r, n2 + 2 * r), fixed))
+    search = _backtrack(tileset, _near_fixed_order(cells, fixed), fixed, neighbors)
+    return next(search, None) is not None
+
+
 def _exact_cover_rows(tileset, cells, fixed, neighbors):
     """Option table of the exact-cover reduction.
 
@@ -668,7 +689,17 @@ def halfplane(normal, offset):
 
 def clip(poly, normal, offset):
     """poly intersected with the halfplane <normal, x> <= offset; None if flat."""
-    return _piece(poly, _split(poly.vertices, halfplane(normal, offset))[0])
+    return _piece(poly, _split(_part(poly), halfplane(normal, offset))[0])
+
+
+def cut_point_by_division(a, b, plane):
+    """The point of segment ab on the halfplane's line, ends on opposite
+    sides, as a + t*(b - a) for t = va / (va - vb) with the values of the
+    ends; on an axis halfplane the cut coordinate is its bound."""
+    va, vb = _values((a, b), plane)
+    t = va / (va - vb)
+    axis = plane[2]
+    return tuple(plane[4] if k == axis else a[k] + t * (b[k] - a[k]) for k in (0, 1))
 
 
 def polygon_or_none(vertices):

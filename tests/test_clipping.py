@@ -6,7 +6,9 @@ vertex or along an edge (flat and empty results included), and second
 polygons drawn the same way or derived from the first, including ones
 whose axis-parallel edges touch or lie on the first one's bounding box.
 The cached, normalized edge halfplanes of a polygon are checked against
-its edges.
+its edges, and the halfplanes that cut pieces, translates and rescaled
+cells carry against the ones recomputed from their vertices.  A cut point
+read off an axis line is checked against the division formula.
 """
 
 from fractions import Fraction
@@ -17,20 +19,26 @@ from hypothesis import strategies as st
 from _oracles import (
     clip,
     clip_each_cut,
+    cut_point_by_division,
     difference_each_cut,
     halfplane,
     intersection_each_cut,
 )
 from aperiodic_kit.geometry import (
     Polygon,
+    TorusPartition,
     _cross,
+    _cut_point,
     _halfplanes,
+    _part,
     _piece,
+    _side,
     _split,
     _values,
     convex_intersection,
     convex_split,
     rectangle,
+    rescale,
 )
 from aperiodic_kit.phifield import ONE, PHI, ZERO, PhiNumber
 
@@ -185,7 +193,7 @@ def _check_halfplanes(poly):
     vs = poly.vertices
     assert type(planes) is tuple and len(planes) == len(vs)
     for i, plane in enumerate(planes):
-        (nx, ny), offset, axis, lower, bound = plane
+        (nx, ny), offset, axis, lower, last = plane
         p, q = vs[i], vs[(i + 1) % len(vs)]
         # a positive multiple of the inward normal of edge (p, q) whose
         # first nonzero coordinate is +-1
@@ -197,10 +205,11 @@ def _check_halfplanes(poly):
         assert _values(vs, plane) == [nx * v[0] + ny * v[1] - offset for v in vs]
         assert lower == ((nx if nx else ny) < 0)
         if axis is None:
-            assert nx and ny and bound is None
+            # a slanted line u*x + m*y = offset keeps 1/m
+            assert nx and ny and last == ONE / ny
         else:
             assert not (ny if axis == 0 else nx)
-            assert bound == p[axis] == q[axis]
+            assert last == p[axis] == q[axis]
 
 
 @KERNEL
@@ -212,8 +221,9 @@ def test_cached_halfplanes_are_normalized_edge_halfplanes(poly, v):
     _check_halfplanes(poly.translate(v))
 
 
-def _check_cut_ring(poly, ring):
+def _check_cut_ring(poly, part):
     """A ring _split cut from poly is empty or canonical up to its start."""
+    ring = part[0]
     if len(ring) < 3:
         assert not ring  # a part without interior comes back empty
         return
@@ -222,7 +232,7 @@ def _check_cut_ring(poly, ring):
     # a strict left turn at every vertex: counterclockwise, no collinear
     # vertex, positive area
     assert all(_cross(ring[i - 1], ring[i], ring[(i + 1) % n]).sign() > 0 for i in range(n))
-    assert _piece(poly, ring) == Polygon(ring)
+    assert _piece(poly, part) == Polygon(ring)
 
 
 @KERNEL
@@ -231,12 +241,83 @@ def test_cut_rings_are_canonical_by_construction(data):
     # a canonical ring cut once, then each of its sides cut again as a ring
     poly = data.draw(polygons())
     normal, offset = data.draw(halfplanes(poly))
-    for ring in _split(poly.vertices, halfplane(normal, offset)):
-        _check_cut_ring(poly, ring)
+    for ring, planes in _split(_part(poly), halfplane(normal, offset)):
+        _check_cut_ring(poly, (ring, planes))
         if len(ring) >= 3:
             normal2, offset2 = data.draw(halfplanes(Polygon(ring)))
-            for part in _split(ring, halfplane(normal2, offset2)):
+            for part in _split((ring, planes), halfplane(normal2, offset2)):
                 _check_cut_ring(poly, part)
+
+
+def _check_carried(ring, planes):
+    """The halfplanes carried with a ring are the ones _halfplanes builds
+    from its vertices, edge by edge in ring order."""
+    if len(ring) < 3:
+        assert not ring and not planes
+        return
+    assert tuple(planes) == _halfplanes(Polygon._canonical(tuple(ring)))
+
+
+def _check_carried_piece(poly):
+    if poly is not None:
+        assert poly._planes is not None
+        _check_carried(poly.vertices, poly._planes)
+
+
+@KERNEL
+@given(st.data())
+def test_split_parts_carry_their_edge_halfplanes(data):
+    # each side of a cut, and each side of a second cut of it, carries the
+    # halfplanes of its own edges, the cut edge included
+    poly = data.draw(polygons() | box_pairs().map(lambda pair: pair[1]))
+    normal, offset = data.draw(halfplanes(poly))
+    for ring, planes in _split(_part(poly), halfplane(normal, offset)):
+        _check_carried(ring, planes)
+        if len(ring) >= 3:
+            normal2, offset2 = data.draw(halfplanes(Polygon(ring)))
+            for part in _split((ring, planes), halfplane(normal2, offset2)):
+                _check_carried(*part)
+
+
+@KERNEL
+@given(polygon_pairs() | box_pairs(), points)
+def test_cut_and_moved_pieces_carry_their_edge_halfplanes(pair, v):
+    a, b = pair
+    inside, outside = convex_split(a, b)
+    for piece in [convex_intersection(a, b), inside, *outside]:
+        _check_carried_piece(piece)
+        if piece is not None:
+            _check_carried_piece(piece.translate(v))
+    _check_carried_piece(b.translate(v))
+
+
+@KERNEL
+@given(polygons(), st.sampled_from([ONE, -ONE, PHI, -PHI, PhiNumber(Fraction(1, 2))]), points)
+def test_rescaled_cells_carry_their_edge_halfplanes(poly, factor, t):
+    # a one-atom partition whose cell is moved into the unit square
+    x0, y0, x1, y1 = poly.bbox()
+    side = max(x1 - x0, y1 - y0) + ONE
+    cell = poly.translate((-x0, -y0))
+    partition = TorusPartition((side, side), {0: (cell,)})
+    for piece in rescale(partition, factor, t).atoms[0]:
+        _check_carried_piece(piece)
+
+
+@KERNEL
+@given(st.data())
+def test_cut_points_on_an_axis_line_match_the_division_formula(data):
+    # the cut point of every crossing edge, read off whichever of the two
+    # lines is an axis line, against t = va / (va - vb)
+    poly = data.draw(polygons() | box_pairs().map(lambda pair: pair[1]))
+    normal, offset = data.draw(halfplanes(poly))
+    plane = halfplane(normal, offset)
+    vs, planes = _part(poly)
+    for i, a in enumerate(vs):
+        b = vs[(i + 1) % len(vs)]
+        if _side(a, plane) * _side(b, plane) < 0:
+            expected = cut_point_by_division(a, b, plane)
+            assert _cut_point(a, b, plane, planes[i]) == expected
+            assert _cut_point(a, b, plane) == expected
 
 
 def test_flat_and_empty_results():

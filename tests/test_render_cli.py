@@ -586,6 +586,23 @@ class TestCli:
         assert main(["verify-all", "--out", str(out)]) == cli.VERIFY_FAILED == 3
         assert json.loads(out.read_text()) == {"ok": False}
 
+    def test_failed_stage_exit_code(self, tmp_path, monkeypatch, capsys):
+        from aperiodic_kit.pipeline import StageFailure
+
+        def failing(max_shape):
+            raise StageFailure("is_equivalent", "final tile set is not equivalent to the start")
+
+        monkeypatch.setattr(cli, "run_all", failing)
+        out = tmp_path / "report.json"
+        assert main(["verify-all", "--out", str(out)]) == cli.VERIFY_FAILED
+        assert capsys.readouterr().err == (
+            "verification failed at stage is_equivalent: "
+            "final tile set is not equivalent to the start\n"
+        )
+        assert not out.exists()
+        # a bad command line is still a usage error
+        assert main(["verify-all", "--max-shape", "2,b"]) == cli.USAGE_ERROR
+
     # the induce JSON of the reference partition is pinned byte for byte
     @pytest.mark.parametrize(
         "axis, digest",

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -334,6 +335,58 @@ class TestPeriodicity:
                         assert sorted(found) == sorted(tilings)
                         outcomes.add(bool(tilings))
         assert outcomes == {True, False}
+
+
+class TestDistinctTiles:
+    """Existence queries branch over the first tile of each color tuple."""
+
+    def test_representatives_are_first_copies(self):
+        ts = WangTileSet([("a", "b", "a", "b"), ("b", "a", "a", "a")] * 2 + [("a", "b", "a", "b")])
+        assert ts.representative == (0, 1, 0, 1, 0)
+        assert all(t in (0, 1) for found in ts.distinct_fits.values() for t in found)
+
+    def test_u_searches_every_tile(self, tiles_u):
+        assert tiles_u.representative == tuple(range(19))
+        assert tiles_u.distinct_fits is tiles_u.fits
+
+    def test_random_sets_with_copies_agree_with_the_full_search(self):
+        # sets of 3 or 4 tiles with two more copies inserted anywhere; every
+        # valid pattern of three shapes at radius 1 and 2, and every torus of
+        # index <= 4, against the searches that keep every copy
+        rng = random.Random(3)
+        verdicts = set()
+        for _ in range(6):
+            base = list(random_tileset(rng, tiles=rng.randint(3, 4), colors=2))
+            tiles = list(base)
+            for _ in range(2):
+                tiles.insert(rng.randrange(len(tiles) + 1), rng.choice(base))
+            ts = WangTileSet(tiles)
+            for shape in ((1, 1), (2, 1), (2, 2)):
+                for u in solve_all(TilingInstance(ts, shape)):
+                    for r in (1, 2):
+                        full = _oracles.admits_surrounding_every_copy(ts, u, r)
+                        assert admits_surrounding(ts, u, r) == full, (tiles, u, r)
+                        verdicts.add(full)
+            for basis in sublattice_bases(4):
+                full = solve(TilingInstance(ts, (1, 1), {}, wrap=basis)) is not None
+                assert exists_periodic_tiling(ts, basis) == full, (tiles, basis)
+        assert verdicts == {True, False}
+
+    def test_three_copies_are_searched_once(self):
+        # the 168 valid 2x2 patterns at radius 1 took seconds when the
+        # search branched on each of the three copies of (a, b, a, b)
+        ts = WangTileSet([("a", "b", "a", "b")] * 3 + [("b", "a", "a", "a"), ("a", "a", "a", "b")])
+        started = time.perf_counter()
+        found = patterns_with_surrounding(ts, (2, 2), 1)
+        assert time.perf_counter() - started < 1
+        valid = solve_all(TilingInstance(ts, (2, 2)))
+        assert len(valid) == 168
+        # a pattern admits a surrounding exactly when the one with the first
+        # copy of each of its tiles does
+        first = ts.representative
+        for u in valid:
+            assert (u in found) == (Word2d([[first[t] for t in c] for c in u.columns]) in found)
+        assert 0 < len(found) < len(valid)
 
 
 def test_tile_set_iterates_over_its_tiles(tiles_u):
