@@ -35,18 +35,18 @@ caches them next to its bounding box.  A cut piece carries them from its
 source: an uncut edge keeps its halfplane and the cut edge gets the cut
 halfplane, or its opposite on the far side; a translate or a rescaled
 cell moves its source's.  So a halfplane is built only for a new line,
-such as an edge of outside input or a segment of the arrangement.  An
-axis halfplane that holds on the whole bounding box of the polygon being
-cut is skipped without touching its ring: the ring only shrinks from that
-polygon, so the box test stays valid after earlier cuts.  A point's side
-of a cached cell edge is read by the same test.
+such as an edge of outside input or an input segment of the
+arrangement.  An axis halfplane that holds on the whole bounding box of
+the polygon being cut is skipped without touching its ring: the ring only
+shrinks from that polygon, so the box test stays valid after earlier
+cuts.  A point's side of a cached cell edge is read by the same test.
 
 A line of the torus arrangement has the same one form: the halfplane of
 its segment whose normal leads with +1 keys the line, cuts the cells along
 it and groups the cell edges on it.  A point on the line is measured by
-its free coordinate, y, or x on a horizontal line.  A segment is clipped
-to the fundamental rectangle as a cut reads a vertex: both ends are read
-on each box halfplane, and an end outside moves to the cut point.
+its free coordinate, y, or x on a horizontal line.  A segment builds its
+halfplane once; each lattice translate moves it, is clipped on it to the
+fundamental rectangle as a cut reads a vertex, and is keyed by it.
 """
 
 from __future__ import annotations
@@ -379,21 +379,20 @@ def _split(part, plane):
     return (inside, inside_planes), (outside, outside_planes)
 
 
-def _cut_point(a: Point, b: Point, plane, edge=None) -> Point:
+def _cut_point(a: Point, b: Point, plane, edge) -> Point:
     """The point of segment ab on the halfplane's line, for ends on opposite
-    sides of it; edge, when known, is a halfplane whose line holds ab.
+    sides of it; edge is a halfplane whose line holds ab.
 
     Where one of the two lines is an axis line, the point is read off the
     other line: x = c meets u*x + m*y = o at y = (o - u*c) * (1/m), and
     y = c meets it at x = u*(o - m*c), with 1/m from the slanted line's
-    form.  Two axis lines meet at their bounds.  Otherwise the point is
-    a + t*(b - a) for t = va / (va - vb), the values of the ends, and on
-    an axis halfplane the cut coordinate is the bound itself.
+    form.  Two axis lines meet at their bounds.  Two slanted lines meet at
+    a + t*(b - a) for t = va / (va - vb), the values of the ends.
     """
-    if edge is not None and plane[2] is None and edge[2] is not None:
+    if plane[2] is None and edge[2] is not None:
         plane, edge = edge, plane
     axis = plane[2]
-    if edge is not None and axis is not None:
+    if axis is not None:
         c = plane[4]
         (_, m), offset, edge_axis, lower, last = edge
         if edge_axis is not None:
@@ -404,7 +403,7 @@ def _cut_point(a: Point, b: Point, plane, edge=None) -> Point:
         return -x if lower else x, c
     va, vb = _values((a, b), plane)
     t = va / (va - vb)
-    return tuple(plane[4] if k == axis else a[k] + t * (b[k] - a[k]) for k in (0, 1))
+    return tuple(a[k] + t * (b[k] - a[k]) for k in (0, 1))
 
 
 def _halfplanes(poly: Polygon) -> tuple:
@@ -574,14 +573,12 @@ def _axis_shifts(lo, hi, period, box_lo, box_hi) -> list[PhiNumber]:
 # lines, intervals and edge bookkeeping
 
 
-def _edge_key(p: Point, q: Point, lattice, plane=None):
+def _edge_key(p: Point, q: Point, lattice, plane):
     """(line, lo, hi) of the segment pq on the torus of the lattice: the
     halfplane of pq whose normal leads with +1, one for both orientations,
-    and the free coordinates of p and q.  plane, when given, is a halfplane
-    of pq, read instead of built.  A line at x = l1 or y = l2 is keyed as
-    its seam twin through the origin, which keeps them."""
-    if plane is None:
-        plane = _halfplane((q[1] - p[1], p[0] - q[0]), p)
+    read off plane, a halfplane whose line holds pq, and the free
+    coordinates of p and q.  A line at x = l1 or y = l2 is keyed as its
+    seam twin through the origin, which keeps them."""
     line = _opposite(plane) if plane[3] else plane
     _, _, axis, _, bound = line
     if axis is not None and bound == lattice[axis]:
@@ -645,12 +642,6 @@ class TorusPartition:
         for label in sorted(self.atoms):
             for cell in self.atoms[label]:
                 yield label, cell
-
-    def total_area(self) -> PhiNumber:
-        return _area_sum(cell for _, cell in self.cells())
-
-    def covolume(self) -> PhiNumber:
-        return self.lattice[0] * self.lattice[1]
 
     def relabel(self, mapping: dict[int, int]) -> "TorusPartition":
         return TorusPartition(
@@ -741,36 +732,39 @@ class TorusPartition:
 # arrangement of segments on the torus
 
 
-def _clip_segment_to_box(p: Point, q: Point, box: Polygon) -> Optional[Segment]:
+def _clip_segment_to_box(p: Point, q: Point, box: Polygon, line) -> Optional[Segment]:
     """The part of pq in the closed convex box; None when it is a point or empty.
 
     Both ends are read on each edge halfplane of the box as _split reads a
-    vertex, and an end outside is moved to the cut point."""
+    vertex, and an end outside moves to where the edge meets line, pq's."""
     for plane in _halfplanes(box):
         sp, sq = _side(p, plane), _side(q, plane)
         if sp >= 0 and sq >= 0 and (sp or sq):
             return None
         if sp > 0:
-            p = _cut_point(p, q, plane)
+            p = _cut_point(p, q, plane, line)
         elif sq > 0:
-            q = _cut_point(q, p, plane)
+            q = _cut_point(q, p, plane, line)
     return p, q
 
 
-def _reduce_segments(segments, l1, l2) -> list[Segment]:
-    """The lattice translates of the segments that meet the box, clipped to it."""
+def _reduce_segments(segments, l1, l2) -> list[tuple[Segment, tuple]]:
+    """The segments' lattice translates that meet the box, clipped, with their lines."""
     box = rectangle(0, 0, l1, l2)
     pieces = {}
     for p, q in segments:
         p, q = pt(*p), pt(*q)
         if p == q:
             raise DegenerateArrangement(f"zero-length segment at {p}")
+        line = _halfplane((q[1] - p[1], p[0] - q[0]), p)
         xs = _axis_shifts(min(p[0], q[0]), max(p[0], q[0]), l1, ZERO, l1)
         ys = _axis_shifts(min(p[1], q[1]), max(p[1], q[1]), l2, ZERO, l2)
         for dx, dy in product(xs, ys):
-            piece = _clip_segment_to_box((p[0] + dx, p[1] + dy), (q[0] + dx, q[1] + dy), box)
+            moved = _shifted(line, (dx, dy))
+            ends = (p[0] + dx, p[1] + dy), (q[0] + dx, q[1] + dy)
+            piece = _clip_segment_to_box(*ends, box, moved)
             if piece is not None:
-                pieces[tuple(sorted(piece))] = piece
+                pieces[tuple(sorted(piece))] = piece, moved
     return list(pieces.values())
 
 
@@ -784,7 +778,7 @@ def partition_from_segments(segments, lattice) -> TorusPartition:
     a provisional label.
     """
     l1, l2 = _num(lattice[0]), _num(lattice[1])
-    keys = [_edge_key(p, q, (l1, l2)) for p, q in _reduce_segments(segments, l1, l2)]
+    keys = [_edge_key(p, q, (l1, l2), line) for (p, q), line in _reduce_segments(segments, l1, l2)]
 
     # distinct supporting lines, each the halfplane that cuts along it; the
     # box boundary is keyed as the two seam lines and has no area to split

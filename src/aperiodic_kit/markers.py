@@ -7,13 +7,14 @@ non-markers and parallel marker-marker dominoes must be forbidden.  Once a
 marker set is known, fusing each marker onto its neighbor desubstitutes
 the shift: configurations decompose uniquely into single tiles and
 dominoes, which is the recognizability used by the self-similarity proof.
+Fusion reads the dominoes that the tile set kept from the marker search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .morphisms import Morphism2d
 from .wang import (
@@ -21,7 +22,6 @@ from .wang import (
     LEFT,
     RIGHT,
     TOP,
-    AdmissibleTable,
     Tile,
     WangTileSet,
     dominoes_with_surrounding,
@@ -39,13 +39,12 @@ class NotAMarkerSet(ValueError):
 
 @dataclass
 class MarkerReport:
-    """Marker subsets of a tile set, and the admissible dominoes along the
-    direction and the perpendicular axis that the search read them from."""
+    """Marker subsets of a tile set, read off the admissible dominoes it
+    keeps along the direction and the perpendicular axis."""
 
     direction: int
     radius: int
     marker_subsets: list[list[int]]
-    dominoes: tuple[set, set] = field(repr=False, compare=False)
     tileset: WangTileSet = field(repr=False, compare=False)
 
     def __bool__(self):
@@ -73,29 +72,28 @@ def find_markers(
     direction: int,
     radius: int,
     certificates: Iterable[Word2d] = (),
-    table: Optional[AdmissibleTable] = None,
 ) -> MarkerReport:
     """Candidate marker subsets for layers orthogonal to the direction.
 
     Tiles are merged whenever they can sit next to each other along the
     perpendicular axis (so whole layers stay within one class); a class
     qualifies when no two of its tiles can ever be adjacent along the
-    direction itself.  ``certificates`` and ``table`` spare domino
-    searches as in ``patterns_with_surrounding`` and never change the
-    report.
+    direction itself.  ``certificates`` spare domino searches as in
+    ``patterns_with_surrounding`` and never change the report; the tile
+    set keeps the domino sets found.
     """
     if direction not in (1, 2):
         raise ValueError("direction must be 1 or 2")
     perp = 3 - direction
     certificates = list(certificates)
-    d_perp = dominoes_with_surrounding(tileset, perp, radius, certificates, table)
-    d_dir = dominoes_with_surrounding(tileset, direction, radius, certificates, table)
+    d_perp = dominoes_with_surrounding(tileset, perp, radius, certificates)
+    d_dir = dominoes_with_surrounding(tileset, direction, radius, certificates)
     subsets = [
         members
         for members in classes(len(tileset), d_perp)
         if not any((u, v) in d_dir for u in members for v in members)
     ]
-    return MarkerReport(direction, radius, subsets, (d_dir, d_perp), tileset)
+    return MarkerReport(direction, radius, subsets, tileset)
 
 
 def fuse(u: Tile, v: Tile, direction: int) -> Tile:
@@ -129,7 +127,7 @@ def find_substitution(report: MarkerReport, markers, side: str = "right") -> Des
     Builds the tile set whose tilings decompose those of the report's tile
     set: kept non-marker tiles (sorted by index) followed by the fusions of
     the admissible (non-marker, marker) dominoes on the chosen side (sorted
-    by index pairs), read off the report's domino sets.  The returned
+    by index pairs), read off the dominoes its tile set kept.  The returned
     morphism sends each new letter to the tile or domino it stands for;
     images are single letters or dominoes in the report's direction, with
     the marker on the requested side.
@@ -140,7 +138,8 @@ def find_substitution(report: MarkerReport, markers, side: str = "right") -> Des
     m = set(markers)
     if not m or not m < set(range(len(tileset))):
         raise NotAMarkerSet("markers must be a nonempty proper subset of tile indices")
-    dominoes, perpendicular = report.dominoes
+    dominoes = dominoes_with_surrounding(tileset, direction, report.radius)
+    perpendicular = dominoes_with_surrounding(tileset, 3 - direction, report.radius)
     _check_marker_criterion(m, dominoes, perpendicular)
     if side == "right":
         pairs = sorted((u, v) for u, v in dominoes if u not in m and v in m)

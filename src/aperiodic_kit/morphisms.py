@@ -69,10 +69,6 @@ class Morphism2d:
             )
 
     @classmethod
-    def identity(cls, size: int) -> "Morphism2d":
-        return cls({a: Word2d.single(a) for a in range(size)}, size, size)
-
-    @classmethod
     def from_permutation(cls, mapping: Mapping[int, int]) -> "Morphism2d":
         size = len(mapping)
         return cls({a: Word2d.single(b) for a, b in mapping.items()}, size, size)

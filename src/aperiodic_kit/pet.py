@@ -52,9 +52,6 @@ class Window:
         if self.bound.sign() <= 0:
             raise ValueError("window bound must be positive")
 
-    def contains(self, x: Point) -> bool:
-        return PhiNumber(0) <= x[self.axis - 1] < self.bound
-
     def sub_lattice(self, lattice) -> tuple[PhiNumber, PhiNumber]:
         """The lattice of the strip's rectangle inside that of ``lattice``."""
         side = lattice[self.axis - 1]
@@ -257,29 +254,6 @@ def config_patch(
                 raise BoundaryHit(f"orbit point at step {n}: {exc}") from None
         columns.append(column)
     return Word2d(columns)
-
-
-def first_return_time(action: TorusAction, window: Window, x: Point, axis: int) -> int:
-    """Least k >= 1 with x moved k steps along the axis back in the window:
-    across the window's axis k = 1, along it see induced_transformation."""
-    if not window.contains(x):
-        raise ValueError(f"{x} is not in the window")
-    step = (1, 0) if axis == 1 else (0, 1)
-    y = action.translate(x, step)
-    k = 1
-    while not window.contains(y):
-        y = action.translate(y, step)
-        k += 1
-    return k
-
-
-def return_word(
-    partition: TorusPartition, action: TorusAction, window: Window, x: Point
-) -> Word2d:
-    """Code block swept before the orbit of x first returns to the window."""
-    r = first_return_time(action, window, x, 1)
-    s = first_return_time(action, window, x, 2)
-    return config_patch(partition, action, x, (r, s))
 
 
 # ---------------------------------------------------------------------------

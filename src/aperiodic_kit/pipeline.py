@@ -4,7 +4,8 @@ The Wang loop desubstitutes the 19-tile set twice and closes it with a
 tile-set equivalence; the induction loop induces the coded rotation on two
 windows and closes with a rescaling.  Both composites are compared with
 the square substitution, the two loops are compared with each other, and
-the three pattern languages are compared shape by shape.
+the three pattern languages are compared shape by shape.  A run's Wang
+loop and language rows share one 19-tile set, which keeps the sets found.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .pet import (
     shape_steps,
 )
 from .phifield import PHI
-from .wang import AdmissibleTable, patterns_with_surrounding
+from .wang import WangTileSet, patterns_with_surrounding
 from .words import project
 
 
@@ -221,12 +222,11 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _markers_with_escalation(tileset, direction, certificates=(), table=None):
-    # one table of the tile set's admissible sets for every radius, so each
-    # radius searches only the dominoes the one below kept
-    table = {} if table is None else table
+def _markers_with_escalation(tileset, direction, certificates=()):
+    # the tile set keeps its domino sets, so each radius searches only the
+    # dominoes the one below kept
     for r in range(1, MAX_MARKER_RADIUS + 1):
-        report = find_markers(tileset, direction, r, certificates, table)
+        report = find_markers(tileset, direction, r, certificates)
         if report.marker_subsets:
             return report
     raise StageFailure(
@@ -236,19 +236,18 @@ def _markers_with_escalation(tileset, direction, certificates=(), table=None):
 
 
 def run_wang_pipeline(
-    direction_first: int = 2, certificates=(), table: Optional[AdmissibleTable] = None
+    tiles: WangTileSet, direction_first: int = 2, certificates=()
 ) -> WangLoopReport:
     """Desubstitute the tile set twice and close the loop by equivalence.
 
     ``certificates`` (factors of the substitution language, say) spare
-    domino searches of the first marker search, the one on the 19 tiles,
-    and never change the report; the derived tile sets have other letters.
-    ``table`` is the 19 tiles' table of admissible sets, which the marker
-    search reads and fills; the middle tile set gets a table of its own.
+    domino searches of the first marker search, the one on ``tiles``, and
+    never change the report; the derived tile sets have other letters.
+    Each tile set keeps the admissible dominoes its marker search finds,
+    and each desubstitution reads them there.
     """
     started = time.perf_counter()
-    tiles = catalog.wang_tiles()
-    first_report = _markers_with_escalation(tiles, direction_first, certificates, table)
+    first_report = _markers_with_escalation(tiles, direction_first, certificates)
     first = find_substitution(first_report, first_report.marker_subsets[0])
     second_report = _markers_with_escalation(first.tileset, 3 - direction_first)
     second = find_substitution(second_report, second_report.marker_subsets[0])
@@ -389,15 +388,16 @@ def _certificate_shape(max_shape: tuple[int, int], r: int) -> tuple[int, int]:
 
 
 def cross_check_languages(
+    tiles: WangTileSet,
     coding_table,
     max_shape: tuple[int, int] = (2, 2),
     certificates=None,
-    table: Optional[AdmissibleTable] = None,
 ) -> list[LanguageRow]:
     """Compare the three pattern languages at every shape up to max_shape.
 
-    ``coding_table`` is the coding language of ``max_shape``-patterns (the
-    third value of ``reference_coding``).
+    ``tiles`` is the tile set of the tile-side rows, and ``coding_table``
+    the coding language of ``max_shape``-patterns (the third value of
+    ``reference_coding``).
 
     The substitution language is computed once at ``max_shape``, as a
     closure of factors under the rule; every smaller shape of it and of the
@@ -412,15 +412,13 @@ def cross_check_languages(
     against the tiles, they prove most patterns admissible without a
     search, and they cannot change a row.  ``certificates`` are those of
     TILE_RADIUS when the caller holds them already; the others are built on
-    first use.  ``table`` is the 19 tiles' table of admissible sets (a new
-    one when None), which every row reads and fills: a set already found,
-    by the marker search say, is not searched again, a raised radius tests
-    only the survivors of the one below, and a shape tests only the
-    patterns whose smaller windows are admissible.
+    first use.  Every row reads and fills the admissible sets that
+    ``tiles`` keeps: a set already found, by the marker search say, is not
+    searched again, a raised radius tests only the survivors of the one
+    below, and a shape tests only the patterns whose smaller windows are
+    admissible.
     """
     phi = catalog.square_substitution()
-    tiles = catalog.wang_tiles()
-    table = {} if table is None else table
     substitution_table = language(phi, max_shape)
     by_radius = {} if certificates is None else {TILE_RADIUS: certificates}
 
@@ -438,7 +436,7 @@ def cross_check_languages(
             r = TILE_RADIUS
             while True:
                 from_tiles = patterns_with_surrounding(
-                    tiles, shape, r, certificates=certificates_at(r), table=table
+                    tiles, shape, r, certificates=certificates_at(r)
                 )
                 if from_tiles == from_substitution or r >= MAX_TILE_RADIUS:
                     break
@@ -461,12 +459,12 @@ def run_all(max_shape: tuple[int, int] = (2, 2)) -> VerificationReport:
     certificates = language(
         catalog.square_substitution(), _certificate_shape(max_shape, TILE_RADIUS)
     )
-    table: AdmissibleTable = {}  # the 19 tiles' admissible sets, for both stages
-    wang = run_wang_pipeline(certificates=certificates, table=table)
+    tiles = catalog.wang_tiles()  # keeps its admissible sets for both stages
+    wang = run_wang_pipeline(tiles, certificates=certificates)
     partition, action, coding_table = reference_coding(max_shape)
     induction = run_pet_pipeline((partition, action))
     uniqueness = check_uniqueness_hypotheses()
-    rows = cross_check_languages(coding_table, max_shape, certificates=certificates, table=table)
+    rows = cross_check_languages(tiles, coding_table, max_shape, certificates=certificates)
     loops_agree = all(a == b for a, b in zip(wang.morphisms, induction.morphisms))
     report = VerificationReport(
         wang=wang,

@@ -23,11 +23,11 @@ factor of the substitution language, that is a valid pattern of the tile
 set and holds the candidate at margin at least r; it is checked before it
 counts, so certificates only save searches and never change a set.
 Admissible sets shrink as r grows, and every window of an admissible
-pattern is admissible at the same radius, so a table of the sets found so
-far, keyed by shape and radius, lets each set grow from smaller ones: the
-set of the radius below gives the candidates, and those whose windows the
-table refuses are dropped unsearched.  Every search runs in the calling
-process.
+pattern is admissible at the same radius, so the sets a tile set keeps,
+by shape and radius, let each set grow from smaller ones: the set of the
+radius below gives the candidates, and those whose windows the kept sets
+refuse are dropped unsearched; a kept set is never searched again.  Every
+search runs in the calling process.
 """
 
 from __future__ import annotations
@@ -42,8 +42,6 @@ from .words import Word2d
 RIGHT, TOP, LEFT, BOTTOM = 0, 1, 2, 3
 
 Tile = tuple[str, str, str, str]
-# the admissible patterns of one tile set found so far, by (shape, radius)
-AdmissibleTable = dict[tuple[tuple[int, int], int], frozenset[Word2d]]
 
 
 class UnknownTileIndex(KeyError):
@@ -80,6 +78,8 @@ class WangTileSet:
         self.distinct_fits = self.fits if len(distinct) == len(self.tiles) else {
             key: [t for t in found if t in distinct] for key, found in self.fits.items()
         }
+        # the admissible sets found so far, by (shape, radius)
+        self.admissible: dict[tuple[tuple[int, int], int], frozenset[Word2d]] = {}
 
     def __len__(self):
         return len(self.tiles)
@@ -321,20 +321,16 @@ def admits_surrounding(tileset: WangTileSet, u: Word2d, r: int) -> bool:
 
 
 def dominoes_with_surrounding(
-    tileset: WangTileSet,
-    direction: int,
-    r: int,
-    certificates: Iterable[Word2d] = (),
-    table: Optional[AdmissibleTable] = None,
+    tileset: WangTileSet, direction: int, r: int, certificates: Iterable[Word2d] = ()
 ) -> set[tuple[int, int]]:
     """Ordered index pairs whose domino in the direction has an r-surrounding.
 
-    ``certificates`` and ``table`` are as in ``patterns_with_surrounding``.
+    ``certificates`` are as in ``patterns_with_surrounding``.
     """
     if direction not in (1, 2):
         raise ValueError("direction must be 1 or 2")
     shape = (2, 1) if direction == 1 else (1, 2)
-    patterns = patterns_with_surrounding(tileset, shape, r, certificates=certificates, table=table)
+    patterns = patterns_with_surrounding(tileset, shape, r, certificates=certificates)
     return {(w[0, 0], w[shape[0] - 1, shape[1] - 1]) for w in patterns}
 
 
@@ -379,15 +375,15 @@ def _is_certificate(tileset: WangTileSet, word: Word2d) -> bool:
         return False
 
 
-def _held(table: AdmissibleTable, shape: tuple[int, int], r: int):
-    """The table's set of the shape at its largest radius up to r, or None."""
-    radii = [q for held, q in table if held == shape and q <= r]
-    return table[shape, max(radii)] if radii else None
+def _held(tileset: WangTileSet, shape: tuple[int, int], r: int):
+    """The tile set's kept set of the shape at its largest radius up to r, or None."""
+    radii = [q for held, q in tileset.admissible if held == shape and q <= r]
+    return tileset.admissible[shape, max(radii)] if radii else None
 
 
-def _with_admitted_windows(table: AdmissibleTable, shape, r: int, candidates) -> list[Word2d]:
+def _with_admitted_windows(tileset: WangTileSet, shape, r: int, candidates) -> list[Word2d]:
     """The candidates whose (s1-1, s2) and (s1, s2-1) windows are in the
-    table's sets of those shapes at the largest radius up to r.
+    tile set's kept sets of those shapes at the largest radius up to r.
 
     A window of an r-admissible pattern has an r-surrounding inside the
     pattern's, hence a q-surrounding for every q <= r, so the filter drops
@@ -400,7 +396,7 @@ def _with_admitted_windows(table: AdmissibleTable, shape, r: int, candidates) ->
         ((s1 - 1, s2), lambda cols: (cols[:-1], cols[1:])),
         ((s1, s2 - 1), lambda cols: (tuple(c[:-1] for c in cols), tuple(c[1:] for c in cols))),
     ):
-        held = _held(table, window_shape, r)
+        held = _held(tileset, window_shape, r)
         if held is not None:
             admitted = {w.columns for w in held}
             kept = [w for w in kept if all(window in admitted for window in cut(w.columns))]
@@ -412,35 +408,32 @@ def patterns_with_surrounding(
     shape: tuple[int, int],
     r: int,
     certificates: Iterable[Word2d] = (),
-    table: Optional[AdmissibleTable] = None,
 ) -> set[Word2d]:
     """All shape-patterns admitting a surrounding of radius r.
 
-    The candidates are the valid shape-patterns, or fewer when a table is
-    given (below).  A candidate counts as admissible when a certificate
-    proves it or when the search finds a surrounding.  A certificate is a
-    word that passes ``is_valid_pattern`` against this tile set and has the
-    candidate as a window at margin at least r on every side: the block of
-    that margin around the window is itself a valid pattern, so it is an
-    r-surrounding.  Each certificate is checked at most once, when a
-    candidate first needs it, and one that fails certifies nothing, so its
-    candidates are searched: the set does not depend on the certificates,
-    only the number of searches does.
+    The candidates are the valid shape-patterns, or fewer when the tile set
+    keeps smaller sets (below).  A candidate counts as admissible when a
+    certificate proves it or when the search finds a surrounding.  A
+    certificate is a word that passes ``is_valid_pattern`` against this
+    tile set and has the candidate as a window at margin at least r on
+    every side: the block of that margin around the window is itself a
+    valid pattern, so it is an r-surrounding.  Each certificate is checked
+    at most once, when a candidate first needs it, and one that fails
+    certifies nothing, so its candidates are searched: the set does not
+    depend on the certificates, only the number of searches does.
 
-    ``table`` holds the admissible sets of this tile set found so far, by
-    (shape, radius), and the answer is stored in it.  A set the table holds
-    is returned without a search.  Otherwise the candidates are the table's
-    set of the shape at its largest radius below r, if it has one, and each
-    candidate needs its smaller windows in the table
+    The answer is kept in ``tileset.admissible``, by (shape, radius), and a
+    kept set is returned without a search.  Otherwise the candidates are
+    the kept set of the shape at its largest radius below r, if there is
+    one, and each candidate needs its smaller windows in the kept sets
     (``_with_admitted_windows``).  Neither changes the set.
     """
-    table = {} if table is None else table
-    if (shape, r) in table:
-        return set(table[shape, r])
-    candidates = _held(table, shape, r - 1)
+    if (shape, r) in tileset.admissible:
+        return set(tileset.admissible[shape, r])
+    candidates = _held(tileset, shape, r - 1)
     if candidates is None:
         candidates = solve_all(TilingInstance(tileset, shape))
-    candidates = _with_admitted_windows(table, shape, r, candidates)
+    candidates = _with_admitted_windows(tileset, shape, r, candidates)
     certificates = list(certificates)
     windows = _certificate_windows(certificates, shape, r)
     valid: dict[int, bool] = {}
@@ -456,5 +449,5 @@ def patterns_with_surrounding(
         searched.append(word)
     admitted = parallel_map(lambda word: admits_surrounding(tileset, word, r), searched)
     found.update(word for word, good in zip(searched, admitted) if good)
-    table[shape, r] = frozenset(found)
+    tileset.admissible[shape, r] = frozenset(found)
     return found

@@ -40,25 +40,8 @@ class Word2d:
         raise AttributeError("Word2d is immutable")
 
     @classmethod
-    def from_rows(cls, rows: Iterable[Sequence[int]]) -> "Word2d":
-        """Build from rows listed top row first (matrix display order)."""
-        rows = [list(r) for r in rows]
-        if not rows or not rows[0]:
-            return cls([])
-        return cls(
-            [[rows[y][x] for y in range(len(rows) - 1, -1, -1)] for x in range(len(rows[0]))]
-        )
-
-    @classmethod
     def single(cls, letter: int) -> "Word2d":
         return cls([[letter]])
-
-    @classmethod
-    def empty(cls, shape: tuple[int, int] = (0, 0)) -> "Word2d":
-        n1, n2 = shape
-        if n1 and n2:
-            raise ValueError("empty word needs a zero dimension")
-        return cls([])
 
     def __getitem__(self, pos: tuple[int, int]) -> int:
         x, y = pos
@@ -97,28 +80,6 @@ class Word2d:
 
     def to_json(self) -> list[list[int]]:
         return [list(c) for c in self.columns]
-
-
-def concat(u: Word2d, v: Word2d, direction: int) -> Word2d:
-    """Concatenate in direction 1 (v to the right) or 2 (v above)."""
-    if direction not in (1, 2):
-        raise ValueError("direction must be 1 or 2")
-    (un1, un2), (vn1, vn2) = u.shape, v.shape
-    if direction == 1:
-        if un1 == 0:
-            return v
-        if vn1 == 0:
-            return u
-        if un2 != vn2:
-            raise ShapeMismatch(f"heights differ: {un2} != {vn2}")
-        return Word2d(u.columns + v.columns)
-    if un2 == 0:
-        return v
-    if vn2 == 0:
-        return u
-    if un1 != vn1:
-        raise ShapeMismatch(f"widths differ: {un1} != {vn1}")
-    return Word2d(tuple(cu + cv for cu, cv in zip(u.columns, v.columns)))
 
 
 def occurs_at(u: Word2d, v: Word2d, pos: tuple[int, int]) -> bool:

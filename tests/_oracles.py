@@ -26,6 +26,10 @@ is matched in turn, extending the maps or backtracking.
 A point is located against a polygon by cross products with its edges,
 and the lattice shifts of an interval are found by the former rule of
 _axis_shifts: a division by the period and a floor.
+
+The last section holds helpers that only tests call: words from rows,
+the empty word and concatenation, the identity morphism, first return
+times and return words, and the area and covolume of a partition.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from aperiodic_kit.geometry import (
     DegenerateArrangement,
     Polygon,
     TorusPartition,
+    _area_sum,
     _edge_key,
     _edge_sweep,
     _halfplane,
@@ -49,6 +54,7 @@ from aperiodic_kit.geometry import (
     rectangle,
 )
 from aperiodic_kit.morphisms import Morphism2d, NotStabilized, UndefinedImage, _cycle_vertices
+from aperiodic_kit.pet import TorusAction, Window, config_patch
 from aperiodic_kit.phifield import ONE, ZERO, PhiNumber
 from aperiodic_kit.wang import (
     BOTTOM,
@@ -60,7 +66,7 @@ from aperiodic_kit.wang import (
     _near_fixed_order,
     _normalize,
 )
-from aperiodic_kit.words import Word2d, subwords
+from aperiodic_kit.words import ShapeMismatch, Word2d, subwords
 
 
 def _splittings(total: int, start_offset: int, sizes: list[int]):
@@ -680,6 +686,12 @@ def full_graph_seeds(m: Morphism2d) -> set:
     return {vertices[i] for i in _cycle_vertices(len(vertices), edges)}
 
 
+def segment_halfplane(p, q):
+    """The library's halfplane of the segment pq: its line, with pq's left
+    side inside."""
+    return _halfplane((q[1] - p[1], p[0] - q[0]), p)
+
+
 def halfplane(normal, offset):
     """The library's halfplane <normal, x> <= offset, for a nonzero normal."""
     offset = _num(offset)
@@ -856,7 +868,7 @@ def partition_from_segments_each_cut(segments, lattice):
 
     covered = {}
     for p, q in pieces:
-        line, lo, hi = _edge_key(p, q, (l1, l2))
+        line, lo, hi = _edge_key(p, q, (l1, l2), segment_halfplane(p, q))
         covered.setdefault(line, []).append((lo, hi))
     covered = {line: _merged(intervals) for line, intervals in covered.items()}
 
@@ -948,3 +960,85 @@ def is_equivalent_by_color_maps(tileset: WangTileSet, other: WangTileSet):
     if not search(0):
         return None
     return dict(vert), dict(horiz), dict(bijection)
+
+
+# ---------------------------------------------------------------------------
+# helpers that only tests call
+
+
+def from_rows(rows) -> Word2d:
+    """The word whose rows, listed top row first (matrix display order),
+    are the given ones."""
+    rows = [list(r) for r in rows]
+    if not rows or not rows[0]:
+        return Word2d([])
+    return Word2d([[rows[y][x] for y in range(len(rows) - 1, -1, -1)] for x in range(len(rows[0]))])
+
+
+def empty_word(shape=(0, 0)) -> Word2d:
+    """The empty word; a shape with two nonzero dimensions is refused."""
+    n1, n2 = shape
+    if n1 and n2:
+        raise ValueError("empty word needs a zero dimension")
+    return Word2d([])
+
+
+def concat(u: Word2d, v: Word2d, direction: int) -> Word2d:
+    """Concatenate in direction 1 (v to the right) or 2 (v above)."""
+    if direction not in (1, 2):
+        raise ValueError("direction must be 1 or 2")
+    (un1, un2), (vn1, vn2) = u.shape, v.shape
+    if direction == 1:
+        if un1 == 0:
+            return v
+        if vn1 == 0:
+            return u
+        if un2 != vn2:
+            raise ShapeMismatch(f"heights differ: {un2} != {vn2}")
+        return Word2d(u.columns + v.columns)
+    if un2 == 0:
+        return v
+    if vn2 == 0:
+        return u
+    if un1 != vn1:
+        raise ShapeMismatch(f"widths differ: {un1} != {vn1}")
+    return Word2d(tuple(cu + cv for cu, cv in zip(u.columns, v.columns)))
+
+
+def identity(size: int) -> Morphism2d:
+    """The identity morphism on size letters."""
+    return Morphism2d({a: Word2d.single(a) for a in range(size)}, size, size)
+
+
+def first_return_time(action: TorusAction, window: Window, x, axis: int) -> int:
+    """Least k >= 1 with x moved k steps along the axis back in the window."""
+
+    def inside(y) -> bool:
+        return ZERO <= y[window.axis - 1] < window.bound
+
+    if not inside(x):
+        raise ValueError(f"{x} is not in the window")
+    step = (1, 0) if axis == 1 else (0, 1)
+    y = action.translate(x, step)
+    k = 1
+    while not inside(y):
+        y = action.translate(y, step)
+        k += 1
+    return k
+
+
+def return_word(partition: TorusPartition, action: TorusAction, window: Window, x) -> Word2d:
+    """Code block swept before the orbit of x first returns to the window."""
+    r = first_return_time(action, window, x, 1)
+    s = first_return_time(action, window, x, 2)
+    return config_patch(partition, action, x, (r, s))
+
+
+def total_area(partition: TorusPartition) -> PhiNumber:
+    """The summed area of the partition's cells."""
+    return _area_sum(cell for _, cell in partition.cells())
+
+
+def covolume(partition: TorusPartition) -> PhiNumber:
+    """The area of the fundamental rectangle of the partition's lattice."""
+    return partition.lattice[0] * partition.lattice[1]

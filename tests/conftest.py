@@ -30,8 +30,10 @@ def phi():
     return square_substitution()
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def tiles_u():
+    # a fresh set per test: a tile set keeps the admissible sets it finds,
+    # so a test that stubs or counts searches must not share one
     return wang_tiles()
 
 

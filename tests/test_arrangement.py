@@ -14,7 +14,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from _oracles import clip_segment_liang_barsky, edge_key_by_dot, partition_from_segments_each_cut
+from _oracles import (
+    clip_segment_liang_barsky,
+    edge_key_by_dot,
+    partition_from_segments_each_cut,
+    segment_halfplane,
+)
 from aperiodic_kit import geometry
 from aperiodic_kit.catalog import partition_segments
 from aperiodic_kit.geometry import (
@@ -115,7 +120,8 @@ def test_segment_clip_matches_liang_barsky_on_every_box(segment):
     # boundary of each box; None and the order of the ends must agree too
     for box in BOXES:
         for p, q in (segment, segment[::-1]):
-            assert _clip_segment_to_box(p, q, box) == clip_segment_liang_barsky(p, q, box)
+            clipped = _clip_segment_to_box(p, q, box, segment_halfplane(p, q))
+            assert clipped == clip_segment_liang_barsky(p, q, box)
 
 
 @pytest.mark.parametrize(
@@ -136,7 +142,8 @@ def test_segment_clip_matches_liang_barsky_on_the_unit_box(p, q):
     box = rectangle(0, 0, 1, 1)
     p, q = pt(*p), pt(*q)
     for a, b in ((p, q), (q, p)):
-        assert _clip_segment_to_box(a, b, box) == clip_segment_liang_barsky(a, b, box)
+        clipped = _clip_segment_to_box(a, b, box, segment_halfplane(a, b))
+        assert clipped == clip_segment_liang_barsky(a, b, box)
 
 
 @settings(max_examples=200, deadline=None)
@@ -147,7 +154,7 @@ def test_segment_clip_matches_liang_barsky_on_the_unit_box(p, q):
 )
 def test_edge_keys_share_a_line_and_an_order_with_the_reference(drawn):
     lattice, first, second = drawn
-    keys = [_edge_key(p, q, lattice) for p, q in (first, second)]
+    keys = [_edge_key(p, q, lattice, segment_halfplane(p, q)) for p, q in (first, second)]
     reference = [edge_key_by_dot(p, q, lattice) for p, q in (first, second)]
     assert (keys[0][0] == keys[1][0]) == (reference[0][0] == reference[1][0])
     if keys[0][0] == keys[1][0]:

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import is_equivalent_by_color_maps
+from aperiodic_kit.catalog import wang_tiles
 from aperiodic_kit.geometry import relabel_to_match
 from aperiodic_kit.markers import find_markers, find_substitution, is_equivalent
 from aperiodic_kit.wang import BOTTOM, LEFT, RIGHT, TOP, WangTileSet
@@ -28,8 +29,8 @@ SIDES = (RIGHT, TOP, LEFT, BOTTOM)
 
 
 @pytest.fixture(scope="module")
-def final_tiles(tiles_u):
-    first = find_substitution(find_markers(tiles_u, 2, 2), range(8))
+def final_tiles():
+    first = find_substitution(find_markers(wang_tiles(), 2, 2), range(8))
     return find_substitution(find_markers(first.tileset, 1, 1), [0, 1, 2, 8, 9, 10, 11]).tileset
 
 

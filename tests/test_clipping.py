@@ -23,6 +23,7 @@ from _oracles import (
     difference_each_cut,
     halfplane,
     intersection_each_cut,
+    segment_halfplane,
 )
 from aperiodic_kit.geometry import (
     Polygon,
@@ -307,7 +308,8 @@ def test_rescaled_cells_carry_their_edge_halfplanes(poly, factor, t):
 @given(st.data())
 def test_cut_points_on_an_axis_line_match_the_division_formula(data):
     # the cut point of every crossing edge, read off whichever of the two
-    # lines is an axis line, against t = va / (va - vb)
+    # lines is an axis line, against t = va / (va - vb); the edge's carried
+    # halfplane and one built afresh from its ends give the same point
     poly = data.draw(polygons() | box_pairs().map(lambda pair: pair[1]))
     normal, offset = data.draw(halfplanes(poly))
     plane = halfplane(normal, offset)
@@ -317,7 +319,7 @@ def test_cut_points_on_an_axis_line_match_the_division_formula(data):
         if _side(a, plane) * _side(b, plane) < 0:
             expected = cut_point_by_division(a, b, plane)
             assert _cut_point(a, b, plane, planes[i]) == expected
-            assert _cut_point(a, b, plane) == expected
+            assert _cut_point(a, b, plane, segment_halfplane(a, b)) == expected
 
 
 def test_flat_and_empty_results():

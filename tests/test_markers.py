@@ -1,5 +1,7 @@
 import pytest
 
+from aperiodic_kit import wang
+from aperiodic_kit.catalog import wang_tiles
 from aperiodic_kit.markers import (
     EdgeMismatch,
     NotAMarkerSet,
@@ -26,8 +28,8 @@ HORIZ_CERTIFICATE = {"K": "PO", "L": "M", "M": "PL", "N": "MO", "O": "K", "P": "
 
 
 @pytest.fixture(scope="module")
-def wang_loop(tiles_u):
-    first = find_substitution(find_markers(tiles_u, 2, 2), U_MARKERS)
+def wang_loop():
+    first = find_substitution(find_markers(wang_tiles(), 2, 2), U_MARKERS)
     second = find_substitution(find_markers(first.tileset, 1, 1), V_MARKER_SETS[0])
     return first, second
 
@@ -127,13 +129,21 @@ class TestFindSubstitution:
             else:
                 assert img.shape == (1, 1) and img[0, 0] not in markers
 
-    def test_marker_report_supplies_the_dominoes(self, tiles_u):
+    def test_marker_report_supplies_the_dominoes(self, monkeypatch, tiles_u):
+        # the report's tile set holds the dominoes of its radius from the
+        # marker search, so the desubstitution reads them without a search
         report = find_markers(tiles_u, 2, 2)
         assert report.tileset is tiles_u
+
+        def no_search(tileset, u, r):
+            raise AssertionError("the desubstitution searched a surrounding")
+
+        monkeypatch.setattr(wang, "admits_surrounding", no_search)
         result = find_substitution(report, U_MARKERS)
         assert result.direction == report.direction == 2
         markers = set(U_MARKERS)
-        pairs = sorted((u, v) for u, v in report.dominoes[0] if u not in markers and v in markers)
+        vertical = {(w[0, 0], w[0, 1]) for w in tiles_u.admissible[(1, 2), 2]}
+        pairs = sorted((u, v) for u, v in vertical if u not in markers and v in markers)
         images = [result.morphism.image(a) for a in range(len(result.tileset))]
         assert [(w[0, 0], w[0, 1]) for w in images if w.shape == (1, 2)] == pairs
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from aperiodic_kit.catalog import square_substitution
+from aperiodic_kit.catalog import square_substitution, wang_tiles
 from aperiodic_kit.morphisms import language
 from aperiodic_kit.pipeline import (
     build_reference_partition,
@@ -29,7 +29,7 @@ V_MARKER_SETS = [
 
 @pytest.fixture(scope="module")
 def wang_report():
-    return run_wang_pipeline()
+    return run_wang_pipeline(wang_tiles())
 
 
 @pytest.fixture(scope="module")
@@ -56,52 +56,41 @@ class TestWangLoop:
         assert wang_report.composite == square_substitution()
 
     def test_table_holds_only_the_first_tile_sets_dominoes(self, h_dominoes, v_dominoes):
-        # the marker search fills the 19 tiles' table at radius 1 and 2; the
-        # middle tile set searches in a table of its own
-        table = {}
-        report = run_wang_pipeline(table=table)
+        # the marker search fills the 19 tiles' admissible sets at radius 1
+        # and 2; the middle tile set keeps sets of its own
+        tiles = wang_tiles()
+        report = run_wang_pipeline(tiles)
         assert report.composite_equals_substitution
-        assert sorted(table) == [((1, 2), 1), ((1, 2), 2), ((2, 1), 1), ((2, 1), 2)]
-        assert {(w[0, 0], w[1, 0]) for w in table[(2, 1), 2]} == h_dominoes
-        assert {(w[0, 0], w[0, 1]) for w in table[(1, 2), 2]} == v_dominoes
+        assert sorted(tiles.admissible) == [((1, 2), 1), ((1, 2), 2), ((2, 1), 1), ((2, 1), 2)]
+        assert {(w[0, 0], w[1, 0]) for w in tiles.admissible[(2, 1), 2]} == h_dominoes
+        assert {(w[0, 0], w[0, 1]) for w in tiles.admissible[(1, 2), 2]} == v_dominoes
 
     def test_alternate_direction_closes(self):
-        report = run_wang_pipeline(direction_first=1)
+        report = run_wang_pipeline(wang_tiles(), direction_first=1)
         assert report.final_size == 19
         assert report.composite.domain_size == 19
 
     def test_periodic_tileset_fails(self):
-        from aperiodic_kit import catalog
         from aperiodic_kit.pipeline import StageFailure
         from aperiodic_kit.wang import WangTileSet
 
         single = WangTileSet([("A", "B", "A", "B")])
-        original = catalog.wang_tiles
-        catalog.wang_tiles = lambda: single
-        try:
-            with pytest.raises(StageFailure):
-                run_wang_pipeline()
-        finally:
-            catalog.wang_tiles = original
+        with pytest.raises(StageFailure):
+            run_wang_pipeline(single)
 
     def test_corrupted_color_fails(self):
         # fault injection: one wrong edge color must break the loop, either
         # at some stage or in the final composite comparison
-        from aperiodic_kit import catalog
         from aperiodic_kit.pipeline import StageFailure
         from aperiodic_kit.wang import WangTileSet
 
-        tiles = [list(t) for t in catalog.wang_tiles().tiles]
+        tiles = [list(t) for t in wang_tiles().tiles]
         tiles[0][0] = "Z"
-        original = catalog.wang_tiles
-        catalog.wang_tiles = lambda: WangTileSet([tuple(t) for t in tiles])
         try:
-            report = run_wang_pipeline()
+            report = run_wang_pipeline(WangTileSet(tiles))
             assert not report.composite_equals_substitution
         except StageFailure:
             pass
-        finally:
-            catalog.wang_tiles = original
 
 
 class TestInductionLoop:
@@ -156,8 +145,8 @@ class TestLanguages:
         assert lang4 <= patterns_with_surrounding(tiles_u, (4, 4), 2)
 
     def test_counts_and_equality(self):
-        table = reference_coding((2, 2))[2]
-        rows = {tuple(r.shape): r for r in cross_check_languages(table, (2, 2))}
+        coding = reference_coding((2, 2))[2]
+        rows = {tuple(r.shape): r for r in cross_check_languages(wang_tiles(), coding, (2, 2))}
         expect = {(1, 1): 19, (2, 1): 31, (1, 2): 35, (2, 2): 50}
         for shape, count in expect.items():
             row = rows[shape]
@@ -168,8 +157,8 @@ class TestLanguages:
             assert row.radius_used == 2
 
     def test_extended_table_needs_escalation(self):
-        table = reference_coding((3, 3))[2]
-        rows = {tuple(r.shape): r for r in cross_check_languages(table, (3, 3))}
+        coding = reference_coding((3, 3))[2]
+        rows = {tuple(r.shape): r for r in cross_check_languages(wang_tiles(), coding, (3, 3))}
         assert all(r.all_equal for r in rows.values())
         assert rows[(3, 3)].substitution_count == 94
         assert rows[(3, 3)].radius_used == 3
@@ -209,11 +198,11 @@ class TestLanguages:
         "max_shape, searches", [((2, 2), 210), ((3, 3), 242)], ids=["2x2", "3x3"]
     )
     def test_each_admissible_set_grows_from_the_table(self, monkeypatch, max_shape, searches):
-        # the marker search and the rows share one table of the 19 tiles'
-        # admissible sets, so no set is searched twice, a raised radius
-        # searches the survivors of the one below, and a shape only the
-        # patterns whose smaller windows are admissible (413 and 1,541
-        # searches without the table)
+        # the marker search and the rows read and fill the admissible sets
+        # the run's 19-tile set keeps, so no set is searched twice, a raised
+        # radius searches the survivors of the one below, and a shape only
+        # the patterns whose smaller windows are admissible (413 and 1,541
+        # searches with nothing kept)
         from aperiodic_kit import wang
 
         radii = []
@@ -227,6 +216,46 @@ class TestLanguages:
         report = run_all(max_shape)
         assert report.ok()
         assert len(radii) <= searches
+
+    def test_each_run_and_each_tile_set_keeps_its_own_sets(self, monkeypatch):
+        # run_all builds its 19-tile set afresh, so a second run in the same
+        # process searches as much as the first; after the Wang loop that
+        # set holds only its four domino sets, and each run's 21-tile middle
+        # set holds its own two
+        from aperiodic_kit import pipeline, wang
+
+        searches, marked, after_loop = [], [], []
+        search, find, loop = wang.admits_surrounding, pipeline.find_markers, run_wang_pipeline
+
+        def counting(tileset, u, r):
+            searches.append(r)
+            return search(tileset, u, r)
+
+        def marking(tileset, *args):
+            marked.append(tileset)
+            return find(tileset, *args)
+
+        def looping(tiles, *args, **kwargs):
+            report = loop(tiles, *args, **kwargs)
+            after_loop.append(sorted(tiles.admissible))
+            return report
+
+        monkeypatch.setattr(wang, "admits_surrounding", counting)
+        monkeypatch.setattr(pipeline, "find_markers", marking)
+        monkeypatch.setattr(pipeline, "run_wang_pipeline", looping)
+        counts = []
+        for _ in range(2):
+            searches.clear()
+            assert run_all((2, 2)).ok()
+            counts.append(len(searches))
+        assert counts == [210, 210]
+        dominoes = [((1, 2), 1), ((1, 2), 2), ((2, 1), 1), ((2, 1), 2)]
+        assert after_loop == [dominoes, dominoes]
+        first = {id(t): t for t in marked if len(t) == 19}
+        middle = {id(t): t for t in marked if len(t) == 21}
+        assert len(first) == len(middle) == 2
+        for tileset in middle.values():
+            assert sorted(tileset.admissible) == [((1, 2), 1), ((2, 1), 1)]
 
     def test_run_without_a_pool_never_imports_multiprocessing(self):
         import aperiodic_kit

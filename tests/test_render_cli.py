@@ -623,14 +623,17 @@ class TestCli:
         assert out.read_bytes() == expected.read_bytes()
 
     # the search outputs, pinned byte for byte: an admissible-pattern row
-    # searched without certificates, the least 7x7 tiling by U, and the 6x6
-    # substitution language, the certificate set of verify-all at 2,2
+    # searched without certificates, the least 7x7 tiling by U, the 6x6
+    # substitution language, the certificate set of verify-all at 2,2, and
+    # the desubstitution of U by its markers, which reads the dominoes its
+    # marker search left in the tile set
     @pytest.mark.parametrize(
         "argv, name",
         [
             (["lang", "--method", "tiles", "--shape", "3x3", "--radius", "3"], "lang_tiles_3x3_r3.json"),
             (["solve", "U", "--shape", "7x7"], "solve_u_7x7.json"),
             (["lang", "--method", "substitution", "--shape", "6x6"], "lang_substitution_6x6.json"),
+            (["desub", "U", "0,1,2,3,4,5,6,7", "--axis", "2", "--radius", "2"], "desub_u_axis2.json"),
         ],
     )
     def test_search_out_file_equals_the_expected_file(self, tmp_path, argv, name):

@@ -149,7 +149,9 @@ class TestCertificates:
         recolored = WangTileSet(tiles)
         certificates = language(phi, (shape[0] + 4, shape[1] + 4))
         searched = patterns_with_surrounding(recolored, shape, 2)
-        assert patterns_with_surrounding(recolored, shape, 2, certificates=certificates) == searched
+        # a fresh set: the first one holds the set it found
+        fresh = WangTileSet(tiles)
+        assert patterns_with_surrounding(fresh, shape, 2, certificates=certificates) == searched
         # some pattern of U's set is a valid candidate of the recolored set
         # without a surrounding, so an unchecked certificate would keep it
         lost = patterns_with_surrounding(tiles_u, shape, 2) - searched
@@ -160,11 +162,16 @@ class TestCertificates:
         monkeypatch.setattr(wang, "admits_surrounding", lambda tileset, u, r: False)
         word = min(language(phi, (6, 6)), key=lambda w: w.columns)
         window = Word2d([col[2:4] for col in word.columns[2:4]])
-        # the window alone survives radius 1, so it is the one candidate
-        alone = {((2, 2), 1): frozenset([window])}
-        assert patterns_with_surrounding(
-            tiles_u, (2, 2), 2, certificates=[word], table=dict(alone)
-        ) == {window}
+        # the window alone survives radius 1 in a fresh set holding it, so it
+        # is the one candidate
+
+        def holding_alone():
+            tileset = WangTileSet(tiles_u)
+            tileset.admissible[(2, 2), 1] = frozenset([window])
+            return tileset
+
+        found = patterns_with_surrounding(holding_alone(), (2, 2), 2, certificates=[word])
+        assert found == {window}
         # one corner letter changed, outside the window: to a tile that
         # breaks an edge, or to a letter outside the tile set
         columns = [list(col) for col in word.columns]
@@ -176,31 +183,32 @@ class TestCertificates:
                 broken.append(changed)
         assert len(broken) > 1
         for changed in broken:
-            assert patterns_with_surrounding(
-                tiles_u, (2, 2), 2, certificates=[changed], table=dict(alone)
-            ) == set()
+            found = patterns_with_surrounding(holding_alone(), (2, 2), 2, certificates=[changed])
+            assert found == set()
 
     def test_certificates_too_small_are_ignored(self, monkeypatch, phi, tiles_u):
+        # each query on a fresh set, which holds no set found before
         small = language(phi, (5, 6))
         assert len(patterns_with_surrounding(tiles_u, (2, 2), 2, certificates=small)) == 50
         monkeypatch.setattr(wang, "admits_surrounding", lambda tileset, u, r: False)
-        assert patterns_with_surrounding(tiles_u, (2, 2), 2, certificates=small) == set()
+        found = patterns_with_surrounding(WangTileSet(tiles_u), (2, 2), 2, certificates=small)
+        assert found == set()
         fitting = language(phi, (6, 6))
-        assert len(patterns_with_surrounding(tiles_u, (2, 2), 2, certificates=fitting)) == 50
+        found = patterns_with_surrounding(WangTileSet(tiles_u), (2, 2), 2, certificates=fitting)
+        assert len(found) == 50
 
     def test_survivors_of_radius_3_give_the_radius_4_set(self, phi, tiles_u):
         at_3 = patterns_with_surrounding(tiles_u, (1, 3), 3, certificates=language(phi, (7, 9)))
         certificates = language(phi, (9, 11))
-        at_4 = patterns_with_surrounding(tiles_u, (1, 3), 4, certificates=certificates)
+        # a fresh set holds no radius-3 set, so it searches every valid pattern
+        at_4 = patterns_with_surrounding(WangTileSet(tiles_u), (1, 3), 4, certificates=certificates)
         assert len(at_3) == 56 and len(at_4) == 55
-        assert patterns_with_surrounding(
-            tiles_u, (1, 3), 4, certificates=certificates, table={((1, 3), 3): frozenset(at_3)}
-        ) == at_4
+        assert patterns_with_surrounding(tiles_u, (1, 3), 4, certificates=certificates) == at_4
 
 
 class TestAdmissibleTable:
-    """A table of admissible sets by (shape, radius) spares searches and
-    never changes a set, whatever order fills it."""
+    """The admissible sets a tile set keeps by (shape, radius) spare
+    searches and never change a set, whatever order fills them."""
 
     SHAPES = [(s1, s2) for s1 in range(1, 4) for s2 in range(1, 4)]
     RADII = range(1, 5)
@@ -219,24 +227,25 @@ class TestAdmissibleTable:
         return [run_all_order, high_first, shuffled]
 
     def check(self, tileset, rng, certificates=lambda r: ()):
+        # each expected set from a fresh tile set, which holds nothing
         expected = {
-            (shape, r): patterns_with_surrounding(tileset, shape, r, certificates=certificates(r))
+            (shape, r): patterns_with_surrounding(
+                WangTileSet(tileset), shape, r, certificates=certificates(r)
+            )
             for shape in self.SHAPES
             for r in self.RADII
         }
         for order in self.orders(rng):
             assert sorted(order) == sorted(expected)
-            table = {}
+            filled = WangTileSet(tileset)
             for shape, r in order:
-                found = patterns_with_surrounding(
-                    tileset, shape, r, certificates=certificates(r), table=table
-                )
+                found = patterns_with_surrounding(filled, shape, r, certificates=certificates(r))
                 assert found == expected[shape, r], (order.index((shape, r)), shape, r)
         return expected
 
     def test_random_small_tile_sets(self):
         # sets with at most 40 valid 3x3 patterns, so that the searches
-        # without a table stay cheap; some of their sets shrink with r
+        # on a fresh set stay cheap; some of their sets shrink with r
         rng = random.Random(67)
         checked, shrinking = 0, 0
         while checked < 8:
@@ -258,12 +267,11 @@ class TestAdmissibleTable:
         assert [len(expected[(3, 3), r]) for r in self.RADII] == [101, 95, 94, 94]
 
     def test_held_sets_spare_searches(self, monkeypatch, tiles_u):
-        table = {}
-        found = patterns_with_surrounding(tiles_u, (2, 2), 2, table=table)
-        assert set(table) == {((2, 2), 2)}
+        found = patterns_with_surrounding(tiles_u, (2, 2), 2)
+        assert set(tiles_u.admissible) == {((2, 2), 2)}
         searched = []
         monkeypatch.setattr(wang, "admits_surrounding", lambda tileset, u, r: searched.append(u))
-        assert patterns_with_surrounding(tiles_u, (2, 2), 2, table=table) == found
+        assert patterns_with_surrounding(tiles_u, (2, 2), 2) == found
         assert searched == []
         # a (2, 3) candidate is searched only when both its (2, 2) windows are held
         held = {w.columns for w in found}
@@ -272,7 +280,7 @@ class TestAdmissibleTable:
             w for w in valid
             if {tuple(c[:2] for c in w.columns), tuple(c[1:] for c in w.columns)} <= held
         ]
-        patterns_with_surrounding(tiles_u, (2, 3), 2, table=table)
+        patterns_with_surrounding(tiles_u, (2, 3), 2)
         assert searched == kept
         assert 0 < len(kept) < len(valid)
 
