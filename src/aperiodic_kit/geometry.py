@@ -17,9 +17,10 @@ a line meets a strictly convex counterclockwise ring in at most two
 boundary points, so each side is again counterclockwise, without repeated
 or collinear vertices, and either empty or of positive area.  A piece is
 therefore only rotated to start at its least vertex; Polygon(...) keeps
-the full normalization for outside input.  Segments and polygons share
-one rule for their lattice translates, _axis_shifts: only translates
-whose projections meet the box on both axes are clipped.
+the full normalization for outside input.  Cells move by one torus
+rotation, as at most four rectangles each moved by one vector (rotated);
+segments, which may span several periods, clip the lattice translates
+that _axis_shifts finds.
 
 A halfplane <n, x> <= c comes from _halfplane, with its normal scaled by
 a positive factor so that the first nonzero coordinate is +-1; that keeps
@@ -506,14 +507,21 @@ def closure_hits(cells, points: Sequence[Point]) -> tuple[list, bool]:
     return hits, False
 
 
+def _leaving(cells: Iterable[Polygon], lattice) -> Optional[str]:
+    """Which cell's bounding box leaves [0, l1] x [0, l2], or None."""
+    for cell in cells:
+        x0, y0, x1, y1 = cell.bbox()
+        if x0 < 0 or y0 < 0 or x1 > lattice[0] or y1 > lattice[1]:
+            return f"cell {cell} leaves the fundamental rectangle"
+    return None
+
+
 def tiling_defect(cells: Sequence[Polygon], lattice) -> Optional[str]:
     """Why the cells fail to tile the rectangle [0, l1] x [0, l2] with
     disjoint interiors, or None when they tile it."""
+    if leaving := _leaving(cells, lattice):
+        return leaving
     l1, l2 = lattice
-    for cell in cells:
-        x0, y0, x1, y1 = cell.bbox()
-        if x0 < 0 or y0 < 0 or x1 > l1 or y1 > l2:
-            return f"cell {cell} leaves the fundamental rectangle"
     area = _area_sum(cells)
     if area != l1 * l2:
         return f"cells cover area {area}, not the covolume {l1 * l2}"
@@ -524,21 +532,24 @@ def tiling_defect(cells: Sequence[Polygon], lattice) -> Optional[str]:
     return None
 
 
-def lattice_pieces(poly: Polygon, lattice, box: Polygon, offset: Point = (ZERO, ZERO)):
-    """Pieces of poly + offset + k*lattice inside box, over all k in Z^2.
+def rotation_rectangles(lattice, v: Point) -> list[tuple[Polygon, Point]]:
+    """The rotation x -> x + v, v in [0, l1] x [0, l2], as <= 4 rectangles
+    tiling the fundamental rectangle, each with its vector: v, less the
+    lattice side on each axis where x + v passes that side."""
+    (l1, l2), (v1, v2) = lattice, v
+    xs = ((ZERO, l1 - v1, v1), (l1 - v1, l1, v1 - l1))
+    ys = ((ZERO, l2 - v2, v2), (l2 - v2, l2, v2 - l2))
+    return [
+        (rectangle(x0, y0, x1, y1), (dx, dy))
+        for x0, x1, dx in xs if x0 < x1 for y0, y1, dy in ys if y0 < y1
+    ]
 
-    Lattice shifts are pruned on bounding boxes before any translate is
-    built, so only shifts whose open boxes meet the box are clipped.
-    """
-    x0, y0, x1, y1 = poly.bbox()
-    bx0, by0, bx1, by1 = box.bbox()
-    pieces = []
-    for dx in _axis_shifts(x0 + offset[0], x1 + offset[0], lattice[0], bx0, bx1):
-        for dy in _axis_shifts(y0 + offset[1], y1 + offset[1], lattice[1], by0, by1):
-            piece = convex_intersection(poly.translate((offset[0] + dx, offset[1] + dy)), box)
-            if piece is not None:
-                pieces.append(piece)
-    return pieces
+
+def rotated(cells, lattice, v: Point) -> list:
+    """The (cell, data) pairs, cells in the fundamental rectangle, moved by
+    the rotation by v: split against its rectangles, each part translated."""
+    pieces = [(rect, u if u[0] or u[1] else None) for rect, u in rotation_rectangles(lattice, v)]
+    return [(p if u is None else p.translate(u), data) for p, data, u in split_cells(cells, pieces)]
 
 
 def _axis_shifts(lo, hi, period, box_lo, box_hi) -> list[PhiNumber]:
@@ -870,21 +881,27 @@ def is_equal_up_to_relabeling(p: TorusPartition, q: TorusPartition):
 
 
 def rescale(partition: TorusPartition, factor, translation=(0, 0)) -> TorusPartition:
-    """Map atoms by x -> factor*x + t and reduce into the scaled lattice."""
+    """Map atoms by x -> factor*x + t and reduce into the scaled lattice l':
+    each cell is scaled, lifted by l' for a negative factor and moved by the
+    rotation by t mod l'; a cell outside the fundamental rectangle is refused."""
     factor = _num(factor)
     if factor.sign() == 0:
         raise ZeroFactor("rescale factor must be nonzero")
-    t = (_num(translation[0]), _num(translation[1]))
+    if leaving := _leaving((cell for _, cell in partition.cells()), partition.lattice):
+        raise ValueError(leaving)
     scale_abs = factor if factor.sign() > 0 else -factor
     new_lattice = (partition.lattice[0] * scale_abs, partition.lattice[1] * scale_abs)
-    box = rectangle(0, 0, new_lattice[0], new_lattice[1])
-    atoms = {}
-    for label, cells in partition.atoms.items():
-        pieces = []
-        for cell in cells:
-            # x -> factor*x + t has determinant factor^2 > 0: keeps a ring canonical
-            ring = [(v[0] * factor + t[0], v[1] * factor + t[1]) for v in cell.vertices]
-            planes = [_shifted(_scaled(plane, factor), t) for plane in _halfplanes(cell)]
-            pieces.extend(lattice_pieces(_piece(cell, (ring, planes)), new_lattice, box))
-        atoms[label] = tuple(sorted(pieces, key=lambda c: c.vertices))
-    return TorusPartition(new_lattice, atoms)
+    lift = (ZERO, ZERO) if factor.sign() > 0 else new_lattice
+    t = (_num(translation[0]) % new_lattice[0], _num(translation[1]) % new_lattice[1])
+    scaled = []
+    for label, cell in partition.cells():
+        # x -> factor*x + lift has determinant factor^2 > 0: keeps a ring canonical
+        ring = [(v[0] * factor + lift[0], v[1] * factor + lift[1]) for v in cell.vertices]
+        planes = [_shifted(_scaled(plane, factor), lift) for plane in _halfplanes(cell)]
+        scaled.append((_piece(cell, (ring, planes)), label))
+    atoms = {label: [] for label in partition.atoms}
+    for piece, label in rotated(scaled, new_lattice, t):
+        atoms[label].append(piece)
+    return TorusPartition(
+        new_lattice, {a: tuple(sorted(p, key=lambda c: c.vertices)) for a, p in atoms.items()}
+    )

@@ -21,11 +21,13 @@ from .geometry import (
     Point,
     Polygon,
     TorusPartition,
+    _leaving,
     _num,
     closure_hits,
     convex_split,
-    lattice_pieces,
     rectangle,
+    rotated,
+    rotation_rectangles,
     split_cells,
     tiling_defect,
 )
@@ -85,12 +87,6 @@ class PolygonExchange:
     def __call__(self, x: Point) -> Point:
         return self.apply(x)
 
-    def inverse(self) -> "PolygonExchange":
-        return PolygonExchange(
-            self.lattice,
-            [(poly.translate(v), (-v[0], -v[1])) for poly, v in self.pieces],
-        )
-
     def is_bijective(self) -> bool:
         """Pieces partition the domain and so do their images (exact areas)."""
         return not any(
@@ -111,18 +107,11 @@ class PolygonExchange:
 
     @classmethod
     def toral_translation(cls, lattice, vector) -> "PolygonExchange":
-        """Rotation x -> x + v on the torus as an exchange of <= 4 rectangles."""
+        """Rotation x -> x + v on the torus as an exchange of <= 4 rectangles,
+        those of ``geometry.rotation_rectangles`` for v reduced mod the lattice."""
         l1, l2 = _num(lattice[0]), _num(lattice[1])
         v = (_num(vector[0]) % l1, _num(vector[1]) % l2)
-        zero = PhiNumber(0)
-        xs = [(zero, l1 - v[0], v[0]), (l1 - v[0], l1, v[0] - l1)]
-        ys = [(zero, l2 - v[1], v[1]), (l2 - v[1], l2, v[1] - l2)]
-        pieces = []
-        for x_lo, x_hi, dx in xs:
-            for y_lo, y_hi, dy in ys:
-                if x_lo < x_hi and y_lo < y_hi:
-                    pieces.append((rectangle(x_lo, y_lo, x_hi, y_hi), (dx, dy)))
-        return cls((l1, l2), pieces)
+        return cls((l1, l2), rotation_rectangles((l1, l2), v))
 
 
 def induced_transformation(transform: PolygonExchange, window: Window):
@@ -266,28 +255,21 @@ def _refine_by_codes(partition, action, support, base):
     ``base`` lists (cell, codes) entries whose codes map lattice steps to
     the labels already known along the cell; ``support`` lists the further
     steps n.  Each output entry is a convex cell together with its codes,
-    extended by n -> label for every n in support.  A point x lies in a
-    piece of (atom cell - shift) reduced mod the lattice exactly when
-    x + shift reduces into that atom cell, so splitting against those
-    pieces reads off the n-th code.
+    extended by n -> label for every n in support.  x + n*alpha reduces
+    into an atom cell exactly when x lies in the cell moved by the rotation
+    by -n*alpha, taken as l - n*alpha (``geometry.rotated``), so splitting
+    against the moved cells reads off the n-th code.  A cell outside the
+    fundamental rectangle, which the rotation's rectangles cover, is refused.
     """
-    domain = rectangle(
-        0, 0, max(c.bbox()[2] for c, _ in base), max(c.bbox()[3] for c, _ in base)
-    )
+    cells = [(cell, label) for label, cell in partition.cells()]
+    if leaving := _leaving((cell for cell, _ in cells), partition.lattice):
+        raise ValueError(leaving)
+    l1, l2 = partition.lattice
     current = base
     for n in support:
-        shift = action.step_vector(n)
-        overlay = [
-            (piece, label)
-            for label, cell in partition.cells()
-            for piece in lattice_pieces(
-                cell, partition.lattice, domain, (-shift[0], -shift[1])
-            )
-        ]
-        current = [
-            (part, {**codes, n: label})
-            for part, codes, label in split_cells(current, overlay)
-        ]
+        x, y = action.step_vector(n)
+        copy = rotated(cells, (l1, l2), (l1 - x, l2 - y))
+        current = [(part, {**codes, n: label}) for part, codes, label in split_cells(current, copy)]
     return current
 
 

@@ -25,11 +25,14 @@ is matched in turn, extending the maps or backtracking.
 
 A point is located against a polygon by cross products with its edges,
 and the lattice shifts of an interval are found by the former rule of
-_axis_shifts: a division by the period and a floor.
+_axis_shifts: a division by the period and a floor.  The former rule of
+the refinement and of rescale moves a cell by every lattice translate
+whose bounding box meets the box and clips each translate to it.
 
 The last section holds helpers that only tests call: words from rows,
 the empty word and concatenation, the identity morphism, first return
-times and return words, and the area and covolume of a partition.
+times and return words, the area and covolume of a partition, and the
+inverse of a polygon exchange.
 """
 
 from __future__ import annotations
@@ -50,11 +53,12 @@ from aperiodic_kit.geometry import (
     _piece,
     _split,
     _values,
+    convex_intersection,
     pt,
     rectangle,
 )
 from aperiodic_kit.morphisms import Morphism2d, NotStabilized, UndefinedImage, _cycle_vertices
-from aperiodic_kit.pet import TorusAction, Window, config_patch
+from aperiodic_kit.pet import PolygonExchange, TorusAction, Window, config_patch
 from aperiodic_kit.phifield import ONE, ZERO, PhiNumber
 from aperiodic_kit.wang import (
     BOTTOM,
@@ -345,6 +349,45 @@ def axis_shifts_by_floor(lo, hi, period, box_lo, box_hi) -> list:
         shifts.append(shift)
         shift = shift + period
     return shifts
+
+
+def lattice_pieces(poly, lattice, box, offset=(ZERO, ZERO)) -> list:
+    """Pieces of poly + offset + k*lattice inside box, over all k in Z^2:
+    each translate whose bounding box meets the box's on both axes,
+    clipped to the box."""
+    x0, y0, x1, y1 = poly.bbox()
+    bx0, by0, bx1, by1 = box.bbox()
+    pieces = []
+    for dx in axis_shifts_by_floor(x0 + offset[0], x1 + offset[0], lattice[0], bx0, bx1):
+        for dy in axis_shifts_by_floor(y0 + offset[1], y1 + offset[1], lattice[1], by0, by1):
+            piece = convex_intersection(poly.translate((offset[0] + dx, offset[1] + dy)), box)
+            if piece is not None:
+                pieces.append(piece)
+    return pieces
+
+
+def rescale_by_translates(partition, factor, translation) -> TorusPartition:
+    """geometry.rescale by the former rule: each cell mapped by
+    x -> factor*x + t, normalized afresh, and its lattice_pieces in the
+    scaled rectangle."""
+    factor = _num(factor)
+    t = pt(*translation)
+    scale = factor if factor.sign() > 0 else -factor
+    lattice = (partition.lattice[0] * scale, partition.lattice[1] * scale)
+    box = rectangle(0, 0, *lattice)
+    atoms = {}
+    for label, cells in partition.atoms.items():
+        pieces = [
+            piece
+            for cell in cells
+            for piece in lattice_pieces(
+                Polygon([(v[0] * factor + t[0], v[1] * factor + t[1]) for v in cell.vertices]),
+                lattice,
+                box,
+            )
+        ]
+        atoms[label] = tuple(sorted(pieces, key=lambda c: c.vertices))
+    return TorusPartition(lattice, atoms)
 
 
 def _labeled_cells(partition):
@@ -1042,3 +1085,11 @@ def total_area(partition: TorusPartition) -> PhiNumber:
 def covolume(partition: TorusPartition) -> PhiNumber:
     """The area of the fundamental rectangle of the partition's lattice."""
     return partition.lattice[0] * partition.lattice[1]
+
+
+def exchange_inverse(exchange: PolygonExchange) -> PolygonExchange:
+    """The exchange moving each image piece back by its vector."""
+    return PolygonExchange(
+        exchange.lattice,
+        [(poly.translate(v), (-v[0], -v[1])) for poly, v in exchange.pieces],
+    )

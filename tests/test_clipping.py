@@ -8,9 +8,13 @@ whose axis-parallel edges touch or lie on the first one's bounding box.
 The cached, normalized edge halfplanes of a polygon are checked against
 its edges, and the halfplanes that cut pieces, translates and rescaled
 cells carry against the ones recomputed from their vertices.  A cut point
-read off an axis line is checked against the division formula.
+read off an axis line is checked against the division formula.  A
+partition pushed through the rectangles of a torus rotation, and a
+rescaled one, are checked against the former rule: every lattice
+translate of a cell clipped to the fundamental rectangle.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -23,6 +27,8 @@ from _oracles import (
     difference_each_cut,
     halfplane,
     intersection_each_cut,
+    lattice_pieces,
+    rescale_by_translates,
     segment_halfplane,
 )
 from aperiodic_kit.geometry import (
@@ -40,7 +46,9 @@ from aperiodic_kit.geometry import (
     convex_split,
     rectangle,
     rescale,
+    rotated,
 )
+from aperiodic_kit.pet import TorusAction
 from aperiodic_kit.phifield import ONE, PHI, ZERO, PhiNumber
 
 KERNEL = settings(max_examples=100, deadline=None)
@@ -49,6 +57,7 @@ coefficients = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3]
 scalars = st.builds(PhiNumber, coefficients, coefficients)
 points = st.tuples(scalars, scalars)
 axis_normals = st.sampled_from([(ONE, ZERO), (-ONE, ZERO), (ZERO, ONE), (ZERO, -ONE)])
+FACTORS = st.sampled_from([ONE, -ONE, PHI, -PHI, PhiNumber(Fraction(1, 2))])
 
 
 def _hull(pts):
@@ -292,16 +301,78 @@ def test_cut_and_moved_pieces_carry_their_edge_halfplanes(pair, v):
     _check_carried_piece(b.translate(v))
 
 
-@KERNEL
-@given(polygons(), st.sampled_from([ONE, -ONE, PHI, -PHI, PhiNumber(Fraction(1, 2))]), points)
-def test_rescaled_cells_carry_their_edge_halfplanes(poly, factor, t):
-    # a one-atom partition whose cell is moved into the unit square
+def _one_atom(poly):
+    # a one-atom partition whose cell is moved into its fundamental rectangle
     x0, y0, x1, y1 = poly.bbox()
     side = max(x1 - x0, y1 - y0) + ONE
-    cell = poly.translate((-x0, -y0))
-    partition = TorusPartition((side, side), {0: (cell,)})
-    for piece in rescale(partition, factor, t).atoms[0]:
+    return TorusPartition((side, side), {0: (poly.translate((-x0, -y0)),)})
+
+
+@KERNEL
+@given(polygons(), FACTORS, points)
+def test_rescaled_cells_carry_their_edge_halfplanes(poly, factor, t):
+    for piece in rescale(_one_atom(poly), factor, t).atoms[0]:
         _check_carried_piece(piece)
+
+
+unit_fractions = st.builds(Fraction, st.integers(0, 11), st.just(12)) | st.builds(
+    Fraction, st.integers(0, 6), st.just(7)
+)
+steps = st.tuples(st.integers(-30, 30), st.integers(-30, 30))
+
+
+def _check_rotation(partition, shift):
+    # the rotation by the shift and by minus the shift, taken as l - shift,
+    # against every clipped lattice translate of each cell, as multisets of
+    # (label, vertices)
+    l1, l2 = partition.lattice
+    box = rectangle(0, 0, l1, l2)
+    cells = [(cell, label) for label, cell in partition.cells()]
+    for v, offset in ((shift, shift), ((l1 - shift[0], l2 - shift[1]), (-shift[0], -shift[1]))):
+        pushed = Counter((label, piece.vertices) for piece, label in rotated(cells, (l1, l2), v))
+        expected = Counter(
+            (label, piece.vertices)
+            for cell, label in cells
+            for piece in lattice_pieces(cell, (l1, l2), box, offset)
+        )
+        assert pushed == expected
+
+
+@settings(max_examples=25, deadline=None)
+@given(steps, unit_fractions, unit_fractions)
+def test_partition_pushed_through_the_rotation_matches_clipped_translates(
+    partition_u, action_u, n, r1, r2
+):
+    _check_rotation(partition_u, action_u.step_vector(n))
+    _check_rotation(partition_u, (PhiNumber(r1), PhiNumber(r2)))
+
+
+@KERNEL
+@given(polygons(), steps, unit_fractions, unit_fractions)
+def test_cell_pushed_through_the_rotation_matches_clipped_translates(poly, n, r1, r2):
+    partition = _one_atom(poly)
+    side = partition.lattice[0]
+    action = TorusAction((side, side), (PHI**-2, 0), (0, PHI**-2))
+    _check_rotation(partition, action.step_vector(n))
+    # a side is at least 1, so the rational shift lies in [0, side)
+    _check_rotation(partition, (PhiNumber(r1), PhiNumber(r2)))
+
+
+@KERNEL
+@given(polygons(), FACTORS, points)
+def test_rescaled_cell_matches_clipped_translates(poly, factor, t):
+    partition = _one_atom(poly)
+    scaled = rescale(partition, factor, t)
+    expected = rescale_by_translates(partition, factor, t)
+    assert (scaled.lattice, scaled.atoms) == (expected.lattice, expected.atoms)
+
+
+@settings(max_examples=10, deadline=None)
+@given(FACTORS, points)
+def test_rescaled_partition_matches_clipped_translates(partition_u, factor, t):
+    scaled = rescale(partition_u, factor, t)
+    expected = rescale_by_translates(partition_u, factor, t)
+    assert (scaled.lattice, scaled.atoms) == (expected.lattice, expected.atoms)
 
 
 @KERNEL

@@ -1,10 +1,20 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
-from _oracles import covolume, first_return_time, return_word, total_area
+from _oracles import covolume, exchange_inverse, first_return_time, return_word, total_area
 
-from aperiodic_kit.geometry import BoundaryHit, Polygon, is_equal_up_to_relabeling, pt
+from aperiodic_kit import geometry
+from aperiodic_kit.catalog import rotation_action
+from aperiodic_kit.geometry import (
+    BoundaryHit,
+    Polygon,
+    TorusPartition,
+    is_equal_up_to_relabeling,
+    pt,
+    rescale,
+)
 from aperiodic_kit.morphisms import language
 from aperiodic_kit.pet import (
     PolygonExchange,
@@ -16,6 +26,7 @@ from aperiodic_kit.pet import (
     induce_action,
     induced_partition,
     induced_transformation,
+    shape_steps,
 )
 from aperiodic_kit.phifield import PHI, PhiNumber
 from aperiodic_kit.words import Word2d, occurs_at, project, subwords
@@ -68,7 +79,7 @@ class TestToralTranslation:
 
     def test_inverse_roundtrip(self, action_u):
         g = action_u.generator(2)
-        ginv = g.inverse()
+        ginv = exchange_inverse(g)
         rng = random.Random(3)
         for _ in range(25):
             x = random_point(rng)
@@ -343,6 +354,44 @@ class TestCodedDominoes:
     def test_reference_dominoes(self, partition_u, action_u, h_dominoes, v_dominoes):
         cells = coded_cells(partition_u, action_u, DOMINO_STEPS)
         assert coded_dominoes(cells) == (h_dominoes, v_dominoes)
+
+
+class TestRotatedCopies:
+    def test_refinement_and_rescale_search_no_lattice_shifts(self, monkeypatch, partition_u):
+        # a copy of the partition is moved by the rotation's rectangles, so
+        # only the segment arrangement searches lattice shifts
+        def refuse(*args):
+            raise AssertionError("lattice shift search outside the arrangement")
+
+        monkeypatch.setattr(geometry, "_axis_shifts", refuse)
+        action = rotation_action()  # a fresh action, with no first return kept
+        coded_cells(partition_u, action, shape_steps((3, 3)))
+        first = Window(2, INV)
+        middle, _ = induced_partition(partition_u, action, first)
+        middle_action = induce_action(action, first)
+        final, _ = induced_partition(middle, middle_action, Window(1, INV))
+        scaled = rescale(final, -PHI, (1, 1))
+        assert is_equal_up_to_relabeling(partition_u, scaled) is not None
+
+    def test_cell_outside_the_fundamental_rectangle_is_refused(self, partition_u, action_u):
+        # the rotation's rectangles cover the fundamental rectangle only, so a
+        # cell moved by a period would vanish; from_json refuses such input,
+        # and the refinement and rescale refuse a partition built in code
+        label, cell = next(partition_u.cells())
+        moved = cell.translate((PhiNumber(1), PhiNumber(0)))
+        atoms = dict(partition_u.atoms)
+        atoms[label] = (moved, *atoms[label][1:])
+        shifted = TorusPartition(partition_u.lattice, atoms)
+        message = re.escape(f"cell {moved} leaves the fundamental rectangle")
+        with pytest.raises(ValueError, match=message):
+            TorusPartition.from_json(shifted.to_json())
+        with pytest.raises(ValueError, match=message):
+            coded_cells(shifted, action_u, DOMINO_STEPS)
+        with pytest.raises(ValueError, match=message):
+            induced_partition(shifted, action_u, Window(2, INV))
+        with pytest.raises(ValueError, match=message) as refused:
+            rescale(shifted, -PHI, (1, 1))
+        assert "\n" not in str(refused.value)
 
 
 class TestDesubstitutionIdentity:
