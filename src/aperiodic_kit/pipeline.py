@@ -244,16 +244,26 @@ def run_wang_pipeline(
     domino searches of the first marker search, the one on ``tiles``, and
     never change the report; the derived tile sets have other letters.
     Each tile set keeps the admissible dominoes its marker search finds,
-    and each desubstitution reads them there.
+    and each desubstitution reads them there.  The second marker search may
+    find several subsets; the loop closes with the first, in order, whose
+    desubstitution is equivalent to ``tiles``, since which one closes
+    depends on the order of the letters.
     """
     started = time.perf_counter()
     first_report = _markers_with_escalation(tiles, direction_first, certificates)
     first = find_substitution(first_report, first_report.marker_subsets[0])
     second_report = _markers_with_escalation(first.tileset, 3 - direction_first)
-    second = find_substitution(second_report, second_report.marker_subsets[0])
-    certificate = is_equivalent(tiles, second.tileset)
-    if certificate is None:
-        raise StageFailure("is_equivalent", "final tile set is not equivalent to the start")
+    for markers in second_report.marker_subsets:
+        second = find_substitution(second_report, markers)
+        certificate = is_equivalent(tiles, second.tileset)
+        if certificate is not None:
+            break
+    else:
+        raise StageFailure(
+            "is_equivalent",
+            "final tile set is not equivalent to the start for any of the marker subsets "
+            f"{second_report.marker_subsets}",
+        )
     vert, horiz, bijection = certificate
     closing = Morphism2d.from_permutation(bijection)
     composite = compose(first.morphism, compose(second.morphism, closing))

@@ -6,14 +6,17 @@ colors.  One complete backtracking search serves every query: it reads a
 normalization of the instance (cells, reduced fixed tiles and a neighbor
 table) and scans cells bottom-up row-major, so ``solve`` returns the
 lexicographically least solution in tile-index order along that scan.
-One fit rule gives a cell its tiles: a lookup, in an index the tile set
-builds once, of the colors its assigned neighbors show it, filtered only
-where a 1-wide or 1-high torus makes the cell its own neighbor.  The fixed
-tiles seed the assignment and are checked once by the same rule.  An
-existence query (a surrounding, a periodic tiling) branches over the
-first of each group of tiles with the same four colors, since copies fit
-in the same places.  Domino sets are the 2-cell case of the surrounding
-search.
+The fixed cells come first in the cell order, which fixes the neighbors
+of the cell at each depth that are assigned, so the search walks integer
+depths on a plan made once per search: each side of each depth reads its
+color from the tile picked at an earlier depth, or from none.  One fit
+rule gives a cell its tiles: a lookup, in an index the tile set builds
+once, of the colors its assigned neighbors show it, filtered only where a
+1-wide or 1-high torus makes the cell its own neighbor; a fixed cell keeps
+its tile if the rule gives it.  An existence query (a surrounding, a periodic
+tiling) branches over the first of each group of tiles with the same four
+colors, since copies fit in the same places, and scans outward from the
+fixed tiles.  Domino sets are the 2-cell case of the surrounding search.
 
 The admissible patterns of a shape (those with an r-surrounding) are found
 as in the admissible-pattern-set method: every valid pattern is a
@@ -197,60 +200,82 @@ def _normalize(instance: TilingInstance):
     return shape, cells, fixed, neighbors
 
 
-def _near_fixed_order(cells, fixed):
-    """Cells sorted by distance from the fixed block, for fast refutations."""
-    def distance(cell):
-        x, y = cell
-        return min(max(abs(x - fx), abs(y - fy)) for fx, fy in fixed)
+def _near_fixed_order(shape, fixed):
+    """Yield the cells of the rectangle by (Chebyshev distance to the fixed
+    cells, y, x), for fast refutations.
 
-    return sorted(cells, key=lambda c: (distance(c), c[1], c[0]))
+    The cells at distance d + 1 are the unreached ones around those at
+    distance d (the rectangle is convex), so the order grows ring by ring
+    and a search that stops early computes only the rings it reaches.
+    """
+    n1, n2 = shape
+    ring = set(fixed)
+    seen = set(ring)
+    while ring:
+        yield from sorted(ring, key=lambda c: (c[1], c[0]))
+        ring = {
+            (a, b)
+            for x, y in ring
+            for a in (x - 1, x, x + 1) if 0 <= a < n1
+            for b in (y - 1, y, y + 1) if 0 <= b < n2
+        } - seen
+        seen |= ring
 
 
-def _backtrack(tileset, order, fixed, neighbors, fits=None):
-    """Yield every valid assignment (one live dict) along the cell order;
-    the fixed tiles seed it and are checked once by the same fit rule.
-    ``fits`` is the fit index to branch on, the tile set's by default."""
-    tiles, fits = tileset.tiles, tileset.fits if fits is None else fits
-    assignment = dict(fixed)
-    # 1-wide or 1-high torus: the sides on which a cell is its own neighbor
-    loops = {c: [s for s in (RIGHT, TOP) if nbs[s] == c] for c, nbs in neighbors.items() if c in nbs}
+def _backtrack(tileset, order, fixed, neighbors, fits):
+    """Yield every valid assignment, as one live list of the tiles of the
+    cells of ``order``, in that order: every cell, the fixed ones first.
 
-    def candidates(cell):
-        # on each side, the color an assigned neighbor shows on the opposite
-        # side (side ^ 2), or None
-        right, top, left, bottom = neighbors[cell]
-        base = fits.get((
-            tiles[assignment[right]][LEFT] if right in assignment else None,
-            tiles[assignment[top]][BOTTOM] if top in assignment else None,
-            tiles[assignment[left]][RIGHT] if left in assignment else None,
-            tiles[assignment[bottom]][TOP] if bottom in assignment else None,
-        ), ())
-        if cell in loops:
-            base = [t for t in base if all(tiles[t][s] == tiles[t][s ^ 2] for s in loops[cell])]
-        return base
-
-    if any(t not in candidates(cell) for cell, t in fixed.items()):
+    The search walks integer depths on a plan fixed by the order: the cells
+    assigned at depth d are the first d of the order, so each side of the
+    cell at depth d reads its color from one slot of a list of tiles: the
+    tile picked at an earlier depth, or a blank tile, the last one, for a
+    side off the grid or not yet assigned.  The plan of a depth is made
+    when the search first reaches it.  One fit rule gives a cell its tiles:
+    a lookup in ``fits`` (a fit index of the tile set) of the colors its
+    slots show it, filtered only where a 1-wide or 1-high torus makes the
+    cell its own neighbor; a fixed cell keeps its tile if the rule gives
+    it, and no tile otherwise.
+    """
+    tiles = tileset.tiles
+    cells, size = iter(order), len(neighbors)
+    slot, plans = {}, []
+    shown, stack, picked = [None] * size + [(None,) * 4], [None] * size, [0] * size
+    if not size:
+        yield picked
         return
-    order = [cell for cell in order if cell not in fixed]
-    if not order:
-        yield assignment
-        return
-    last = len(order) - 1
-    stack = [iter(candidates(order[0]))]
-    while stack:
-        depth = len(stack) - 1
-        cell = order[depth]
-        t = next(stack[-1], None)
-        if t is None:
-            # exhausted this cell: backtrack
-            stack.pop()
-            assignment.pop(cell, None)
-        elif depth == last:
-            assignment[cell] = t
-            yield assignment
-        else:
-            assignment[cell] = t
-            stack.append(iter(candidates(order[depth + 1])))
+    depth = -1
+    while True:
+        # descend to the next depth, planning it on first reach
+        depth += 1
+        if depth == len(plans):
+            cell = next(cells)
+            nbs = neighbors[cell]
+            loops = [s for s in (RIGHT, TOP) if nbs[s] == cell]
+            plans.append((*(slot.get(nb, -1) for nb in nbs), loops, fixed.get(cell)))
+            slot[cell] = depth
+        right, top, left, bottom, loops, pin = plans[depth]
+        # on each side, the color the neighbor shows on the opposite side
+        found = fits.get(
+            (shown[right][LEFT], shown[top][BOTTOM], shown[left][RIGHT], shown[bottom][TOP]), ()
+        )
+        if loops:
+            found = [t for t in found if all(tiles[t][s] == tiles[t][s ^ 2] for s in loops)]
+        if pin is not None:
+            found = [pin] if pin in found else ()
+        stack[depth] = iter(found)
+        while True:
+            t = next(stack[depth], None)
+            if t is None:
+                depth -= 1
+                if depth < 0:
+                    return
+                continue
+            picked[depth] = t
+            shown[depth] = tiles[t]
+            if depth < size - 1:
+                break
+            yield picked
 
 
 def _solutions(instance: TilingInstance):
@@ -259,7 +284,10 @@ def _solutions(instance: TilingInstance):
     if normal is None:
         return
     shape, cells, fixed, neighbors = normal
-    for grid in _backtrack(instance.tileset, cells, fixed, neighbors):
+    tileset = instance.tileset
+    order = [*fixed, *(cell for cell in cells if cell not in fixed)]
+    for picked in _backtrack(tileset, order, fixed, neighbors, tileset.fits):
+        grid = dict(zip(order, picked))
         yield Word2d([[grid[(x, y)] for y in range(shape[1])] for x in range(shape[0])])
 
 
@@ -299,17 +327,19 @@ def _exists(instance: TilingInstance) -> bool:
 
     An existence query: copies of a tile fit in the same places, so the
     search branches over the first tile of each color tuple only, with the
-    fixed tiles replaced by theirs, and any complete cell order will do;
-    scanning outward from the fixed tiles refutes bad blocks sooner.
+    fixed tiles replaced by theirs, and any complete cell order that puts
+    the fixed cells first will do; scanning outward from the fixed tiles
+    (the cells at distance 0) refutes bad blocks sooner.
     """
     normal = _normalize(instance)
     if normal is None:
         return False
-    _, cells, fixed, neighbors = normal
+    shape, cells, fixed, neighbors = normal
     tileset = instance.tileset
     fixed = {cell: tileset.representative[t] for cell, t in fixed.items()}
-    order = _near_fixed_order(cells, fixed) if fixed else cells
-    search = _backtrack(tileset, order, fixed, neighbors, tileset.distinct_fits)
+    if fixed:
+        cells = _near_fixed_order(shape, fixed)
+    search = _backtrack(tileset, cells, fixed, neighbors, tileset.distinct_fits)
     return next(search, None) is not None
 
 

@@ -6,8 +6,12 @@ finite window under a rule table: all anchors, all block scaffolds
 all letters per block consistent with the window on overlap.
 
 The tiling oracles are an edge-checked enumeration of rectangle tilings,
-an exhaustive enumeration of torus tilings, and a second complete solver:
-the exact-cover reduction solved by Algorithm X (Knuth, "Dancing Links").
+an exhaustive enumeration of torus tilings, a second complete solver
+(the exact-cover reduction solved by Algorithm X, Knuth, "Dancing Links"),
+and the reference search: the backtracking search that looks up at every
+node which neighbors of the next cell are assigned, with its outward cell
+order computed by a min over every fixed cell.  The library's search walks
+the same tree on a plan fixed by its cell order.
 
 The substitution oracles are the language of factors of iterated letter
 images and the seed graph over all k^4 2x2 words of a k-letter rule.
@@ -66,8 +70,6 @@ from aperiodic_kit.wang import (
     RIGHT,
     TOP,
     TilingInstance,
-    _backtrack,
-    _near_fixed_order,
     _normalize,
 )
 from aperiodic_kit.words import ShapeMismatch, Word2d, subwords
@@ -568,13 +570,98 @@ def brute_force_rectangle_tilings(tileset, shape, fixed) -> list:
     return found
 
 
+def reference_near_fixed_order(cells, fixed):
+    """Cells sorted by (Chebyshev distance to the nearest fixed cell, y, x),
+    the distance a min over every fixed cell."""
+    def distance(cell):
+        x, y = cell
+        return min(max(abs(x - fx), abs(y - fy)) for fx, fy in fixed)
+
+    return sorted(cells, key=lambda c: (distance(c), c[1], c[0]))
+
+
+def reference_backtrack(tileset, order, fixed, neighbors, fits=None):
+    """Yield every valid assignment (one live dict) along the cell order.
+
+    The reference search: at every node it looks up which neighbors of the
+    next cell the assignment holds.  The fixed tiles seed the assignment
+    and are checked once by the same fit rule; ``fits`` is the fit index
+    to branch on, the tile set's by default.
+    """
+    tiles, fits = tileset.tiles, tileset.fits if fits is None else fits
+    assignment = dict(fixed)
+    # 1-wide or 1-high torus: the sides on which a cell is its own neighbor
+    loops = {c: [s for s in (RIGHT, TOP) if nbs[s] == c] for c, nbs in neighbors.items() if c in nbs}
+
+    def candidates(cell):
+        right, top, left, bottom = neighbors[cell]
+        base = fits.get((
+            tiles[assignment[right]][LEFT] if right in assignment else None,
+            tiles[assignment[top]][BOTTOM] if top in assignment else None,
+            tiles[assignment[left]][RIGHT] if left in assignment else None,
+            tiles[assignment[bottom]][TOP] if bottom in assignment else None,
+        ), ())
+        if cell in loops:
+            base = [t for t in base if all(tiles[t][s] == tiles[t][s ^ 2] for s in loops[cell])]
+        return base
+
+    if any(t not in candidates(cell) for cell, t in fixed.items()):
+        return
+    order = [cell for cell in order if cell not in fixed]
+    if not order:
+        yield assignment
+        return
+    last = len(order) - 1
+    stack = [iter(candidates(order[0]))]
+    while stack:
+        depth = len(stack) - 1
+        cell = order[depth]
+        t = next(stack[-1], None)
+        if t is None:
+            stack.pop()
+            assignment.pop(cell, None)
+        elif depth == last:
+            assignment[cell] = t
+            yield assignment
+        else:
+            assignment[cell] = t
+            stack.append(iter(candidates(order[depth + 1])))
+
+
+def reference_solutions(instance) -> list:
+    """Every solution of an instance by the reference search, as words,
+    in the order it finds them."""
+    normal = _normalize(instance)
+    if normal is None:
+        return []
+    shape, cells, fixed, neighbors = normal
+    return [
+        Word2d([[grid[(x, y)] for y in range(shape[1])] for x in range(shape[0])])
+        for grid in reference_backtrack(instance.tileset, cells, fixed, neighbors)
+    ]
+
+
+def reference_exists(instance) -> bool:
+    """Whether an instance has a solution, by the reference search over the
+    first copy of each tile, scanning outward from the fixed cells."""
+    normal = _normalize(instance)
+    if normal is None:
+        return False
+    _, cells, fixed, neighbors = normal
+    tileset = instance.tileset
+    fixed = {cell: tileset.representative[t] for cell, t in fixed.items()}
+    order = reference_near_fixed_order(cells, fixed) if fixed else cells
+    search = reference_backtrack(tileset, order, fixed, neighbors, tileset.distinct_fits)
+    return next(search, None) is not None
+
+
 def admits_surrounding_every_copy(tileset, u: Word2d, r: int) -> bool:
-    """Whether u has an r-surrounding, by the search that branches on every
-    tile, copies of a tile included, scanning outward from u."""
+    """Whether u has an r-surrounding, by the reference search that branches
+    on every tile, copies of a tile included, scanning outward from u."""
     n1, n2 = u.shape
     fixed = {(x + r, y + r): u[x, y] for x in range(n1) for y in range(n2)}
     _, cells, fixed, neighbors = _normalize(TilingInstance(tileset, (n1 + 2 * r, n2 + 2 * r), fixed))
-    search = _backtrack(tileset, _near_fixed_order(cells, fixed), fixed, neighbors)
+    search = reference_backtrack(tileset, reference_near_fixed_order(cells, fixed), fixed, neighbors)
     return next(search, None) is not None
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -69,6 +70,41 @@ class TestWangLoop:
         report = run_wang_pipeline(wang_tiles(), direction_first=1)
         assert report.final_size == 19
         assert report.composite.domain_size == 19
+
+    @pytest.mark.parametrize("seed", [1, 2, 4, 5])
+    def test_permuted_letters_close_the_loop(self, seed):
+        # the 19 tiles in a seeded order: which of the second search's marker
+        # subsets closes depends on the order, and the composite is the
+        # square substitution with its letters renamed, pi o phi o pi^-1
+        from aperiodic_kit.morphisms import Morphism2d, compose
+        from aperiodic_kit.wang import WangTileSet
+
+        pi = list(range(19))
+        random.Random(seed).shuffle(pi)
+        permuted = [None] * 19
+        for a, tile in enumerate(wang_tiles().tiles):
+            permuted[pi[a]] = tile
+        report = run_wang_pipeline(WangTileSet(permuted))
+        rename = Morphism2d.from_permutation(dict(enumerate(pi)))
+        restore = Morphism2d.from_permutation({b: a for a, b in enumerate(pi)})
+        assert report.final_size == 19
+        assert report.composite == compose(rename, compose(square_substitution(), restore))
+
+    def test_a_loop_that_closes_with_no_subset_names_them_all(self, monkeypatch):
+        from aperiodic_kit import pipeline
+
+        tried = []
+
+        def never(tiles, other):
+            tried.append(other)
+            return None
+
+        monkeypatch.setattr(pipeline, "is_equivalent", never)
+        with pytest.raises(pipeline.StageFailure, match="any of the marker subsets") as failure:
+            run_wang_pipeline(wang_tiles())
+        assert failure.value.stage == "is_equivalent"
+        assert str(V_MARKER_SETS) in str(failure.value)
+        assert len(tried) == len(V_MARKER_SETS)
 
     def test_periodic_tileset_fails(self):
         from aperiodic_kit.pipeline import StageFailure

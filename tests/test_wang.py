@@ -1,5 +1,6 @@
 import random
 import time
+from itertools import islice
 
 import pytest
 
@@ -395,6 +396,158 @@ class TestDistinctTiles:
         for u in valid:
             assert (u in found) == (Word2d([[first[t] for t in c] for c in u.columns]) in found)
         assert 0 < len(found) < len(valid)
+
+
+class RecordingFits(dict):
+    """A fit index that records every key a search looks up in it."""
+
+    def __init__(self, fits):
+        super().__init__(fits)
+        self.keys = []
+
+    def get(self, key, default=None):
+        self.keys.append(key)
+        return super().get(key, default)
+
+
+class TestReferenceSearch:
+    """The search on its per-depth plan walks the tree of the reference
+    search, which finds each cell's assigned neighbors at every node: past
+    the fixed cells, the same fit-index lookups in the same order, and the
+    same solutions in the same order and the same verdicts."""
+
+    def instances(self, rng):
+        # sets of 3 or 4 tiles with two copies inserted, on rectangles with
+        # no fixed cells, a fixed block (valid or not) or scattered fixed
+        # cells, and on every torus of index <= 4, 1-wide and 1-high ones
+        # included, with and without fixed cells
+        base = list(random_tileset(rng, tiles=rng.randint(3, 4), colors=2))
+        tiles = list(base)
+        for _ in range(2):
+            tiles.insert(rng.randrange(len(tiles) + 1), rng.choice(base))
+        ts = WangTileSet(tiles)
+        for shape in ((1, 3), (3, 1), (2, 2), (3, 2), (3, 3)):
+            yield TilingInstance(ts, shape)
+            n1, n2 = shape
+            b1, b2 = rng.randint(1, n1), rng.randint(1, n2)
+            x0, y0 = rng.randrange(n1 - b1 + 1), rng.randrange(n2 - b2 + 1)
+            for block in solve_all(TilingInstance(ts, (b1, b2)))[:2] + [None]:
+                fixed = {
+                    (x0 + x, y0 + y): block[x, y] if block else rng.randrange(len(ts))
+                    for x in range(b1)
+                    for y in range(b2)
+                }
+                yield TilingInstance(ts, shape, fixed)
+            cells = [(x, y) for x in range(n1) for y in range(n2)]
+            scattered = rng.sample(cells, rng.randint(1, len(cells)))
+            yield TilingInstance(ts, shape, {c: rng.randrange(len(ts)) for c in scattered})
+        for basis in sublattice_bases(4):
+            yield TilingInstance(ts, (1, 1), {}, wrap=basis)
+            # a cell and a translate by the lattice vector (index, index),
+            # with one tile or two, which may disagree
+            (a, _), (_, d) = basis
+            cell, t = (rng.randrange(-3, 4), rng.randrange(-3, 4)), rng.randrange(len(ts))
+            twin = (cell[0] + a * d, cell[1] + a * d)
+            for other in (t, rng.randrange(len(ts))):
+                yield TilingInstance(ts, (1, 1), {cell: t, twin: other}, wrap=basis)
+
+    @staticmethod
+    def both(instance, order, fits, limit=None):
+        # the solutions (up to the limit) of each search along the order, as
+        # dicts of every cell, and the keys each looked up after those of
+        # the fixed cells: the reference checks the fixed tiles before its
+        # search, the library assigns them first, one tile each
+        _, _, fixed, neighbors = wang._normalize(instance)
+        tileset = instance.tileset
+        cells = [*fixed, *(cell for cell in order if cell not in fixed)]
+        plan, reference = RecordingFits(fits), RecordingFits(fits)
+        search = wang._backtrack(tileset, cells, fixed, neighbors, plan)
+        found = [dict(zip(cells, picked)) for picked in islice(search, limit)]
+        search = _oracles.reference_backtrack(tileset, order, fixed, neighbors, reference)
+        expected = [dict(grid) for grid in islice(search, limit)]
+        return (found, plan.keys[len(fixed):]), (expected, reference.keys[len(fixed):])
+
+    def test_random_sets_walk_the_reference_tree(self):
+        rng = random.Random(5)
+        kinds, outcomes = set(), set()
+        for _ in range(6):
+            for instance in self.instances(rng):
+                normal = wang._normalize(instance)
+                if normal is None:
+                    # two fixed tiles disagree on one torus cell
+                    kinds.add("clash")
+                    continue
+                shape, cells, fixed, neighbors = normal
+                tileset = instance.tileset
+                orders = [cells]
+                if fixed:
+                    orders.append(list(wang._near_fixed_order(shape, fixed)))
+                for order in orders:
+                    for fits in (tileset.fits, tileset.distinct_fits):
+                        found, expected = self.both(instance, order, fits)
+                        assert found == expected, (instance, order)
+                        outcomes.add(bool(found[0]))
+                kinds.add((instance.wrap is not None, 1 in shape, bool(fixed)))
+        assert outcomes == {True, False}
+        assert {(True, True, False), (True, True, True), (False, True, True)} <= kinds
+        assert "clash" in kinds
+
+    def test_random_sets_give_the_reference_answers(self):
+        rng = random.Random(9)
+        outcomes = set()
+        for _ in range(4):
+            for instance in self.instances(rng):
+                every = _oracles.reference_solutions(instance)
+                assert solve_all(instance) == every
+                assert solve(instance) == (every[0] if every else None)
+                assert wang._exists(instance) == _oracles.reference_exists(instance) == bool(every)
+                outcomes.add(bool(every))
+        assert outcomes == {True, False}
+
+    def test_u_surroundings_walk_the_reference_tree(self, tiles_u):
+        # a few valid blocks of each shape of the tiles benchmark, with and
+        # without a surrounding at its radius
+        rng = random.Random(13)
+        verdicts = []
+        for (n1, n2), r in (((1, 3), 4), ((2, 3), 3), ((3, 3), 3)):
+            valid = solve_all(TilingInstance(tiles_u, (n1, n2)))
+            for u in rng.sample(valid, 3):
+                fixed = {(x + r, y + r): u[x, y] for x in range(n1) for y in range(n2)}
+                instance = TilingInstance(tiles_u, (n1 + 2 * r, n2 + 2 * r), fixed)
+                shape, cells, fixed, _ = wang._normalize(instance)
+                order = list(wang._near_fixed_order(shape, fixed))
+                # the searches stop at the first surrounding
+                found, expected = self.both(instance, order, tiles_u.distinct_fits, limit=1)
+                assert found == expected
+                verdicts.append(admits_surrounding(tiles_u, u, r))
+                assert verdicts[-1] == bool(expected[0])
+        assert set(verdicts) == {True, False}
+
+    def test_u_periodic_queries_walk_the_reference_tree(self, tiles_u):
+        for basis in sublattice_bases(8):
+            instance = TilingInstance(tiles_u, (1, 1), {}, wrap=basis)
+            _, cells, _, _ = wang._normalize(instance)
+            found, expected = self.both(instance, cells, tiles_u.distinct_fits)
+            assert found == expected
+            assert found[0] == []
+
+    @pytest.mark.parametrize("shape, r", [((1, 3), 4), ((2, 3), 3), ((3, 3), 3)])
+    def test_order_of_the_benchmark_layouts(self, shape, r):
+        n1, n2 = shape
+        size = (n1 + 2 * r, n2 + 2 * r)
+        fixed = {(x + r, y + r): 0 for x in range(n1) for y in range(n2)}
+        cells = [(x, y) for y in range(size[1]) for x in range(size[0])]
+        order = list(wang._near_fixed_order(size, fixed))
+        assert order == _oracles.reference_near_fixed_order(cells, fixed)
+
+    def test_order_of_random_fixed_sets(self):
+        rng = random.Random(17)
+        for _ in range(200):
+            size = (rng.randint(1, 7), rng.randint(1, 7))
+            cells = [(x, y) for y in range(size[1]) for x in range(size[0])]
+            fixed = dict.fromkeys(rng.sample(cells, rng.randint(1, min(len(cells), 5))), 0)
+            order = list(wang._near_fixed_order(size, fixed))
+            assert order == _oracles.reference_near_fixed_order(cells, fixed)
 
 
 def test_tile_set_iterates_over_its_tiles(tiles_u):
