@@ -3,9 +3,11 @@
 Application assembles a block matrix of letter images, which is defined only
 when image widths agree along every column of the argument and image heights
 agree along every row.  Languages are closures of factors under the rule,
-run on column tuples; the seed graph is searched for cycles only on the
-limit set of the rule's action on 2x2 words, and periodic seeds are found
-by iterating the rule on language words.
+run on column tuples whose windows ``words.windows`` reads.  One
+reachability closure of a graph answers which vertices reach themselves:
+the seed graph's cycle vertices, on the limit set of the rule's action on
+2x2 words, and the letters each letter's iterates hold, for expansiveness.
+Periodic seeds are found by iterating the rule on language words.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from itertools import chain, product
 from typing import Iterable, Mapping
 
-from .words import Language2d, Word2d, occurs_at
+from .words import Language2d, Word2d, occurs_at, windows
 
 
 class UnknownLetter(KeyError):
@@ -135,14 +137,6 @@ def _block_image(rule: Mapping[int, Word2d], columns: tuple) -> tuple:
     )
 
 
-def _windows(columns: tuple, shape: tuple[int, int]):
-    """Column tuples of the shape-factors of the word with the given columns."""
-    s1, s2 = shape
-    height = len(columns[0]) if columns else 0
-    cuts = [[column[y : y + s2] for y in range(height - s2 + 1)] for column in columns]
-    return (window for x in range(len(cuts) - s1 + 1) for window in zip(*cuts[x : x + s1]))
-
-
 def compose(m1: Morphism2d, m2: Morphism2d) -> Morphism2d:
     """Rule table of ``letter -> m1(m2(letter))``."""
     if m2.codomain_size > m1.domain_size:
@@ -164,24 +158,20 @@ def is_expansive(m: Morphism2d) -> bool:
     they grow past 1 in a direction exactly when the letters of its
     iterates, the letter itself included, hold an image at least 2 long in
     it.  Some power then sends every letter to an image at least 2x2, and
-    the shapes of its powers at least double.  The letters of the iterates
-    are the letters reachable from the letter, so no power bound is needed.
+    the shapes of its powers at least double.  A letter's image holds some
+    letter b, and b with the letters it reaches lies among the letters the
+    first letter reaches in the letter graph, so asking this of each
+    letter's reached letters alone, read off the reachability closure, is
+    the same test, and no power bound is needed.
     """
     if m.domain_size != m.codomain_size:
         raise ValueError("expansiveness needs domain = codomain")
     images = [m.image(a) for a in range(m.domain_size)]
     if any(0 in w.shape for w in images):
         return False
-    for a in range(m.domain_size):
-        reached, frontier = {a}, [a]
-        while frontier:
-            for b in images[frontier.pop()].letters() - reached:
-                reached.add(b)
-                frontier.append(b)
-        shapes = [images[b].shape for b in reached]
-        if max(width for width, _ in shapes) < 2 or max(height for _, height in shapes) < 2:
-            return False
-    return True
+    wide = sum(1 << a for a, w in enumerate(images) if w.shape[0] > 1)
+    tall = sum(1 << a for a, w in enumerate(images) if w.shape[1] > 1)
+    return all(mask & wide and mask & tall for mask in _reach([w.letters() for w in images]))
 
 
 def is_primitive(m: Morphism2d) -> bool:
@@ -242,7 +232,7 @@ def language(m: Morphism2d, shape: tuple[int, int], bound: int = 40) -> Language
             grown = images
         frontier = set()
         for w in grown:
-            frontier.update(_windows(w, shape))
+            frontier.update(windows(w, shape))
         frontier -= seen
         if seen and not frontier:
             return {Word2d(u) for u in seen}
@@ -269,8 +259,8 @@ def seeds(m: Morphism2d) -> Language2d:
     factors of every image (the sets only shrink).  That set is closed
     under successors, so the cycles of the graph on it are all the cycles:
     for the catalog rule, 367 of the 10,825 words with a defined image.
-    Vertices on cycles are those inside a strongly connected component of
-    size > 1 or carrying a self-loop.
+    A word lies on a cycle exactly when it reaches itself, which the
+    reachability closure of the graph on that set reads off.
     """
     if m.domain_size != m.codomain_size:
         raise ValueError("seed graph needs domain = codomain")
@@ -290,7 +280,7 @@ def seeds(m: Morphism2d) -> Language2d:
     def defined(found):
         return {(l, r) for l, r in found if l in heights and heights[l] == heights.get(r)}
 
-    inside = {column: defined(_windows(block, (2, 2))) for column, block in blocks.items()}
+    inside = {column: defined(windows(block, (2, 2))) for column, block in blocks.items()}
     # the seam factors of every word of a group: at row y, each vertical
     # domino of a last block column beside each of a first block column
     across = set()
@@ -305,7 +295,7 @@ def seeds(m: Morphism2d) -> Language2d:
         l, r = v
         seam = blocks[l][-1], blocks[r][0]
         if seam not in seams:
-            seams[seam] = defined(_windows(seam, (2, 2)))
+            seams[seam] = defined(windows(seam, (2, 2)))
         return inside[l] | inside[r] | seams[seam]
 
     limit, step = None, set().union(*inside.values(), across)
@@ -313,56 +303,28 @@ def seeds(m: Morphism2d) -> Language2d:
         limit, step = step, set().union(*map(succ, step))
     vertices = list(limit)
     index = {v: i for i, v in enumerate(vertices)}
-    on_cycle = _cycle_vertices(len(vertices), [[index[w] for w in succ(v)] for v in vertices])
-    return {Word2d(vertices[i]) for i in on_cycle}
+    reach = _reach([[index[w] for w in succ(v)] for v in vertices])
+    return {Word2d(v) for i, v in enumerate(vertices) if reach[i] >> i & 1}
 
 
-def _cycle_vertices(n: int, edges: list[list[int]]) -> set[int]:
-    """Vertices on some directed cycle (iterative Tarjan SCC)."""
-    index_of = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    result: set[int] = set()
-    counter = 0
-    for root in range(n):
-        if index_of[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, ei = work[-1]
-            if ei == 0:
-                index_of[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for j in range(ei, len(edges[v])):
-                w = edges[v][j]
-                if index_of[w] == -1:
-                    work[-1] = (v, j + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index_of[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index_of[v]:
-                component = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    component.append(w)
-                    if w == v:
-                        break
-                if len(component) > 1 or v in edges[v]:
-                    result.update(component)
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-    return result
+def _reach(edges) -> list[int]:
+    """Bitmask of the vertices each vertex reaches in one or more steps.
+
+    Each vertex starts from its successors and is widened by their masks
+    until a round changes nothing; a vertex lies on a cycle exactly when
+    its own bit is set.
+    """
+    reach = [sum(1 << w for w in set(out)) for out in edges]
+    changed = True
+    while changed:
+        changed = False
+        for v, out in enumerate(edges):
+            mask = reach[v]
+            for w in out:
+                mask |= reach[w]
+            if mask != reach[v]:
+                reach[v], changed = mask, True
+    return reach
 
 
 def periodic_seeds(m: Morphism2d, max_period: int) -> list[tuple[Word2d, int]]:

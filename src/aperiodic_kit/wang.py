@@ -23,14 +23,15 @@ as in the admissible-pattern-set method: every valid pattern is a
 candidate, and a candidate is kept when a certificate proves it or a
 search finds its surrounding.  A certificate is any word, typically a
 factor of the substitution language, that is a valid pattern of the tile
-set and holds the candidate at margin at least r; it is checked before it
-counts, so certificates only save searches and never change a set.
-Admissible sets shrink as r grows, and every window of an admissible
-pattern is admissible at the same radius, so the sets a tile set keeps,
-by shape and radius, let each set grow from smaller ones: the set of the
-radius below gives the candidates, and those whose windows the kept sets
-refuse are dropped unsearched; a kept set is never searched again.  Every
-search runs in the calling process.
+set and holds the candidate as a window of itself trimmed by r on every
+side; it is checked before it counts, so certificates only save searches
+and never change a set.  Admissible sets shrink as r grows, and every
+window of an admissible pattern is admissible at the same radius, so the
+sets a tile set keeps, by shape and radius, let each set grow from smaller
+ones: the set of the radius below gives the candidates, and those whose
+windows a column or a row smaller the kept sets refuse are dropped
+unsearched; a kept set is never searched again.  ``words.windows`` reads
+every window here.  Every search runs in the calling process.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from itertools import product
 from typing import Iterable, Optional, Sequence
 
 from .jobs import parallel_map
-from .words import Word2d
+from .words import Word2d, windows
 
 RIGHT, TOP, LEFT, BOTTOM = 0, 1, 2, 3
 
@@ -385,17 +386,15 @@ def sublattice_bases(max_index: int):
 
 def _certificate_windows(certificates, shape, r) -> dict[tuple, int]:
     """Columns of every shape-window at margin >= r of the certificates,
-    each mapped to the index of the first certificate that has it."""
-    s1, s2 = shape
-    windows: dict[tuple, int] = {}
+    the windows of each trimmed by r on every side, each mapped to the
+    index of the first certificate that has it."""
+    found: dict[tuple, int] = {}
     for i, word in enumerate(certificates):
-        columns = word.columns
         n1, n2 = word.shape
-        for x in range(r, n1 - s1 - r + 1):
-            block = columns[x : x + s1]
-            for y in range(r, n2 - s2 - r + 1):
-                windows.setdefault(tuple(col[y : y + s2] for col in block), i)
-    return windows
+        trimmed = tuple(col[r : n2 - r] for col in word.columns[r : n1 - r])
+        for window in windows(trimmed, shape):
+            found.setdefault(window, i)
+    return found
 
 
 def _is_certificate(tileset: WangTileSet, word: Word2d) -> bool:
@@ -422,14 +421,14 @@ def _with_admitted_windows(tileset: WangTileSet, shape, r: int, candidates) -> l
     """
     s1, s2 = shape
     kept = list(candidates)
-    for window_shape, cut in (
-        ((s1 - 1, s2), lambda cols: (cols[:-1], cols[1:])),
-        ((s1, s2 - 1), lambda cols: (tuple(c[:-1] for c in cols), tuple(c[1:] for c in cols))),
-    ):
+    for window_shape in ((s1 - 1, s2), (s1, s2 - 1)):
         held = _held(tileset, window_shape, r)
         if held is not None:
             admitted = {w.columns for w in held}
-            kept = [w for w in kept if all(window in admitted for window in cut(w.columns))]
+            kept = [
+                w for w in kept
+                if all(window in admitted for window in windows(w.columns, window_shape))
+            ]
     return kept
 
 
@@ -465,11 +464,11 @@ def patterns_with_surrounding(
         candidates = solve_all(TilingInstance(tileset, shape))
     candidates = _with_admitted_windows(tileset, shape, r, candidates)
     certificates = list(certificates)
-    windows = _certificate_windows(certificates, shape, r)
+    certified = _certificate_windows(certificates, shape, r)
     valid: dict[int, bool] = {}
     found, searched = set(), []
     for word in candidates:
-        i = windows.get(word.columns)
+        i = certified.get(word.columns)
         if i is not None:
             if i not in valid:
                 valid[i] = _is_certificate(tileset, certificates[i])

@@ -4,7 +4,9 @@ A word of shape ``(n1, n2)`` assigns a letter to every cell ``(x, y)`` with
 ``0 <= x < n1`` and ``0 <= y < n2``; ``y`` grows upward, so the storage is a
 tuple of columns, each column read bottom to top.  This matches the
 Cartesian convention used everywhere else in the package and keeps the JSON
-form (list of columns) identical to the internal one.
+form (list of columns) identical to the internal one.  ``windows`` is the one
+reader of shape-windows, on column tuples: ``subwords``, the language closure,
+the seed graph and the tile side's window filters all read it.
 
 Two searches over letters live here too, since both sides of the package
 use them: the letter bijections that preserve pair relations, which close
@@ -103,11 +105,16 @@ def subwords(v: Word2d, shape: tuple[int, int]) -> set[Word2d]:
         raise ValueError(f"shape {shape} needs both sides at least 1")
     if s1 > n1 or s2 > n2:
         raise ShapeMismatch(f"shape {shape} exceeds word shape {v.shape}")
-    found = set()
-    for x in range(n1 - s1 + 1):
-        for y in range(n2 - s2 + 1):
-            found.add(Word2d([v.columns[x + i][y : y + s2] for i in range(s1)]))
-    return found
+    return {Word2d(window) for window in windows(v.columns, shape)}
+
+
+def windows(columns: tuple, shape: tuple[int, int]) -> Iterator[tuple]:
+    """Column tuples of the shape-windows of the word with the given
+    columns, with repeats; none when the shape does not fit."""
+    s1, s2 = shape
+    height = len(columns[0]) if columns else 0
+    cuts = [[column[y : y + s2] for y in range(height - s2 + 1)] for column in columns]
+    return (window for x in range(len(cuts) - s1 + 1) for window in zip(*cuts[x : x + s1]))
 
 
 # A 2-dimensional language is just a set of words of a common shape.

@@ -14,7 +14,9 @@ order computed by a min over every fixed cell.  The library's search walks
 the same tree on a plan fixed by its cell order.
 
 The substitution oracles are the language of factors of iterated letter
-images and the seed graph over all k^4 2x2 words of a k-letter rule.
+images, the seed graph over all k^4 2x2 words of a k-letter rule with its
+cycle vertices found by Tarjan's strongly connected components, and
+expansiveness read off the shapes of iterated letter images.
 
 The clipping oracles build a normalized Polygon after every halfplane cut;
 clip is the library's one-halfplane cut, kept here for the tests.
@@ -61,7 +63,7 @@ from aperiodic_kit.geometry import (
     pt,
     rectangle,
 )
-from aperiodic_kit.morphisms import Morphism2d, NotStabilized, UndefinedImage, _cycle_vertices
+from aperiodic_kit.morphisms import Morphism2d, NotStabilized, UndefinedImage
 from aperiodic_kit.pet import PolygonExchange, TorusAction, Window, config_patch
 from aperiodic_kit.phifield import ONE, ZERO, PhiNumber
 from aperiodic_kit.wang import (
@@ -813,7 +815,82 @@ def full_graph_seeds(m: Morphism2d) -> set:
             edges.append([])
             continue
         edges.append(sorted({index[v] for v in subwords(image, (2, 2))}))
-    return {vertices[i] for i in _cycle_vertices(len(vertices), edges)}
+    return {vertices[i] for i in tarjan_cycle_vertices(edges)}
+
+
+def expansive_by_iterates(m: Morphism2d):
+    """Whether the k-th power of a k-letter rule sends every letter to an
+    image at least 2x2, read off the iterated images of each letter; None
+    when an iterate is undefined and no letter's defined iterates refute it.
+
+    With every image side at least 1 the sides of a letter's iterates never
+    shrink, and the letters of iterates 0..j stop growing once some j adds
+    none, so by j = k - 1 every letter an iterate ever holds has shown: a
+    side that ever passes 1 has passed it by the k-th power.  An empty image
+    empties its letter's iterates.
+    """
+    verdicts = []
+    for a in range(m.domain_size):
+        word = Word2d.single(a)
+        try:
+            for _ in range(m.domain_size):
+                word = m.apply(word)
+        except UndefinedImage:
+            verdicts.append(None)
+            continue
+        verdicts.append(word.shape[0] >= 2 and word.shape[1] >= 2)
+    return False if False in verdicts else None if None in verdicts else True
+
+
+def tarjan_cycle_vertices(edges: list[list[int]]) -> set[int]:
+    """Vertices on some directed cycle of the graph with the given out-edge
+    lists: those of a strongly connected component of size > 1 or with a
+    self-loop (iterative Tarjan SCC)."""
+    n = len(edges)
+    index_of = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    result: set[int] = set()
+    counter = 0
+    for root in range(n):
+        if index_of[root] != -1:
+            continue
+        work = [(root, 0)]
+        while work:
+            v, ei = work[-1]
+            if ei == 0:
+                index_of[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = True
+            advanced = False
+            for j in range(ei, len(edges[v])):
+                w = edges[v][j]
+                if index_of[w] == -1:
+                    work[-1] = (v, j + 1)
+                    work.append((w, 0))
+                    advanced = True
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index_of[w])
+            if advanced:
+                continue
+            work.pop()
+            if low[v] == index_of[v]:
+                component = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    component.append(w)
+                    if w == v:
+                        break
+                if len(component) > 1 or v in edges[v]:
+                    result.update(component)
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[v])
+    return result
 
 
 def segment_halfplane(p, q):

@@ -345,6 +345,7 @@ def test_from_json_rejects_non_tiling(atoms, defect):
         TorusPartition.from_json({"lattice": ["1", "1"], "atoms": atoms})
 
 
+@pytest.mark.pinned
 def test_reference_partition_is_pinned():
     # the labeled 19 atoms, cell by cell and vertex by vertex, as built by
     # partition_from_segments and relabel_to_match

@@ -2,8 +2,16 @@ import random
 from itertools import product
 
 import pytest
-from _oracles import concat, from_rows, full_graph_seeds, identity, iterated_language
-from hypothesis import given, settings
+from _oracles import (
+    concat,
+    expansive_by_iterates,
+    from_rows,
+    full_graph_seeds,
+    identity,
+    iterated_language,
+    tarjan_cycle_vertices,
+)
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from aperiodic_kit.morphisms import (
@@ -14,6 +22,7 @@ from aperiodic_kit.morphisms import (
     NotStabilized,
     UndefinedImage,
     UnknownLetter,
+    _reach,
     compose,
     is_expansive,
     is_primitive,
@@ -304,6 +313,57 @@ class TestSeeds:
 
         assert v in factors(phi(u), (2, 2))
         assert u in factors(phi(v), (2, 2))
+
+
+@st.composite
+def digraph(draw):
+    """Out-edge lists on 1-12 vertices, with self-loops and repeated edges;
+    half of them keep only the edges to higher vertices, so are acyclic."""
+    n = draw(st.integers(1, 12))
+    edges = [draw(st.lists(st.integers(0, n - 1), max_size=4)) for _ in range(n)]
+    if draw(st.booleans()):
+        edges = [[w for w in out if w > v] for v, out in enumerate(edges)]
+    return edges
+
+
+def closure_cycle_vertices(edges):
+    return {v for v, mask in enumerate(_reach(edges)) if mask >> v & 1}
+
+
+defined_rules = st.integers(0, 2**32).map(lambda seed: random_rule(random.Random(seed)))
+
+
+class TestReachability:
+    @pytest.mark.parametrize(
+        "edges, on_cycle, limit",
+        [
+            ([[0], []], {0}, {0}),
+            ([[1], [0], [0]], {0, 1}, {0, 1}),
+            # 2 lies on no cycle, but on the path from the cycle 0 <-> 1 to
+            # the cycle 3 <-> 4, so it has backward paths of every length
+            ([[1], [0, 2], [3], [4], [3]], {0, 1, 3, 4}, {0, 1, 2, 3, 4}),
+            ([[1, 2], [2], []], set(), set()),
+        ],
+        ids=["self-loop", "2-cycle", "between-two-cycles", "acyclic"],
+    )
+    def test_named_graphs(self, edges, on_cycle, limit):
+        assert closure_cycle_vertices(edges) == tarjan_cycle_vertices(edges) == on_cycle
+        fixed, step = None, set(range(len(edges)))
+        while step != fixed:
+            fixed, step = step, {w for v in step for w in edges[v]}
+        assert fixed == limit
+
+    @settings(max_examples=200, deadline=None)
+    @given(digraph())
+    def test_closure_cycle_vertices_equal_tarjan(self, edges):
+        assert closure_cycle_vertices(edges) == tarjan_cycle_vertices(edges)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(defined_rules, arbitrary_rules))
+    def test_is_expansive_equals_iterated_image_shapes(self, m):
+        expected = expansive_by_iterates(m)
+        assume(expected is not None)
+        assert is_expansive(m) == expected
 
 
 class TestPeriodicSeeds:

@@ -230,15 +230,24 @@ class TestLanguages:
         assert whole == [steps[1:]]
         assert report.ok()
 
+    @pytest.mark.pinned
     @pytest.mark.parametrize(
-        "max_shape, searches", [((2, 2), 210), ((3, 3), 242)], ids=["2x2", "3x3"]
+        "max_shape, searches, pinned",
+        [
+            ((2, 2), 210, Path(__file__).parent.parent / "perfbench" / "expected" / "verify_2x2.json"),
+            ((3, 3), 242, EXPECTED / "verify_3x3.json"),
+        ],
+        ids=["2x2", "3x3"],
     )
-    def test_each_admissible_set_grows_from_the_table(self, monkeypatch, max_shape, searches):
+    def test_each_admissible_set_grows_from_the_table(
+        self, monkeypatch, max_shape, searches, pinned
+    ):
         # the marker search and the rows read and fill the admissible sets
         # the run's 19-tile set keeps, so no set is searched twice, a raised
         # radius searches the survivors of the one below, and a shape only
         # the patterns whose smaller windows are admissible (413 and 1,541
-        # searches with nothing kept)
+        # searches with nothing kept); the whole report, without its
+        # seconds, is the pinned one
         from aperiodic_kit import wang
 
         radii = []
@@ -252,6 +261,7 @@ class TestLanguages:
         report = run_all(max_shape)
         assert report.ok()
         assert len(radii) <= searches
+        assert _without_seconds(report.to_json()) == json.loads(pinned.read_text())
 
     def test_each_run_and_each_tile_set_keeps_its_own_sets(self, monkeypatch):
         # run_all builds its 19-tile set afresh, so a second run in the same
@@ -327,6 +337,7 @@ class TestLanguages:
         build_reference_partition()
         assert supports == [[(1, 0), (0, 1)]]
 
+    @pytest.mark.pinned
     @pytest.mark.parametrize("max_shape", [(1, 1), (2, 1), (1, 2)], ids=["1x1", "2x1", "1x2"])
     def test_small_max_shapes_join_the_domino_steps(self, monkeypatch, max_shape):
         # below 2x2 the refinement support is the max shape's steps joined
@@ -369,6 +380,7 @@ def _without_seconds(obj):
 
 
 class TestFullReport:
+    @pytest.mark.pinned
     def test_run_all(self):
         report = run_all()
         assert report.ok()

@@ -154,6 +154,7 @@ class TestCli:
         assert code == 0
         assert out.read_text().count("<circle") == 9
 
+    @pytest.mark.pinned
     @pytest.mark.parametrize(
         "argv, name",
         [
@@ -604,6 +605,7 @@ class TestCli:
         assert main(["verify-all", "--max-shape", "2,b"]) == cli.USAGE_ERROR
 
     # the induce JSON of the reference partition is pinned byte for byte
+    @pytest.mark.pinned
     @pytest.mark.parametrize(
         "axis, digest",
         [
@@ -615,10 +617,22 @@ class TestCli:
         assert main(["induce", "--axis", str(axis)]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
-    @pytest.mark.parametrize("axis", [1, 2])
-    def test_induce_out_file_equals_the_expected_file(self, tmp_path, axis):
+    # the same on the partition read from its JSON file, so the refinement
+    # also runs on cells loaded through from_json
+    @pytest.mark.pinned
+    @pytest.mark.parametrize(
+        "partition, axis",
+        [
+            (source, axis)
+            for source in ["PU", str(Path(__file__).parent / "expected" / "reference_partition.json")]
+            for axis in (1, 2)
+        ],
+        ids=["1", "2", "1-reference_partition.json", "2-reference_partition.json"],
+    )
+    def test_induce_out_file_equals_the_expected_file(self, tmp_path, partition, axis):
         out = tmp_path / f"induce_axis{axis}.json"
-        assert main(["induce", "--partition", "PU", "--axis", str(axis), "--out", str(out)]) == 0
+        argv = ["induce", "--partition", partition, "--axis", str(axis), "--out", str(out)]
+        assert main(argv) == 0
         expected = Path(__file__).parent / "expected" / f"induce_axis{axis}.json"
         assert out.read_bytes() == expected.read_bytes()
 
@@ -627,6 +641,7 @@ class TestCli:
     # substitution language, the certificate set of verify-all at 2,2, and
     # the desubstitution of U by its markers, which reads the dominoes its
     # marker search left in the tile set
+    @pytest.mark.pinned
     @pytest.mark.parametrize(
         "argv, name",
         [
@@ -641,9 +656,11 @@ class TestCli:
         assert main([*argv, "--out", str(out)]) == 0
         assert out.read_bytes() == (Path(__file__).parent / "expected" / name).read_bytes()
 
-    # outputs that read the atoms of the reference partition and locate
-    # points in them, pinned byte for byte: its drawing, a coded orbit drawn
-    # on it, and the coded patch of the same orbit
+    # outputs that read the atoms of the reference partition, pinned byte
+    # for byte: its drawing, a coded orbit drawn on it, the coded patch of
+    # the same orbit, which locate points in the atoms, and the 3x3 coding
+    # language, read off the refinement that labels them
+    @pytest.mark.pinned
     @pytest.mark.parametrize(
         "argv, name",
         [
@@ -653,6 +670,7 @@ class TestCli:
              "render_coded_orbit_pu_6x8.svg"),
             (["config", "--seed-point", "1357/10000,2938/10000", "--shape", "6x8"],
              "config_6x8.json"),
+            (["lang", "--method", "coding", "--shape", "3x3"], "lang_coding_3x3.json"),
         ],
     )
     def test_partition_out_file_equals_the_expected_file(self, tmp_path, argv, name):

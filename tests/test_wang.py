@@ -1,6 +1,6 @@
 import random
 import time
-from itertools import islice
+from itertools import islice, product
 
 import pytest
 
@@ -197,6 +197,23 @@ class TestCertificates:
         fitting = language(phi, (6, 6))
         found = patterns_with_surrounding(WangTileSet(tiles_u), (2, 2), 2, certificates=fitting)
         assert len(found) == 50
+
+    def test_certificate_windows_are_those_at_margin_r(self):
+        # each window whose cells lie at least r cells inside a certificate,
+        # by its position, mapped to the first certificate that holds it
+        rng = random.Random(5)
+        words = [
+            Word2d([[rng.randrange(3) for _ in range(n2)] for _ in range(n1)])
+            for n1, n2 in ((6, 7), (7, 5), (3, 3), (1, 4))
+        ]
+        for (s1, s2), r in product([(1, 1), (2, 1), (2, 3), (4, 4)], range(4)):
+            expected = {}
+            for i, word in enumerate(words):
+                n1, n2 = word.shape
+                for x, y in product(range(r, n1 - r - s1 + 1), range(r, n2 - r - s2 + 1)):
+                    window = tuple(col[y : y + s2] for col in word.columns[x : x + s1])
+                    expected.setdefault(window, i)
+            assert wang._certificate_windows(words, (s1, s2), r) == expected
 
     def test_survivors_of_radius_3_give_the_radius_4_set(self, phi, tiles_u):
         at_3 = patterns_with_surrounding(tiles_u, (1, 3), 3, certificates=language(phi, (7, 9)))
