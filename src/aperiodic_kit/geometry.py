@@ -10,9 +10,9 @@ Points are located by the closed cells alone: a point is on the partition
 boundary exactly when cells of two atoms hold it or one of its seam twins.
 
 Every cut is one _split pass over a vertex ring and the halfplanes of its
-edges that returns both sides: an intersection with its difference, or a
-cell split by a line of the arrangement.  Each halfplane is applied to
-the ring of the previous cut.  Cut pieces are canonical by construction:
+edges that returns both sides: the side an intersection keeps, or a cell
+split by a line of the arrangement.  Each halfplane is applied to the
+ring of the previous cut.  Cut pieces are canonical by construction:
 a line meets a strictly convex counterclockwise ring in at most two
 boundary points, so each side is again counterclockwise, without repeated
 or collinear vertices, and either empty or of positive area.  A piece is
@@ -454,24 +454,6 @@ def convex_intersection(a: Polygon, b: Polygon) -> Optional[Polygon]:
         if len(part[0]) < 3:
             return None
     return _piece(a, part)
-
-
-def convex_split(a: Polygon, b: Polygon) -> tuple[Optional[Polygon], list[Polygon]]:
-    """a & b (None if flat) and a minus b as convex pieces with disjoint
-    interiors, from one cut of a by each edge halfplane of b."""
-    box = a.bbox()
-    pieces = []
-    rest = _part(a)
-    for plane in _halfplanes(b):
-        if _holds_on_box(plane, box):
-            continue
-        rest, outside = _split(rest, plane)
-        piece = _piece(a, outside)
-        if piece is not None:
-            pieces.append(piece)
-        if len(rest[0]) < 3:
-            return None, pieces
-    return _piece(a, rest), pieces
 
 
 def split_cells(cells, pieces):

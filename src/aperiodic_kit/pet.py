@@ -6,9 +6,11 @@ at most four rectangles.  Inducing a rotation on an axis window produces
 first-return maps, return words, an induced partition, and the natural
 substitution sending new letters to the return words they stand for.
 
-Induction takes axis windows of torus rotations only, where every first
-return ends (see induced_transformation); induce_action rejects a window
-whose first-return map is not again a rotation as soon as it is known.
+Induction takes axis windows of torus rotations whose piece images stay in
+the fundamental rectangle: each step cuts the pushed pieces against the
+window and the rest of the rectangle, and every first return ends (see
+induced_transformation).  induce_action rejects a window whose first-return
+map is not again a rotation as soon as it is known.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .geometry import (
     _leaving,
     _num,
     closure_hits,
-    convex_split,
     rectangle,
     rotated,
     rotation_rectangles,
@@ -32,7 +33,7 @@ from .geometry import (
     tiling_defect,
 )
 from .morphisms import Morphism2d
-from .phifield import PhiNumber
+from .phifield import ZERO, PhiNumber
 from .words import Word2d
 
 
@@ -117,23 +118,32 @@ class PolygonExchange:
 def induced_transformation(transform: PolygonExchange, window: Window):
     """First-return map of a torus rotation on an axis window, with return times.
 
-    Window pieces are pushed forward through the exchange and split
-    against the window after every step; the parts landing inside have
-    returned and the rest continues.  Every piece returns, so the loop
-    ends: the strip constrains one coordinate, which moves by a circle
-    rotation.  A rational step brings each point back to its start, inside
-    the window; an irrational one enters [0, bound) within a bounded number
-    of steps (three-distance theorem).  Returns the induced exchange, on the
-    strip's rectangle, and a list of (piece, return time).
+    Window pieces are pushed through the exchange; after every step,
+    split_cells cuts them against the window, whose parts have returned,
+    and the rest of the fundamental rectangle, whose parts go on.  An
+    exchange with a piece image leaving the rectangle is refused.  Every
+    piece returns, so the loop ends: the strip constrains one coordinate,
+    which moves by a circle rotation.  A rational step brings each point
+    back to its start, inside the window; an irrational one enters
+    [0, bound) within a bounded number of steps (three-distance theorem).
+    Returns the induced exchange, on the strip's rectangle, and a list of
+    (piece, return time).
     """
     if not isinstance(window, Window):
         raise TypeError("induction needs an axis Window")
     if transform.as_translation() is None:
         raise ValueError("induction needs a torus rotation")
+    for poly, v in transform.pieces:
+        if leaving := _leaving([poly.translate(v)], transform.lattice):
+            raise ValueError(f"piece {poly} moved by ({v[0]}, {v[1]}): {leaving}")
     new_lattice = window.sub_lattice(transform.lattice)
     window_poly = rectangle(0, 0, new_lattice[0], new_lattice[1])
+    split = [(window_poly, "returned")]
+    if window.bound < transform.lattice[window.axis - 1]:
+        x0, y0 = (window.bound, ZERO) if window.axis == 1 else (ZERO, window.bound)
+        split.append((rectangle(x0, y0, *transform.lattice), "active"))
 
-    active = [(window_poly, (PhiNumber(0), PhiNumber(0)))]
+    active = [(window_poly, (ZERO, ZERO))]
     returned: list[tuple[Polygon, Point, int]] = []
     step = 0
     while active:
@@ -143,13 +153,11 @@ def induced_transformation(transform: PolygonExchange, window: Window):
             for part, tau, v in split_cells(active, transform.pieces)
         ]
         active = []
-        for current, tau in moved:
-            inside, outside = convex_split(current, window_poly)
-            if inside is not None:
-                returned.append(
-                    (inside.translate((-tau[0], -tau[1])), tau, step)
-                )
-            active.extend((piece, tau) for piece in outside)
+        for part, tau, tag in split_cells(moved, split):
+            if tag == "returned":
+                returned.append((part.translate((-tau[0], -tau[1])), tau, step))
+            else:
+                active.append((part, tau))
 
     pieces = [(poly, tau) for poly, tau, _ in returned]
     times = [(poly, step) for poly, _, step in returned]
@@ -167,16 +175,13 @@ class TorusAction:
             raise ValueError("generators must be axis-aligned")
         self.alpha1 = (a1[0] % self.lattice[0], PhiNumber(0))
         self.alpha2 = (PhiNumber(0), a2[1] % self.lattice[1])
-        self._gens: dict[int, PolygonExchange] = {}
         self._returns: dict[tuple[int, Window], tuple] = {}
 
     def generator(self, axis: int) -> PolygonExchange:
         if axis not in (1, 2):
             raise ValueError("axis must be 1 or 2")
-        if axis not in self._gens:
-            alpha = self.alpha1 if axis == 1 else self.alpha2
-            self._gens[axis] = PolygonExchange.toral_translation(self.lattice, alpha)
-        return self._gens[axis]
+        alpha = self.alpha1 if axis == 1 else self.alpha2
+        return PolygonExchange.toral_translation(self.lattice, alpha)
 
     def first_return(self, axis: int, window: Window):
         """``induced_transformation`` of the axis generator on the window,
@@ -195,10 +200,7 @@ class TorusAction:
         )
 
     def step_vector(self, n: tuple[int, int]) -> Point:
-        return (
-            (PhiNumber(n[0]) * self.alpha1[0]) % self.lattice[0],
-            (PhiNumber(n[1]) * self.alpha2[1]) % self.lattice[1],
-        )
+        return self.translate((ZERO, ZERO), n)
 
 
 def induce_action(action: TorusAction, window: Window) -> TorusAction:

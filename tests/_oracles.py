@@ -960,20 +960,6 @@ def intersection_each_cut(a, b):
     return result
 
 
-def difference_each_cut(a, b):
-    """a minus b as convex pieces, each cut normalized."""
-    pieces = []
-    rest = a
-    for normal, offset in _edge_halfplanes(b):
-        if rest is None:
-            break
-        outside = clip_each_cut(rest, (-normal[0], -normal[1]), -offset)
-        if outside is not None:
-            pieces.append(outside)
-        rest = clip_each_cut(rest, normal, offset)
-    return pieces
-
-
 def _canonical_line(p, q):
     """Hashable key (A, B, C) for the line through p and q: A x + B y = C,
     scaled so the first nonzero of (A, B) is 1."""

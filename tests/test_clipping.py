@@ -24,7 +24,6 @@ from _oracles import (
     clip,
     clip_each_cut,
     cut_point_by_division,
-    difference_each_cut,
     halfplane,
     intersection_each_cut,
     lattice_pieces,
@@ -43,10 +42,10 @@ from aperiodic_kit.geometry import (
     _split,
     _values,
     convex_intersection,
-    convex_split,
     rectangle,
     rescale,
     rotated,
+    split_cells,
 )
 from aperiodic_kit.pet import TorusAction
 from aperiodic_kit.phifield import ONE, PHI, ZERO, PhiNumber
@@ -153,11 +152,9 @@ def test_clip_matches_each_cut_oracle(data):
 
 @KERNEL
 @given(polygon_pairs())
-def test_intersection_and_difference_match_each_cut_oracles(pair):
+def test_intersection_matches_each_cut_oracle(pair):
     a, b = pair
-    inside = intersection_each_cut(a, b)
-    assert convex_intersection(a, b) == inside
-    assert convex_split(a, b) == (inside, difference_each_cut(a, b))
+    assert convex_intersection(a, b) == intersection_each_cut(a, b)
 
 
 @KERNEL
@@ -167,9 +164,7 @@ def test_axis_edges_on_the_bounding_box_match_each_cut_oracles(pair):
     # must give what the cut would have given, in both directions
     a, b = pair
     for p, q in ((a, b), (b, a)):
-        inside = intersection_each_cut(p, q)
-        assert convex_intersection(p, q) == inside
-        assert convex_split(p, q) == (inside, difference_each_cut(p, q))
+        assert convex_intersection(p, q) == intersection_each_cut(p, q)
 
 
 @KERNEL
@@ -184,9 +179,7 @@ def test_clipping_in_a_row_reuses_cached_halfplanes(a, others, v):
     ]
     planes = _halfplanes(a)
     for b in others:
-        inside = intersection_each_cut(b, a)
-        assert convex_intersection(b, a) == inside
-        assert convex_split(b, a) == (inside, difference_each_cut(b, a))
+        assert convex_intersection(b, a) == intersection_each_cut(b, a)
     assert _halfplanes(a) is planes
     result, expected = a, a
     for b in others:
@@ -292,9 +285,11 @@ def test_split_parts_carry_their_edge_halfplanes(data):
 @KERNEL
 @given(polygon_pairs() | box_pairs(), points)
 def test_cut_and_moved_pieces_carry_their_edge_halfplanes(pair, v):
+    # a cut by each edge halfplane of b: the far side's cut edge carries
+    # the opposite halfplane
     a, b = pair
-    inside, outside = convex_split(a, b)
-    for piece in [convex_intersection(a, b), inside, *outside]:
+    sides = [_piece(a, part) for plane in _halfplanes(b) for part in _split(_part(a), plane)]
+    for piece in [convex_intersection(a, b), *sides]:
         _check_carried_piece(piece)
         if piece is not None:
             _check_carried_piece(piece.translate(v))
@@ -401,15 +396,15 @@ def test_flat_and_empty_results():
     # boxes touching along an edge or at a corner
     assert convex_intersection(sq, rectangle(1, 0, 2, 1)) is None
     assert convex_intersection(sq, rectangle(1, 1, 2, 2)) is None
-    assert convex_split(sq, rectangle(-1, -1, 2, 2)) == (sq, [])
-    assert convex_split(sq, rectangle(1, 0, 2, 1)) == (None, [sq])
+    assert list(split_cells([(sq, 0)], [(rectangle(-1, -1, 2, 2), 1)])) == [(sq, 0, 1)]
+    assert list(split_cells([(sq, 0)], [(rectangle(1, 0, 2, 1), 1)])) == []
 
 
 def test_uncut_polygon_is_returned_itself():
     sq = rectangle(0, 0, 1, 1)
     assert clip(sq, (ONE, ZERO), PhiNumber(2)) is sq
     assert convex_intersection(sq, rectangle(-1, -1, 2, 2)) is sq
-    assert convex_split(sq, rectangle(-1, -1, 2, 2))[0] is sq
+    assert next(split_cells([(sq, 0)], [(rectangle(-1, -1, 2, 2), 1)]))[0] is sq
 
 
 @KERNEL

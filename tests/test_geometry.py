@@ -24,7 +24,6 @@ from aperiodic_kit.geometry import (
     TorusPartition,
     ZeroFactor,
     convex_intersection,
-    convex_split,
     is_equal_up_to_relabeling,
     partition_from_segments,
     pt,
@@ -84,15 +83,6 @@ class TestClip:
         low = clip(sq, n, c)
         high = clip(sq, (-n[0], -n[1]), -c)
         assert low.area() + high.area() == sq.area()
-
-    def test_intersection_and_difference_partition(self):
-        a = rectangle(0, 0, 2, 2)
-        b = Polygon([pt(1, 0), pt(3, 0), pt(3, 3), pt(1, 3)])
-        inter, outs = convex_split(a, b)
-        total = inter.area()
-        for p in outs:
-            total = total + p.area()
-        assert total == a.area()
 
 
 class TestArrangement:

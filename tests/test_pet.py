@@ -3,6 +3,9 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from _oracles import covolume, exchange_inverse, first_return_time, return_word, total_area
 
 from aperiodic_kit import geometry
@@ -11,8 +14,10 @@ from aperiodic_kit.geometry import (
     BoundaryHit,
     Polygon,
     TorusPartition,
+    closure_hits,
     is_equal_up_to_relabeling,
     pt,
+    rectangle,
     rescale,
 )
 from aperiodic_kit.morphisms import language
@@ -28,13 +33,15 @@ from aperiodic_kit.pet import (
     induced_transformation,
     shape_steps,
 )
-from aperiodic_kit.phifield import PHI, PhiNumber
+from aperiodic_kit.phifield import ONE, PHI, PhiNumber
 from aperiodic_kit.words import Word2d, occurs_at, project, subwords
 
 INV = PHI**-1
 INV2 = PHI**-2
 INV3 = PHI**-3
 DOMINO_STEPS = [(1, 0), (0, 1)]
+RATIONAL_STEPS = st.builds(Fraction, st.integers(0, 6), st.integers(1, 7)).map(PhiNumber)
+PHI_STEPS = st.integers(1, 4).map(lambda m: m * INV2)
 
 SAMPLE = (PhiNumber(Fraction(1357, 10000)), PhiNumber(Fraction(2938, 10000)))
 
@@ -145,6 +152,47 @@ class TestInducedTransformation:
         with pytest.raises(TypeError, match="axis Window"):
             induced_transformation(action_u.generator(2), triangle)
 
+    def test_piece_image_leaving_the_rectangle_rejected(self):
+        # (1, 0) reduces to (0, 0), so the exchange passes as a rotation, but
+        # its one image is [1, 2] x [0, 1]: induction would lose it
+        t = PolygonExchange((1, 1), [(rectangle(0, 0, 1, 1), (1, 0))])
+        assert t.as_translation() == (PhiNumber(0), PhiNumber(0))
+        with pytest.raises(ValueError, match=r"^piece .* leaves the fundamental rectangle$"):
+            induced_transformation(t, Window(2, Fraction(1, 2)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from([(ONE, ONE), (PHI, ONE), (ONE, INV)]),
+        st.sampled_from(["horizontal", "vertical", "diagonal"]),
+        st.lists(RATIONAL_STEPS | PHI_STEPS, min_size=2, max_size=2),
+        st.sampled_from([1, 2]),
+        st.sampled_from([1, Fraction(1, 2), Fraction(2, 3), INV, INV2]),
+        st.integers(0, 2**32),
+    )
+    def test_first_return_matches_iterated_points(self, lattice, kind, step, axis, share, seed):
+        # every sample point of the window moved one step at a time until it
+        # is back: the time and the image are those of the piece holding it
+        (l1, l2), zero = lattice, PhiNumber(0)
+        v = (zero if kind == "vertical" else step[0], zero if kind == "horizontal" else step[1])
+        window = Window(axis, lattice[axis - 1] * share)
+        induced, times = induced_transformation(PolygonExchange.toral_translation(lattice, v), window)
+        held = [(poly, (tau, k)) for (poly, tau), (_, k) in zip(induced.pieces, times)]
+
+        def move(y):
+            return (y[0] + v[0]) % l1, (y[1] + v[1]) % l2
+
+        rng = random.Random(seed)
+        for _ in range(10):
+            x = random_point(rng, *induced.lattice)
+            hits, interior = closure_hits(held, [x])
+            assert hits
+            if not interior:
+                continue  # a BoundaryHit of the induced exchange
+            tau, k = hits[0]
+            y, steps = move(x), 1
+            while y[axis - 1] >= window.bound and steps < k:
+                y, steps = move(y), steps + 1
+            assert (steps, y) == (k, (x[0] + tau[0], x[1] + tau[1]))
 
 class TestInduceAction:
     def test_first_induction_vectors(self, action_u):
