@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterable
 
 from .morphisms import Morphism2d
 from .wang import (
@@ -67,27 +66,20 @@ class DesubstitutionResult:
         }
 
 
-def find_markers(
-    tileset: WangTileSet,
-    direction: int,
-    radius: int,
-    certificates: Iterable[Word2d] = (),
-) -> MarkerReport:
+def find_markers(tileset: WangTileSet, direction: int, radius: int) -> MarkerReport:
     """Candidate marker subsets for layers orthogonal to the direction.
 
     Tiles are merged whenever they can sit next to each other along the
     perpendicular axis (so whole layers stay within one class); a class
     qualifies when no two of its tiles can ever be adjacent along the
-    direction itself.  ``certificates`` spare domino searches as in
-    ``patterns_with_surrounding`` and never change the report; the tile
-    set keeps the domino sets found.
+    direction itself.  The tile set keeps the domino sets found, and its
+    certificate, if any, spares searches as in ``patterns_with_surrounding``.
     """
     if direction not in (1, 2):
         raise ValueError("direction must be 1 or 2")
     perp = 3 - direction
-    certificates = list(certificates)
-    d_perp = dominoes_with_surrounding(tileset, perp, radius, certificates)
-    d_dir = dominoes_with_surrounding(tileset, direction, radius, certificates)
+    d_perp = dominoes_with_surrounding(tileset, perp, radius)
+    d_dir = dominoes_with_surrounding(tileset, direction, radius)
     subsets = [
         members
         for members in classes(len(tileset), d_perp)

@@ -121,7 +121,8 @@ def induced_transformation(transform: PolygonExchange, window: Window):
     Window pieces are pushed through the exchange; after every step,
     split_cells cuts them against the window, whose parts have returned,
     and the rest of the fundamental rectangle, whose parts go on.  An
-    exchange with a piece image leaving the rectangle is refused.  Every
+    exchange whose pieces do not tile the rectangle, or with a piece image
+    leaving it, is refused.  Every
     piece returns, so the loop ends: the strip constrains one coordinate,
     which moves by a circle rotation.  A rational step brings each point
     back to its start, inside the window; an irrational one enters
@@ -133,6 +134,8 @@ def induced_transformation(transform: PolygonExchange, window: Window):
         raise TypeError("induction needs an axis Window")
     if transform.as_translation() is None:
         raise ValueError("induction needs a torus rotation")
+    if defect := tiling_defect([poly for poly, _ in transform.pieces], transform.lattice):
+        raise ValueError(f"exchange pieces do not tile the rectangle: {defect}")
     for poly, v in transform.pieces:
         if leaving := _leaving([poly.translate(v)], transform.lattice):
             raise ValueError(f"piece {poly} moved by ({v[0]}, {v[1]}): {leaving}")

@@ -5,7 +5,8 @@ tile-set equivalence; the induction loop induces the coded rotation on two
 windows and closes with a rescaling.  Both composites are compared with
 the square substitution, the two loops are compared with each other, and
 the three pattern languages are compared shape by shape.  A run's Wang
-loop and language rows share one 19-tile set, which keeps the sets found.
+loop and language rows share one 19-tile set, which keeps the sets found
+and one certificate, a rule image that proves most surroundings.
 """
 
 from __future__ import annotations
@@ -33,16 +34,18 @@ from .pet import (
     shape_steps,
 )
 from .phifield import PHI
-from .wang import WangTileSet, patterns_with_surrounding
-from .words import project
+from .wang import WangTileSet, certify, patterns_with_surrounding
+from .words import Word2d, project, windows
 
 
 # Marker searches escalate from radius 1 (the 19 tiles show markers in
 # direction 2 only from radius 2).  Tile-side language rows escalate from
 # radius 2, which settles every shape up to (2,2), to the radius 4 that the
-# vertical triple column needs.
+# vertical triple column needs.  A rule image larger than
+# MAX_CERTIFICATE_CELLS is not tried as a certificate.
 MAX_MARKER_RADIUS = 3
 TILE_RADIUS, MAX_TILE_RADIUS = 2, 4
+MAX_CERTIFICATE_CELLS = 100_000
 
 
 class StageFailure(RuntimeError):
@@ -222,11 +225,11 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _markers_with_escalation(tileset, direction, certificates=()):
+def _markers_with_escalation(tileset, direction):
     # the tile set keeps its domino sets, so each radius searches only the
     # dominoes the one below kept
     for r in range(1, MAX_MARKER_RADIUS + 1):
-        report = find_markers(tileset, direction, r, certificates)
+        report = find_markers(tileset, direction, r)
         if report.marker_subsets:
             return report
     raise StageFailure(
@@ -235,14 +238,12 @@ def _markers_with_escalation(tileset, direction, certificates=()):
     )
 
 
-def run_wang_pipeline(
-    tiles: WangTileSet, direction_first: int = 2, certificates=()
-) -> WangLoopReport:
+def run_wang_pipeline(tiles: WangTileSet, direction_first: int = 2) -> WangLoopReport:
     """Desubstitute the tile set twice and close the loop by equivalence.
 
-    ``certificates`` (factors of the substitution language, say) spare
-    domino searches of the first marker search, the one on ``tiles``, and
-    never change the report; the derived tile sets have other letters.
+    The certificate of ``tiles``, if any, spares domino searches of the
+    first marker search and never changes the report; the derived tile
+    sets have other letters and no certificate.
     Each tile set keeps the admissible dominoes its marker search finds,
     and each desubstitution reads them there.  The second marker search may
     find several subsets; the loop closes with the first, in order, whose
@@ -250,7 +251,7 @@ def run_wang_pipeline(
     depends on the order of the letters.
     """
     started = time.perf_counter()
-    first_report = _markers_with_escalation(tiles, direction_first, certificates)
+    first_report = _markers_with_escalation(tiles, direction_first)
     first = find_substitution(first_report, first_report.marker_subsets[0])
     second_report = _markers_with_escalation(first.tileset, 3 - direction_first)
     for markers in second_report.marker_subsets:
@@ -391,17 +392,30 @@ def check_uniqueness_hypotheses() -> UniquenessReport:
     )
 
 
-def _certificate_shape(max_shape: tuple[int, int], r: int) -> tuple[int, int]:
-    """Shape of the language factors that hold every pattern of a shape up
-    to max_shape at margin r."""
-    return max_shape[0] + 2 * r, max_shape[1] + 2 * r
+def rule_certificate(phi: Morphism2d, table) -> Optional[Word2d]:
+    """The least image phi^k(0), k >= 1, that holds every word of the table
+    as a window at least MAX_TILE_RADIUS cells from every side, or None.
+
+    The images of an expansive rule grow past every bound, and the powers
+    stop, with None, at the first image above MAX_CERTIFICATE_CELLS cells;
+    a rule that is not expansive gets None at once.  For the catalog rule
+    and its 2x2 or 3x3 language the image is phi^8(0), 34x34.
+    """
+    if not is_expansive(phi):
+        return None
+    shapes = {w.shape for w in table}
+    word = Word2d.single(0)
+    while len(word := phi.apply(word)) <= MAX_CERTIFICATE_CELLS:
+        (n1, n2), r = word.shape, MAX_TILE_RADIUS
+        trimmed = tuple(col[r : n2 - r] for col in word.columns[r : n1 - r])
+        held = {window for shape in shapes for window in windows(trimmed, shape)}
+        if all(w.columns in held for w in table):
+            return word
+    return None
 
 
 def cross_check_languages(
-    tiles: WangTileSet,
-    coding_table,
-    max_shape: tuple[int, int] = (2, 2),
-    certificates=None,
+    tiles: WangTileSet, coding_table, max_shape: tuple[int, int] = (2, 2)
 ) -> list[LanguageRow]:
     """Compare the three pattern languages at every shape up to max_shape.
 
@@ -416,13 +430,11 @@ def cross_check_languages(
     shape by shape, because each shape settles at its own surrounding
     radius, which its row reports: the tile-set language may strictly
     contain the true language at a low radius, so on mismatch the radius is
-    raised from TILE_RADIUS up to MAX_TILE_RADIUS.  At radius r the
-    substitution-language factors of shape ``max_shape`` plus r on every
-    side serve as certificates (``patterns_with_surrounding``): checked
-    against the tiles, they prove most patterns admissible without a
-    search, and they cannot change a row.  ``certificates`` are those of
-    TILE_RADIUS when the caller holds them already; the others are built on
-    first use.  Every row reads and fills the admissible sets that
+    raised from TILE_RADIUS up to MAX_TILE_RADIUS.  The certificate of
+    ``tiles``, if any (``run_all`` sets a rule image that holds every
+    language word at margin MAX_TILE_RADIUS), proves those patterns
+    admissible at every radius without a search, and it cannot change a
+    row.  Every row reads and fills the admissible sets that
     ``tiles`` keeps: a set already found, by the marker search say, is not
     searched again, a raised radius tests only the survivors of the one
     below, and a shape tests only the patterns whose smaller windows are
@@ -430,13 +442,6 @@ def cross_check_languages(
     """
     phi = catalog.square_substitution()
     substitution_table = language(phi, max_shape)
-    by_radius = {} if certificates is None else {TILE_RADIUS: certificates}
-
-    def certificates_at(r):
-        if r not in by_radius:
-            by_radius[r] = language(phi, _certificate_shape(max_shape, r))
-        return by_radius[r]
-
     rows = []
     for s1 in range(1, max_shape[0] + 1):
         for s2 in range(1, max_shape[1] + 1):
@@ -445,9 +450,7 @@ def cross_check_languages(
             from_coding = project(coding_table, shape)
             r = TILE_RADIUS
             while True:
-                from_tiles = patterns_with_surrounding(
-                    tiles, shape, r, certificates=certificates_at(r)
-                )
+                from_tiles = patterns_with_surrounding(tiles, shape, r)
                 if from_tiles == from_substitution or r >= MAX_TILE_RADIUS:
                     break
                 r += 1
@@ -466,15 +469,17 @@ def cross_check_languages(
 
 def run_all(max_shape: tuple[int, int] = (2, 2)) -> VerificationReport:
     started = time.perf_counter()
-    certificates = language(
-        catalog.square_substitution(), _certificate_shape(max_shape, TILE_RADIUS)
-    )
-    tiles = catalog.wang_tiles()  # keeps its admissible sets for both stages
-    wang = run_wang_pipeline(tiles, certificates=certificates)
+    # the tile set keeps its admissible sets and its certificate, which
+    # holds every factor the marker search and the rows ask of it
+    phi = catalog.square_substitution()
+    table = language(phi, (max(max_shape[0], 2), max(max_shape[1], 2)))
+    tiles = catalog.wang_tiles()
+    certify(tiles, rule_certificate(phi, table))
+    wang = run_wang_pipeline(tiles)
     partition, action, coding_table = reference_coding(max_shape)
     induction = run_pet_pipeline((partition, action))
     uniqueness = check_uniqueness_hypotheses()
-    rows = cross_check_languages(tiles, coding_table, max_shape, certificates=certificates)
+    rows = cross_check_languages(tiles, coding_table, max_shape)
     loops_agree = all(a == b for a, b in zip(wang.morphisms, induction.morphisms))
     report = VerificationReport(
         wang=wang,

@@ -20,12 +20,12 @@ fixed tiles.  Domino sets are the 2-cell case of the surrounding search.
 
 The admissible patterns of a shape (those with an r-surrounding) are found
 as in the admissible-pattern-set method: every valid pattern is a
-candidate, and a candidate is kept when a certificate proves it or a
-search finds its surrounding.  A certificate is any word, typically a
-factor of the substitution language, that is a valid pattern of the tile
-set and holds the candidate as a window of itself trimmed by r on every
-side; it is checked before it counts, so certificates only save searches
-and never change a set.  Admissible sets shrink as r grows, and every
+candidate, and a candidate is kept when the tile set's certificate proves
+it or a search finds its surrounding.  The certificate is one word, set by
+``certify`` only if it is a valid pattern of the tile set, typically an
+image of the substitution rule; a window of it at margin at least r on
+every side has an r-surrounding, so the certificate only saves searches
+and never changes a set.  Admissible sets shrink as r grows, and every
 window of an admissible pattern is admissible at the same radius, so the
 sets a tile set keeps, by shape and radius, let each set grow from smaller
 ones: the set of the radius below gives the candidates, and those whose
@@ -82,8 +82,12 @@ class WangTileSet:
         self.distinct_fits = self.fits if len(distinct) == len(self.tiles) else {
             key: [t for t in found if t in distinct] for key, found in self.fits.items()
         }
-        # the admissible sets found so far, by (shape, radius)
+        # the admissible sets found so far, by (shape, radius); the word
+        # ``certify`` checked, and the largest margin of each of its windows
+        # by shape, the index built on first need
         self.admissible: dict[tuple[tuple[int, int], int], frozenset[Word2d]] = {}
+        self.certificate: Optional[Word2d] = None
+        self.margins: dict[tuple[int, int], dict[tuple, int]] = {}
 
     def __len__(self):
         return len(self.tiles)
@@ -352,16 +356,13 @@ def admits_surrounding(tileset: WangTileSet, u: Word2d, r: int) -> bool:
 
 
 def dominoes_with_surrounding(
-    tileset: WangTileSet, direction: int, r: int, certificates: Iterable[Word2d] = ()
+    tileset: WangTileSet, direction: int, r: int
 ) -> set[tuple[int, int]]:
-    """Ordered index pairs whose domino in the direction has an r-surrounding.
-
-    ``certificates`` are as in ``patterns_with_surrounding``.
-    """
+    """Ordered index pairs whose domino in the direction has an r-surrounding."""
     if direction not in (1, 2):
         raise ValueError("direction must be 1 or 2")
     shape = (2, 1) if direction == 1 else (1, 2)
-    patterns = patterns_with_surrounding(tileset, shape, r, certificates=certificates)
+    patterns = patterns_with_surrounding(tileset, shape, r)
     return {(w[0, 0], w[shape[0] - 1, shape[1] - 1]) for w in patterns}
 
 
@@ -384,24 +385,34 @@ def sublattice_bases(max_index: int):
                 yield ((a, 0), (c, d))
 
 
-def _certificate_windows(certificates, shape, r) -> dict[tuple, int]:
-    """Columns of every shape-window at margin >= r of the certificates,
-    the windows of each trimmed by r on every side, each mapped to the
-    index of the first certificate that has it."""
-    found: dict[tuple, int] = {}
-    for i, word in enumerate(certificates):
-        n1, n2 = word.shape
-        trimmed = tuple(col[r : n2 - r] for col in word.columns[r : n1 - r])
-        for window in windows(trimmed, shape):
-            found.setdefault(window, i)
-    return found
-
-
-def _is_certificate(tileset: WangTileSet, word: Word2d) -> bool:
+def certify(tileset: WangTileSet, word: Optional[Word2d]) -> bool:
+    """Make the word the tile set's certificate if it is a valid pattern of
+    the tile set; None, an invalid word, or one with a letter outside the
+    tile set leaves it without one.  True iff the word was kept."""
     try:
-        return is_valid_pattern(tileset, word)
+        valid = word is not None and is_valid_pattern(tileset, word)
     except UnknownTileIndex:
-        return False
+        valid = False
+    tileset.certificate, tileset.margins = (word if valid else None), {}
+    return valid
+
+
+def _margins(tileset: WangTileSet, shape: tuple[int, int]) -> dict[tuple, int]:
+    """The columns of each shape-window of the tile set's certificate, mapped
+    to the largest margin at which it occurs: the fewest cells between the
+    window and a side of the certificate."""
+    if tileset.certificate is None:
+        return {}
+    if shape not in tileset.margins:
+        (n1, n2), (s1, s2) = tileset.certificate.shape, shape
+        found: dict[tuple, int] = {}
+        for i, window in enumerate(windows(tileset.certificate.columns, shape)):
+            x, y = divmod(i, n2 - s2 + 1)
+            margin = min(x, y, n1 - s1 - x, n2 - s2 - y)
+            if found.get(window, -1) < margin:
+                found[window] = margin
+        tileset.margins[shape] = found
+    return tileset.margins[shape]
 
 
 def _held(tileset: WangTileSet, shape: tuple[int, int], r: int):
@@ -433,23 +444,17 @@ def _with_admitted_windows(tileset: WangTileSet, shape, r: int, candidates) -> l
 
 
 def patterns_with_surrounding(
-    tileset: WangTileSet,
-    shape: tuple[int, int],
-    r: int,
-    certificates: Iterable[Word2d] = (),
+    tileset: WangTileSet, shape: tuple[int, int], r: int
 ) -> set[Word2d]:
     """All shape-patterns admitting a surrounding of radius r.
 
     The candidates are the valid shape-patterns, or fewer when the tile set
-    keeps smaller sets (below).  A candidate counts as admissible when a
-    certificate proves it or when the search finds a surrounding.  A
-    certificate is a word that passes ``is_valid_pattern`` against this
-    tile set and has the candidate as a window at margin at least r on
-    every side: the block of that margin around the window is itself a
-    valid pattern, so it is an r-surrounding.  Each certificate is checked
-    at most once, when a candidate first needs it, and one that fails
-    certifies nothing, so its candidates are searched: the set does not
-    depend on the certificates, only the number of searches does.
+    keeps smaller sets (below).  A candidate counts as admissible when it
+    is a window at margin at least r on every side of the tile set's
+    certificate (``certify``), or when the search finds a surrounding: the
+    certificate is a valid pattern, so the block of that margin around the
+    window is an r-surrounding.  The set does not depend on the
+    certificate, only the number of searches does.
 
     The answer is kept in ``tileset.admissible``, by (shape, radius), and a
     kept set is returned without a search.  Otherwise the candidates are
@@ -463,19 +468,13 @@ def patterns_with_surrounding(
     if candidates is None:
         candidates = solve_all(TilingInstance(tileset, shape))
     candidates = _with_admitted_windows(tileset, shape, r, candidates)
-    certificates = list(certificates)
-    certified = _certificate_windows(certificates, shape, r)
-    valid: dict[int, bool] = {}
+    margins = _margins(tileset, shape)
     found, searched = set(), []
     for word in candidates:
-        i = certified.get(word.columns)
-        if i is not None:
-            if i not in valid:
-                valid[i] = _is_certificate(tileset, certificates[i])
-            if valid[i]:
-                found.add(word)
-                continue
-        searched.append(word)
+        if margins.get(word.columns, -1) >= r:
+            found.add(word)
+        else:
+            searched.append(word)
     admitted = parallel_map(lambda word: admits_surrounding(tileset, word, r), searched)
     found.update(word for word, good in zip(searched, admitted) if good)
     tileset.admissible[shape, r] = frozenset(found)

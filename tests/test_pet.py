@@ -160,6 +160,17 @@ class TestInducedTransformation:
         with pytest.raises(ValueError, match=r"^piece .* leaves the fundamental rectangle$"):
             induced_transformation(t, Window(2, Fraction(1, 2)))
 
+    def test_pieces_that_do_not_tile_the_rectangle_rejected(self):
+        # one piece, the lower half of the unit square, moved by (0, 0): a
+        # rotation whose image stays inside, but not a bijection, so its
+        # first return would be none either
+        t = PolygonExchange((1, 1), [(rectangle(0, 0, 1, Fraction(1, 2)), (0, 0))])
+        assert t.as_translation() == (PhiNumber(0), PhiNumber(0))
+        assert not t.is_bijective()
+        with pytest.raises(ValueError, match=r"^exchange pieces do not tile the rectangle: .*area 1/2") as error:
+            induced_transformation(t, Window(2, Fraction(3, 4)))
+        assert "\n" not in str(error.value)
+
     @settings(max_examples=100, deadline=None)
     @given(
         st.sampled_from([(ONE, ONE), (PHI, ONE), (ONE, INV)]),

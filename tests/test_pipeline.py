@@ -8,16 +8,21 @@ from pathlib import Path
 import pytest
 
 from aperiodic_kit.catalog import square_substitution, wang_tiles
-from aperiodic_kit.morphisms import language
+from aperiodic_kit.morphisms import Morphism2d, language
 from aperiodic_kit.pipeline import (
+    MAX_CERTIFICATE_CELLS,
+    MAX_TILE_RADIUS,
     build_reference_partition,
     check_uniqueness_hypotheses,
     cross_check_languages,
     reference_coding,
+    rule_certificate,
     run_all,
     run_pet_pipeline,
     run_wang_pipeline,
 )
+from aperiodic_kit.wang import is_valid_pattern
+from aperiodic_kit.words import Word2d
 
 EXPECTED = Path(__file__).parent / "expected"
 
@@ -369,6 +374,79 @@ class TestLanguages:
         from aperiodic_kit.pet import enumerate_language
 
         assert enumerate_language(partition, action, (1, 1)) == language(phi, (1, 1))
+
+
+class TestRuleCertificate:
+    """The one certificate of a run: the least rule image phi^k(0) that
+    holds the language at margin MAX_TILE_RADIUS."""
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 3)], ids=["2x2", "3x3"])
+    def test_catalog_image_is_phi8_of_0_and_holds_the_language(self, phi, tiles_u, shape):
+        from aperiodic_kit import wang
+
+        table = language(phi, shape)
+        image = rule_certificate(phi, table)
+        power = Word2d.single(0)
+        for _ in range(8):
+            power = phi.apply(power)
+        assert image == power and image.shape == (34, 34)
+        assert is_valid_pattern(tiles_u, image)
+        assert wang.certify(tiles_u, image)
+        margins = wang._margins(tiles_u, shape)
+        assert all(margins[w.columns] >= MAX_TILE_RADIUS for w in table)
+
+    def test_run_at_1x1_is_ok(self):
+        assert run_all((1, 1)).ok()
+
+    def test_a_rule_that_is_not_expansive_gets_none(self):
+        swap = Morphism2d.from_permutation({0: 1, 1: 0})
+        assert rule_certificate(swap, {Word2d.single(0)}) is None
+
+    def test_non_factor_stops_the_powers_at_their_bound(self, monkeypatch, phi):
+        # a 2x2 word with tile 0 beside itself is no factor, so no image
+        # holds it: the powers stop at the first image above the bound, no
+        # tile set is certified, and the run's sets are those of a run with
+        # the certificate, found with more searches
+        from aperiodic_kit import pipeline, wang
+
+        table = language(phi, (2, 2))
+        stranger = Word2d([[0, 0], [0, 0]])
+        assert stranger not in table
+        # a rule of its own, whose images are counted
+        rule, sizes = square_substitution(), []
+        apply = rule.apply
+
+        def counting(word):
+            image = apply(word)
+            sizes.append(len(image))
+            return image
+
+        rule.apply = counting
+        assert rule_certificate(rule, table | {stranger}) is None
+        assert sizes[-1] > MAX_CERTIFICATE_CELLS >= max(sizes[:-1])
+
+        searches, certified = [], []
+        search, certify, build = wang.admits_surrounding, pipeline.certify, rule_certificate
+
+        def counting_search(tileset, u, r):
+            searches.append(r)
+            return search(tileset, u, r)
+
+        def recording(tileset, word):
+            certified.append(certify(tileset, word))
+            return certified[-1]
+
+        monkeypatch.setattr(wang, "admits_surrounding", counting_search)
+        monkeypatch.setattr(pipeline, "certify", recording)
+        reports = []
+        for extra in [set(), {stranger}]:
+            monkeypatch.setattr(pipeline, "rule_certificate", lambda p, t: build(p, t | extra))
+            searches.clear()
+            reports.append((_without_seconds(run_all((1, 1)).to_json()), len(searches)))
+        (with_image, fewer), (without, more) = reports
+        assert certified == [True, False]
+        assert with_image == without and with_image["ok"]
+        assert fewer < more
 
 
 def _without_seconds(obj):

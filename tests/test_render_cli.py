@@ -637,8 +637,8 @@ class TestCli:
         assert out.read_bytes() == expected.read_bytes()
 
     # the search outputs, pinned byte for byte: an admissible-pattern row
-    # searched without certificates, the least 7x7 tiling by U, the 6x6
-    # substitution language, the certificate set of verify-all at 2,2, and
+    # searched without a certificate, the least 7x7 tiling by U, the 6x6
+    # substitution language, and
     # the desubstitution of U by its markers, which reads the dominoes its
     # marker search left in the tile set
     @pytest.mark.pinned

@@ -6,7 +6,6 @@ import pytest
 
 import _oracles
 from aperiodic_kit import wang
-from aperiodic_kit.morphisms import language
 from aperiodic_kit.wang import (
     SingularLattice,
     TilingInstance,
@@ -138,44 +137,55 @@ class TestSurrounding:
         assert len(patterns_with_surrounding(tiles_u, (2, 2), 2)) == 50
 
 
+@pytest.fixture(scope="module")
+def image(phi):
+    # the certificate of verify-all: phi^8(0), 34x34, a valid pattern of U
+    word = Word2d.single(0)
+    for _ in range(8):
+        word = phi.apply(word)
+    return word
+
+
 class TestCertificates:
-    """Language factors prove surroundings; a bad one only costs a search."""
+    """One checked rule image proves surroundings; a bad one only costs a search."""
 
     @pytest.mark.parametrize("shape", [(1, 2), (2, 2)])
-    def test_recolored_tile_set_same_with_and_without_certificates(self, phi, tiles_u, shape):
-        # tile 0 gets a right color no tile has on its left: language words
-        # with tile 0 left of another tile are no longer valid patterns
+    def test_recolored_tile_set_same_with_and_without_certificates(self, tiles_u, image, shape):
+        # tile 0 gets a right color no tile has on its left: the image, with
+        # tile 0 left of another tile, is no longer a valid pattern
         tiles = [list(t) for t in tiles_u.tiles]
         tiles[0][0] = "Z"
         recolored = WangTileSet(tiles)
-        certificates = language(phi, (shape[0] + 4, shape[1] + 4))
         searched = patterns_with_surrounding(recolored, shape, 2)
         # a fresh set: the first one holds the set it found
         fresh = WangTileSet(tiles)
-        assert patterns_with_surrounding(fresh, shape, 2, certificates=certificates) == searched
+        assert not wang.certify(fresh, image) and fresh.certificate is None
+        assert patterns_with_surrounding(fresh, shape, 2) == searched
         # some pattern of U's set is a valid candidate of the recolored set
-        # without a surrounding, so an unchecked certificate would keep it
+        # without a surrounding that the image holds at margin 2, so an
+        # unchecked certificate would keep it
+        assert wang.certify(tiles_u, image)
+        margins = wang._margins(tiles_u, shape)
         lost = patterns_with_surrounding(tiles_u, shape, 2) - searched
-        assert any(is_valid_pattern(recolored, w) for w in lost)
+        assert any(is_valid_pattern(recolored, w) and margins[w.columns] >= 2 for w in lost)
 
-    def test_changed_letter_certifies_nothing(self, monkeypatch, phi, tiles_u):
-        # with every search refuted, only certificates keep a pattern
+    def test_changed_letter_certifies_nothing(self, monkeypatch, tiles_u, image):
+        # with every search refuted, only the certificate keeps a pattern
         monkeypatch.setattr(wang, "admits_surrounding", lambda tileset, u, r: False)
-        word = min(language(phi, (6, 6)), key=lambda w: w.columns)
-        window = Word2d([col[2:4] for col in word.columns[2:4]])
+        window = Word2d([col[2:4] for col in image.columns[2:4]])
         # the window alone survives radius 1 in a fresh set holding it, so it
         # is the one candidate
 
-        def holding_alone():
+        def holding_alone(word):
             tileset = WangTileSet(tiles_u)
             tileset.admissible[(2, 2), 1] = frozenset([window])
+            wang.certify(tileset, word)
             return tileset
 
-        found = patterns_with_surrounding(holding_alone(), (2, 2), 2, certificates=[word])
-        assert found == {window}
+        assert patterns_with_surrounding(holding_alone(image), (2, 2), 2) == {window}
         # one corner letter changed, outside the window: to a tile that
         # breaks an edge, or to a letter outside the tile set
-        columns = [list(col) for col in word.columns]
+        columns = [list(col) for col in image.columns]
         broken = []
         for letter in range(len(tiles_u) + 1):
             columns[0][0] = letter
@@ -184,44 +194,64 @@ class TestCertificates:
                 broken.append(changed)
         assert len(broken) > 1
         for changed in broken:
-            found = patterns_with_surrounding(holding_alone(), (2, 2), 2, certificates=[changed])
-            assert found == set()
+            tileset = holding_alone(changed)
+            assert tileset.certificate is None
+            assert patterns_with_surrounding(tileset, (2, 2), 2) == set()
 
-    def test_certificates_too_small_are_ignored(self, monkeypatch, phi, tiles_u):
-        # each query on a fresh set, which holds no set found before
-        small = language(phi, (5, 6))
-        assert len(patterns_with_surrounding(tiles_u, (2, 2), 2, certificates=small)) == 50
+    def test_certificates_too_small_are_ignored(self, monkeypatch, tiles_u, image):
+        # windows below margin r are ignored: each query on a fresh set
+        # certified by a corner block of the image, which holds no set found
+        # before; every search is refuted
         monkeypatch.setattr(wang, "admits_surrounding", lambda tileset, u, r: False)
-        found = patterns_with_surrounding(WangTileSet(tiles_u), (2, 2), 2, certificates=small)
-        assert found == set()
-        fitting = language(phi, (6, 6))
-        found = patterns_with_surrounding(WangTileSet(tiles_u), (2, 2), 2, certificates=fitting)
-        assert len(found) == 50
+
+        def found(n1, n2, r):
+            tileset = WangTileSet(tiles_u)
+            assert wang.certify(tileset, Word2d([col[:n2] for col in image.columns[:n1]]))
+            return patterns_with_surrounding(tileset, (2, 2), r)
+
+        window = Word2d([col[2:4] for col in image.columns[2:4]])
+        # in a 5x6 block the window at (2, 2) is 1 cell from the right side,
+        # and no 2x2 window is 2 cells from both sides
+        assert window in found(5, 6, 1)
+        assert found(5, 6, 2) == set()
+        assert found(6, 6, 2) == {window}
+        assert len(found(34, 34, 2)) == 50
 
     def test_certificate_windows_are_those_at_margin_r(self):
-        # each window whose cells lie at least r cells inside a certificate,
-        # by its position, mapped to the first certificate that holds it
+        # by a scan of every position: the margin index maps each window to
+        # the most cells it has to the nearest side of the certificate at
+        # any of them, so the windows it gives margin >= r are those at a
+        # position at least r cells inside
         rng = random.Random(5)
-        words = [
-            Word2d([[rng.randrange(3) for _ in range(n2)] for _ in range(n1)])
-            for n1, n2 in ((6, 7), (7, 5), (3, 3), (1, 4))
-        ]
-        for (s1, s2), r in product([(1, 1), (2, 1), (2, 3), (4, 4)], range(4)):
-            expected = {}
-            for i, word in enumerate(words):
-                n1, n2 = word.shape
-                for x, y in product(range(r, n1 - r - s1 + 1), range(r, n2 - r - s2 + 1)):
+        tileset = WangTileSet([("a", "a", "a", "a")] * 3)
+        for n1, n2 in ((6, 7), (7, 5), (3, 3), (1, 4)):
+            word = Word2d([[rng.randrange(3) for _ in range(n2)] for _ in range(n1)])
+            assert wang.certify(tileset, word)
+            for s1, s2 in [(1, 1), (2, 1), (2, 3), (4, 4)]:
+                expected: dict = {}
+                for x, y in product(range(n1 - s1 + 1), range(n2 - s2 + 1)):
                     window = tuple(col[y : y + s2] for col in word.columns[x : x + s1])
-                    expected.setdefault(window, i)
-            assert wang._certificate_windows(words, (s1, s2), r) == expected
+                    margin = min(x, y, n1 - s1 - x, n2 - s2 - y)
+                    expected[window] = max(expected.get(window, margin), margin)
+                margins = wang._margins(tileset, (s1, s2))
+                assert margins == expected
+                for r in range(4):
+                    inside = {
+                        tuple(col[y : y + s2] for col in word.columns[x : x + s1])
+                        for x in range(r, n1 - r - s1 + 1)
+                        for y in range(r, n2 - r - s2 + 1)
+                    }
+                    assert {w for w, m in margins.items() if m >= r} == inside
 
-    def test_survivors_of_radius_3_give_the_radius_4_set(self, phi, tiles_u):
-        at_3 = patterns_with_surrounding(tiles_u, (1, 3), 3, certificates=language(phi, (7, 9)))
-        certificates = language(phi, (9, 11))
+    def test_survivors_of_radius_3_give_the_radius_4_set(self, tiles_u, image):
+        wang.certify(tiles_u, image)
+        at_3 = patterns_with_surrounding(tiles_u, (1, 3), 3)
         # a fresh set holds no radius-3 set, so it searches every valid pattern
-        at_4 = patterns_with_surrounding(WangTileSet(tiles_u), (1, 3), 4, certificates=certificates)
+        fresh = WangTileSet(tiles_u)
+        wang.certify(fresh, image)
+        at_4 = patterns_with_surrounding(fresh, (1, 3), 4)
         assert len(at_3) == 56 and len(at_4) == 55
-        assert patterns_with_surrounding(tiles_u, (1, 3), 4, certificates=certificates) == at_4
+        assert patterns_with_surrounding(tiles_u, (1, 3), 4) == at_4
 
 
 class TestAdmissibleTable:
@@ -244,20 +274,24 @@ class TestAdmissibleTable:
         rng.shuffle(shuffled)
         return [run_all_order, high_first, shuffled]
 
-    def check(self, tileset, rng, certificates=lambda r: ()):
+    def check(self, tileset, rng, certificate=None):
         # each expected set from a fresh tile set, which holds nothing
+
+        def fresh():
+            found = WangTileSet(tileset)
+            wang.certify(found, certificate)
+            return found
+
         expected = {
-            (shape, r): patterns_with_surrounding(
-                WangTileSet(tileset), shape, r, certificates=certificates(r)
-            )
+            (shape, r): patterns_with_surrounding(fresh(), shape, r)
             for shape in self.SHAPES
             for r in self.RADII
         }
         for order in self.orders(rng):
             assert sorted(order) == sorted(expected)
-            filled = WangTileSet(tileset)
+            filled = fresh()
             for shape, r in order:
-                found = patterns_with_surrounding(filled, shape, r, certificates=certificates(r))
+                found = patterns_with_surrounding(filled, shape, r)
                 assert found == expected[shape, r], (order.index((shape, r)), shape, r)
         return expected
 
@@ -275,12 +309,12 @@ class TestAdmissibleTable:
             shrinking += expected[(3, 3), 1] != expected[(3, 3), 4]
         assert shrinking >= 2
 
-    def test_u_with_windows_admitted_above_the_radius(self, phi, tiles_u):
+    def test_u_with_windows_admitted_above_the_radius(self, tiles_u, image):
         # U's sets shrink up to radius 4, and a window set taken at a radius
         # above the query would be too small: at radius 2 the (2, 3) and
-        # (3, 3) sets would lose patterns through the (1, 3) set of radius 4
-        closures = {r: language(phi, (3 + 2 * r, 3 + 2 * r)) for r in self.RADII}
-        expected = self.check(tiles_u, random.Random(71), certificates=closures.get)
+        # (3, 3) sets would lose patterns through the (1, 3) set of radius 4;
+        # each fresh set is certified by the one image
+        expected = self.check(tiles_u, random.Random(71), certificate=image)
         assert [len(expected[(1, 3), r]) for r in self.RADII] == [69, 58, 56, 55]
         assert [len(expected[(3, 3), r]) for r in self.RADII] == [101, 95, 94, 94]
 
