@@ -259,7 +259,7 @@ def cmd_lang(args) -> int:
     elif args.method == "tiles":
         words = patterns_with_surrounding(catalog.wang_tiles(), shape, args.radius)
     else:
-        _, _, words = reference_coding(shape)
+        _, _, words = reference_coding(shape, language(catalog.square_substitution(), (2, 2)))
     ordered = sorted(words, key=lambda w: w.columns)
     _emit(
         {

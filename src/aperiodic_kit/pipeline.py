@@ -4,9 +4,11 @@ The Wang loop desubstitutes the 19-tile set twice and closes it with a
 tile-set equivalence; the induction loop induces the coded rotation on two
 windows and closes with a rescaling.  Both composites are compared with
 the square substitution, the two loops are compared with each other, and
-the three pattern languages are compared shape by shape.  A run's Wang
-loop and language rows share one 19-tile set, which keeps the sets found
-and one certificate, a rule image that proves most surroundings.
+the three pattern languages are compared shape by shape.  A run looks the
+substitution up once and builds its language once, and every stage reads
+that table.  A run's Wang loop and language rows share one 19-tile set,
+which keeps the sets found and one certificate, a rule image that proves
+most surroundings.
 """
 
 from __future__ import annotations
@@ -238,7 +240,9 @@ def _markers_with_escalation(tileset, direction):
     )
 
 
-def run_wang_pipeline(tiles: WangTileSet, direction_first: int = 2) -> WangLoopReport:
+def run_wang_pipeline(
+    tiles: WangTileSet, phi: Morphism2d, direction_first: int = 2
+) -> WangLoopReport:
     """Desubstitute the tile set twice and close the loop by equivalence.
 
     The certificate of ``tiles``, if any, spares domino searches of the
@@ -248,7 +252,7 @@ def run_wang_pipeline(tiles: WangTileSet, direction_first: int = 2) -> WangLoopR
     and each desubstitution reads them there.  The second marker search may
     find several subsets; the loop closes with the first, in order, whose
     desubstitution is equivalent to ``tiles``, since which one closes
-    depends on the order of the letters.
+    depends on the order of the letters.  The composite is compared with ``phi``.
     """
     started = time.perf_counter()
     first_report = _markers_with_escalation(tiles, direction_first)
@@ -281,47 +285,46 @@ def run_wang_pipeline(tiles: WangTileSet, direction_first: int = 2) -> WangLoopR
         bijection=bijection,
         morphisms=(first.morphism, second.morphism, closing),
         composite=composite,
-        composite_equals_substitution=composite == catalog.square_substitution(),
+        composite_equals_substitution=composite == phi,
         seconds=time.perf_counter() - started,
     )
 
 
-def reference_coding(max_shape: tuple[int, int]):
+def reference_coding(max_shape: tuple[int, int], table):
     """The labeled 19-atom partition, its action and its coding language of
     max_shape-patterns, from one refinement of the unlabeled arrangement.
 
     The refinement runs over the steps of max_shape joined with the domino
-    steps (1,0) and (0,1): the labeling reads both coded domino sets off
-    it, and the language is its codes through the letter map found,
-    restricted to max_shape.
+    steps (1,0) and (0,1): the labeling matches both coded domino sets with
+    those of ``table``, a substitution language of 2x2 or larger words, and
+    the language is the codes through that letter map, cut to max_shape.
     """
-    phi = catalog.square_substitution()
     raw = partition_from_segments(catalog.partition_segments(), (1, 1))
     action = catalog.rotation_action()
     cells = coded_cells(raw, action, dict.fromkeys([*shape_steps(max_shape), (1, 0), (0, 1)]))
-    horizontal = {(w[0, 0], w[1, 0]) for w in language(phi, (2, 1))}
-    vertical = {(w[0, 0], w[0, 1]) for w in language(phi, (1, 2))}
+    horizontal = {(a, b) for w in table for (a,), (b,) in windows(w.columns, (2, 1))}
+    vertical = {column for w in table for (column,) in windows(w.columns, (1, 2))}
     letters = relabel_to_match(raw, horizontal, vertical, coded_dominoes(cells))
-    table = {coded_word({n: letters[a] for n, a in c.items()}, max_shape) for c in cells}
-    return raw.relabel(letters), action, table
+    coding = {coded_word({n: letters[a] for n, a in c.items()}, max_shape) for c in cells}
+    return raw.relabel(letters), action, coding
 
 
 def build_reference_partition():
     """The 19-atom partition and its action, labeled by one refinement over
-    the domino steps."""
-    partition, action, _ = reference_coding((1, 1))
-    return partition, action
+    the domino steps against the 2x2 substitution language."""
+    table = language(catalog.square_substitution(), (2, 2))
+    return reference_coding((1, 1), table)[:2]
 
 
 def _fmt_vec(v) -> dict[str, str]:
     return {"x": str(v[0]), "y": str(v[1])}
 
 
-def run_pet_pipeline(reference, axis_first: int = 2) -> InductionLoopReport:
+def run_pet_pipeline(reference, phi: Morphism2d, axis_first: int = 2) -> InductionLoopReport:
     """Induce the coded rotation twice, rescale, and close by relabeling.
 
     ``reference`` is the (partition, action) pair of
-    ``build_reference_partition``.
+    ``build_reference_partition``; the composite is compared with ``phi``.
     """
     started = time.perf_counter()
     partition, action = reference
@@ -358,13 +361,13 @@ def run_pet_pipeline(reference, axis_first: int = 2) -> InductionLoopReport:
         relabel_permutation=permutation,
         morphisms=(first_morphism, second_morphism, closing),
         composite=composite,
-        composite_equals_substitution=composite == catalog.square_substitution(),
+        composite_equals_substitution=composite == phi,
         seconds=time.perf_counter() - started,
     )
 
 
-def check_uniqueness_hypotheses() -> UniquenessReport:
-    """Expansiveness, primitivity, and the seed-graph containment.
+def check_uniqueness_hypotheses(phi: Morphism2d, table) -> UniquenessReport:
+    """Expansiveness, primitivity, and the seed-graph containment in ``table``.
 
     The containment of the seed graph's cycle vertices in the language is
     recorded faithfully: it fails, because the factor graph has 2-cycles
@@ -373,11 +376,10 @@ def check_uniqueness_hypotheses() -> UniquenessReport:
     action on 2x2 words, 367 of the 10,825 words whose image is defined.
     """
     started = time.perf_counter()
-    phi = catalog.square_substitution()
     expansive = is_expansive(phi)
     primitive = is_primitive(phi)
     seed_words = seeds(phi)
-    squares = language(phi, (2, 2))
+    squares = project(table, (2, 2))
     escaped = sorted(
         (w for w in seed_words if w not in squares), key=lambda w: w.columns
     )
@@ -415,18 +417,17 @@ def rule_certificate(phi: Morphism2d, table) -> Optional[Word2d]:
 
 
 def cross_check_languages(
-    tiles: WangTileSet, coding_table, max_shape: tuple[int, int] = (2, 2)
+    tiles: WangTileSet, table, coding_table, max_shape: tuple[int, int]
 ) -> list[LanguageRow]:
     """Compare the three pattern languages at every shape up to max_shape.
 
-    ``tiles`` is the tile set of the tile-side rows, and ``coding_table``
-    the coding language of ``max_shape``-patterns (the third value of
-    ``reference_coding``).
+    ``tiles`` is the tile set of the tile-side rows, ``table`` the run's
+    substitution language, of a shape covering ``max_shape``, and
+    ``coding_table`` the coding language of ``max_shape``-patterns (the
+    third value of ``reference_coding``).
 
-    The substitution language is computed once at ``max_shape``, as a
-    closure of factors under the rule; every smaller shape of it and of the
-    coding table is their projection, since each of its factors extends
-    to one of ``max_shape``.  The tile side is checked
+    Both are projected to each shape, since each of their factors extends
+    to one of the larger shape.  The tile side is checked
     shape by shape, because each shape settles at its own surrounding
     radius, which its row reports: the tile-set language may strictly
     contain the true language at a low radius, so on mismatch the radius is
@@ -440,13 +441,11 @@ def cross_check_languages(
     below, and a shape tests only the patterns whose smaller windows are
     admissible.
     """
-    phi = catalog.square_substitution()
-    substitution_table = language(phi, max_shape)
     rows = []
     for s1 in range(1, max_shape[0] + 1):
         for s2 in range(1, max_shape[1] + 1):
             shape = (s1, s2)
-            from_substitution = project(substitution_table, shape)
+            from_substitution = project(table, shape)
             from_coding = project(coding_table, shape)
             r = TILE_RADIUS
             while True:
@@ -475,11 +474,11 @@ def run_all(max_shape: tuple[int, int] = (2, 2)) -> VerificationReport:
     table = language(phi, (max(max_shape[0], 2), max(max_shape[1], 2)))
     tiles = catalog.wang_tiles()
     certify(tiles, rule_certificate(phi, table))
-    wang = run_wang_pipeline(tiles)
-    partition, action, coding_table = reference_coding(max_shape)
-    induction = run_pet_pipeline((partition, action))
-    uniqueness = check_uniqueness_hypotheses()
-    rows = cross_check_languages(tiles, coding_table, max_shape)
+    wang = run_wang_pipeline(tiles, phi)
+    partition, action, coding_table = reference_coding(max_shape, table)
+    induction = run_pet_pipeline((partition, action), phi)
+    uniqueness = check_uniqueness_hypotheses(phi, table)
+    rows = cross_check_languages(tiles, table, coding_table, max_shape)
     loops_agree = all(a == b for a, b in zip(wang.morphisms, induction.morphisms))
     report = VerificationReport(
         wang=wang,

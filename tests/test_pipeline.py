@@ -34,8 +34,8 @@ V_MARKER_SETS = [
 
 
 @pytest.fixture(scope="module")
-def wang_report():
-    return run_wang_pipeline(wang_tiles())
+def wang_report(phi):
+    return run_wang_pipeline(wang_tiles(), phi)
 
 
 @pytest.fixture(scope="module")
@@ -44,8 +44,8 @@ def reference():
 
 
 @pytest.fixture(scope="module")
-def induction_report(reference):
-    return run_pet_pipeline(reference)
+def induction_report(reference, phi):
+    return run_pet_pipeline(reference, phi)
 
 
 class TestWangLoop:
@@ -61,26 +61,27 @@ class TestWangLoop:
         assert wang_report.composite_equals_substitution
         assert wang_report.composite == square_substitution()
 
-    def test_table_holds_only_the_first_tile_sets_dominoes(self, h_dominoes, v_dominoes):
+    def test_table_holds_only_the_first_tile_sets_dominoes(self, phi, h_dominoes, v_dominoes):
         # the marker search fills the 19 tiles' admissible sets at radius 1
         # and 2; the middle tile set keeps sets of its own
         tiles = wang_tiles()
-        report = run_wang_pipeline(tiles)
+        report = run_wang_pipeline(tiles, phi)
         assert report.composite_equals_substitution
         assert sorted(tiles.admissible) == [((1, 2), 1), ((1, 2), 2), ((2, 1), 1), ((2, 1), 2)]
         assert {(w[0, 0], w[1, 0]) for w in tiles.admissible[(2, 1), 2]} == h_dominoes
         assert {(w[0, 0], w[0, 1]) for w in tiles.admissible[(1, 2), 2]} == v_dominoes
 
-    def test_alternate_direction_closes(self):
-        report = run_wang_pipeline(wang_tiles(), direction_first=1)
+    def test_alternate_direction_closes(self, phi):
+        report = run_wang_pipeline(wang_tiles(), phi, direction_first=1)
         assert report.final_size == 19
         assert report.composite.domain_size == 19
 
     @pytest.mark.parametrize("seed", [1, 2, 4, 5])
-    def test_permuted_letters_close_the_loop(self, seed):
+    def test_permuted_letters_close_the_loop(self, phi, seed):
         # the 19 tiles in a seeded order: which of the second search's marker
         # subsets closes depends on the order, and the composite is the
-        # square substitution with its letters renamed, pi o phi o pi^-1
+        # square substitution with its letters renamed, pi o phi o pi^-1,
+        # which is the rule the loop is compared with
         from aperiodic_kit.morphisms import Morphism2d, compose
         from aperiodic_kit.wang import WangTileSet
 
@@ -89,13 +90,15 @@ class TestWangLoop:
         permuted = [None] * 19
         for a, tile in enumerate(wang_tiles().tiles):
             permuted[pi[a]] = tile
-        report = run_wang_pipeline(WangTileSet(permuted))
         rename = Morphism2d.from_permutation(dict(enumerate(pi)))
         restore = Morphism2d.from_permutation({b: a for a, b in enumerate(pi)})
+        renamed = compose(rename, compose(phi, restore))
+        report = run_wang_pipeline(WangTileSet(permuted), renamed)
         assert report.final_size == 19
-        assert report.composite == compose(rename, compose(square_substitution(), restore))
+        assert report.composite == renamed
+        assert report.composite_equals_substitution
 
-    def test_a_loop_that_closes_with_no_subset_names_them_all(self, monkeypatch):
+    def test_a_loop_that_closes_with_no_subset_names_them_all(self, monkeypatch, phi):
         from aperiodic_kit import pipeline
 
         tried = []
@@ -106,20 +109,20 @@ class TestWangLoop:
 
         monkeypatch.setattr(pipeline, "is_equivalent", never)
         with pytest.raises(pipeline.StageFailure, match="any of the marker subsets") as failure:
-            run_wang_pipeline(wang_tiles())
+            run_wang_pipeline(wang_tiles(), phi)
         assert failure.value.stage == "is_equivalent"
         assert str(V_MARKER_SETS) in str(failure.value)
         assert len(tried) == len(V_MARKER_SETS)
 
-    def test_periodic_tileset_fails(self):
+    def test_periodic_tileset_fails(self, phi):
         from aperiodic_kit.pipeline import StageFailure
         from aperiodic_kit.wang import WangTileSet
 
         single = WangTileSet([("A", "B", "A", "B")])
         with pytest.raises(StageFailure):
-            run_wang_pipeline(single)
+            run_wang_pipeline(single, phi)
 
-    def test_corrupted_color_fails(self):
+    def test_corrupted_color_fails(self, phi):
         # fault injection: one wrong edge color must break the loop, either
         # at some stage or in the final composite comparison
         from aperiodic_kit.pipeline import StageFailure
@@ -128,7 +131,7 @@ class TestWangLoop:
         tiles = [list(t) for t in wang_tiles().tiles]
         tiles[0][0] = "Z"
         try:
-            report = run_wang_pipeline(WangTileSet(tiles))
+            report = run_wang_pipeline(WangTileSet(tiles), phi)
             assert not report.composite_equals_substitution
         except StageFailure:
             pass
@@ -150,8 +153,8 @@ class TestInductionLoop:
     def test_composite(self, induction_report):
         assert induction_report.composite_equals_substitution
 
-    def test_alternate_axis_closes(self, reference):
-        report = run_pet_pipeline(reference, axis_first=1)
+    def test_alternate_axis_closes(self, reference, phi):
+        report = run_pet_pipeline(reference, phi, axis_first=1)
         assert report.composite_equals_substitution
 
     def test_loops_agree(self, wang_report, induction_report):
@@ -160,8 +163,8 @@ class TestInductionLoop:
 
 
 class TestUniqueness:
-    def test_hypotheses(self):
-        report = check_uniqueness_hypotheses()
+    def test_hypotheses(self, phi):
+        report = check_uniqueness_hypotheses(phi, language(phi, (2, 2)))
         assert report.expansive
         assert report.primitive
         # the seed-graph containment fails mathematically; the report says so
@@ -185,9 +188,12 @@ class TestLanguages:
         lang4 = language(phi, (4, 4))
         assert lang4 <= patterns_with_surrounding(tiles_u, (4, 4), 2)
 
-    def test_counts_and_equality(self):
-        coding = reference_coding((2, 2))[2]
-        rows = {tuple(r.shape): r for r in cross_check_languages(wang_tiles(), coding, (2, 2))}
+    def test_counts_and_equality(self, phi):
+        table = language(phi, (2, 2))
+        coding = reference_coding((2, 2), table)[2]
+        rows = {
+            tuple(r.shape): r for r in cross_check_languages(wang_tiles(), table, coding, (2, 2))
+        }
         expect = {(1, 1): 19, (2, 1): 31, (1, 2): 35, (2, 2): 50}
         for shape, count in expect.items():
             row = rows[shape]
@@ -197,9 +203,12 @@ class TestLanguages:
             assert row.all_equal
             assert row.radius_used == 2
 
-    def test_extended_table_needs_escalation(self):
-        coding = reference_coding((3, 3))[2]
-        rows = {tuple(r.shape): r for r in cross_check_languages(wang_tiles(), coding, (3, 3))}
+    def test_extended_table_needs_escalation(self, phi):
+        table = language(phi, (3, 3))
+        coding = reference_coding((3, 3), table)[2]
+        rows = {
+            tuple(r.shape): r for r in cross_check_languages(wang_tiles(), table, coding, (3, 3))
+        }
         assert all(r.all_equal for r in rows.values())
         assert rows[(3, 3)].substitution_count == 94
         assert rows[(3, 3)].radius_used == 3
@@ -251,8 +260,9 @@ class TestLanguages:
         # the run's 19-tile set keeps, so no set is searched twice, a raised
         # radius searches the survivors of the one below, and a shape only
         # the patterns whose smaller windows are admissible (413 and 1,541
-        # searches with nothing kept); the whole report, without its
-        # seconds, is the pinned one
+        # searches with nothing kept); the run builds one substitution
+        # closure, at the max shape; the whole report, without its seconds,
+        # is the pinned one
         from aperiodic_kit import wang
 
         radii = []
@@ -263,8 +273,10 @@ class TestLanguages:
             return search(tileset, u, r)
 
         monkeypatch.setattr(wang, "admits_surrounding", counting)
+        closures = _count_closures(monkeypatch)
         report = run_all(max_shape)
         assert report.ok()
+        assert closures == [max_shape]
         assert len(radii) <= searches
         assert _without_seconds(report.to_json()) == json.loads(pinned.read_text())
 
@@ -343,11 +355,17 @@ class TestLanguages:
         assert supports == [[(1, 0), (0, 1)]]
 
     @pytest.mark.pinned
-    @pytest.mark.parametrize("max_shape", [(1, 1), (2, 1), (1, 2)], ids=["1x1", "2x1", "1x2"])
+    @pytest.mark.parametrize(
+        "max_shape",
+        [(1, 1), (2, 1), (1, 2), (1, 3), (3, 1)],
+        ids=["1x1", "2x1", "1x2", "1x3", "3x1"],
+    )
     def test_small_max_shapes_join_the_domino_steps(self, monkeypatch, max_shape):
-        # below 2x2 the refinement support is the max shape's steps joined
-        # with (1, 0) and (0, 1); the rows and the labeled atoms are those
-        # of the pinned 3x3 report and reference partition
+        # with a side below 2 the refinement support is the max shape's
+        # steps joined with (1, 0) and (0, 1), and the run's one substitution
+        # closure (2x2, 2x3 or 3x2) is larger than the max shape on that
+        # side; the rows and the labeled atoms are those of the pinned 3x3
+        # report and reference partition
         from aperiodic_kit import pipeline
 
         references = []
@@ -358,7 +376,9 @@ class TestLanguages:
             return induce(reference, *args)
 
         monkeypatch.setattr(pipeline, "run_pet_pipeline", recording)
+        closures = _count_closures(monkeypatch)
         report = run_all(max_shape)
+        assert closures == [(max(max_shape[0], 2), max(max_shape[1], 2))]
         pinned_rows = json.loads((EXPECTED / "verify_3x3.json").read_text())["languages"]
         shapes = [(i, j) for i in range(1, max_shape[0] + 1) for j in range(1, max_shape[1] + 1)]
         assert [row.to_json() for row in report.languages] == [
@@ -455,6 +475,23 @@ def _without_seconds(obj):
     if isinstance(obj, list):
         return [_without_seconds(v) for v in obj]
     return obj
+
+
+def _count_closures(monkeypatch):
+    """Wrap the substitution closure; the returned list fills with the
+    shape of each call."""
+    from aperiodic_kit import morphisms, pipeline
+
+    shapes = []
+    closure = morphisms.language
+
+    def counting(m, shape, *args, **kwargs):
+        shapes.append(shape)
+        return closure(m, shape, *args, **kwargs)
+
+    monkeypatch.setattr(morphisms, "language", counting)
+    monkeypatch.setattr(pipeline, "language", counting)
+    return shapes
 
 
 class TestFullReport:
