@@ -73,7 +73,7 @@ def find_markers(tileset: WangTileSet, direction: int, radius: int) -> MarkerRep
     perpendicular axis (so whole layers stay within one class); a class
     qualifies when no two of its tiles can ever be adjacent along the
     direction itself.  The tile set keeps the domino sets found, and its
-    certificate, if any, spares searches as in ``patterns_with_surrounding``.
+    proved words, if any, spare searches as in ``patterns_with_surrounding``.
     """
     if direction not in (1, 2):
         raise ValueError("direction must be 1 or 2")

@@ -7,8 +7,9 @@ the square substitution, the two loops are compared with each other, and
 the three pattern languages are compared shape by shape.  A run looks the
 substitution up once and builds its language once, and every stage reads
 that table.  A run's Wang loop and language rows share one 19-tile set,
-which keeps the sets found and one certificate, a rule image that proves
-most surroundings.
+which keeps the sets found and, once ``wang.prove`` shows the substitution
+a self-similarity of it, the table, whose words need no search.  The proof
+rests on the table being the substitution's language; the coding rows do not.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from typing import Optional
 
 from . import catalog
 from .geometry import (
+    AmbiguousLabeling,
+    NoConsistentLabeling,
     is_equal_up_to_relabeling,
     partition_from_segments,
     relabel_to_match,
@@ -36,18 +39,16 @@ from .pet import (
     shape_steps,
 )
 from .phifield import PHI
-from .wang import WangTileSet, certify, patterns_with_surrounding
-from .words import Word2d, project, windows
+from .wang import WangTileSet, patterns_with_surrounding, prove
+from .words import project, windows
 
 
 # Marker searches escalate from radius 1 (the 19 tiles show markers in
 # direction 2 only from radius 2).  Tile-side language rows escalate from
 # radius 2, which settles every shape up to (2,2), to the radius 4 that the
-# vertical triple column needs.  A rule image larger than
-# MAX_CERTIFICATE_CELLS is not tried as a certificate.
+# vertical triple column needs.
 MAX_MARKER_RADIUS = 3
 TILE_RADIUS, MAX_TILE_RADIUS = 2, 4
-MAX_CERTIFICATE_CELLS = 100_000
 
 
 class StageFailure(RuntimeError):
@@ -245,14 +246,14 @@ def run_wang_pipeline(
 ) -> WangLoopReport:
     """Desubstitute the tile set twice and close the loop by equivalence.
 
-    The certificate of ``tiles``, if any, spares domino searches of the
-    first marker search and never changes the report; the derived tile
-    sets have other letters and no certificate.
-    Each tile set keeps the admissible dominoes its marker search finds,
-    and each desubstitution reads them there.  The second marker search may
-    find several subsets; the loop closes with the first, in order, whose
-    desubstitution is equivalent to ``tiles``, since which one closes
-    depends on the order of the letters.  The composite is compared with ``phi``.
+    The words ``tiles`` has proved, if any, spare domino searches of the
+    first marker search and never change the report; the derived tile
+    sets have other letters and prove nothing.  Each tile set keeps the
+    admissible dominoes its marker search finds, and each desubstitution
+    reads them there.  The second marker search may find several subsets;
+    the loop closes with the first, in order, whose desubstitution is
+    equivalent to ``tiles``, since which one closes depends on the order of
+    the letters.  The composite is compared with ``phi``.
     """
     started = time.perf_counter()
     first_report = _markers_with_escalation(tiles, direction_first)
@@ -304,7 +305,10 @@ def reference_coding(max_shape: tuple[int, int], table):
     cells = coded_cells(raw, action, dict.fromkeys([*shape_steps(max_shape), (1, 0), (0, 1)]))
     horizontal = {(a, b) for w in table for (a,), (b,) in windows(w.columns, (2, 1))}
     vertical = {column for w in table for (column,) in windows(w.columns, (1, 2))}
-    letters = relabel_to_match(raw, horizontal, vertical, coded_dominoes(cells))
+    try:
+        letters = relabel_to_match(raw, horizontal, vertical, coded_dominoes(cells))
+    except (NoConsistentLabeling, AmbiguousLabeling) as exc:
+        raise StageFailure("relabel_to_match", str(exc)) from None
     coding = {coded_word({n: letters[a] for n, a in c.items()}, max_shape) for c in cells}
     return raw.relabel(letters), action, coding
 
@@ -394,28 +398,6 @@ def check_uniqueness_hypotheses(phi: Morphism2d, table) -> UniquenessReport:
     )
 
 
-def rule_certificate(phi: Morphism2d, table) -> Optional[Word2d]:
-    """The least image phi^k(0), k >= 1, that holds every word of the table
-    as a window at least MAX_TILE_RADIUS cells from every side, or None.
-
-    The images of an expansive rule grow past every bound, and the powers
-    stop, with None, at the first image above MAX_CERTIFICATE_CELLS cells;
-    a rule that is not expansive gets None at once.  For the catalog rule
-    and its 2x2 or 3x3 language the image is phi^8(0), 34x34.
-    """
-    if not is_expansive(phi):
-        return None
-    shapes = {w.shape for w in table}
-    word = Word2d.single(0)
-    while len(word := phi.apply(word)) <= MAX_CERTIFICATE_CELLS:
-        (n1, n2), r = word.shape, MAX_TILE_RADIUS
-        trimmed = tuple(col[r : n2 - r] for col in word.columns[r : n1 - r])
-        held = {window for shape in shapes for window in windows(trimmed, shape)}
-        if all(w.columns in held for w in table):
-            return word
-    return None
-
-
 def cross_check_languages(
     tiles: WangTileSet, table, coding_table, max_shape: tuple[int, int]
 ) -> list[LanguageRow]:
@@ -427,19 +409,17 @@ def cross_check_languages(
     third value of ``reference_coding``).
 
     Both are projected to each shape, since each of their factors extends
-    to one of the larger shape.  The tile side is checked
-    shape by shape, because each shape settles at its own surrounding
-    radius, which its row reports: the tile-set language may strictly
-    contain the true language at a low radius, so on mismatch the radius is
-    raised from TILE_RADIUS up to MAX_TILE_RADIUS.  The certificate of
-    ``tiles``, if any (``run_all`` sets a rule image that holds every
-    language word at margin MAX_TILE_RADIUS), proves those patterns
-    admissible at every radius without a search, and it cannot change a
-    row.  Every row reads and fills the admissible sets that
-    ``tiles`` keeps: a set already found, by the marker search say, is not
-    searched again, a raised radius tests only the survivors of the one
-    below, and a shape tests only the patterns whose smaller windows are
-    admissible.
+    to one of the larger shape.  The tile side is checked shape by shape,
+    because each shape settles at its own surrounding radius, which its row
+    reports: the tile-set language may strictly contain the true language
+    at a low radius, so on mismatch the radius is raised from TILE_RADIUS
+    up to MAX_TILE_RADIUS.  The windows of the words ``tiles`` has proved,
+    if any (``run_all`` proves the table), are admissible at every radius
+    without a search, and cannot change a row.  Every row reads and fills
+    the admissible sets that ``tiles`` keeps: a set already found, by the
+    marker search say, is not searched again, a raised radius tests only
+    the survivors of the one below, and a shape tests only the patterns
+    whose smaller windows are admissible.
     """
     rows = []
     for s1 in range(1, max_shape[0] + 1):
@@ -468,12 +448,12 @@ def cross_check_languages(
 
 def run_all(max_shape: tuple[int, int] = (2, 2)) -> VerificationReport:
     started = time.perf_counter()
-    # the tile set keeps its admissible sets and its certificate, which
-    # holds every factor the marker search and the rows ask of it
+    # the tile set keeps its admissible sets and the proved table
     phi = catalog.square_substitution()
     table = language(phi, (max(max_shape[0], 2), max(max_shape[1], 2)))
     tiles = catalog.wang_tiles()
-    certify(tiles, rule_certificate(phi, table))
+    if (fault := prove(tiles, phi, table)) is not None:
+        raise StageFailure("self_similarity", fault)
     wang = run_wang_pipeline(tiles, phi)
     partition, action, coding_table = reference_coding(max_shape, table)
     induction = run_pet_pipeline((partition, action), phi)

@@ -20,16 +20,17 @@ fixed tiles.  Domino sets are the 2-cell case of the surrounding search.
 
 The admissible patterns of a shape (those with an r-surrounding) are found
 as in the admissible-pattern-set method: every valid pattern is a
-candidate, and a candidate is kept when the tile set's certificate proves
-it or a search finds its surrounding.  The certificate is one word, set by
-``certify`` only if it is a valid pattern of the tile set, typically an
-image of the substitution rule; a window of it at margin at least r on
-every side has an r-surrounding, so the certificate only saves searches
-and never changes a set.  Admissible sets shrink as r grows, and every
-window of an admissible pattern is admissible at the same radius, so the
-sets a tile set keeps, by shape and radius, let each set grow from smaller
-ones: the set of the radius below gives the candidates, and those whose
-windows a column or a row smaller the kept sets refuse are dropped
+candidate, and a candidate is kept when it is a window of a word the tile
+set has proved or a search finds its surrounding.  ``prove`` checks, with
+no search, that a substitution rule is a self-similarity of the tile set:
+each letter's image is valid and the images of every valid domino glue.
+Every word of the rule's language then has every surrounding, so the tile
+set keeps the language words it is given as proved; the proof only saves
+searches and never changes a set.  Admissible sets shrink as r grows, and
+every window of an admissible pattern is admissible at the same radius, so
+the sets a tile set keeps, by shape and radius, let each set grow from
+smaller ones: the set of the radius below gives the candidates, and those
+whose windows a column or a row smaller the kept sets refuse are dropped
 unsearched; a kept set is never searched again.  ``words.windows`` reads
 every window here.  Every search runs in the calling process.
 """
@@ -41,6 +42,7 @@ from itertools import product
 from typing import Iterable, Optional, Sequence
 
 from .jobs import parallel_map
+from .morphisms import Morphism2d, is_expansive
 from .words import Word2d, windows
 
 RIGHT, TOP, LEFT, BOTTOM = 0, 1, 2, 3
@@ -82,12 +84,9 @@ class WangTileSet:
         self.distinct_fits = self.fits if len(distinct) == len(self.tiles) else {
             key: [t for t in found if t in distinct] for key, found in self.fits.items()
         }
-        # the admissible sets found so far, by (shape, radius); the word
-        # ``certify`` checked, and the largest margin of each of its windows
-        # by shape, the index built on first need
+        # the admissible sets found, by (shape, radius), and the words ``prove`` keeps
         self.admissible: dict[tuple[tuple[int, int], int], frozenset[Word2d]] = {}
-        self.certificate: Optional[Word2d] = None
-        self.margins: dict[tuple[int, int], dict[tuple, int]] = {}
+        self.proved: frozenset[Word2d] = frozenset()
 
     def __len__(self):
         return len(self.tiles)
@@ -385,34 +384,42 @@ def sublattice_bases(max_index: int):
                 yield ((a, 0), (c, d))
 
 
-def certify(tileset: WangTileSet, word: Optional[Word2d]) -> bool:
-    """Make the word the tile set's certificate if it is a valid pattern of
-    the tile set; None, an invalid word, or one with a letter outside the
-    tile set leaves it without one.  True iff the word was kept."""
-    try:
-        valid = word is not None and is_valid_pattern(tileset, word)
-    except UnknownTileIndex:
-        valid = False
-    tileset.certificate, tileset.margins = (word if valid else None), {}
-    return valid
+def prove(tileset: WangTileSet, phi: Morphism2d, table) -> Optional[str]:
+    """Keep ``table`` as the tile set's proved words when the rule phi is a
+    self-similarity of it; else keep none and name the first fault in one line.
 
+    phi must be an expansive rule on the tile set's letters whose images
+    are valid patterns and glue along every valid domino (a, b) of the fit
+    index: the right (top) colors of phi(a) are the left (bottom) colors of
+    phi(b).  Then phi maps valid patterns to valid ones, so the growing
+    images phi^k(a) are valid, and each word of phi's language lies in one
+    at any margin: it has every surrounding.  The proof rests on ``table``
+    being words of that language (``morphisms.language``), not checked.
+    """
+    tileset.proved = frozenset()
+    tiles = tileset.tiles
+    if not phi.domain_size == phi.codomain_size == len(tiles):
+        return f"the rule has {phi.domain_size} letters, the tile set {len(tiles)} tiles"
+    if not is_expansive(phi):
+        return "the rule is not expansive"
+    images = [phi.image(a) for a in range(len(tiles))]
+    for a, image in enumerate(images):
+        if not is_valid_pattern(tileset, image):
+            return f"the image of letter {a} is not a valid pattern"
 
-def _margins(tileset: WangTileSet, shape: tuple[int, int]) -> dict[tuple, int]:
-    """The columns of each shape-window of the tile set's certificate, mapped
-    to the largest margin at which it occurs: the fewest cells between the
-    window and a side of the certificate."""
-    if tileset.certificate is None:
-        return {}
-    if shape not in tileset.margins:
-        (n1, n2), (s1, s2) = tileset.certificate.shape, shape
-        found: dict[tuple, int] = {}
-        for i, window in enumerate(windows(tileset.certificate.columns, shape)):
-            x, y = divmod(i, n2 - s2 + 1)
-            margin = min(x, y, n1 - s1 - x, n2 - s2 - y)
-            if found.get(window, -1) < margin:
-                found[window] = margin
-        tileset.margins[shape] = found
-    return tileset.margins[shape]
+    def colors(w, side):
+        # the colors on that side of the last (right, top) or first column or row
+        lines = tuple(zip(*w.columns)) if side % 2 else w.columns
+        return [tiles[t][side] for t in lines[-1 if side < LEFT else 0]]
+
+    for side, name in ((RIGHT, "horizontal"), (TOP, "vertical")):
+        for a, tile in enumerate(tiles):
+            key = tuple(tile[side] if s == side ^ 2 else None for s in range(4))
+            for b in tileset.fits.get(key, ()):
+                if colors(images[a], side) != colors(images[b], side ^ 2):
+                    return f"the images of the {name} domino ({a}, {b}) do not glue"
+    tileset.proved = frozenset(table)
+    return None
 
 
 def _held(tileset: WangTileSet, shape: tuple[int, int], r: int):
@@ -450,11 +457,9 @@ def patterns_with_surrounding(
 
     The candidates are the valid shape-patterns, or fewer when the tile set
     keeps smaller sets (below).  A candidate counts as admissible when it
-    is a window at margin at least r on every side of the tile set's
-    certificate (``certify``), or when the search finds a surrounding: the
-    certificate is a valid pattern, so the block of that margin around the
-    window is an r-surrounding.  The set does not depend on the
-    certificate, only the number of searches does.
+    is a window of a word the tile set has proved (``prove``), which has
+    every surrounding, or when the search finds a surrounding.  The set
+    does not depend on the proof, only the number of searches does.
 
     The answer is kept in ``tileset.admissible``, by (shape, radius), and a
     kept set is returned without a search.  Otherwise the candidates are
@@ -468,10 +473,10 @@ def patterns_with_surrounding(
     if candidates is None:
         candidates = solve_all(TilingInstance(tileset, shape))
     candidates = _with_admitted_windows(tileset, shape, r, candidates)
-    margins = _margins(tileset, shape)
+    proved = {window for w in tileset.proved for window in windows(w.columns, shape)}
     found, searched = set(), []
     for word in candidates:
-        if margins.get(word.columns, -1) >= r:
+        if word.columns in proved:
             found.add(word)
         else:
             searched.append(word)

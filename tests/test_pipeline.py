@@ -9,19 +9,19 @@ import pytest
 
 from aperiodic_kit.catalog import square_substitution, wang_tiles
 from aperiodic_kit.morphisms import Morphism2d, language
+from aperiodic_kit.pet import TorusAction
+from aperiodic_kit.phifield import PHI, PhiNumber
 from aperiodic_kit.pipeline import (
-    MAX_CERTIFICATE_CELLS,
-    MAX_TILE_RADIUS,
+    StageFailure,
     build_reference_partition,
     check_uniqueness_hypotheses,
     cross_check_languages,
     reference_coding,
-    rule_certificate,
     run_all,
     run_pet_pipeline,
     run_wang_pipeline,
 )
-from aperiodic_kit.wang import is_valid_pattern
+from aperiodic_kit.wang import WangTileSet, patterns_with_surrounding, prove
 from aperiodic_kit.words import Word2d
 
 EXPECTED = Path(__file__).parent / "expected"
@@ -260,7 +260,8 @@ class TestLanguages:
         # the run's 19-tile set keeps, so no set is searched twice, a raised
         # radius searches the survivors of the one below, and a shape only
         # the patterns whose smaller windows are admissible (413 and 1,541
-        # searches with nothing kept); the run builds one substitution
+        # searches with nothing kept), and the proved table spares every
+        # search of a language word; the run builds one substitution
         # closure, at the max shape; the whole report, without its seconds,
         # is the pinned one
         from aperiodic_kit import wang
@@ -277,7 +278,7 @@ class TestLanguages:
         report = run_all(max_shape)
         assert report.ok()
         assert closures == [max_shape]
-        assert len(radii) <= searches
+        assert len(radii) == searches
         assert _without_seconds(report.to_json()) == json.loads(pinned.read_text())
 
     def test_each_run_and_each_tile_set_keeps_its_own_sets(self, monkeypatch):
@@ -397,76 +398,56 @@ class TestLanguages:
 
 
 class TestRuleCertificate:
-    """The one certificate of a run: the least rule image phi^k(0) that
-    holds the language at margin MAX_TILE_RADIUS."""
+    """The one proof of a run: ``wang.prove`` shows the substitution a
+    self-similarity of the 19 tiles and keeps its language as proved."""
 
     @pytest.mark.parametrize("shape", [(2, 2), (3, 3)], ids=["2x2", "3x3"])
-    def test_catalog_image_is_phi8_of_0_and_holds_the_language(self, phi, tiles_u, shape):
-        from aperiodic_kit import wang
-
+    def test_catalog_rule_proves_the_language(self, phi, tiles_u, shape):
         table = language(phi, shape)
-        image = rule_certificate(phi, table)
-        power = Word2d.single(0)
-        for _ in range(8):
-            power = phi.apply(power)
-        assert image == power and image.shape == (34, 34)
-        assert is_valid_pattern(tiles_u, image)
-        assert wang.certify(tiles_u, image)
-        margins = wang._margins(tiles_u, shape)
-        assert all(margins[w.columns] >= MAX_TILE_RADIUS for w in table)
+        assert prove(tiles_u, phi, table) is None
+        assert tiles_u.proved == frozenset(table)
 
     def test_run_at_1x1_is_ok(self):
         assert run_all((1, 1)).ok()
 
     def test_a_rule_that_is_not_expansive_gets_none(self):
-        swap = Morphism2d.from_permutation({0: 1, 1: 0})
-        assert rule_certificate(swap, {Word2d.single(0)}) is None
+        # one tile that fits no copy of itself, and the identity rule, which
+        # sends it to a valid pattern and has no valid domino to glue: the
+        # tile has no 1-surrounding, so a proof that kept the rule's
+        # language, the one letter, would keep a pattern that has none
+        tileset = WangTileSet([("a", "b", "c", "d")])
+        identity = Morphism2d.from_permutation({0: 0})
+        table = language(identity, (1, 1))
+        assert table == {Word2d.single(0)}
+        assert prove(tileset, identity, table) == "the rule is not expansive"
+        assert tileset.proved == frozenset()
+        assert patterns_with_surrounding(tileset, (1, 1), 1) == set()
 
-    def test_non_factor_stops_the_powers_at_their_bound(self, monkeypatch, phi):
-        # a 2x2 word with tile 0 beside itself is no factor, so no image
-        # holds it: the powers stop at the first image above the bound, no
-        # tile set is certified, and the run's sets are those of a run with
-        # the certificate, found with more searches
-        from aperiodic_kit import pipeline, wang
+    def test_a_rule_mutant_fails_at_self_similarity(self, monkeypatch):
+        # one letter of the image of 0 changed: the run stops before any search
+        from aperiodic_kit import catalog, wang
 
-        table = language(phi, (2, 2))
-        stranger = Word2d([[0, 0], [0, 0]])
-        assert stranger not in table
-        # a rule of its own, whose images are counted
-        rule, sizes = square_substitution(), []
-        apply = rule.apply
+        monkeypatch.setitem(catalog.SUBSTITUTION_RULE, 0, [[16]])
+        monkeypatch.setattr(wang, "admits_surrounding", None)
+        with pytest.raises(StageFailure) as failure:
+            run_all((1, 1))
+        assert failure.value.stage == "self_similarity"
+        assert str(failure.value) == (
+            "self_similarity: the images of the horizontal domino (2, 0) do not glue"
+        )
 
-        def counting(word):
-            image = apply(word)
-            sizes.append(len(image))
-            return image
+    def test_a_rotation_with_no_matching_labels_fails_at_relabel_to_match(self, monkeypatch):
+        # the rotation by phi^-1 in place of phi^-2 codes dominoes that no
+        # labeling maps into the substitution's
+        from aperiodic_kit import catalog
 
-        rule.apply = counting
-        assert rule_certificate(rule, table | {stranger}) is None
-        assert sizes[-1] > MAX_CERTIFICATE_CELLS >= max(sizes[:-1])
-
-        searches, certified = [], []
-        search, certify, build = wang.admits_surrounding, pipeline.certify, rule_certificate
-
-        def counting_search(tileset, u, r):
-            searches.append(r)
-            return search(tileset, u, r)
-
-        def recording(tileset, word):
-            certified.append(certify(tileset, word))
-            return certified[-1]
-
-        monkeypatch.setattr(wang, "admits_surrounding", counting_search)
-        monkeypatch.setattr(pipeline, "certify", recording)
-        reports = []
-        for extra in [set(), {stranger}]:
-            monkeypatch.setattr(pipeline, "rule_certificate", lambda p, t: build(p, t | extra))
-            searches.clear()
-            reports.append((_without_seconds(run_all((1, 1)).to_json()), len(searches)))
-        (with_image, fewer), (without, more) = reports
-        assert certified == [True, False]
-        assert with_image == without and with_image["ok"]
-        assert fewer < more
+        step = PHI**-1
+        action = TorusAction((PhiNumber(1), PhiNumber(1)), (step, PhiNumber(0)), (PhiNumber(0), step))
+        monkeypatch.setattr(catalog, "rotation_action", lambda: action)
+        with pytest.raises(StageFailure) as failure:
+            run_all((1, 1))
+        assert failure.value.stage == "relabel_to_match"
+        assert "no labeling matches" in str(failure.value)
 
 
 def _without_seconds(obj):

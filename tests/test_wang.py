@@ -1,11 +1,13 @@
 import random
 import time
+from collections import Counter
 from itertools import islice, product
 
 import pytest
 
 import _oracles
 from aperiodic_kit import wang
+from aperiodic_kit.morphisms import Morphism2d, UndefinedImage, language
 from aperiodic_kit.wang import (
     SingularLattice,
     TilingInstance,
@@ -20,7 +22,7 @@ from aperiodic_kit.wang import (
     solve_all,
     sublattice_bases,
 )
-from aperiodic_kit.words import Word2d
+from aperiodic_kit.words import Word2d, project
 
 
 def random_tileset(rng, tiles=5, colors=3):
@@ -138,120 +140,198 @@ class TestSurrounding:
 
 
 @pytest.fixture(scope="module")
-def image(phi):
-    # the certificate of verify-all: phi^8(0), 34x34, a valid pattern of U
-    word = Word2d.single(0)
-    for _ in range(8):
-        word = phi.apply(word)
-    return word
+def table(phi):
+    # the substitution language of 3x3 words, which holds every factor the
+    # queries below ask of it
+    return language(phi, (3, 3))
+
+
+def _proved(tileset, phi, table):
+    # a fresh tile set with the tiles of the given one, proved for phi
+    found = WangTileSet(tileset)
+    assert wang.prove(found, phi, table) is None and found.proved == frozenset(table)
+    return found
+
+
+def _valid_image(tileset, phi, w):
+    try:
+        return is_valid_pattern(tileset, phi.apply(w))
+    except UndefinedImage:
+        return False
+
+
+def _letters_and_dominoes(k):
+    # each letter, and each ordered pair side by side and one on the other
+    pairs = [([[a], [b]], [[a, b]]) for a in range(k) for b in range(k)]
+    return [Word2d.single(a) for a in range(k)] + [Word2d(c) for pair in pairs for c in pair]
+
+
+class TestProve:
+    """``prove`` against a brute-force reading of its definition: it passes
+    exactly when the rule is expansive and sends each letter and each valid
+    domino to a valid pattern, and then the image of every valid pattern is
+    valid."""
+
+    def random_rule(self, rng, tileset):
+        # images of 2x2, or some of them smaller: each letter in turn takes
+        # a random valid image that glues with those taken, or random
+        # letters when none does; then one letter of an image may change
+        k = len(tileset)
+        shapes = [(2, 2)] if rng.random() < 0.5 else [(1, 1), (1, 2), (2, 1), (2, 2)]
+        candidates = [w for shape in shapes for w in solve_all(TilingInstance(tileset, shape))]
+        rule: dict = {}
+
+        def glues(a, image):
+            images = {**rule, a: image}
+            return all(
+                _valid_image(tileset, Morphism2d({0: images[x], 1: images[y]}), Word2d(pair))
+                for b in images
+                for x, y in ((a, b), (b, a))
+                for domino, pair in ((Word2d([[x], [y]]), [[0], [1]]), (Word2d([[x, y]]), [[0, 1]]))
+                if is_valid_pattern(tileset, domino)
+            )
+
+        for a in rng.sample(range(k), k):
+            rng.shuffle(candidates)
+            rule[a] = next((w for w in candidates if glues(a, w)), None) or Word2d(
+                [[rng.randrange(k) for _ in range(2)] for _ in range(2)]
+            )
+        if rng.random() < 0.3:
+            a = rng.randrange(k)
+            columns = [list(col) for col in rule[a].columns]
+            columns[-1][-1] = rng.randrange(k)
+            rule[a] = Word2d(columns)
+        return Morphism2d(rule, k, k)
+
+    def test_against_brute_force_on_random_small_sets(self):
+        rng = random.Random(41)
+        seen = Counter()
+        while sum(seen.values()) < 150:
+            tileset = random_tileset(rng, tiles=rng.randint(3, 6), colors=rng.randint(2, 3))
+            # at most 200 valid 3x3 patterns, so that the image of each is cheap to check
+            if len(list(islice(wang._solutions(TilingInstance(tileset, (3, 3))), 201))) > 200:
+                continue
+            phi = self.random_rule(rng, tileset)
+            bad = [
+                w for w in _letters_and_dominoes(len(tileset))
+                if is_valid_pattern(tileset, w) and not _valid_image(tileset, phi, w)
+            ]
+            table = {Word2d.single(0)}
+            tileset.proved = frozenset([Word2d.single(1)])
+            fault = wang.prove(tileset, phi, table)
+            if fault is None:
+                assert not bad and _oracles.expansive_by_iterates(phi) is True
+                assert tileset.proved == frozenset(table)
+                for shape in product(range(1, 4), repeat=2):
+                    valid = solve_all(TilingInstance(tileset, shape))
+                    assert all(_valid_image(tileset, phi, w) for w in valid), shape
+            else:
+                # every iterate is defined when no letter or domino is bad
+                assert bad or _oracles.expansive_by_iterates(phi) is False, fault
+                assert tileset.proved == frozenset()
+            seen["pass" if fault is None else "bad" if bad else "not expansive"] += 1
+        assert min(seen["pass"], seen["bad"]) >= 20 and seen["not expansive"] >= 10, seen
+
+    def test_every_single_mutant_of_u_and_phi_fails(self, phi, tiles_u, table):
+        assert wang.prove(tiles_u, phi, table) is None
+        colors = sorted({color for tile in tiles_u for color in tile})
+        faults = []
+        for index, side in product(range(len(tiles_u)), range(4)):
+            for color in colors:
+                if color != tiles_u[index][side]:
+                    tiles = [list(tile) for tile in tiles_u]
+                    tiles[index][side] = color
+                    faults.append(wang.prove(WangTileSet(tiles), phi, table))
+        assert len(faults) == 1140
+        for letter, image in phi.rule.items():
+            for (x, y), old in image:
+                for new in range(len(tiles_u)):
+                    if new != old:
+                        columns = [list(col) for col in image.columns]
+                        columns[x][y] = new
+                        rule = {**phi.rule, letter: Word2d(columns)}
+                        faults.append(wang.prove(tiles_u, Morphism2d(rule, 19, 19), table))
+        assert len(faults) == 1140 + 900
+        assert None not in faults and tiles_u.proved == frozenset()
 
 
 class TestCertificates:
-    """One checked rule image proves surroundings; a bad one only costs a search."""
+    """The proof of self-similarity is a tile set's one certificate: it
+    spares searches and never changes a set, and a tile set or rule it
+    fails for keeps no proved word, so a bad one only costs searches."""
+
+    SHAPES = [(s1, s2) for s1 in range(1, 4) for s2 in range(1, 4)]
+
+    def test_proved_u_same_sets_as_unproved(self, phi, tiles_u, table):
+        # every shape up to 3x3 and every radius 1-4; the unproved set keeps
+        # the sets it finds, which never changes one (TestAdmissibleTable)
+        queries = [(shape, r) for r in range(1, 5) for shape in self.SHAPES]
+        unproved = {key: patterns_with_surrounding(tiles_u, *key) for key in queries}
+        assert tiles_u.proved == frozenset()
+        for shape, r in queries:
+            proved = _proved(tiles_u, phi, table)
+            assert patterns_with_surrounding(proved, shape, r) == unproved[shape, r], (shape, r)
 
     @pytest.mark.parametrize("shape", [(1, 2), (2, 2)])
-    def test_recolored_tile_set_same_with_and_without_certificates(self, tiles_u, image, shape):
-        # tile 0 gets a right color no tile has on its left: the image, with
-        # tile 0 left of another tile, is no longer a valid pattern
+    def test_recolored_tile_set_same_with_and_without_certificates(
+        self, phi, tiles_u, table, shape
+    ):
+        # tile 0 gets a right color no tile has on its left: the images of
+        # phi put tile 0 left of another tile, so phi is no self-similarity
         tiles = [list(t) for t in tiles_u.tiles]
         tiles[0][0] = "Z"
         recolored = WangTileSet(tiles)
         searched = patterns_with_surrounding(recolored, shape, 2)
         # a fresh set: the first one holds the set it found
         fresh = WangTileSet(tiles)
-        assert not wang.certify(fresh, image) and fresh.certificate is None
+        fresh.proved = frozenset(table)
+        assert "domino" in wang.prove(fresh, phi, table)
+        assert fresh.proved == frozenset()
         assert patterns_with_surrounding(fresh, shape, 2) == searched
-        # some pattern of U's set is a valid candidate of the recolored set
-        # without a surrounding that the image holds at margin 2, so an
-        # unchecked certificate would keep it
-        assert wang.certify(tiles_u, image)
-        margins = wang._margins(tiles_u, shape)
-        lost = patterns_with_surrounding(tiles_u, shape, 2) - searched
-        assert any(is_valid_pattern(recolored, w) and margins[w.columns] >= 2 for w in lost)
+        # some language pattern is a valid candidate of the recolored set
+        # without a surrounding, so an unchecked proof would keep it
+        lost = project(table, shape) - searched
+        assert any(is_valid_pattern(recolored, w) for w in lost)
 
-    def test_changed_letter_certifies_nothing(self, monkeypatch, tiles_u, image):
-        # with every search refuted, only the certificate keeps a pattern
+    def test_changed_letter_certifies_nothing(self, monkeypatch, phi, tiles_u, table):
+        # with every search refuted, only the proof keeps a pattern: the
+        # language's 2x2 words for the catalog rule, none for a rule with
+        # one image letter changed to any other letter
         monkeypatch.setattr(wang, "admits_surrounding", lambda tileset, u, r: False)
-        window = Word2d([col[2:4] for col in image.columns[2:4]])
-        # the window alone survives radius 1 in a fresh set holding it, so it
-        # is the one candidate
-
-        def holding_alone(word):
-            tileset = WangTileSet(tiles_u)
-            tileset.admissible[(2, 2), 1] = frozenset([window])
-            wang.certify(tileset, word)
-            return tileset
-
-        assert patterns_with_surrounding(holding_alone(image), (2, 2), 2) == {window}
-        # one corner letter changed, outside the window: to a tile that
-        # breaks an edge, or to a letter outside the tile set
-        columns = [list(col) for col in image.columns]
-        broken = []
-        for letter in range(len(tiles_u) + 1):
+        squares = project(table, (2, 2))
+        assert patterns_with_surrounding(_proved(tiles_u, phi, table), (2, 2), 2) == squares
+        for letter in range(len(tiles_u)):
+            if letter == phi.image(18)[0, 0]:
+                continue
+            rule = dict(phi.rule)
+            columns = [list(col) for col in rule[18].columns]
             columns[0][0] = letter
-            changed = Word2d(columns)
-            if letter == len(tiles_u) or not is_valid_pattern(tiles_u, changed):
-                broken.append(changed)
-        assert len(broken) > 1
-        for changed in broken:
-            tileset = holding_alone(changed)
-            assert tileset.certificate is None
+            rule[18] = Word2d(columns)
+            tileset = _proved(tiles_u, phi, table)
+            assert wang.prove(tileset, Morphism2d(rule, 19, 19), table) is not None
+            assert tileset.proved == frozenset()
             assert patterns_with_surrounding(tileset, (2, 2), 2) == set()
 
-    def test_certificates_too_small_are_ignored(self, monkeypatch, tiles_u, image):
-        # windows below margin r are ignored: each query on a fresh set
-        # certified by a corner block of the image, which holds no set found
-        # before; every search is refuted
-        monkeypatch.setattr(wang, "admits_surrounding", lambda tileset, u, r: False)
+    def test_certificates_too_small_are_ignored(self, monkeypatch, phi, tiles_u):
+        # a fresh set proved with the 2x2 words: a smaller query keeps the
+        # windows unsearched, and a larger one searches every valid pattern;
+        # every search is refuted
+        searched = []
+        monkeypatch.setattr(wang, "admits_surrounding", lambda tileset, u, r: searched.append(u))
+        squares = language(phi, (2, 2))
+        for shape, kept in [((1, 1), 19), ((2, 2), 50), ((2, 3), 0), ((3, 2), 0), ((3, 3), 0)]:
+            searched.clear()
+            found = patterns_with_surrounding(_proved(tiles_u, phi, squares), shape, 1)
+            assert len(found) == kept
+            assert len(found) + len(searched) == len(solve_all(TilingInstance(tiles_u, shape)))
 
-        def found(n1, n2, r):
-            tileset = WangTileSet(tiles_u)
-            assert wang.certify(tileset, Word2d([col[:n2] for col in image.columns[:n1]]))
-            return patterns_with_surrounding(tileset, (2, 2), r)
-
-        window = Word2d([col[2:4] for col in image.columns[2:4]])
-        # in a 5x6 block the window at (2, 2) is 1 cell from the right side,
-        # and no 2x2 window is 2 cells from both sides
-        assert window in found(5, 6, 1)
-        assert found(5, 6, 2) == set()
-        assert found(6, 6, 2) == {window}
-        assert len(found(34, 34, 2)) == 50
-
-    def test_certificate_windows_are_those_at_margin_r(self):
-        # by a scan of every position: the margin index maps each window to
-        # the most cells it has to the nearest side of the certificate at
-        # any of them, so the windows it gives margin >= r are those at a
-        # position at least r cells inside
-        rng = random.Random(5)
-        tileset = WangTileSet([("a", "a", "a", "a")] * 3)
-        for n1, n2 in ((6, 7), (7, 5), (3, 3), (1, 4)):
-            word = Word2d([[rng.randrange(3) for _ in range(n2)] for _ in range(n1)])
-            assert wang.certify(tileset, word)
-            for s1, s2 in [(1, 1), (2, 1), (2, 3), (4, 4)]:
-                expected: dict = {}
-                for x, y in product(range(n1 - s1 + 1), range(n2 - s2 + 1)):
-                    window = tuple(col[y : y + s2] for col in word.columns[x : x + s1])
-                    margin = min(x, y, n1 - s1 - x, n2 - s2 - y)
-                    expected[window] = max(expected.get(window, margin), margin)
-                margins = wang._margins(tileset, (s1, s2))
-                assert margins == expected
-                for r in range(4):
-                    inside = {
-                        tuple(col[y : y + s2] for col in word.columns[x : x + s1])
-                        for x in range(r, n1 - r - s1 + 1)
-                        for y in range(r, n2 - r - s2 + 1)
-                    }
-                    assert {w for w, m in margins.items() if m >= r} == inside
-
-    def test_survivors_of_radius_3_give_the_radius_4_set(self, tiles_u, image):
-        wang.certify(tiles_u, image)
-        at_3 = patterns_with_surrounding(tiles_u, (1, 3), 3)
+    def test_survivors_of_radius_3_give_the_radius_4_set(self, phi, tiles_u, table):
+        proved = _proved(tiles_u, phi, table)
+        at_3 = patterns_with_surrounding(proved, (1, 3), 3)
         # a fresh set holds no radius-3 set, so it searches every valid pattern
-        fresh = WangTileSet(tiles_u)
-        wang.certify(fresh, image)
-        at_4 = patterns_with_surrounding(fresh, (1, 3), 4)
+        at_4 = patterns_with_surrounding(_proved(tiles_u, phi, table), (1, 3), 4)
         assert len(at_3) == 56 and len(at_4) == 55
-        assert patterns_with_surrounding(tiles_u, (1, 3), 4) == at_4
+        assert patterns_with_surrounding(proved, (1, 3), 4) == at_4
 
 
 class TestAdmissibleTable:
@@ -274,13 +354,12 @@ class TestAdmissibleTable:
         rng.shuffle(shuffled)
         return [run_all_order, high_first, shuffled]
 
-    def check(self, tileset, rng, certificate=None):
-        # each expected set from a fresh tile set, which holds nothing
+    def check(self, tileset, rng, proof=None):
+        # each expected set from a fresh tile set, which holds nothing but
+        # the proof of a (rule, table) pair, if given
 
         def fresh():
-            found = WangTileSet(tileset)
-            wang.certify(found, certificate)
-            return found
+            return WangTileSet(tileset) if proof is None else _proved(tileset, *proof)
 
         expected = {
             (shape, r): patterns_with_surrounding(fresh(), shape, r)
@@ -309,12 +388,12 @@ class TestAdmissibleTable:
             shrinking += expected[(3, 3), 1] != expected[(3, 3), 4]
         assert shrinking >= 2
 
-    def test_u_with_windows_admitted_above_the_radius(self, tiles_u, image):
+    def test_u_with_windows_admitted_above_the_radius(self, phi, tiles_u, table):
         # U's sets shrink up to radius 4, and a window set taken at a radius
         # above the query would be too small: at radius 2 the (2, 3) and
         # (3, 3) sets would lose patterns through the (1, 3) set of radius 4;
-        # each fresh set is certified by the one image
-        expected = self.check(tiles_u, random.Random(71), certificate=image)
+        # each fresh set is proved for the substitution and its language
+        expected = self.check(tiles_u, random.Random(71), proof=(phi, table))
         assert [len(expected[(1, 3), r]) for r in self.RADII] == [69, 58, 56, 55]
         assert [len(expected[(3, 3), r]) for r in self.RADII] == [101, 95, 94, 94]
 
