@@ -1,12 +1,15 @@
 """The concrete instances this kit studies and cross-verifies.
 
 One 19-letter 2-dimensional substitution, one set of 19 Wang tiles, and the
-eight segments that cut the torus into the matching 19-atom partition.  All
-other data (fused tile sets, induced partitions, the substitutions relating
-them) is recomputed from these three.
+eight segments that cut the torus into the matching 19-atom partition, with
+one point inside each atom that gives the atom its letter.  All other data
+(fused tile sets, induced partitions, the substitutions relating them) is
+recomputed from these.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from .morphisms import Morphism2d
 from .phifield import PHI, PhiNumber
@@ -71,6 +74,23 @@ def partition_segments() -> list[tuple[tuple[PhiNumber, PhiNumber], tuple[PhiNum
     for line in polylines:
         segments.extend((line[i], line[i + 1]) for i in range(len(line) - 1))
     return segments
+
+
+def atom_points() -> dict[int, tuple[PhiNumber, PhiNumber]]:
+    """One interior point of each of the 19 atoms, keyed by the atom's letter.
+
+    The points lie on the grid of ninths of the unit torus; each is the grid
+    point nearest the vertex average of its atom.
+    """
+    ninths = {
+        0: (6, 6), 1: (7, 7), 2: (2, 6), 3: (1, 7), 4: (5, 7), 5: (5, 8), 6: (2, 8),
+        7: (4, 7), 8: (7, 1), 9: (8, 4), 10: (8, 5), 11: (7, 3), 12: (3, 5),
+        13: (4, 3), 14: (2, 4), 15: (4, 1), 16: (1, 1), 17: (1, 3), 18: (5, 5),
+    }
+    return {
+        letter: (PhiNumber(Fraction(i, 9)), PhiNumber(Fraction(j, 9)))
+        for letter, (i, j) in ninths.items()
+    }
 
 
 def rotation_action():

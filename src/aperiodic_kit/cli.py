@@ -22,11 +22,12 @@ from .pet import (
     TorusAction,
     Window,
     config_patch,
+    enumerate_language,
     induce_action,
     induced_partition,
 )
 from .phifield import PhiNumber, parse_phi
-from .pipeline import StageFailure, build_reference_partition, reference_coding, run_all
+from .pipeline import StageFailure, build_reference_partition, run_all
 from .wang import TilingInstance, WangTileSet, patterns_with_surrounding, solve
 
 OK, USAGE_ERROR, EMPTY, VERIFY_FAILED = 0, 1, 2, 3
@@ -259,7 +260,7 @@ def cmd_lang(args) -> int:
     elif args.method == "tiles":
         words = patterns_with_surrounding(catalog.wang_tiles(), shape, args.radius)
     else:
-        _, _, words = reference_coding(shape, language(catalog.square_substitution(), (2, 2)))
+        words = enumerate_language(*build_reference_partition(), shape)
     ordered = sorted(words, key=lambda w: w.columns)
     _emit(
         {

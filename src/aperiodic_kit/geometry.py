@@ -816,10 +816,11 @@ def relabel_to_match(partition: TorusPartition, horizontal, vertical, coded) -> 
 
     ``horizontal`` and ``vertical`` are sets of (left, right) and
     (bottom, top) letter pairs; ``coded`` is the pair of the same two sets
-    for the partition's own labels (``pet.coded_dominoes``).  A bijective
-    map from those labels is searched so that every coded domino lies in
-    the references; the search is pure, nothing is computed from the
-    geometry.
+    for the partition's own labels.  A bijective map from those labels is
+    searched so that every coded domino lies in the references; the search
+    is pure, nothing is computed from the geometry.  No run calls it: the
+    atoms take their letters from ``catalog.atom_points``, and the tests
+    use this search as the oracle of those letters.
     """
     h_pairs, v_pairs = coded
     labels = partition.labels()

@@ -295,20 +295,12 @@ def coded_cells(partition: TorusPartition, action: TorusAction, support) -> list
     Each cell starts with its own label as its (0, 0) code: the cells have
     disjoint interiors, so the copy at step (0, 0) would split nothing.  Up
     to boundaries, each cell of a refinement over fewer steps is a union of
-    cells of one over more steps, so the patterns and dominoes read off the
-    codes do not depend on further steps in the support.
+    cells of one over more steps, so the patterns read off the codes do not
+    depend on further steps in the support.
     """
     base = [(cell, {(0, 0): label}) for label, cell in partition.cells()]
     steps = [n for n in support if n != (0, 0)]
     return [codes for _, codes in _refine_by_codes(partition, action, steps, base)]
-
-
-def coded_dominoes(cells: list[dict]):
-    """Horizontal (left, right) and vertical (bottom, top) coded letter pairs
-    of coded cells whose codes cover (0, 0), (1, 0) and (0, 1)."""
-    horizontal = {(codes[(0, 0)], codes[(1, 0)]) for codes in cells}
-    vertical = {(codes[(0, 0)], codes[(0, 1)]) for codes in cells}
-    return horizontal, vertical
 
 
 def enumerate_language(

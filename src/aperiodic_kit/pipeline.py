@@ -10,6 +10,9 @@ that table.  A run's Wang loop and language rows share one 19-tile set,
 which keeps the sets found and, once ``wang.prove`` shows the substitution
 a self-similarity of it, the table, whose words need no search.  The proof
 rests on the table being the substitution's language; the coding rows do not.
+The atoms of the partition take their letters from the points that
+``catalog.atom_points`` stores, one inside each atom, so the coding side is
+built without the substitution it is compared with.
 """
 
 from __future__ import annotations
@@ -19,28 +22,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import catalog
-from .geometry import (
-    AmbiguousLabeling,
-    NoConsistentLabeling,
-    is_equal_up_to_relabeling,
-    partition_from_segments,
-    relabel_to_match,
-    rescale,
-)
+from .geometry import is_equal_up_to_relabeling, partition_from_segments, rescale
 from .markers import find_markers, find_substitution, is_equivalent
 from .morphisms import Morphism2d, compose, is_expansive, is_primitive, language, seeds
-from .pet import (
-    Window,
-    coded_cells,
-    coded_dominoes,
-    coded_word,
-    induce_action,
-    induced_partition,
-    shape_steps,
-)
+from .pet import Window, enumerate_language, induce_action, induced_partition
 from .phifield import PHI
 from .wang import WangTileSet, patterns_with_surrounding, prove
-from .words import project, windows
+from .words import project
 
 
 # Marker searches escalate from radius 1 (the 19 tiles show markers in
@@ -291,33 +279,28 @@ def run_wang_pipeline(
     )
 
 
-def reference_coding(max_shape: tuple[int, int], table):
-    """The labeled 19-atom partition, its action and its coding language of
-    max_shape-patterns, from one refinement of the unlabeled arrangement.
+def build_reference_partition():
+    """The 19-atom partition, labeled by the stored atom points, and its action.
 
-    The refinement runs over the steps of max_shape joined with the domino
-    steps (1,0) and (0,1): the labeling matches both coded domino sets with
-    those of ``table``, a substitution language of 2x2 or larger words, and
-    the language is the codes through that letter map, cut to max_shape.
+    Each point of ``catalog.atom_points`` is located in the arrangement of
+    the catalog segments and gives its letter to the atom holding it.  A
+    point on a boundary or in no atom, two points in one atom, or an atom
+    with no point fails the stage ``atom_labels``.
     """
     raw = partition_from_segments(catalog.partition_segments(), (1, 1))
-    action = catalog.rotation_action()
-    cells = coded_cells(raw, action, dict.fromkeys([*shape_steps(max_shape), (1, 0), (0, 1)]))
-    horizontal = {(a, b) for w in table for (a,), (b,) in windows(w.columns, (2, 1))}
-    vertical = {column for w in table for (column,) in windows(w.columns, (1, 2))}
-    try:
-        letters = relabel_to_match(raw, horizontal, vertical, coded_dominoes(cells))
-    except (NoConsistentLabeling, AmbiguousLabeling) as exc:
-        raise StageFailure("relabel_to_match", str(exc)) from None
-    coding = {coded_word({n: letters[a] for n, a in c.items()}, max_shape) for c in cells}
-    return raw.relabel(letters), action, coding
-
-
-def build_reference_partition():
-    """The 19-atom partition and its action, labeled by one refinement over
-    the domino steps against the 2x2 substitution language."""
-    table = language(catalog.square_substitution(), (2, 2))
-    return reference_coding((1, 1), table)[:2]
+    letters = {}
+    for letter, point in catalog.atom_points().items():
+        try:
+            atom = raw.locate(point)
+        except ValueError as exc:
+            raise StageFailure("atom_labels", f"letter {letter}: {exc}") from None
+        if atom in letters:
+            raise StageFailure("atom_labels", f"letters {letters[atom]} and {letter} share an atom")
+        letters[atom] = letter
+    if len(letters) < len(raw.atoms):
+        empty = len(raw.atoms) - len(letters)
+        raise StageFailure("atom_labels", f"{empty} of {len(raw.atoms)} atoms hold no point")
+    return raw.relabel(letters), catalog.rotation_action()
 
 
 def _fmt_vec(v) -> dict[str, str]:
@@ -332,17 +315,17 @@ def run_pet_pipeline(reference, phi: Morphism2d, axis_first: int = 2) -> Inducti
     """
     started = time.perf_counter()
     partition, action = reference
-    if len(partition.atoms) != 19:
-        raise StageFailure("partition_from_segments", f"{len(partition.atoms)} atoms")
-
     bound = PHI**-1
     first_window = Window(axis_first, bound)
-    middle, first_morphism = induced_partition(partition, action, first_window)
-    middle_action = induce_action(action, first_window)
-
     second_window = Window(3 - axis_first, bound)
-    final, second_morphism = induced_partition(middle, middle_action, second_window)
-    final_action = induce_action(middle_action, second_window)
+    try:
+        middle, first_morphism = induced_partition(partition, action, first_window)
+        middle_action = induce_action(action, first_window)
+        final, second_morphism = induced_partition(middle, middle_action, second_window)
+        final_action = induce_action(middle_action, second_window)
+    except ValueError as exc:
+        # a first return that is no rotation is a failed verification, not a usage error
+        raise StageFailure("induce_action", str(exc)) from None
 
     scaled = rescale(final, -PHI, (1, 1))
     permutation = is_equal_up_to_relabeling(partition, scaled)
@@ -405,8 +388,8 @@ def cross_check_languages(
 
     ``tiles`` is the tile set of the tile-side rows, ``table`` the run's
     substitution language, of a shape covering ``max_shape``, and
-    ``coding_table`` the coding language of ``max_shape``-patterns (the
-    third value of ``reference_coding``).
+    ``coding_table`` the coding language of ``max_shape``-patterns, which
+    ``enumerate_language`` reads off the labeled reference partition.
 
     Both are projected to each shape, since each of their factors extends
     to one of the larger shape.  The tile side is checked shape by shape,
@@ -455,7 +438,8 @@ def run_all(max_shape: tuple[int, int] = (2, 2)) -> VerificationReport:
     if (fault := prove(tiles, phi, table)) is not None:
         raise StageFailure("self_similarity", fault)
     wang = run_wang_pipeline(tiles, phi)
-    partition, action, coding_table = reference_coding(max_shape, table)
+    partition, action = build_reference_partition()
+    coding_table = enumerate_language(partition, action, max_shape)
     induction = run_pet_pipeline((partition, action), phi)
     uniqueness = check_uniqueness_hypotheses(phi, table)
     rows = cross_check_languages(tiles, table, coding_table, max_shape)

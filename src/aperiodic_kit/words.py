@@ -10,8 +10,9 @@ the seed graph and the tile side's window filters all read it.
 
 Two searches over letters live here too, since both sides of the package
 use them: the letter bijections that preserve pair relations, which close
-the Wang loop and label the partition's atoms, and the classes of letters
-under the equivalence that pairs generate.
+the Wang loop and, in the tests, confirm the stored labels of the
+partition's atoms, and the classes of letters under the equivalence that
+pairs generate.
 """
 
 from __future__ import annotations

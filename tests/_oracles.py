@@ -37,8 +37,8 @@ whose bounding box meets the box and clips each translate to it.
 
 The last section holds helpers that only tests call: words from rows,
 the empty word and concatenation, the identity morphism, first return
-times and return words, the area and covolume of a partition, and the
-inverse of a polygon exchange.
+times and return words, the coded dominoes of refined cells, the area and
+covolume of a partition, and the inverse of a polygon exchange.
 """
 
 from __future__ import annotations
@@ -1225,6 +1225,14 @@ def return_word(partition: TorusPartition, action: TorusAction, window: Window, 
     r = first_return_time(action, window, x, 1)
     s = first_return_time(action, window, x, 2)
     return config_patch(partition, action, x, (r, s))
+
+
+def coded_dominoes(cells: list[dict]):
+    """Horizontal (left, right) and vertical (bottom, top) coded letter pairs
+    of coded cells whose codes cover (0, 0), (1, 0) and (0, 1)."""
+    horizontal = {(codes[(0, 0)], codes[(1, 0)]) for codes in cells}
+    vertical = {(codes[(0, 0)], codes[(0, 1)]) for codes in cells}
+    return horizontal, vertical
 
 
 def total_area(partition: TorusPartition) -> PhiNumber:

@@ -54,8 +54,9 @@ def action_u():
 
 @pytest.fixture(scope="session")
 def partition_u(action_u):
+    from _oracles import coded_dominoes
     from aperiodic_kit.geometry import partition_from_segments, relabel_to_match
-    from aperiodic_kit.pet import coded_cells, coded_dominoes
+    from aperiodic_kit.pet import coded_cells
 
     raw = partition_from_segments(partition_segments(), (1, 1))
     coded = coded_dominoes(coded_cells(raw, action_u, [(1, 0), (0, 1)]))

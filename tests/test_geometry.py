@@ -10,11 +10,12 @@ from _oracles import (
     brute_force_labels,
     brute_force_on_boundary,
     clip,
+    coded_dominoes,
     covolume,
     cross_product_locate,
     total_area,
 )
-from aperiodic_kit.catalog import partition_segments, rotation_action
+from aperiodic_kit.catalog import atom_points, partition_segments, rotation_action
 from aperiodic_kit.geometry import (
     AmbiguousLabeling,
     BoundaryHit,
@@ -31,9 +32,11 @@ from aperiodic_kit.geometry import (
     relabel_to_match,
     rescale,
 )
-from aperiodic_kit.pet import coded_cells, coded_dominoes
+from aperiodic_kit.morphisms import language
+from aperiodic_kit.pet import coded_cells
 from aperiodic_kit.phifield import PHI, PhiNumber
 from aperiodic_kit.pipeline import build_reference_partition
+from aperiodic_kit.words import project
 
 # two diagonals on the unit torus: two atoms, each glued across a seam
 DIAGONALS = [(pt(0, 0), pt(1, 1)), (pt(0, 1), pt(1, 0))]
@@ -194,6 +197,19 @@ class TestRelabel:
         with pytest.raises(NoConsistentLabeling):
             relabel_to_match(partition_u, broken_h, v_dominoes, coded)
 
+    def test_domino_search_finds_the_letters_of_the_stored_points(self, phi):
+        # the substitution meets the stored labels here, not in a run: the
+        # one letter map sending the coded dominoes of the unlabeled
+        # arrangement into the 2x1 and 1x2 windows of the 2x2 language is
+        # the one the atom points give
+        raw = partition_from_segments(partition_segments(), (1, 1))
+        table = language(phi, (2, 2))
+        horizontal = {(w[0, 0], w[1, 0]) for w in project(table, (2, 1))}
+        vertical = {(w[0, 0], w[0, 1]) for w in project(table, (1, 2))}
+        letters = relabel_to_match(raw, horizontal, vertical, _coded(raw))
+        assert letters == {raw.locate(point): letter for letter, point in atom_points().items()}
+        assert raw.relabel(letters).to_json() == build_reference_partition()[0].to_json()
+
     def test_unconstrained_reference_ambiguous(self, partition_u):
         everything = {(a, b) for a in range(19) for b in range(19)}
         coded = _coded(partition_u)
@@ -338,7 +354,7 @@ def test_from_json_rejects_non_tiling(atoms, defect):
 @pytest.mark.pinned
 def test_reference_partition_is_pinned():
     # the labeled 19 atoms, cell by cell and vertex by vertex, as built by
-    # partition_from_segments and relabel_to_match
+    # partition_from_segments and labeled by the stored atom points
     pinned = Path(__file__).parent / "expected" / "reference_partition.json"
     expected = json.loads(pinned.read_text())
     assert build_reference_partition()[0].to_json() == expected

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import covolume, exchange_inverse, first_return_time, return_word, total_area
+from _oracles import (
+    coded_dominoes,
+    covolume,
+    exchange_inverse,
+    first_return_time,
+    return_word,
+    total_area,
+)
 
 from aperiodic_kit import geometry
 from aperiodic_kit.catalog import rotation_action
@@ -25,7 +32,6 @@ from aperiodic_kit.pet import (
     PolygonExchange,
     Window,
     coded_cells,
-    coded_dominoes,
     config_patch,
     enumerate_language,
     induce_action,

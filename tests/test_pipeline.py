@@ -3,20 +3,22 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
+from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
 
 from aperiodic_kit.catalog import square_substitution, wang_tiles
 from aperiodic_kit.morphisms import Morphism2d, language
-from aperiodic_kit.pet import TorusAction
+from aperiodic_kit.pet import TorusAction, enumerate_language
 from aperiodic_kit.phifield import PHI, PhiNumber
 from aperiodic_kit.pipeline import (
     StageFailure,
     build_reference_partition,
     check_uniqueness_hypotheses,
     cross_check_languages,
-    reference_coding,
     run_all,
     run_pet_pipeline,
     run_wang_pipeline,
@@ -190,7 +192,7 @@ class TestLanguages:
 
     def test_counts_and_equality(self, phi):
         table = language(phi, (2, 2))
-        coding = reference_coding((2, 2), table)[2]
+        coding = enumerate_language(*build_reference_partition(), (2, 2))
         rows = {
             tuple(r.shape): r for r in cross_check_languages(wang_tiles(), table, coding, (2, 2))
         }
@@ -205,7 +207,7 @@ class TestLanguages:
 
     def test_extended_table_needs_escalation(self, phi):
         table = language(phi, (3, 3))
-        coding = reference_coding((3, 3), table)[2]
+        coding = enumerate_language(*build_reference_partition(), (3, 3))
         rows = {
             tuple(r.shape): r for r in cross_check_languages(wang_tiles(), table, coding, (3, 3))
         }
@@ -218,11 +220,11 @@ class TestLanguages:
 
     @pytest.mark.parametrize("max_shape", [(2, 2), (3, 3)], ids=["2x2", "3x3"])
     def test_one_whole_partition_refinement_per_run(self, monkeypatch, phi, max_shape):
-        # run_all refines the whole reference partition once, for the atom
-        # labels and every coding row together; the induction loop refines
-        # window pieces, whose entries start without codes.  The tile
-        # searches never refine, so they are replaced by the substitution
-        # language to keep this fast
+        # run_all refines the whole reference partition once, for every
+        # coding row together, and the atom labels need no refinement; the
+        # induction loop refines window pieces, whose entries start without
+        # codes.  The tile searches never refine, so they are replaced by
+        # the substitution language to keep this fast
         from aperiodic_kit import pet, pipeline
 
         whole = []
@@ -341,7 +343,9 @@ class TestLanguages:
         )
         assert done.stdout == "False\n"
 
-    def test_reference_build_refines_over_the_domino_steps(self, monkeypatch):
+    def test_reference_build_refines_nothing(self, monkeypatch):
+        # the stored atom points label the arrangement: the build neither
+        # refines the partition nor builds a substitution closure
         from aperiodic_kit import pet
 
         supports = []
@@ -352,8 +356,10 @@ class TestLanguages:
             return refine(partition, action, support, base)
 
         monkeypatch.setattr(pet, "_refine_by_codes", counting)
+        closures = _count_closures(monkeypatch)
         build_reference_partition()
-        assert supports == [[(1, 0), (0, 1)]]
+        assert supports == []
+        assert closures == []
 
     @pytest.mark.pinned
     @pytest.mark.parametrize(
@@ -362,11 +368,11 @@ class TestLanguages:
         ids=["1x1", "2x1", "1x2", "1x3", "3x1"],
     )
     def test_small_max_shapes_join_the_domino_steps(self, monkeypatch, max_shape):
-        # with a side below 2 the refinement support is the max shape's
-        # steps joined with (1, 0) and (0, 1), and the run's one substitution
-        # closure (2x2, 2x3 or 3x2) is larger than the max shape on that
-        # side; the rows and the labeled atoms are those of the pinned 3x3
-        # report and reference partition
+        # with a side below 2 the coding rows refine over the max shape's
+        # steps alone, while the run's one substitution closure (2x2, 2x3 or
+        # 3x2) is larger than the max shape on that side, for the proof and
+        # the seeds; the rows and the labeled atoms are those of the pinned
+        # 3x3 report and reference partition
         from aperiodic_kit import pipeline
 
         references = []
@@ -436,18 +442,63 @@ class TestRuleCertificate:
             "self_similarity: the images of the horizontal domino (2, 0) do not glue"
         )
 
-    def test_a_rotation_with_no_matching_labels_fails_at_relabel_to_match(self, monkeypatch):
-        # the rotation by phi^-1 in place of phi^-2 codes dominoes that no
-        # labeling maps into the substitution's
+    @pytest.mark.parametrize(
+        "step, stage, detail",
+        [
+            (PHI**-1, "rescale", "scaled partition does not match the start"),
+            (PHI**-3, "induce_action", "is not a rotation"),
+            (PhiNumber(Fraction(1, 3)), "induce_action", "is not a rotation"),
+            (2 * PHI**-2, "induce_action", "is not a rotation"),
+            (PHI**-2 + Fraction(1, 7), "induce_action", "is not a rotation"),
+        ],
+        ids=["phi^-1", "phi^-3", "1/3", "2phi^-2", "phi^-2+1/7"],
+    )
+    def test_a_rotation_step_mutant_fails_at_its_stage(self, monkeypatch, step, stage, detail):
+        # the stored points label the atoms whatever the rotation, so a
+        # wrong step reaches the induction loop: the rotation by phi^-1
+        # induces and rescales to another partition, and each other step
+        # has a first return that is no rotation
         from aperiodic_kit import catalog
 
-        step = PHI**-1
         action = TorusAction((PhiNumber(1), PhiNumber(1)), (step, PhiNumber(0)), (PhiNumber(0), step))
         monkeypatch.setattr(catalog, "rotation_action", lambda: action)
         with pytest.raises(StageFailure) as failure:
             run_all((1, 1))
-        assert failure.value.stage == "relabel_to_match"
-        assert "no labeling matches" in str(failure.value)
+        assert failure.value.stage == stage
+        assert detail in str(failure.value)
+
+
+class TestAtomLabels:
+    """The stored atom points against the arrangement they label."""
+
+    def test_every_segment_endpoint_mutant_is_the_reference_or_fails_at_atom_labels(
+        self, monkeypatch
+    ):
+        # one coordinate of one end of one segment moved by 1/7 or -1/5: the
+        # mutant either keeps the arrangement (its segment still ends on the
+        # same lines) or moves a boundary across a stored point, and every
+        # way the points can miss the atoms is met
+        from aperiodic_kit import catalog
+
+        pinned = json.loads((EXPECTED / "reference_partition.json").read_text())
+        segments = catalog.partition_segments()
+        outcomes = Counter()
+        for k, end, axis, shift in product(
+            range(len(segments)), range(2), range(2), (Fraction(1, 7), Fraction(-1, 5))
+        ):
+            ends = [list(p) for p in segments[k]]
+            ends[end][axis] += shift
+            mutant = [*segments[:k], (tuple(ends[0]), tuple(ends[1])), *segments[k + 1:]]
+            monkeypatch.setattr(catalog, "partition_segments", lambda: mutant)
+            try:
+                partition, _ = build_reference_partition()
+            except StageFailure as exc:
+                assert exc.stage == "atom_labels"
+                outcomes[next(w for w in ("boundary", "share", "no point") if w in str(exc))] += 1
+            else:
+                assert partition.to_json() == pinned
+                outcomes["reference"] += 1
+        assert outcomes == {"reference": 10, "share": 45, "boundary": 7, "no point": 2}
 
 
 def _without_seconds(obj):

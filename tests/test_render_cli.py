@@ -659,7 +659,7 @@ class TestCli:
     # outputs that read the atoms of the reference partition, pinned byte
     # for byte: its drawing, a coded orbit drawn on it, the coded patch of
     # the same orbit, which locate points in the atoms, and the 3x3 coding
-    # language, read off the refinement that labels them
+    # language, read off the refinement of the atoms the stored points label
     @pytest.mark.pinned
     @pytest.mark.parametrize(
         "argv, name",
