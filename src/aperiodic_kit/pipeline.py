@@ -8,8 +8,8 @@ the three pattern languages are compared shape by shape.  A run looks the
 substitution up once and builds its language once, and every stage reads
 that table.  A run's Wang loop and language rows share one 19-tile set,
 which keeps the sets found and, once ``wang.prove`` shows the substitution
-a self-similarity of it, the table, whose words need no search.  The proof
-rests on the table being the substitution's language; the coding rows do not.
+a self-similarity of it, the table, which the proof builds and whose words
+need no search.  The coding rows do not read the table.
 The atoms of the partition take their letters from the points that
 ``catalog.atom_points`` stores, one inside each atom, so the coding side is
 built without the substitution it is compared with.
@@ -24,7 +24,7 @@ from typing import Optional
 from . import catalog
 from .geometry import is_equal_up_to_relabeling, partition_from_segments, rescale
 from .markers import find_markers, find_substitution, is_equivalent
-from .morphisms import Morphism2d, compose, is_expansive, is_primitive, language, seeds
+from .morphisms import Morphism2d, compose, is_expansive, is_primitive, seeds
 from .pet import Window, enumerate_language, induce_action, induced_partition
 from .phifield import PHI
 from .wang import WangTileSet, patterns_with_surrounding, prove
@@ -433,10 +433,10 @@ def run_all(max_shape: tuple[int, int] = (2, 2)) -> VerificationReport:
     started = time.perf_counter()
     # the tile set keeps its admissible sets and the proved table
     phi = catalog.square_substitution()
-    table = language(phi, (max(max_shape[0], 2), max(max_shape[1], 2)))
     tiles = catalog.wang_tiles()
-    if (fault := prove(tiles, phi, table)) is not None:
+    if (fault := prove(tiles, phi, (max(max_shape[0], 2), max(max_shape[1], 2)))) is not None:
         raise StageFailure("self_similarity", fault)
+    table = tiles.proved
     wang = run_wang_pipeline(tiles, phi)
     partition, action = build_reference_partition()
     coding_table = enumerate_language(partition, action, max_shape)

@@ -3,13 +3,14 @@
 A tile is a 4-tuple of color tokens in (right, top, left, bottom) order;
 tokens are opaque strings so that fused tiles can carry concatenated
 colors.  One complete backtracking search serves every query: it reads a
-normalization of the instance (cells, reduced fixed tiles and a neighbor
-table) and scans cells bottom-up row-major, so ``solve`` returns the
-lexicographically least solution in tile-index order along that scan.
-The fixed cells come first in the cell order, which fixes the neighbors
-of the cell at each depth that are assigned, so the search walks integer
-depths on a plan made once per search: each side of each depth reads its
-color from the tile picked at an earlier depth, or from none.  One fit
+normalization of the instance (its shape, reduced fixed tiles and a
+function giving a cell's neighbors) and scans cells bottom-up row-major,
+so ``solve`` returns the lexicographically least solution in tile-index
+order along that scan.  The fixed cells come first in the cell order,
+which fixes the neighbors of the cell at each depth that are assigned, so
+the search walks integer depths on a plan made once per search, a depth
+when the search first reaches it: each side of each depth reads its color
+from the tile picked at an earlier depth, or from none.  One fit
 rule gives a cell its tiles: a lookup, in an index the tile set builds
 once, of the colors its assigned neighbors show it, filtered only where a
 1-wide or 1-high torus makes the cell its own neighbor; a fixed cell keeps
@@ -25,8 +26,8 @@ set has proved or a search finds its surrounding.  ``prove`` checks, with
 no search, that a substitution rule is a self-similarity of the tile set:
 each letter's image is valid and the images of every valid domino glue.
 Every word of the rule's language then has every surrounding, so the tile
-set keeps the language words it is given as proved; the proof only saves
-searches and never changes a set.  Admissible sets shrink as r grows, and
+set keeps the language words of a shape, built by the proof itself, as
+proved; the proof only saves searches and never changes a set.  Admissible sets shrink as r grows, and
 every window of an admissible pattern is admissible at the same radius, so
 the sets a tile set keeps, by shape and radius, let each set grow from
 smaller ones: the set of the radius below gives the candidates, and those
@@ -42,7 +43,7 @@ from itertools import product
 from typing import Iterable, Optional, Sequence
 
 from .jobs import parallel_map
-from .morphisms import Morphism2d, is_expansive
+from .morphisms import Morphism2d, is_expansive, is_primitive, language
 from .words import Word2d, windows
 
 RIGHT, TOP, LEFT, BOTTOM = 0, 1, 2, 3
@@ -169,13 +170,13 @@ def _hnf(basis) -> tuple[int, int, int]:
 
 
 def _normalize(instance: TilingInstance):
-    """Shape, cells in scan order, fixed tiles and neighbor table of an instance.
+    """Shape, fixed tiles and neighbor function of an instance.
 
-    The table maps a cell to its (right, top, left, bottom) neighbors: None
-    off a rectangle, reduced modulo the lattice on a quotient torus (where
-    the shape is derived from the lattice and fixed cells are reduced onto
-    the representatives).  None when two fixed tiles land on one torus cell
-    and disagree.
+    The function maps a cell to its (right, top, left, bottom) neighbors:
+    None off a rectangle, reduced modulo the lattice on a quotient torus
+    (where the shape is derived from the lattice and fixed cells are reduced
+    onto the representatives).  A search calls it once per cell it plans.
+    None when two fixed tiles land on one torus cell and disagree.
     """
     if instance.wrap is None:
         shape = n1, n2 = instance.shape
@@ -196,12 +197,17 @@ def _normalize(instance: TilingInstance):
         for (x, y), t in instance.fixed.items():
             if fixed.setdefault(reduce(x, y), t) != t:
                 return None
-    cells = [(x, y) for y in range(shape[1]) for x in range(shape[0])]
-    neighbors = {
-        (x, y): (reduce(x + 1, y), reduce(x, y + 1), reduce(x - 1, y), reduce(x, y - 1))
-        for x, y in cells
-    }
-    return shape, cells, fixed, neighbors
+
+    def neighbors(cell):
+        x, y = cell
+        return reduce(x + 1, y), reduce(x, y + 1), reduce(x - 1, y), reduce(x, y - 1)
+
+    return shape, fixed, neighbors
+
+
+def _scan(shape):
+    """The cells of the shape bottom-up row-major."""
+    return ((x, y) for y in range(shape[1]) for x in range(shape[0]))
 
 
 def _near_fixed_order(shape, fixed):
@@ -226,23 +232,26 @@ def _near_fixed_order(shape, fixed):
         seen |= ring
 
 
-def _backtrack(tileset, order, fixed, neighbors, fits):
+def _backtrack(tileset, shape, order, fixed, neighbors, fits):
     """Yield every valid assignment, as one live list of the tiles of the
-    cells of ``order``, in that order: every cell, the fixed ones first.
+    cells of ``order``, in that order: every cell of the shape, the fixed
+    ones first.
 
     The search walks integer depths on a plan fixed by the order: the cells
     assigned at depth d are the first d of the order, so each side of the
     cell at depth d reads its color from one slot of a list of tiles: the
     tile picked at an earlier depth, or a blank tile, the last one, for a
     side off the grid or not yet assigned.  The plan of a depth is made
-    when the search first reaches it.  One fit rule gives a cell its tiles:
-    a lookup in ``fits`` (a fit index of the tile set) of the colors its
-    slots show it, filtered only where a 1-wide or 1-high torus makes the
-    cell its own neighbor; a fixed cell keeps its tile if the rule gives
-    it, and no tile otherwise.
+    when the search first reaches it, and only then are the neighbors of
+    its cell computed, by the ``neighbors`` function of ``_normalize``, so
+    a search that stops early reduces only the cells it reaches.  One fit
+    rule gives a cell its tiles: a lookup in ``fits`` (a fit index of the
+    tile set) of the colors its slots show it, filtered only where a 1-wide
+    or 1-high torus makes the cell its own neighbor; a fixed cell keeps its
+    tile if the rule gives it, and no tile otherwise.
     """
     tiles = tileset.tiles
-    cells, size = iter(order), len(neighbors)
+    cells, size = iter(order), shape[0] * shape[1]
     slot, plans = {}, []
     shown, stack, picked = [None] * size + [(None,) * 4], [None] * size, [0] * size
     if not size:
@@ -254,7 +263,7 @@ def _backtrack(tileset, order, fixed, neighbors, fits):
         depth += 1
         if depth == len(plans):
             cell = next(cells)
-            nbs = neighbors[cell]
+            nbs = neighbors(cell)
             loops = [s for s in (RIGHT, TOP) if nbs[s] == cell]
             plans.append((*(slot.get(nb, -1) for nb in nbs), loops, fixed.get(cell)))
             slot[cell] = depth
@@ -287,10 +296,10 @@ def _solutions(instance: TilingInstance):
     normal = _normalize(instance)
     if normal is None:
         return
-    shape, cells, fixed, neighbors = normal
+    shape, fixed, neighbors = normal
     tileset = instance.tileset
-    order = [*fixed, *(cell for cell in cells if cell not in fixed)]
-    for picked in _backtrack(tileset, order, fixed, neighbors, tileset.fits):
+    order = [*fixed, *(cell for cell in _scan(shape) if cell not in fixed)]
+    for picked in _backtrack(tileset, shape, order, fixed, neighbors, tileset.fits):
         grid = dict(zip(order, picked))
         yield Word2d([[grid[(x, y)] for y in range(shape[1])] for x in range(shape[0])])
 
@@ -338,12 +347,11 @@ def _exists(instance: TilingInstance) -> bool:
     normal = _normalize(instance)
     if normal is None:
         return False
-    shape, cells, fixed, neighbors = normal
+    shape, fixed, neighbors = normal
     tileset = instance.tileset
     fixed = {cell: tileset.representative[t] for cell, t in fixed.items()}
-    if fixed:
-        cells = _near_fixed_order(shape, fixed)
-    search = _backtrack(tileset, cells, fixed, neighbors, tileset.distinct_fits)
+    order = _near_fixed_order(shape, fixed) if fixed else _scan(shape)
+    search = _backtrack(tileset, shape, order, fixed, neighbors, tileset.distinct_fits)
     return next(search, None) is not None
 
 
@@ -384,17 +392,19 @@ def sublattice_bases(max_index: int):
                 yield ((a, 0), (c, d))
 
 
-def prove(tileset: WangTileSet, phi: Morphism2d, table) -> Optional[str]:
-    """Keep ``table`` as the tile set's proved words when the rule phi is a
-    self-similarity of it; else keep none and name the first fault in one line.
+def prove(tileset: WangTileSet, phi: Morphism2d, shape: tuple[int, int]) -> Optional[str]:
+    """Keep the shape-words of phi's language (``morphisms.language``) as
+    the tile set's proved words when the rule phi is a self-similarity of
+    it; else keep none and name the first fault in one line.
 
-    phi must be an expansive rule on the tile set's letters whose images
-    are valid patterns and glue along every valid domino (a, b) of the fit
-    index: the right (top) colors of phi(a) are the left (bottom) colors of
-    phi(b).  Then phi maps valid patterns to valid ones, so the growing
-    images phi^k(a) are valid, and each word of phi's language lies in one
-    at any margin: it has every surrounding.  The proof rests on ``table``
-    being words of that language (``morphisms.language``), not checked.
+    phi must be an expansive, primitive rule on the tile set's letters
+    whose images are valid patterns and glue along every valid domino
+    (a, b) of the fit index: the right (top) colors of phi(a) are the left
+    (bottom) colors of phi(b).  Then phi maps valid patterns to valid ones,
+    so the growing images phi^k(a) are valid, and each word of phi's
+    language lies in one at any margin: it has every surrounding.  The
+    words are built here, after the checks, so none outside the language
+    is kept; the closure that builds them needs a primitive rule.
     """
     tileset.proved = frozenset()
     tiles = tileset.tiles
@@ -418,7 +428,9 @@ def prove(tileset: WangTileSet, phi: Morphism2d, table) -> Optional[str]:
             for b in tileset.fits.get(key, ()):
                 if colors(images[a], side) != colors(images[b], side ^ 2):
                     return f"the images of the {name} domino ({a}, {b}) do not glue"
-    tileset.proved = frozenset(table)
+    if not is_primitive(phi):
+        return "the rule is not primitive"
+    tileset.proved = frozenset(language(phi, shape))
     return None
 
 

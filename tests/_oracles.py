@@ -10,13 +10,16 @@ an exhaustive enumeration of torus tilings, a second complete solver
 (the exact-cover reduction solved by Algorithm X, Knuth, "Dancing Links"),
 and the reference search: the backtracking search that looks up at every
 node which neighbors of the next cell are assigned, with its outward cell
-order computed by a min over every fixed cell.  The library's search walks
-the same tree on a plan fixed by its cell order.
+order computed by a min over every fixed cell.  These searches read a
+neighbor table of their own, whose torus cells are reduced by a lattice
+membership test (Cramer's rule) over the representative box.  The
+library's search walks the same tree on a plan fixed by its cell order.
 
 The substitution oracles are the language of factors of iterated letter
 images, the seed graph over all k^4 2x2 words of a k-letter rule with its
-cycle vertices found by Tarjan's strongly connected components, and
-expansiveness read off the shapes of iterated letter images.
+cycle vertices found by Tarjan's strongly connected components,
+expansiveness read off the shapes of iterated letter images, and
+primitivity read off a power of the letter incidence matrix.
 
 The clipping oracles build a normalized Polygon after every halfplane cut;
 clip is the library's one-halfplane cut, kept here for the tests.
@@ -44,6 +47,7 @@ covolume of a partition, and the inverse of a polygon exchange.
 from __future__ import annotations
 
 from itertools import product
+from math import gcd
 
 from aperiodic_kit.geometry import (
     DegenerateArrangement,
@@ -72,7 +76,6 @@ from aperiodic_kit.wang import (
     RIGHT,
     TOP,
     TilingInstance,
-    _normalize,
 )
 from aperiodic_kit.words import ShapeMismatch, Word2d, subwords
 
@@ -572,6 +575,45 @@ def brute_force_rectangle_tilings(tileset, shape, fixed) -> list:
     return found
 
 
+def reference_normalize(instance):
+    """Shape, cells in scan order, fixed tiles and neighbor table of an
+    instance, or None when two fixed tiles land on one torus cell and
+    disagree.
+
+    On a quotient torus the cells are the box [0, a) x [0, d), where aZ is
+    the set of first coordinates of the lattice vectors (a the gcd of the
+    basis columns' first coordinates) and d = |det| / a; a cell outside the
+    box reduces to the box cell in its class, found by ``_same_torus_cell``
+    over the whole box.  Off a rectangle a neighbor is None.
+    """
+    if instance.wrap is None:
+        shape = n1, n2 = instance.shape
+
+        def reduce(cell):
+            return cell if 0 <= cell[0] < n1 and 0 <= cell[1] < n2 else None
+
+    else:
+        basis = instance.wrap
+        (m00, m01), (m10, m11) = basis
+        a = gcd(m00, m01)
+        shape = (a, abs(m00 * m11 - m01 * m10) // a)
+
+        def reduce(cell):
+            (found,) = [rep for rep in cells if _same_torus_cell(basis, cell, rep)]
+            return found
+
+    cells = [(x, y) for y in range(shape[1]) for x in range(shape[0])]
+    fixed = {}
+    for cell, t in instance.fixed.items():
+        if fixed.setdefault(reduce(cell), t) != t:
+            return None
+    neighbors = {
+        (x, y): tuple(reduce(nb) for nb in ((x + 1, y), (x, y + 1), (x - 1, y), (x, y - 1)))
+        for x, y in cells
+    }
+    return shape, cells, fixed, neighbors
+
+
 def reference_near_fixed_order(cells, fixed):
     """Cells sorted by (Chebyshev distance to the nearest fixed cell, y, x),
     the distance a min over every fixed cell."""
@@ -633,7 +675,7 @@ def reference_backtrack(tileset, order, fixed, neighbors, fits=None):
 def reference_solutions(instance) -> list:
     """Every solution of an instance by the reference search, as words,
     in the order it finds them."""
-    normal = _normalize(instance)
+    normal = reference_normalize(instance)
     if normal is None:
         return []
     shape, cells, fixed, neighbors = normal
@@ -646,7 +688,7 @@ def reference_solutions(instance) -> list:
 def reference_exists(instance) -> bool:
     """Whether an instance has a solution, by the reference search over the
     first copy of each tile, scanning outward from the fixed cells."""
-    normal = _normalize(instance)
+    normal = reference_normalize(instance)
     if normal is None:
         return False
     _, cells, fixed, neighbors = normal
@@ -662,7 +704,8 @@ def admits_surrounding_every_copy(tileset, u: Word2d, r: int) -> bool:
     on every tile, copies of a tile included, scanning outward from u."""
     n1, n2 = u.shape
     fixed = {(x + r, y + r): u[x, y] for x in range(n1) for y in range(n2)}
-    _, cells, fixed, neighbors = _normalize(TilingInstance(tileset, (n1 + 2 * r, n2 + 2 * r), fixed))
+    instance = TilingInstance(tileset, (n1 + 2 * r, n2 + 2 * r), fixed)
+    _, cells, fixed, neighbors = reference_normalize(instance)
     search = reference_backtrack(tileset, reference_near_fixed_order(cells, fixed), fixed, neighbors)
     return next(search, None) is not None
 
@@ -760,11 +803,11 @@ def _algorithm_x(options, primary):
 def exact_cover_solve(instance):
     """A solution of a tiling instance by the exact-cover reduction, or None.
 
-    It shares only the instance normalization with ``wang.solve`` (which
-    ``brute_force_torus_tilings`` checks on its own), so it is a complete
-    second opinion on satisfiability; its solution need not be the least.
+    It shares nothing with ``wang.solve``: the instance is normalized by
+    ``reference_normalize``, so it is a complete second opinion on
+    satisfiability; its solution need not be the least.
     """
-    normal = _normalize(instance)
+    normal = reference_normalize(instance)
     if normal is None:
         return None
     shape, cells, fixed, neighbors = normal
@@ -840,6 +883,21 @@ def expansive_by_iterates(m: Morphism2d):
             continue
         verdicts.append(word.shape[0] >= 2 and word.shape[1] >= 2)
     return False if False in verdicts else None if None in verdicts else True
+
+
+def primitive_by_matrix_power(m: Morphism2d) -> bool:
+    """Whether the ((k-1)^2 + 1)-th power of the letter incidence matrix of
+    a k-letter rule is positive, by boolean matrix products: Wielandt's
+    bound for a primitive matrix."""
+    k = m.domain_size
+    incidence = [[any(letter == b for _, letter in m.image(a)) for b in range(k)] for a in range(k)]
+    power = incidence
+    for _ in range((k - 1) ** 2):
+        power = [
+            [any(power[a][c] and incidence[c][b] for c in range(k)) for b in range(k)]
+            for a in range(k)
+        ]
+    return all(all(row) for row in power)
 
 
 def tarjan_cycle_vertices(edges: list[list[int]]) -> set[int]:

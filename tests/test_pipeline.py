@@ -409,9 +409,8 @@ class TestRuleCertificate:
 
     @pytest.mark.parametrize("shape", [(2, 2), (3, 3)], ids=["2x2", "3x3"])
     def test_catalog_rule_proves_the_language(self, phi, tiles_u, shape):
-        table = language(phi, shape)
-        assert prove(tiles_u, phi, table) is None
-        assert tiles_u.proved == frozenset(table)
+        assert prove(tiles_u, phi, shape) is None
+        assert tiles_u.proved == frozenset(language(phi, shape))
 
     def test_run_at_1x1_is_ok(self):
         assert run_all((1, 1)).ok()
@@ -425,7 +424,7 @@ class TestRuleCertificate:
         identity = Morphism2d.from_permutation({0: 0})
         table = language(identity, (1, 1))
         assert table == {Word2d.single(0)}
-        assert prove(tileset, identity, table) == "the rule is not expansive"
+        assert prove(tileset, identity, (1, 1)) == "the rule is not expansive"
         assert tileset.proved == frozenset()
         assert patterns_with_surrounding(tileset, (1, 1), 1) == set()
 
@@ -512,7 +511,7 @@ def _without_seconds(obj):
 def _count_closures(monkeypatch):
     """Wrap the substitution closure; the returned list fills with the
     shape of each call."""
-    from aperiodic_kit import morphisms, pipeline
+    from aperiodic_kit import morphisms, wang
 
     shapes = []
     closure = morphisms.language
@@ -521,8 +520,9 @@ def _count_closures(monkeypatch):
         shapes.append(shape)
         return closure(m, shape, *args, **kwargs)
 
+    # the run's closure is the one ``wang.prove`` builds
     monkeypatch.setattr(morphisms, "language", counting)
-    monkeypatch.setattr(pipeline, "language", counting)
+    monkeypatch.setattr(wang, "language", counting)
     return shapes
 
 

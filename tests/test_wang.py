@@ -4,6 +4,8 @@ from collections import Counter
 from itertools import islice, product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import _oracles
 from aperiodic_kit import wang
@@ -147,9 +149,11 @@ def table(phi):
 
 
 def _proved(tileset, phi, table):
-    # a fresh tile set with the tiles of the given one, proved for phi
+    # a fresh tile set with the tiles of the given one, proved for phi at
+    # the shape of the table's words, which it keeps
     found = WangTileSet(tileset)
-    assert wang.prove(found, phi, table) is None and found.proved == frozenset(table)
+    assert wang.prove(found, phi, next(iter(table)).shape) is None
+    assert found.proved == frozenset(table)
     return found
 
 
@@ -168,9 +172,10 @@ def _letters_and_dominoes(k):
 
 class TestProve:
     """``prove`` against a brute-force reading of its definition: it passes
-    exactly when the rule is expansive and sends each letter and each valid
-    domino to a valid pattern, and then the image of every valid pattern is
-    valid."""
+    exactly when the rule is expansive and primitive and sends each letter
+    and each valid domino to a valid pattern, and then the image of every
+    valid pattern is valid.  A rule that is not primitive fails only that
+    last check, after all the others."""
 
     def random_rule(self, rng, tileset):
         # images of 2x2, or some of them smaller: each letter in turn takes
@@ -205,7 +210,7 @@ class TestProve:
 
     def test_against_brute_force_on_random_small_sets(self):
         rng = random.Random(41)
-        seen = Counter()
+        seen, primitive_passes = Counter(), 0
         while sum(seen.values()) < 150:
             tileset = random_tileset(rng, tiles=rng.randint(3, 6), colors=rng.randint(2, 3))
             # at most 200 valid 3x3 patterns, so that the image of each is cheap to check
@@ -216,24 +221,30 @@ class TestProve:
                 w for w in _letters_and_dominoes(len(tileset))
                 if is_valid_pattern(tileset, w) and not _valid_image(tileset, phi, w)
             ]
-            table = {Word2d.single(0)}
-            tileset.proved = frozenset([Word2d.single(1)])
-            fault = wang.prove(tileset, phi, table)
-            if fault is None:
+            tileset.proved = frozenset(Word2d.single(a) for a in range(len(tileset)))
+            fault = wang.prove(tileset, phi, (2, 2))
+            self_similar = fault in (None, "the rule is not primitive")
+            if self_similar:
                 assert not bad and _oracles.expansive_by_iterates(phi) is True
-                assert tileset.proved == frozenset(table)
                 for shape in product(range(1, 4), repeat=2):
                     valid = solve_all(TilingInstance(tileset, shape))
                     assert all(_valid_image(tileset, phi, w) for w in valid), shape
+                # the words kept are the language's, of a primitive rule only
+                primitive = _oracles.primitive_by_matrix_power(phi)
+                assert primitive == (fault is None)
+                proved = _oracles.iterated_language(phi, (2, 2)) if primitive else set()
+                assert tileset.proved == proved
+                primitive_passes += primitive
             else:
                 # every iterate is defined when no letter or domino is bad
                 assert bad or _oracles.expansive_by_iterates(phi) is False, fault
                 assert tileset.proved == frozenset()
-            seen["pass" if fault is None else "bad" if bad else "not expansive"] += 1
+            seen["pass" if self_similar else "bad" if bad else "not expansive"] += 1
         assert min(seen["pass"], seen["bad"]) >= 20 and seen["not expansive"] >= 10, seen
+        assert 1 <= primitive_passes < seen["pass"], (primitive_passes, seen)
 
     def test_every_single_mutant_of_u_and_phi_fails(self, phi, tiles_u, table):
-        assert wang.prove(tiles_u, phi, table) is None
+        assert wang.prove(tiles_u, phi, (3, 3)) is None
         colors = sorted({color for tile in tiles_u for color in tile})
         faults = []
         for index, side in product(range(len(tiles_u)), range(4)):
@@ -241,7 +252,7 @@ class TestProve:
                 if color != tiles_u[index][side]:
                     tiles = [list(tile) for tile in tiles_u]
                     tiles[index][side] = color
-                    faults.append(wang.prove(WangTileSet(tiles), phi, table))
+                    faults.append(wang.prove(WangTileSet(tiles), phi, (3, 3)))
         assert len(faults) == 1140
         for letter, image in phi.rule.items():
             for (x, y), old in image:
@@ -250,7 +261,7 @@ class TestProve:
                         columns = [list(col) for col in image.columns]
                         columns[x][y] = new
                         rule = {**phi.rule, letter: Word2d(columns)}
-                        faults.append(wang.prove(tiles_u, Morphism2d(rule, 19, 19), table))
+                        faults.append(wang.prove(tiles_u, Morphism2d(rule, 19, 19), (3, 3)))
         assert len(faults) == 1140 + 900
         assert None not in faults and tiles_u.proved == frozenset()
 
@@ -285,7 +296,7 @@ class TestCertificates:
         # a fresh set: the first one holds the set it found
         fresh = WangTileSet(tiles)
         fresh.proved = frozenset(table)
-        assert "domino" in wang.prove(fresh, phi, table)
+        assert "domino" in wang.prove(fresh, phi, (3, 3))
         assert fresh.proved == frozenset()
         assert patterns_with_surrounding(fresh, shape, 2) == searched
         # some language pattern is a valid candidate of the recolored set
@@ -308,7 +319,7 @@ class TestCertificates:
             columns[0][0] = letter
             rule[18] = Word2d(columns)
             tileset = _proved(tiles_u, phi, table)
-            assert wang.prove(tileset, Morphism2d(rule, 19, 19), table) is not None
+            assert wang.prove(tileset, Morphism2d(rule, 19, 19), (3, 3)) is not None
             assert tileset.proved == frozenset()
             assert patterns_with_surrounding(tileset, (2, 2), 2) == set()
 
@@ -324,6 +335,19 @@ class TestCertificates:
             found = patterns_with_surrounding(_proved(tiles_u, phi, squares), shape, 1)
             assert len(found) == kept
             assert len(found) + len(searched) == len(solve_all(TilingInstance(tiles_u, shape)))
+
+    def test_proof_keeps_only_the_language_it_builds(self, phi, tiles_u, table):
+        # the one 3x3 pattern with a 2-surrounding and none of radius 3,
+        # held as proved before the proof: the proof keeps the language it
+        # builds, so proved and unproved U give the same 94 patterns
+        unproved = patterns_with_surrounding(tiles_u, (3, 3), 3)
+        (extra,) = patterns_with_surrounding(tiles_u, (3, 3), 2) - unproved
+        proved = WangTileSet(tiles_u)
+        proved.proved = frozenset(table | {extra})
+        assert wang.prove(proved, phi, (3, 3)) is None
+        assert proved.proved == frozenset(table)
+        assert len(unproved) == 94
+        assert patterns_with_surrounding(proved, (3, 3), 3) == unproved
 
     def test_survivors_of_radius_3_give_the_radius_4_set(self, phi, tiles_u, table):
         proved = _proved(tiles_u, phi, table)
@@ -540,6 +564,67 @@ class RecordingFits(dict):
         return super().get(key, default)
 
 
+lattice_bases = st.tuples(*[st.integers(-4, 4)] * 4).filter(
+    lambda m: m[0] * m[3] != m[1] * m[2]
+).map(lambda m: ((m[0], m[1]), (m[2], m[3])))
+
+
+class TestNeighbors:
+    """The neighbor function of ``_normalize`` is the oracle's table, which
+    reduces every neighbor by a lattice membership test over the box, and
+    the search computes it only for the cells it plans."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 7), st.integers(1, 7), st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6))))
+    def test_rectangles(self, n1, n2, pins):
+        fixed = {cell: 0 for cell in pins if cell[0] < n1 and cell[1] < n2}
+        instance = TilingInstance(WangTileSet([("a",) * 4]), (n1, n2), fixed)
+        shape, fixed, neighbors = wang._normalize(instance)
+        expected_shape, cells, expected_fixed, table = _oracles.reference_normalize(instance)
+        assert (shape, fixed) == (expected_shape, expected_fixed)
+        assert {cell: neighbors(cell) for cell in cells} == table
+
+    @settings(max_examples=150, deadline=None)
+    @example(((1, 0), (0, 4)), [])
+    @example(((4, 0), (0, 1)), [(5, -3)])
+    @example(((1, 0), (0, 1)), [(2, 2)])
+    @given(
+        lattice_bases | st.sampled_from(list(sublattice_bases(6))),
+        st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), max_size=4),
+    )
+    def test_tori(self, basis, pins):
+        # 1-wide and 1-high tori among them, where a cell is its own right
+        # or top neighbor when the lattice holds that unit step; the fixed
+        # cells, one tile each, reduce onto the box
+        instance = TilingInstance(WangTileSet([("a",) * 4]), (1, 1), dict.fromkeys(pins, 0), basis)
+        shape, fixed, neighbors = wang._normalize(instance)
+        expected_shape, cells, expected_fixed, table = _oracles.reference_normalize(instance)
+        assert (shape, fixed) == (expected_shape, expected_fixed)
+        assert {cell: neighbors(cell) for cell in cells} == table
+        steps = [step for step in ((1, 0), (0, 1)) if _oracles._same_torus_cell(basis, step, (0, 0))]
+        assert any(cell in table[cell] for cell in cells) == bool(steps)
+
+    def test_a_refutation_plans_few_cells(self, phi, tiles_u):
+        # the first valid 1x3 word outside the language has no 4-surrounding,
+        # and its search computes the neighbors of fewer cells than the 9x11
+        # grid holds, each once
+        words = language(phi, (1, 3))
+        u = next(w for w in solve_all(TilingInstance(tiles_u, (1, 3))) if w not in words)
+        assert not admits_surrounding(tiles_u, u, 4)
+        fixed = {(4, y + 4): tiles_u.representative[u[0, y]] for y in range(3)}
+        shape, fixed, neighbors = wang._normalize(TilingInstance(tiles_u, (9, 11), fixed))
+        planned = []
+
+        def counting(cell):
+            planned.append(cell)
+            return neighbors(cell)
+
+        order = wang._near_fixed_order(shape, fixed)
+        search = wang._backtrack(tiles_u, shape, order, fixed, counting, tiles_u.distinct_fits)
+        assert next(search, None) is None
+        assert len(set(planned)) == len(planned) < 99
+
+
 class TestReferenceSearch:
     """The search on its per-depth plan walks the tree of the reference
     search, which finds each cell's assigned neighbors at every node: past
@@ -587,13 +672,15 @@ class TestReferenceSearch:
         # dicts of every cell, and the keys each looked up after those of
         # the fixed cells: the reference checks the fixed tiles before its
         # search, the library assigns them first, one tile each
-        _, _, fixed, neighbors = wang._normalize(instance)
+        shape, fixed, neighbors = wang._normalize(instance)
+        _, _, expected_fixed, table = _oracles.reference_normalize(instance)
+        assert fixed == expected_fixed
         tileset = instance.tileset
         cells = [*fixed, *(cell for cell in order if cell not in fixed)]
         plan, reference = RecordingFits(fits), RecordingFits(fits)
-        search = wang._backtrack(tileset, cells, fixed, neighbors, plan)
+        search = wang._backtrack(tileset, shape, cells, fixed, neighbors, plan)
         found = [dict(zip(cells, picked)) for picked in islice(search, limit)]
-        search = _oracles.reference_backtrack(tileset, order, fixed, neighbors, reference)
+        search = _oracles.reference_backtrack(tileset, order, fixed, table, reference)
         expected = [dict(grid) for grid in islice(search, limit)]
         return (found, plan.keys[len(fixed):]), (expected, reference.keys[len(fixed):])
 
@@ -602,12 +689,13 @@ class TestReferenceSearch:
         kinds, outcomes = set(), set()
         for _ in range(6):
             for instance in self.instances(rng):
-                normal = wang._normalize(instance)
+                normal = _oracles.reference_normalize(instance)
+                assert (wang._normalize(instance) is None) == (normal is None)
                 if normal is None:
                     # two fixed tiles disagree on one torus cell
                     kinds.add("clash")
                     continue
-                shape, cells, fixed, neighbors = normal
+                shape, cells, fixed, _ = normal
                 tileset = instance.tileset
                 orders = [cells]
                 if fixed:
@@ -644,7 +732,7 @@ class TestReferenceSearch:
             for u in rng.sample(valid, 3):
                 fixed = {(x + r, y + r): u[x, y] for x in range(n1) for y in range(n2)}
                 instance = TilingInstance(tiles_u, (n1 + 2 * r, n2 + 2 * r), fixed)
-                shape, cells, fixed, _ = wang._normalize(instance)
+                shape, fixed, _ = wang._normalize(instance)
                 order = list(wang._near_fixed_order(shape, fixed))
                 # the searches stop at the first surrounding
                 found, expected = self.both(instance, order, tiles_u.distinct_fits, limit=1)
@@ -656,7 +744,7 @@ class TestReferenceSearch:
     def test_u_periodic_queries_walk_the_reference_tree(self, tiles_u):
         for basis in sublattice_bases(8):
             instance = TilingInstance(tiles_u, (1, 1), {}, wrap=basis)
-            _, cells, _, _ = wang._normalize(instance)
+            _, cells, _, _ = _oracles.reference_normalize(instance)
             found, expected = self.both(instance, cells, tiles_u.distinct_fits)
             assert found == expected
             assert found[0] == []
