@@ -186,11 +186,6 @@ def _doubled_area_sum(cells: Iterable[Polygon]) -> PhiNumber:
     return sum((_doubled_area(cell.vertices) for cell in cells), ZERO)
 
 
-def _area_sum(cells: Iterable[Polygon]) -> PhiNumber:
-    """The total area of convex cells with disjoint interiors."""
-    return _doubled_area_sum(cells) / PhiNumber(2)
-
-
 def _normalize_ring(vs: list[Point]) -> Optional[tuple[Point, ...]]:
     if len(vs) < 3:
         return None
@@ -504,9 +499,9 @@ def tiling_defect(cells: Sequence[Polygon], lattice) -> Optional[str]:
     if leaving := _leaving(cells, lattice):
         return leaving
     l1, l2 = lattice
-    area = _area_sum(cells)
-    if area != l1 * l2:
-        return f"cells cover area {area}, not the covolume {l1 * l2}"
+    doubled = _doubled_area_sum(cells)
+    if doubled != 2 * l1 * l2:
+        return f"cells cover area {doubled / PhiNumber(2)}, not the covolume {l1 * l2}"
     for i, a in enumerate(cells):
         for b in cells[i + 1:]:
             if bbox_overlap(a, b) and convex_intersection(a, b) is not None:

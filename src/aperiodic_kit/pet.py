@@ -6,17 +6,16 @@ at most four rectangles.  Inducing a rotation on an axis window produces
 first-return maps, return words, an induced partition, and the natural
 substitution sending new letters to the return words they stand for.
 
-Induction takes axis windows of torus rotations whose piece images stay in
-the fundamental rectangle: each step cuts the pushed pieces against the
-window and the rest of the rectangle, and every first return ends (see
-induced_transformation).  induce_action rejects a window whose first-return
-map is not again a rotation as soon as it is known.
+Induction takes axis windows of torus rotations.  A generator moves only
+its own coordinate, so its first return to a window is that of a circle
+rotation to an interval, computed on intervals, not on polygons, and every
+first return ends (see first_return).  induce_action rejects a window whose
+first-return map is not again a rotation as soon as it is known.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .geometry import (
     BoundaryHit,
@@ -35,10 +34,6 @@ from .geometry import (
 from .morphisms import Morphism2d
 from .phifield import ZERO, PhiNumber
 from .words import Word2d
-
-
-def _vadd(a: Point, b: Point) -> Point:
-    return (a[0] + b[0], a[1] + b[1])
 
 
 @dataclass(frozen=True)
@@ -83,7 +78,8 @@ class PolygonExchange:
             raise ValueError(f"({x[0]}, {x[1]}) outside the domain")
         if not interior:
             raise BoundaryHit(f"({x[0]}, {x[1]}) lies on a piece boundary")
-        return _vadd(x, hits[0])
+        v = hits[0]
+        return (x[0] + v[0], x[1] + v[1])
 
     def __call__(self, x: Point) -> Point:
         return self.apply(x)
@@ -98,14 +94,6 @@ class PolygonExchange:
             )
         )
 
-    def as_translation(self) -> Optional[Point]:
-        """The single vector this PET rotates by, if all pieces agree mod lattice."""
-        l1, l2 = self.lattice
-        reduced = {(v[0] % l1, v[1] % l2) for _, v in self.pieces}
-        if len(reduced) == 1:
-            return next(iter(reduced))
-        return None
-
     @classmethod
     def toral_translation(cls, lattice, vector) -> "PolygonExchange":
         """Rotation x -> x + v on the torus as an exchange of <= 4 rectangles,
@@ -113,58 +101,6 @@ class PolygonExchange:
         l1, l2 = _num(lattice[0]), _num(lattice[1])
         v = (_num(vector[0]) % l1, _num(vector[1]) % l2)
         return cls((l1, l2), rotation_rectangles((l1, l2), v))
-
-
-def induced_transformation(transform: PolygonExchange, window: Window):
-    """First-return map of a torus rotation on an axis window, with return times.
-
-    Window pieces are pushed through the exchange; after every step,
-    split_cells cuts them against the window, whose parts have returned,
-    and the rest of the fundamental rectangle, whose parts go on.  An
-    exchange whose pieces do not tile the rectangle, or with a piece image
-    leaving it, is refused.  Every
-    piece returns, so the loop ends: the strip constrains one coordinate,
-    which moves by a circle rotation.  A rational step brings each point
-    back to its start, inside the window; an irrational one enters
-    [0, bound) within a bounded number of steps (three-distance theorem).
-    Returns the induced exchange, on the strip's rectangle, and a list of
-    (piece, return time).
-    """
-    if not isinstance(window, Window):
-        raise TypeError("induction needs an axis Window")
-    if transform.as_translation() is None:
-        raise ValueError("induction needs a torus rotation")
-    if defect := tiling_defect([poly for poly, _ in transform.pieces], transform.lattice):
-        raise ValueError(f"exchange pieces do not tile the rectangle: {defect}")
-    for poly, v in transform.pieces:
-        if leaving := _leaving([poly.translate(v)], transform.lattice):
-            raise ValueError(f"piece {poly} moved by ({v[0]}, {v[1]}): {leaving}")
-    new_lattice = window.sub_lattice(transform.lattice)
-    window_poly = rectangle(0, 0, new_lattice[0], new_lattice[1])
-    split = [(window_poly, "returned")]
-    if window.bound < transform.lattice[window.axis - 1]:
-        x0, y0 = (window.bound, ZERO) if window.axis == 1 else (ZERO, window.bound)
-        split.append((rectangle(x0, y0, *transform.lattice), "active"))
-
-    active = [(window_poly, (ZERO, ZERO))]
-    returned: list[tuple[Polygon, Point, int]] = []
-    step = 0
-    while active:
-        step += 1
-        moved = [
-            (part.translate(v), _vadd(tau, v))
-            for part, tau, v in split_cells(active, transform.pieces)
-        ]
-        active = []
-        for part, tau, tag in split_cells(moved, split):
-            if tag == "returned":
-                returned.append((part.translate((-tau[0], -tau[1])), tau, step))
-            else:
-                active.append((part, tau))
-
-    pieces = [(poly, tau) for poly, tau, _ in returned]
-    times = [(poly, step) for poly, _, step in returned]
-    return PolygonExchange(new_lattice, pieces), times
 
 
 class TorusAction:
@@ -178,21 +114,12 @@ class TorusAction:
             raise ValueError("generators must be axis-aligned")
         self.alpha1 = (a1[0] % self.lattice[0], PhiNumber(0))
         self.alpha2 = (PhiNumber(0), a2[1] % self.lattice[1])
-        self._returns: dict[tuple[int, Window], tuple] = {}
 
     def generator(self, axis: int) -> PolygonExchange:
         if axis not in (1, 2):
             raise ValueError("axis must be 1 or 2")
         alpha = self.alpha1 if axis == 1 else self.alpha2
         return PolygonExchange.toral_translation(self.lattice, alpha)
-
-    def first_return(self, axis: int, window: Window):
-        """``induced_transformation`` of the axis generator on the window,
-        computed once: the induced partition and the induced action both
-        read the return along the window's axis."""
-        if (axis, window) not in self._returns:
-            self._returns[axis, window] = induced_transformation(self.generator(axis), window)
-        return self._returns[axis, window]
 
     def translate(self, x: Point, n: tuple[int, int]) -> Point:
         """Exact image of x under the n-th power of the action."""
@@ -206,23 +133,67 @@ class TorusAction:
         return self.translate((ZERO, ZERO), n)
 
 
+def first_return(
+    action: TorusAction, axis: int, window: Window
+) -> list[tuple[Polygon, Point, int]]:
+    """First-return map of the axis generator on the window, as (piece,
+    vector, return time) triples whose pieces tile the window's rectangle.
+
+    The generator moves only its own coordinate t, by the circle rotation
+    t -> t + alpha mod side, so the return is one-dimensional: the start
+    points [0, bound) on that axis, with bound the whole side across the
+    window's axis, are moved interval by interval.  Each step splits an
+    interval where t + alpha passes the side and where it enters [0, bound);
+    the parts inside have returned, the rest go on.  A rational step brings
+    each point back to its start, inside the window; an irrational one
+    enters [0, bound) within a bounded number of steps (three-distance
+    theorem), so the loop ends.  Each piece is a returned interval of start
+    points times the window's other side.
+    """
+    lattice = window.sub_lattice(action.lattice)
+    bound, across = lattice[axis - 1], lattice[2 - axis]
+    alpha = action.alpha1[0] if axis == 1 else action.alpha2[1]
+    cut = action.lattice[axis - 1] - alpha
+    active = [(ZERO, bound, ZERO)]  # interval [a, b) reached, shift tau so far
+    returned = []
+    step = 0
+    while active:
+        step += 1
+        moved = []
+        for a, b, tau in active:
+            if a < cut:
+                moved.append((a + alpha, min(b, cut) + alpha, tau + alpha))
+            if cut < b:
+                moved.append((max(a, cut) - cut, b - cut, tau - cut))
+        active = []
+        for a, b, tau in moved:
+            if a < bound:
+                returned.append((a - tau, min(b, bound) - tau, tau, step))
+            if bound < b:
+                active.append((max(a, bound), b, tau))
+    if axis == 1:
+        return [(rectangle(lo, ZERO, hi, across), (tau, ZERO), k) for lo, hi, tau, k in returned]
+    return [(rectangle(ZERO, lo, across, hi), (ZERO, tau), k) for lo, hi, tau, k in returned]
+
+
 def induce_action(action: TorusAction, window: Window) -> TorusAction:
     """First-return lattice action on an axis window.
 
-    Both generators are induced; the transversal generator never leaves an
-    axis strip, so its return time is 1 and the interesting induction
-    happens along the window's axis.  The induced generators must again be
-    single rotations of the smaller torus, which is checked exactly.
+    The transversal generator never leaves an axis strip, so its return
+    time is 1 and its step vector stays as it is.  Along the window's axis
+    the first return must again be a single rotation of the smaller torus:
+    the shifts of its pieces, reduced mod the bound, must agree, which is
+    checked exactly.
     """
-    new_lattice = window.sub_lattice(action.lattice)
-    alphas = {}
-    for axis in (1, 2):
-        induced, _ = action.first_return(axis, window)
-        vector = induced.as_translation()
-        if vector is None:
-            raise ValueError(f"induced generator {axis} is not a rotation")
-        alphas[axis] = vector
-    return TorusAction(new_lattice, alphas[1], alphas[2])
+    axis = window.axis
+    shifts = {v[axis - 1] % window.bound for _, v, _ in first_return(action, axis, window)}
+    if len(shifts) != 1:
+        raise ValueError(f"induced generator {axis} is not a rotation")
+    (shift,) = shifts
+    lattice = window.sub_lattice(action.lattice)
+    if axis == 1:
+        return TorusAction(lattice, (shift, ZERO), action.alpha2)
+    return TorusAction(lattice, action.alpha1, (ZERO, shift))
 
 
 # ---------------------------------------------------------------------------
@@ -329,11 +300,9 @@ def induced_partition(
     then lexicographic on the cells read column by column, bottom to top),
     which makes one-dimensional return words follow the shortlex order.
     """
-    _, time_pieces = action.first_return(window.axis, window)
     new_lattice = window.sub_lattice(action.lattice)
-
     collected: dict[Word2d, list[Polygon]] = {}
-    for piece, steps in time_pieces:
+    for piece, _, steps in first_return(action, window.axis, window):
         shape = (1, steps) if window.axis == 2 else (steps, 1)
         support = shape_steps(shape)
         for cell, codes in _refine_by_codes(partition, action, support, [(piece, {})]):

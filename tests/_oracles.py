@@ -40,8 +40,9 @@ whose bounding box meets the box and clips each translate to it.
 
 The last section holds helpers that only tests call: words from rows,
 the empty word and concatenation, the identity morphism, first return
-times and return words, the coded dominoes of refined cells, the area and
-covolume of a partition, and the inverse of a polygon exchange.
+times, the first return of a polygon exchange by pushing polygons, return
+words, the coded dominoes of refined cells, the area and covolume of a
+partition, and the inverse of a polygon exchange.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from aperiodic_kit.geometry import (
     DegenerateArrangement,
     Polygon,
     TorusPartition,
-    _area_sum,
     _edge_key,
     _edge_sweep,
     _halfplane,
@@ -66,6 +66,7 @@ from aperiodic_kit.geometry import (
     convex_intersection,
     pt,
     rectangle,
+    split_cells,
 )
 from aperiodic_kit.morphisms import Morphism2d, NotStabilized, UndefinedImage
 from aperiodic_kit.pet import PolygonExchange, TorusAction, Window, config_patch
@@ -1278,6 +1279,36 @@ def first_return_time(action: TorusAction, window: Window, x, axis: int) -> int:
     return k
 
 
+def push_first_return(exchange: PolygonExchange, window: Window) -> list:
+    """First-return map of a torus rotation on an axis window, as (piece,
+    vector, return time) triples, by pushing polygons: window pieces are
+    moved through the exchange, and after every step split_cells cuts them
+    against the window, whose parts have returned, and the rest of the
+    fundamental rectangle, whose parts go on."""
+    lattice = window.sub_lattice(exchange.lattice)
+    window_poly = rectangle(0, 0, *lattice)
+    split = [(window_poly, "returned")]
+    if window.bound < exchange.lattice[window.axis - 1]:
+        x0, y0 = (window.bound, ZERO) if window.axis == 1 else (ZERO, window.bound)
+        split.append((rectangle(x0, y0, *exchange.lattice), "active"))
+    active = [(window_poly, (ZERO, ZERO))]
+    returned = []
+    step = 0
+    while active:
+        step += 1
+        moved = [
+            (part.translate(v), (tau[0] + v[0], tau[1] + v[1]))
+            for part, tau, v in split_cells(active, exchange.pieces)
+        ]
+        active = []
+        for part, tau, tag in split_cells(moved, split):
+            if tag == "returned":
+                returned.append((part.translate((-tau[0], -tau[1])), tau, step))
+            else:
+                active.append((part, tau))
+    return returned
+
+
 def return_word(partition: TorusPartition, action: TorusAction, window: Window, x) -> Word2d:
     """Code block swept before the orbit of x first returns to the window."""
     r = first_return_time(action, window, x, 1)
@@ -1294,8 +1325,13 @@ def coded_dominoes(cells: list[dict]):
 
 
 def total_area(partition: TorusPartition) -> PhiNumber:
-    """The summed area of the partition's cells."""
-    return _area_sum(cell for _, cell in partition.cells())
+    """The summed shoelace area of the partition's cells."""
+    doubled = ZERO
+    for _, cell in partition.cells():
+        vs = cell.vertices
+        for (x0, y0), (x1, y1) in zip(vs, vs[1:] + vs[:1]):
+            doubled = doubled + (x0 * y1 - x1 * y0)
+    return doubled / PhiNumber(2)
 
 
 def covolume(partition: TorusPartition) -> PhiNumber:

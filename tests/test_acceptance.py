@@ -28,10 +28,11 @@ from aperiodic_kit.morphisms import (
     periodic_seeds,
 )
 from aperiodic_kit.pet import (
+    PolygonExchange,
     Window,
     config_patch,
     enumerate_language,
-    induced_transformation,
+    first_return,
 )
 from aperiodic_kit.phifield import PHI, PhiNumber
 from aperiodic_kit.wang import (
@@ -235,8 +236,9 @@ def test_criterion_9d_pet_bijectivity_and_commutation(action_u, induction_tower)
     for action in (action_u, r1, r2):
         assert action.generator(1).is_bijective()
         assert action.generator(2).is_bijective()
-    induced, _ = induced_transformation(action_u.generator(2), Window(2, PHI**-1))
-    assert induced.is_bijective()
+    window = Window(2, PHI**-1)
+    pieces = [(piece, v) for piece, v, _ in first_return(action_u, 2, window)]
+    assert PolygonExchange(window.sub_lattice(action_u.lattice), pieces).is_bijective()
     rng = random.Random(5)
     g1, g2 = action_u.generator(1), action_u.generator(2)
     for _ in range(1_000):

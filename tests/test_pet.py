@@ -11,6 +11,7 @@ from _oracles import (
     covolume,
     exchange_inverse,
     first_return_time,
+    push_first_return,
     return_word,
     total_area,
 )
@@ -19,24 +20,22 @@ from aperiodic_kit import geometry
 from aperiodic_kit.catalog import rotation_action
 from aperiodic_kit.geometry import (
     BoundaryHit,
-    Polygon,
     TorusPartition,
     closure_hits,
     is_equal_up_to_relabeling,
-    pt,
-    rectangle,
     rescale,
 )
 from aperiodic_kit.morphisms import language
 from aperiodic_kit.pet import (
     PolygonExchange,
+    TorusAction,
     Window,
     coded_cells,
     config_patch,
     enumerate_language,
+    first_return,
     induce_action,
     induced_partition,
-    induced_transformation,
     shape_steps,
 )
 from aperiodic_kit.phifield import ONE, PHI, PhiNumber
@@ -99,13 +98,28 @@ class TestToralTranslation:
             assert ginv(g(x)) == x
 
 
+def _exchange(pieces, lattice) -> PolygonExchange:
+    return PolygonExchange(lattice, [(piece, v) for piece, v, _ in pieces])
+
+
+def _as_set(pieces) -> set:
+    return {(piece.vertices, v, k) for piece, v, k in pieces}
+
+
+ROTATION_STEPS = [
+    PhiNumber(0), PhiNumber(Fraction(1, 3)), INV, INV3, 2 * INV2, INV2 + Fraction(1, 7)
+]
+BOUNDS = [PhiNumber(Fraction(1, 100)), PhiNumber(Fraction(1, 3)), INV, ONE]
+
+
 class TestInducedTransformation:
     def test_return_times_one_and_two(self, action_u):
-        induced, times = induced_transformation(action_u.generator(2), Window(2, INV))
-        assert sorted({k for _, k in times}) == [1, 2]
-        assert induced.is_bijective()
+        window = Window(2, INV)
+        pieces = first_return(action_u, 2, window)
+        assert sorted({k for _, _, k in pieces}) == [1, 2]
+        assert _exchange(pieces, window.sub_lattice(action_u.lattice)).is_bijective()
         # time 1 exactly where y + phi^-2 stays under phi^-1
-        for piece, k in times:
+        for piece, _, k in pieces:
             _, y0, _, y1 = piece.bbox()
             if k == 1:
                 assert y1 + INV2 <= INV
@@ -113,23 +127,27 @@ class TestInducedTransformation:
                 assert y0 + INV2 >= INV
 
     def test_transversal_generator_returns_immediately(self, action_u):
-        induced, times = induced_transformation(action_u.generator(1), Window(2, INV))
-        assert {k for _, k in times} == {1}
-        assert induced.as_translation() == (INV2, PhiNumber(0))
+        pieces = first_return(action_u, 1, Window(2, INV))
+        assert {k for _, _, k in pieces} == {1}
+        assert {(v[0] % ONE, v[1]) for _, v, _ in pieces} == {(INV2, PhiNumber(0))}
 
     def test_identity_on_window(self):
-        ident = PolygonExchange.toral_translation((1, 1), (0, 0))
-        induced, times = induced_transformation(ident, Window(2, INV))
-        assert {k for _, k in times} == {1}
-        assert induced.as_translation() == (PhiNumber(0), PhiNumber(0))
+        ident = TorusAction((1, 1), (0, 0), (0, 0))
+        pieces = first_return(ident, 2, Window(2, INV))
+        assert {k for _, _, k in pieces} == {1}
+        assert {v for _, v, _ in pieces} == {(PhiNumber(0), PhiNumber(0))}
 
     def test_rational_translation_worked_example(self):
-        # y moves by 1/2, so every point of y < 1/3 is back after two steps
-        t = PolygonExchange.toral_translation((1, 1), (Fraction(1, 3), Fraction(1, 2)))
-        induced, times = induced_transformation(t, Window(2, Fraction(1, 3)))
-        assert {k for _, k in times} == {2}
-        assert induced.is_bijective()
-        assert induced.as_translation() == (PhiNumber(Fraction(2, 3)), PhiNumber(0))
+        # y moves by 1/2, so every point of y < 1/3 is back after two steps,
+        # at its start; x moves by 1/3 and never leaves the strip
+        action = TorusAction((1, 1), (Fraction(1, 3), 0), (0, Fraction(1, 2)))
+        window = Window(2, Fraction(1, 3))
+        pieces = first_return(action, 2, window)
+        assert {k for _, _, k in pieces} == {2}
+        assert _exchange(pieces, window.sub_lattice(action.lattice)).is_bijective()
+        induced = induce_action(action, window)
+        assert induced.alpha1 == (PhiNumber(Fraction(1, 3)), PhiNumber(0))
+        assert induced.alpha2 == (PhiNumber(0), PhiNumber(0))
 
     @pytest.mark.parametrize(
         "bound, longest",
@@ -139,77 +157,74 @@ class TestInducedTransformation:
         # the pieces of a first-return map, weighted by their return times,
         # cover the torus once along the window's axis and the strip across it
         window = Window(2, bound)
-        _, along = induced_transformation(action_u.generator(2), window)
-        assert max(k for _, k in along) == longest
-        assert sum((piece.area() * k for piece, k in along), PhiNumber(0)) == PhiNumber(1)
-        _, across = induced_transformation(action_u.generator(1), window)
-        assert {k for _, k in across} == {1}
-        assert sum((piece.area() for piece, _ in across), PhiNumber(0)) == bound
+        along = first_return(action_u, 2, window)
+        assert max(k for _, _, k in along) == longest
+        assert sum((piece.area() * k for piece, _, k in along), PhiNumber(0)) == PhiNumber(1)
+        across = first_return(action_u, 1, window)
+        assert {k for _, _, k in across} == {1}
+        assert sum((piece.area() for piece, _, _ in across), PhiNumber(0)) == bound
 
     def test_non_rotation_rejected(self, action_u):
-        # the first return to y < 1/10 exchanges three pieces
-        induced, _ = induced_transformation(action_u.generator(2), Window(2, Fraction(1, 10)))
-        assert induced.as_translation() is None
-        with pytest.raises(ValueError, match="torus rotation"):
-            induced_transformation(induced, Window(1, Fraction(1, 2)))
+        # the first return to y < 1/10 exchanges three pieces by three
+        # shifts that differ mod 1/10
+        window = Window(2, Fraction(1, 10))
+        pieces = first_return(action_u, 2, window)
+        assert len({v[1] % window.bound for _, v, _ in pieces}) == 3
+        with pytest.raises(ValueError, match="induced generator 2 is not a rotation"):
+            induce_action(action_u, window)
 
-    def test_polygon_window_rejected(self, action_u):
-        triangle = Polygon([pt(0, 0), pt(1, 0), pt(0, 1)])
-        with pytest.raises(TypeError, match="axis Window"):
-            induced_transformation(action_u.generator(2), triangle)
+    @pytest.mark.parametrize("bound", BOUNDS, ids=["1/100", "1/3", "phi^-1", "1"])
+    @pytest.mark.parametrize("window_axis", [1, 2])
+    @pytest.mark.parametrize("axis", [1, 2])
+    @pytest.mark.parametrize(
+        "step", ROTATION_STEPS, ids=["0", "1/3", "phi^-1", "phi^-3", "2phi^-2", "phi^-2+1/7"]
+    )
+    def test_equals_the_polygon_push(self, step, axis, window_axis, bound):
+        action = TorusAction((1, 1), (step, 0), (0, step))
+        window = Window(window_axis, bound)
+        pushed = push_first_return(action.generator(axis), window)
+        assert _as_set(first_return(action, axis, window)) == _as_set(pushed)
 
-    def test_piece_image_leaving_the_rectangle_rejected(self):
-        # (1, 0) reduces to (0, 0), so the exchange passes as a rotation, but
-        # its one image is [1, 2] x [0, 1]: induction would lose it
-        t = PolygonExchange((1, 1), [(rectangle(0, 0, 1, 1), (1, 0))])
-        assert t.as_translation() == (PhiNumber(0), PhiNumber(0))
-        with pytest.raises(ValueError, match=r"^piece .* leaves the fundamental rectangle$"):
-            induced_transformation(t, Window(2, Fraction(1, 2)))
-
-    def test_pieces_that_do_not_tile_the_rectangle_rejected(self):
-        # one piece, the lower half of the unit square, moved by (0, 0): a
-        # rotation whose image stays inside, but not a bijection, so its
-        # first return would be none either
-        t = PolygonExchange((1, 1), [(rectangle(0, 0, 1, Fraction(1, 2)), (0, 0))])
-        assert t.as_translation() == (PhiNumber(0), PhiNumber(0))
-        assert not t.is_bijective()
-        with pytest.raises(ValueError, match=r"^exchange pieces do not tile the rectangle: .*area 1/2") as error:
-            induced_transformation(t, Window(2, Fraction(3, 4)))
-        assert "\n" not in str(error.value)
+    @pytest.mark.parametrize("axis", [1, 2])
+    @pytest.mark.parametrize("level", [0, 1])
+    def test_equals_the_polygon_push_on_the_induction_tower(
+        self, action_u, induction_tower, level, axis
+    ):
+        action = action_u if level == 0 else induction_tower[2]
+        window = Window(2 if level == 0 else 1, INV)
+        pushed = push_first_return(action.generator(axis), window)
+        assert _as_set(first_return(action, axis, window)) == _as_set(pushed)
 
     @settings(max_examples=100, deadline=None)
     @given(
         st.sampled_from([(ONE, ONE), (PHI, ONE), (ONE, INV)]),
-        st.sampled_from(["horizontal", "vertical", "diagonal"]),
         st.lists(RATIONAL_STEPS | PHI_STEPS, min_size=2, max_size=2),
+        st.sampled_from([1, 2]),
         st.sampled_from([1, 2]),
         st.sampled_from([1, Fraction(1, 2), Fraction(2, 3), INV, INV2]),
         st.integers(0, 2**32),
     )
-    def test_first_return_matches_iterated_points(self, lattice, kind, step, axis, share, seed):
+    def test_first_return_matches_iterated_points(
+        self, lattice, step, axis, window_axis, share, seed
+    ):
         # every sample point of the window moved one step at a time until it
         # is back: the time and the image are those of the piece holding it
-        (l1, l2), zero = lattice, PhiNumber(0)
-        v = (zero if kind == "vertical" else step[0], zero if kind == "horizontal" else step[1])
-        window = Window(axis, lattice[axis - 1] * share)
-        induced, times = induced_transformation(PolygonExchange.toral_translation(lattice, v), window)
-        held = [(poly, (tau, k)) for (poly, tau), (_, k) in zip(induced.pieces, times)]
-
-        def move(y):
-            return (y[0] + v[0]) % l1, (y[1] + v[1]) % l2
-
+        action = TorusAction(lattice, (step[0], 0), (0, step[1]))
+        window = Window(window_axis, lattice[window_axis - 1] * share)
+        held = [(piece, (v, k)) for piece, v, k in first_return(action, axis, window)]
+        unit = (1, 0) if axis == 1 else (0, 1)
         rng = random.Random(seed)
         for _ in range(10):
-            x = random_point(rng, *induced.lattice)
+            x = random_point(rng, *window.sub_lattice(lattice))
             hits, interior = closure_hits(held, [x])
             assert hits
             if not interior:
-                continue  # a BoundaryHit of the induced exchange
-            tau, k = hits[0]
-            y, steps = move(x), 1
-            while y[axis - 1] >= window.bound and steps < k:
-                y, steps = move(y), steps + 1
-            assert (steps, y) == (k, (x[0] + tau[0], x[1] + tau[1]))
+                continue  # a boundary point of the first-return map
+            v, k = hits[0]
+            assert first_return_time(action, window, x, axis) == k
+            y = action.translate(x, (k * unit[0], k * unit[1]))
+            assert y == (x[0] + v[0], x[1] + v[1])
+
 
 class TestInduceAction:
     def test_first_induction_vectors(self, action_u):
@@ -239,26 +254,6 @@ class TestInduceAction:
             Window(axis, bound).sub_lattice(action_u.lattice)
         with pytest.raises(ValueError, match="exceeds the lattice side"):
             induce_action(action_u, Window(axis, bound))
-
-    def test_first_return_along_the_axis_computed_once_per_level(self, monkeypatch, partition_u):
-        # the induced partition and the induced action both read the return
-        # along the window's axis; the action induces the other axis too
-        from aperiodic_kit import catalog, pet
-
-        transforms = []
-        induce = pet.induced_transformation
-
-        def counting(transform, window):
-            transforms.append((id(transform), window))
-            return induce(transform, window)
-
-        monkeypatch.setattr(pet, "induced_transformation", counting)
-        action, first, second = catalog.rotation_action(), Window(2, INV), Window(1, INV)
-        middle, _ = induced_partition(partition_u, action, first)
-        middle_action = induce_action(action, first)
-        induced_partition(middle, middle_action, second)
-        induce_action(middle_action, second)
-        assert len(transforms) == len(set(transforms)) == 4
 
     def test_commutation_sampled(self, action_u):
         g1, g2 = action_u.generator(1), action_u.generator(2)
@@ -429,7 +424,7 @@ class TestRotatedCopies:
             raise AssertionError("lattice shift search outside the arrangement")
 
         monkeypatch.setattr(geometry, "_axis_shifts", refuse)
-        action = rotation_action()  # a fresh action, with no first return kept
+        action = rotation_action()
         coded_cells(partition_u, action, shape_steps((3, 3)))
         first = Window(2, INV)
         middle, _ = induced_partition(partition_u, action, first)

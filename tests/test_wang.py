@@ -208,11 +208,22 @@ class TestProve:
             rule[a] = Word2d(columns)
         return Morphism2d(rule, k, k)
 
+    def cycle_tileset(self, tiles):
+        # tile i's right color is tile i+1's left color, around a cycle of
+        # all the letters, and every top and bottom color is the same: each
+        # valid row steps along the cycle, so the images that glue take the
+        # letters along it, and a rule on random tile sets, which is seldom
+        # primitive, is often primitive here
+        return WangTileSet([(str((i + 1) % tiles), "v", str(i), "v") for i in range(tiles)])
+
     def test_against_brute_force_on_random_small_sets(self):
         rng = random.Random(41)
         seen, primitive_passes = Counter(), 0
         while sum(seen.values()) < 150:
-            tileset = random_tileset(rng, tiles=rng.randint(3, 6), colors=rng.randint(2, 3))
+            if rng.random() < 0.5:
+                tileset = self.cycle_tileset(rng.randint(3, 6))
+            else:
+                tileset = random_tileset(rng, tiles=rng.randint(3, 6), colors=rng.randint(2, 3))
             # at most 200 valid 3x3 patterns, so that the image of each is cheap to check
             if len(list(islice(wang._solutions(TilingInstance(tileset, (3, 3))), 201))) > 200:
                 continue
@@ -242,6 +253,7 @@ class TestProve:
             seen["pass" if self_similar else "bad" if bad else "not expansive"] += 1
         assert min(seen["pass"], seen["bad"]) >= 20 and seen["not expansive"] >= 10, seen
         assert 1 <= primitive_passes < seen["pass"], (primitive_passes, seen)
+        assert primitive_passes >= 20, (primitive_passes, seen)
 
     def test_every_single_mutant_of_u_and_phi_fails(self, phi, tiles_u, table):
         assert wang.prove(tiles_u, phi, (3, 3)) is None
